@@ -50,9 +50,7 @@ from .equilibrium import (
     grid_gradient_bound,
     play_sequential,
     play_simultaneous,
-    play_single_stage,
     play_tikhonov,
-    play_two_stage,
     probe_utility_gradient,
     reward_field,
     single_stage_update,

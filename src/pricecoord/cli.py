@@ -18,10 +18,11 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, CoordinationError, NonConvergenceError, RankDeficiencyError
+from .errors import (BestResponseError, ConfigError, CoordinationError, NonConvergenceError,
+                     RankDeficiencyError)
 from .mechanism import PLAY_MODES, PollingConfig, run_stage, price_from_target, social_welfare
 from .model import LinearDynamics, replace_states, step
-from .oracle import joint_welfare_opt
+from .oracle import OracleResult, joint_welfare_opt
 from .parametric import ObservationLog, identify, load_log, save_log
 from .scenario import (
     ScenarioConfig,
@@ -69,9 +70,8 @@ def _override_config(cfg: ScenarioConfig, seed) -> ScenarioConfig:
     return config_from_dict(data)
 
 
-def _oracle_welfare(inst, pcfg: PollingConfig):
-    res = joint_welfare_opt(inst, box=pcfg.box, method="closed_form", seed=0)
-    return float(res.welfare)
+def _oracle_welfare(inst, pcfg: PollingConfig) -> OracleResult:
+    return joint_welfare_opt(inst, box=pcfg.box, method="closed_form", seed=0)
 
 
 def _write_dynamics(cfg: ScenarioConfig, inst, path: str) -> None:
@@ -115,6 +115,10 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
                 failure["recent_actions"] = tr.actions[-6:]
                 failure["recent_residuals"] = tr.residual[-6:]
             break
+        except BestResponseError as exc:
+            failure = {"reason": "best_response", "stage": t, "message": str(exc),
+                       "residual": exc.residual, "last_iterate": exc.last_iterate}
+            break
         iterations += st.iterations
         u_star = st.u_final
         stage_inst = inst
@@ -138,10 +142,12 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
 
     final_welfare = welfare_series[-1] if welfare_series else None
     oracle_welfare = None
+    oracle_method = None
     gap = None
     if failure is None:
         # oracle at the same states the final stage converged on
-        oracle_welfare = _oracle_welfare(stage_inst, pcfg)
+        res = _oracle_welfare(stage_inst, pcfg)
+        oracle_welfare, oracle_method = res.welfare, res.method
         gap = oracle_welfare - final_welfare
 
     report = {
@@ -150,6 +156,7 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
         "welfare_series": welfare_series,
         "final_welfare": final_welfare,
         "oracle_welfare": oracle_welfare,
+        "oracle_method": oracle_method,
         "gap": gap,
         "iterations": iterations,
         "converged": failure is None,
@@ -221,7 +228,8 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
     cfg = _override_config(load_config(config_path), seed)
     inst = generate(cfg)
     base_pcfg = polling_config(cfg)
-    oracle_welfare = _oracle_welfare(inst, base_pcfg)
+    oracle = _oracle_welfare(inst, base_pcfg)
+    oracle_welfare = oracle.welfare
 
     table = {}
     u0 = np.zeros((cfg.N, cfg.d))
@@ -243,7 +251,7 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "compare.json")
     _write_json({"config": cfg.to_dict(), "oracle_welfare": oracle_welfare,
-                 "modes": table}, out_path)
+                 "oracle_method": oracle.method, "modes": table}, out_path)
     _announce(out_path, quiet)
     return 0
 

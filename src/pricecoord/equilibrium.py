@@ -297,11 +297,6 @@ def two_stage_update(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,
                           utility_grads=g_util)
 
 
-def play_two_stage(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,
-                   cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
-    return two_stage_update(sys, u_prev, k, sched, cfg).u
-
-
 class SingleStageUpdate(NamedTuple):
     u: np.ndarray              # agent responses u^k
     u_tilde: np.ndarray        # coordinator sequence u_tilde^k
@@ -332,13 +327,6 @@ def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, k: int,
         g_coup[n] = sys.dynamics[n].B.T @ sys.coupling.grad(X, n)
     return SingleStageUpdate(u=resp, u_tilde=U + gamma * (g_util + g_coup),
                              utility_grads=g_util)
-
-
-def play_single_stage(sys: SystemInstance, u_prev, u_tilde_prev, k: int,
-                      sched: StepSchedule,
-                      cfg: BestResponseConfig = BestResponseConfig()):
-    upd = single_stage_update(sys, u_prev, u_tilde_prev, k, sched, cfg)
-    return upd.u, upd.u_tilde
 
 
 def play_tikhonov(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,

@@ -2,7 +2,12 @@
 
 Everything here is deliberately assembled from utility and coupling VALUES
 only (finite differences, grid scans, probed affine systems), so it shares no
-gradient code with the solver modules it is used to check.
+gradient code with the solver modules it is used to check. The Newton polish
+behind every method takes its field from central first differences of the
+welfare value and its Hessian from central second differences of the same
+value. It stops when the field's sup-norm drops below 1e-11 or when no
+backtracking step down to alpha = 1e-10 reduces it, which is where the
+finite-difference field reaches its noise floor.
 
 Note on why oracle equivalence is a valid acceptance test at all: the test
 instances in this package are potential games by construction. The coupling G
@@ -84,33 +89,52 @@ def _closed_form(sys: SystemInstance) -> np.ndarray | None:
     return np.linalg.solve(J, -f0)
 
 
-def _fd_jacobian(F, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _fd_hessian(f, u: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Symmetric central second-difference Hessian of a scalar function from
+    1 + 2 m^2 values: the diagonal from f(u) and f(u +- h e_i), each
+    off-diagonal pair from the four corners u +- h e_i +- h e_j."""
     m = u.size
-    J = np.empty((m, m))
+    E = h * np.eye(m)
+    f0 = f(u)
+    H = np.empty((m, m))
     for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        J[:, i] = (F(u + e) - F(u - e)) / (2.0 * h)
-    return J
+        H[i, i] = (f(u + E[i]) - 2.0 * f0 + f(u - E[i])) / (h * h)
+        for j in range(i):
+            H[i, j] = H[j, i] = (f(u + E[i] + E[j]) - f(u + E[i] - E[j])
+                                 - f(u - E[i] + E[j]) + f(u - E[i] - E[j])) / (4.0 * h * h)
+    return H
 
 
 def _newton_polish(sys: SystemInstance, u_flat: np.ndarray, iters: int = 20) -> np.ndarray:
+    """Damped Newton on the finite-difference welfare field F.
+
+    Stops when ||F||_inf < 1e-11, after iters steps, or when backtracking to
+    alpha <= 1e-10 finds no step that reduces ||F||_inf: F has then reached
+    its finite-difference noise floor and further steps only cost
+    evaluations. The field at the accepted step is the next residual.
+    """
+    f = _welfare_flat(sys)
     F = _fd_field(sys)
     u = u_flat.copy()
+    g = F(u)
     for _ in range(iters):
-        g = F(u)
-        if np.max(np.abs(g)) < 1e-11:
+        gn = np.max(np.abs(g))
+        if gn < 1e-11:
             break
-        J = _fd_jacobian(F, u)
         try:
-            delta = np.linalg.solve(J, -g)
+            delta = np.linalg.solve(_fd_hessian(f, u), -g)
         except np.linalg.LinAlgError:
             break
         alpha = 1.0
-        gn = np.max(np.abs(g))
-        while alpha > 1e-10 and np.max(np.abs(F(u + alpha * delta))) >= gn:
+        while True:
+            trial = u + alpha * delta
+            g_trial = F(trial)
+            if np.max(np.abs(g_trial)) < gn:
+                break
             alpha *= 0.5
-        u = u + alpha * delta
+            if alpha <= 1e-10:
+                return u
+        u, g = trial, g_trial
     return u
 
 
@@ -164,13 +188,21 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
     negative definite), "grid" scans the box at pitch width/200 for N*d <= 3
     and polishes with Newton, "newton_multistart" runs 32 damped Newton solves
     from random box starts and keeps the best.
+
+    Every Newton solve works on welfare values only: the field is a central
+    first difference and the Hessian a symmetric central second difference
+    of the welfare. A solve stops at ||field||_inf < 1e-11, after 20 steps,
+    or as soon as backtracking to alpha <= 1e-10 finds no reducing step.
+    The result's method names the one that produced u_star, so a
+    closed_form request that fell back reports "newton_multistart".
     """
     if method == "closed_form":
         u = _closed_form(sys)
         if u is not None:
-            # Newton-polish and verify: on genuinely quadratic welfare this is
-            # one residual check, on anything else the probed affine system was
-            # only a secant approximation and polish/fallback corrects it.
+            # Newton-polish and verify: on genuinely quadratic welfare the
+            # polish stops at the noise floor within a step or two, on anything
+            # else the probed affine system was only a secant approximation
+            # and polish/fallback corrects it.
             u = _newton_polish(sys, u)
             F = _fd_field(sys)
             if np.max(np.abs(F(u))) > 1e-7 * (1.0 + np.max(np.abs(u))):
@@ -180,8 +212,7 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
                 # look negative definite on quartic welfare whose true
                 # curvature at the solve point is positive, so check the local
                 # Hessian before trusting the point as a maximizer
-                H = _fd_jacobian(F, u)
-                H = 0.5 * (H + H.T)
+                H = _fd_hessian(_welfare_flat(sys), u)
                 if np.max(np.linalg.eigvalsh(H)) >= -1e-9 * max(np.max(np.abs(H)), 1e-12):
                     u = None
         if u is None:

@@ -34,7 +34,6 @@ from .model import (
     pairwise_quadratic_coupling,
     zero_coupling,
 )
-from .parametric import load_log, save_log  # noqa: F401  (re-exported interface)
 
 UTILITY_SPECS = ("quadratic_random", "quadratic_fixed", "cross_term", "decomposable_smooth")
 COUPLING_SPECS = ("separation_barrier", "consensus_quadratic")

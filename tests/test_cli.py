@@ -122,6 +122,28 @@ def test_simulate_flags_oscillation_with_exit_two(tmp_path):
     assert np.all(steps[:-1] * steps[1:] < 0)  # alternating tail
 
 
+def test_simulate_best_response_failure_leaves_valid_output(tmp_path, capsys):
+    # 20 vehicles on the default 10 m waypoint circle with a 6 m safety
+    # radius: the first best response settles on a non-maximum
+    cfg = write_config(tmp_path, "c.json", N=20, d=2, seed=13, horizon=3,
+                       coupling_strength=50.0, safety_radius=6.0)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert "not a local maximum" in capsys.readouterr().err
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines == ["t,n,x_0,x_1,u_0,u_1,p_0,p_1"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert report["oracle_welfare"] is None and report["gap"] is None
+    failure = report["failure"]
+    assert failure["reason"] == "best_response"
+    assert failure["stage"] == 0
+    assert "not a local maximum" in failure["message"]
+    assert failure["residual"] >= 0.0
+    assert len(failure["last_iterate"]) == 2
+
+
 def test_simulate_tikhonov_rescues_strong_coupling(tmp_path):
     cfg = write_config(tmp_path, "c.json", seed=11, horizon=2,
                        coupling_strength=1000.0,
@@ -134,6 +156,7 @@ def test_simulate_tikhonov_rescues_strong_coupling(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
     assert abs(report["gap"]) < 1e-8
+    assert report["oracle_method"] == "closed_form"
 
 
 def test_simulate_mode_flag_overrides_config(tmp_path):
@@ -186,6 +209,7 @@ def test_compare_runs_all_modes(tmp_path):
     for row in report["modes"].values():
         assert row["converged"] is True
         assert abs(row["gap"]) < 1e-6
+    assert report["oracle_method"] == "closed_form"
     # damped modes pay for robustness with extra rounds on this instance
     assert (report["modes"]["single_stage"]["iterations"]
             > report["modes"]["sequential"]["iterations"])

@@ -4,7 +4,27 @@ import numpy as np
 import pytest
 
 import pricecoord as pc
+from pricecoord import oracle
 from conftest import make_two_agent_scalar, random_quadratic_instance
+
+
+@pytest.fixture
+def welfare_calls(monkeypatch):
+    """Counts the oracle's welfare evaluations and Hessians."""
+    calls = {"welfare": 0, "hessian": 0}
+    joint_welfare, fd_hessian = oracle.joint_welfare, oracle._fd_hessian
+
+    def counted_welfare(*args):
+        calls["welfare"] += 1
+        return joint_welfare(*args)
+
+    def counted_hessian(*args, **kwargs):
+        calls["hessian"] += 1
+        return fd_hessian(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "joint_welfare", counted_welfare)
+    monkeypatch.setattr(oracle, "_fd_hessian", counted_hessian)
+    return calls
 
 
 def test_fd_gradient_on_known_functions(rng):
@@ -75,6 +95,7 @@ def test_nonquadratic_welfare_falls_back_with_warning():
         res = pc.joint_welfare_opt(sys, box=(-2.0, 2.0))
     assert np.isclose(abs(res.u_star[0, 0]), 1.0, atol=1e-6)
     assert np.isclose(res.welfare, 0.0, atol=1e-9)
+    assert res.method == "newton_multistart"
 
 
 def test_unknown_method_rejected():
@@ -87,3 +108,31 @@ def test_grid_requires_box():
     sys = make_two_agent_scalar(0.1)
     with pytest.raises(ValueError):
         pc.joint_welfare_opt(sys, method="grid")
+
+
+def test_closed_form_cost_on_quadratic_welfare(rng, welfare_calls):
+    sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.3)
+    res = pc.joint_welfare_opt(sys, method="closed_form")
+    assert res.method == "closed_form"
+    assert welfare_calls["welfare"] <= 2000
+
+
+def test_polish_at_the_optimum_stops_after_one_failed_line_search(rng, welfare_calls):
+    sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.3)
+    u_star = pc.joint_welfare_opt(sys, method="closed_form").u_star.ravel()
+    welfare_calls.update(welfare=0, hessian=0)
+    u = oracle._newton_polish(sys, u_star)
+    m = u_star.size
+    # one field at the start (2m values), one Hessian (1 + 2m^2) and 34
+    # halvings from alpha = 1 down to alpha <= 1e-10, none reducing ||F||
+    assert welfare_calls["hessian"] == 1
+    assert welfare_calls["welfare"] == 2 * m + (1 + 2 * m * m) + 34 * 2 * m
+    np.testing.assert_array_equal(u, u_star)
+
+
+def test_fd_hessian_is_exact_on_quadratics(rng):
+    A = rng.normal(size=(4, 4))
+    b = rng.normal(size=4)
+    H = oracle._fd_hessian(lambda u: float(u @ A @ u + b @ u), rng.normal(size=4))
+    np.testing.assert_allclose(H, A + A.T, atol=1e-6)
+    np.testing.assert_array_equal(H, H.T)
