@@ -5,7 +5,8 @@ probes) to N agents that each maximize a private utility, learns what it
 needs from their responses, and steers the joint action to the social
 optimum. See model for the world model and sign conventions, agents for
 best responses, equilibrium and mechanism for the play modes and polling
-loop, parametric and geometry for the two learning paths, oracle for
+loop, parametric and geometry for the two learning paths, numerics for the
+finite differences and the Newton root finder the solvers share, oracle for
 independent reference optimizers, and cli for the end-to-end driver.
 """
 
@@ -25,8 +26,6 @@ from .model import (
     coupling_gradient_error,
     cross_term_utility,
     decomposable_utility,
-    eval_quadratic,
-    grad_u_quadratic,
     joint_action,
     joint_next_state,
     pairwise_quadratic_coupling,
@@ -36,7 +35,8 @@ from .model import (
     zero_coupling,
 )
 from .agents import BestResponseConfig, CouplingSlice, GameSpec, best_response
-from .oracle import OracleResult, fd_gradient, joint_welfare, joint_welfare_opt
+from .numerics import fd_gradient
+from .oracle import OracleResult, joint_welfare, joint_welfare_opt
 from .equilibrium import (
     CoCoercivityEstimate,
     OperatorField,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BestResponseError
 from .model import LinearDynamics, as_vector, step
+from .numerics import fd_jacobian, newton_root
 
 
 @dataclass(frozen=True)
@@ -114,18 +115,6 @@ def payoff_gradient(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
     return g
 
 
-def _payoff_hessian(game: GameSpec, x, dyn: LinearDynamics, u: np.ndarray) -> np.ndarray:
-    d = u.size
-    H = np.empty((d, d))
-    h = 1e-6 * max(1.0, float(np.max(np.abs(u))))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        H[:, i] = (payoff_gradient(game, x, dyn, u + e)
-                   - payoff_gradient(game, x, dyn, u - e)) / (2.0 * h)
-    return 0.5 * (H + H.T)
-
-
 def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start,
                   cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
     """Maximize the posed payoff: damped Newton on the payoff gradient.
@@ -140,39 +129,23 @@ def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start,
     constrained optimum; the box is a sanity report, not a constraint
     solver).
     """
-    u = as_vector(u_start, dyn.d, "u_start").copy()
-    g = payoff_gradient(game, x, dyn, u)
-    for _ in range(cfg.max_iter):
-        gnorm = np.max(np.abs(g))
-        if gnorm <= cfg.tol:
-            H = _payoff_hessian(game, x, dyn, u)
-            if np.max(np.linalg.eigvalsh(H)) >= 0.0:
-                raise BestResponseError("stationary point is not a local maximum",
-                                        last_iterate=u, residual=gnorm)
-            if cfg.box is not None:
-                lo, hi = cfg.box
-                clipped = np.clip(u, lo, hi)
-                if not np.array_equal(clipped, u):
-                    warnings.warn("best response outside configured box, clamping")
-                    return clipped
-            return u
-        H = _payoff_hessian(game, x, dyn, u)
-        try:
-            delta = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            raise BestResponseError("singular payoff Hessian",
-                                    last_iterate=u, residual=gnorm)
-        alpha = 1.0
-        while alpha > 1e-12:
-            u_try = u + alpha * delta
-            g_try = payoff_gradient(game, x, dyn, u_try)
-            if np.max(np.abs(g_try)) < gnorm:
-                u, g = u_try, g_try
-                break
-            alpha *= cfg.line_search_shrink
-        else:
-            raise BestResponseError("line search failed to reduce the gradient",
-                                    last_iterate=u, residual=gnorm)
-    raise BestResponseError(
-        f"no convergence after {cfg.max_iter} Newton iterations",
-        last_iterate=u, residual=float(np.max(np.abs(g))))
+    def gradient(u):
+        return payoff_gradient(game, x, dyn, u)
+
+    def hessian(u):
+        H = fd_jacobian(gradient, u)
+        return 0.5 * (H + H.T)
+
+    u, gnorm = newton_root(gradient, hessian, as_vector(u_start, dyn.d, "u_start"),
+                           cfg.tol, cfg.max_iter, error=BestResponseError,
+                           shrink=cfg.line_search_shrink, jacobian_name="payoff Hessian")
+    if np.max(np.linalg.eigvalsh(hessian(u))) >= 0.0:
+        raise BestResponseError("stationary point is not a local maximum",
+                                last_iterate=u, residual=gnorm)
+    if cfg.box is not None:
+        lo, hi = cfg.box
+        clipped = np.clip(u, lo, hi)
+        if not np.array_equal(clipped, u):
+            warnings.warn("best response outside configured box, clamping")
+            return clipped
+    return u

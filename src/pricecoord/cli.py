@@ -23,7 +23,7 @@ from .errors import (BestResponseError, ConfigError, CoordinationError, NonConve
 from .mechanism import PLAY_MODES, PollingConfig, run_stage, price_from_target, social_welfare
 from .model import LinearDynamics, replace_states, step
 from .oracle import OracleResult, joint_welfare_opt
-from .parametric import ObservationLog, identify, load_log, save_log
+from .parametric import ObservationLog, csv_header, identify, load_log, save_log, write_csv
 from .scenario import (
     ScenarioConfig,
     config_from_dict,
@@ -74,6 +74,23 @@ def _oracle_welfare(inst, pcfg: PollingConfig) -> OracleResult:
     return joint_welfare_opt(inst, box=pcfg.box, method="closed_form", seed=0)
 
 
+def _failure(exc: CoordinationError) -> dict:
+    """What a failed stage or play mode reports: the reason, the message,
+    and the trace tail or the solver state the error carries."""
+    out = {"message": str(exc)}
+    if isinstance(exc, NonConvergenceError):
+        tr = exc.trace
+        out.update(reason=exc.reason, rounds=tr.iterations if tr is not None else 0)
+        if out["rounds"]:
+            out.update(recent_actions=tr.actions[-6:], recent_residuals=tr.residual[-6:])
+    elif isinstance(exc, BestResponseError):
+        out.update(reason="best_response", agent=exc.agent, round=exc.round,
+                   residual=exc.residual, last_iterate=exc.last_iterate)
+    else:  # a stage raises no other error than ConfigError
+        out["reason"] = "config"
+    return out
+
+
 def _write_dynamics(cfg: ScenarioConfig, inst, path: str) -> None:
     agents = []
     for n in range(cfg.N):
@@ -105,19 +122,9 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
     for t in range(cfg.horizon):
         try:
             st = run_stage(inst, u_warm, pcfg)
-        except NonConvergenceError as exc:
-            tr = exc.trace
-            failure = {"reason": exc.reason, "stage": t,
-                       "rounds": (tr.iterations if tr is not None else 0),
-                       "message": str(exc)}
-            if tr is not None and tr.iterations:
-                iterations += tr.iterations
-                failure["recent_actions"] = tr.actions[-6:]
-                failure["recent_residuals"] = tr.residual[-6:]
-            break
-        except BestResponseError as exc:
-            failure = {"reason": "best_response", "stage": t, "message": str(exc),
-                       "residual": exc.residual, "last_iterate": exc.last_iterate}
+        except CoordinationError as exc:
+            failure = {"stage": t, **_failure(exc)}
+            iterations += failure.get("rounds", 0)
             break
         iterations += st.iterations
         u_star = st.u_final
@@ -136,9 +143,7 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
     if rows:
         save_log(ObservationLog.from_rows(rows), trace_path)
     else:
-        from .parametric import csv_header
-        with open(trace_path, "w") as fh:
-            fh.write(csv_header(cfg.d) + "\n")
+        write_csv(trace_path, csv_header(cfg.d), [])
 
     final_welfare = welfare_series[-1] if welfare_series else None
     oracle_welfare = None
@@ -247,6 +252,8 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
                            "final_welfare": final,
                            "gap": (oracle_welfare - final) if final is not None else None,
                            "converged": False, "reason": exc.reason}
+        except CoordinationError as exc:
+            table[mode] = {"converged": False, **_failure(exc)}
 
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "compare.json")

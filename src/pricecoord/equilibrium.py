@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .agents import BestResponseConfig, CouplingSlice, GameSpec, best_response
-from .errors import NonConvergenceError
+from .errors import BestResponseError, NonConvergenceError
 from .model import SystemInstance, joint_action, joint_next_state, step
 
 
@@ -213,6 +213,16 @@ def coupling_slice(sys: SystemInstance, n: int, u_frozen) -> CouplingSlice:
 # ---------------------------------------------------------------------------
 # play modes (one iteration each; the loop lives in mechanism.run_stage)
 
+def _respond(sys: SystemInstance, n: int, game: GameSpec, u_start,
+             cfg: BestResponseConfig) -> np.ndarray:
+    """Agent n's best response to game; a failure names the agent."""
+    try:
+        return best_response(game, sys.states[n], sys.dynamics[n], u_start, cfg)
+    except BestResponseError as exc:
+        exc.agent = n
+        raise
+
+
 def play_simultaneous(sys: SystemInstance, u_prev,
                       cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
     """All agents best-respond in parallel against u_prev."""
@@ -220,7 +230,7 @@ def play_simultaneous(sys: SystemInstance, u_prev,
     out = np.empty_like(U)
     for n in range(sys.N):
         game = GameSpec(utility=sys.utilities[n], coupling=coupling_slice(sys, n, U))
-        out[n] = best_response(game, sys.states[n], sys.dynamics[n], U[n], cfg)
+        out[n] = _respond(sys, n, game, U[n], cfg)
     return out
 
 
@@ -231,7 +241,7 @@ def play_sequential(sys: SystemInstance, u_prev, t: int,
     U = joint_action(sys, u_prev).copy()
     n = t % sys.N
     game = GameSpec(utility=sys.utilities[n], coupling=coupling_slice(sys, n, U))
-    U[n] = best_response(game, sys.states[n], sys.dynamics[n], U[n], cfg)
+    U[n] = _respond(sys, n, game, U[n], cfg)
     return U
 
 
@@ -263,8 +273,24 @@ def _proximal_responses(sys: SystemInstance, anchors: np.ndarray, lam: float,
     for n in range(sys.N):
         game = GameSpec(utility=sys.utilities[n], coupling=slices[n],
                         proximal=(0.5 * lam, anchors[n]))
-        resp[n] = best_response(game, sys.states[n], sys.dynamics[n], anchors[n], cfg)
+        resp[n] = _respond(sys, n, game, anchors[n], cfg)
     return resp, slices
+
+
+def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, k: int,
+                    sched: StepSchedule, cfg: BestResponseConfig):
+    """(responses, net update, extracted grad U): proximal responses anchored
+    at U against `frozen` opponents, and U + gamma_k (grad U_n + grad_n G)."""
+    lam = sched.lam_at(k)
+    gamma = sched.gamma_at(k)
+    resp, slices = _proximal_responses(sys, U, lam, frozen, cfg)
+    X = joint_next_state(sys, resp)
+    g_util = np.empty_like(U)
+    g_coup = np.empty_like(U)
+    for n in range(sys.N):
+        g_util[n] = probe_utility_gradient(lam, resp[n], U[n], slices[n].grad(resp[n]))
+        g_coup[n] = sys.dynamics[n].B.T @ sys.coupling.grad(X, n)
+    return resp, U + gamma * (g_util + g_coup), g_util
 
 
 class TwoStageUpdate(NamedTuple):
@@ -284,17 +310,8 @@ def two_stage_update(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,
     probe game is available through stage2_probe_target.
     """
     U = joint_action(sys, u_prev)
-    lam = sched.lam_at(k)
-    gamma = sched.gamma_at(k)
-    u_hat, slices = _proximal_responses(sys, U, lam, U, cfg)
-    X_hat = joint_next_state(sys, u_hat)
-    g_util = np.empty_like(U)
-    g_coup = np.empty_like(U)
-    for n in range(sys.N):
-        g_util[n] = probe_utility_gradient(lam, u_hat[n], U[n], slices[n].grad(u_hat[n]))
-        g_coup[n] = sys.dynamics[n].B.T @ sys.coupling.grad(X_hat, n)
-    return TwoStageUpdate(u=U + gamma * (g_util + g_coup), u_hat=u_hat,
-                          utility_grads=g_util)
+    u_hat, u_next, g_util = _proximal_round(sys, U, U, k, sched, cfg)
+    return TwoStageUpdate(u=u_next, u_hat=u_hat, utility_grads=g_util)
 
 
 class SingleStageUpdate(NamedTuple):
@@ -315,18 +332,9 @@ def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, k: int,
     known quantities (grad U extracted via the probe identity).
     """
     U = joint_action(sys, u_prev)
-    Ut = joint_action(sys, u_tilde_prev)
-    lam = sched.lam_at(k)
-    gamma = sched.gamma_at(k)
-    resp, slices = _proximal_responses(sys, U, lam, Ut, cfg)
-    X = joint_next_state(sys, resp)
-    g_util = np.empty_like(U)
-    g_coup = np.empty_like(U)
-    for n in range(sys.N):
-        g_util[n] = probe_utility_gradient(lam, resp[n], U[n], slices[n].grad(resp[n]))
-        g_coup[n] = sys.dynamics[n].B.T @ sys.coupling.grad(X, n)
-    return SingleStageUpdate(u=resp, u_tilde=U + gamma * (g_util + g_coup),
-                             utility_grads=g_util)
+    resp, u_tilde, g_util = _proximal_round(sys, U, joint_action(sys, u_tilde_prev),
+                                            k, sched, cfg)
+    return SingleStageUpdate(u=resp, u_tilde=u_tilde, utility_grads=g_util)
 
 
 def play_tikhonov(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,

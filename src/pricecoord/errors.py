@@ -11,13 +11,17 @@ class BestResponseError(CoordinationError):
     """Agent solver failed (non-convergence, singular or indefinite Hessian).
 
     Carries the last iterate and its gradient-norm residual so callers can
-    inspect how far the solve got.
+    inspect how far the solve got. agent (0-based) and round (1-based
+    polling round) are filled in by the play modes and the stage loop when
+    the failure happens inside them.
     """
 
-    def __init__(self, message, last_iterate=None, residual=None):
+    def __init__(self, message, last_iterate=None, residual=None, agent=None, round=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
+        self.agent = agent
+        self.round = round
 
 
 class NonConvergenceError(CoordinationError):

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, RankDeficiencyError
 from .model import LinearDynamics
+from .parametric import csv_header, csv_row, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -314,57 +315,26 @@ def save_samples(samples: Sequence[TrajectorySample], path, agent: int = 0) -> N
     continues the previous row's segment (its difference is usable) and 0 at
     segment starts.
     """
-    from .parametric import csv_header
     if not samples:
         raise ValueError("no samples to save")
     d = samples[0].xi.size
-    lines = [csv_header(d) + ",dflag"]
-    prev_seg = None
+    rows = []
     for i, s in enumerate(samples):
-        flag = 1 if prev_seg is not None and s.segment == prev_seg else 0
-        vals = [str(i), str(agent)]
-        vals += [f"{v:.17g}" for v in s.z[:d]]
-        vals += [f"{v:.17g}" for v in s.z[d:]]
-        vals += [f"{v:.17g}" for v in s.xi]
-        vals.append(str(flag))
-        lines.append(",".join(vals))
-        prev_seg = s.segment
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        flag = int(i > 0 and s.segment == samples[i - 1].segment)
+        rows.append(csv_row(i, agent, s.z[:d], s.z[d:], s.xi, flag))
+    write_csv(path, csv_header(d) + ",dflag", rows)
 
 
 def load_samples(path) -> list:
     """Reads trajectory samples written by save_samples; segments are
     reconstructed from the dflag column. Raises ConfigError naming the
     offending line on malformed input."""
-    from .parametric import csv_header
-    with open(path) as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    if not lines:
-        raise ConfigError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    if len(header) < 6 or header[-1] != "dflag" or (len(header) - 3) % 3 != 0:
-        raise ConfigError(f"{path}: line 1: malformed header {lines[0]!r}")
-    d = (len(header) - 3) // 3
-    if header != (csv_header(d) + ",dflag").split(","):
-        raise ConfigError(f"{path}: line 1: header does not match the sample schema")
     out = []
     segment = -1
-    for idx, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 3 + 3 * d:
-            raise ConfigError(f"{path}: line {idx}: expected {3 + 3 * d} fields, got {len(parts)}")
-        try:
-            vals = [float(v) for v in parts[2:2 + 3 * d]]
-            flag = int(parts[-1])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {idx}: unparseable field ({exc})") from None
+    for idx, _, _, x, u, p, (flag,) in read_csv(path, extra=("dflag",)):
         if flag not in (0, 1):
             raise ConfigError(f"{path}: line {idx}: dflag must be 0 or 1")
         if flag == 0:
             segment += 1
-        out.append(TrajectorySample(z=np.array(vals[:2 * d]), xi=np.array(vals[2 * d:]),
-                                    segment=segment))
-    if not out:
-        raise ConfigError(f"{path}: no data rows")
+        out.append(TrajectorySample(z=np.array(x + u), xi=np.array(p), segment=segment))
     return out

@@ -18,11 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .agents import BestResponseConfig
-from .errors import ConfigError, NonConvergenceError
+from .errors import BestResponseError, ConfigError, NonConvergenceError
 from .model import SystemInstance, joint_action, joint_next_state
+from .numerics import fd_jacobian
 from .equilibrium import (
     StepSchedule,
     default_schedule,
+    flat_reward_field,
     play_sequential,
     play_simultaneous,
     play_tikhonov,
@@ -93,14 +95,7 @@ def weak_coupling_diagnostic(sys: SystemInstance, u=None, h: float = 1e-5) -> We
     """
     N, d = sys.N, sys.d
     U0 = np.zeros((N, d)) if u is None else joint_action(sys, u)
-    F = reward_field(sys)
-    m = N * d
-    J = np.empty((m, m))
-    flat = U0.ravel().copy()
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        J[:, j] = (F((flat + e).reshape(N, d)) - F((flat - e).reshape(N, d))).ravel() / (2 * h)
+    J = fd_jacobian(flat_reward_field(sys), U0.ravel(), h)
     diag_margin = math.inf
     cross = 0.0
     for n in range(N):
@@ -194,7 +189,10 @@ def _resolve_schedule(sys, cfg: PollingConfig) -> Optional[StepSchedule]:
     if cfg.box is None:
         raise ConfigError(f"mode {cfg.mode!r} needs a step size (gamma or tau in the "
                           "schedule) or a box to estimate one from")
-    est = default_schedule(sys, cfg.box, seed=cfg.seed)
+    try:
+        est = default_schedule(sys, cfg.box, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if sched is None:
         return est
     return StepSchedule(tau=est.tau, lam=sched.lam, gamma=est.tau)
@@ -239,7 +237,9 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     reason "oscillation" when play cycles (exact period-2, or sustained
     alternation under simultaneous or sequential play) and reason
     "max_rounds" when the budget runs out; the partial trace rides on the
-    exception. One sequential round is a full sweep of all N agents.
+    exception. One sequential round is a full sweep of all N agents. A
+    BestResponseError leaves with the 1-based round it happened in; a damped
+    mode whose step size cannot be estimated raises ConfigError.
     """
     U = joint_action(sys, u0).copy()
     sched = _resolve_schedule(sys, cfg)
@@ -274,20 +274,24 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     t = 0               # sequential agent pointer
 
     for k in range(1, cfg.max_rounds + 1):
-        if cfg.mode == "simultaneous":
-            u_new = play_simultaneous(sys, U, cfg.br)
-        elif cfg.mode == "sequential":
-            u_new = U
-            for _ in range(sys.N):
-                u_new = play_sequential(sys, u_new, t, cfg.br)
-                t += 1
-        elif cfg.mode == "two_stage":
-            u_new = two_stage_update(sys, U, k, sched, cfg.br).u
-        elif cfg.mode == "single_stage":
-            upd = single_stage_update(sys, U, u_tilde, k, sched, cfg.br)
-            u_new, u_tilde = upd.u, upd.u_tilde
-        else:
-            u_new = play_tikhonov(sys, U, k, sched, cfg.br)
+        try:
+            if cfg.mode == "simultaneous":
+                u_new = play_simultaneous(sys, U, cfg.br)
+            elif cfg.mode == "sequential":
+                u_new = U
+                for _ in range(sys.N):
+                    u_new = play_sequential(sys, u_new, t, cfg.br)
+                    t += 1
+            elif cfg.mode == "two_stage":
+                u_new = two_stage_update(sys, U, k, sched, cfg.br).u
+            elif cfg.mode == "single_stage":
+                upd = single_stage_update(sys, U, u_tilde, k, sched, cfg.br)
+                u_new, u_tilde = upd.u, upd.u_tilde
+            else:
+                u_new = play_tikhonov(sys, U, k, sched, cfg.br)
+        except BestResponseError as exc:
+            exc.round = k
+            raise
 
         d_inf = float(np.max(np.abs(u_new - U)))
         f_inf = float(np.max(np.abs(F(u_new))))

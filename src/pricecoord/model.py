@@ -13,10 +13,12 @@ drift that otherwise creeps in between the welfare and the agent-reward sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .numerics import fd_gradient
 
 
 def as_vector(v, d: int | None = None, name: str = "vector") -> np.ndarray:
@@ -113,32 +115,16 @@ class QuadraticUtility:
         object.__setattr__(self, "x0", x0)
 
     def value(self, x_next, u) -> float:
-        return eval_quadratic(self, x_next, u)
+        x_next = as_vector(x_next, self.Q.shape[0], "x_next")
+        u = as_vector(u, self.R.shape[0], "u")
+        e = x_next - self.x0
+        return float(-(e @ self.Q @ e) - u @ self.R @ u)
 
     def grad_u(self, dyn: LinearDynamics, x, u) -> np.ndarray:
-        return grad_u_quadratic(self, dyn, x, u)
-
-
-def eval_quadratic(U: QuadraticUtility, x_next, u) -> float:
-    x_next = as_vector(x_next, U.Q.shape[0], "x_next")
-    u = as_vector(u, U.R.shape[0], "u")
-    e = x_next - U.x0
-    return float(-(e @ U.Q @ e) - u @ U.R @ u)
-
-
-def grad_u_quadratic(U: QuadraticUtility, dyn: LinearDynamics, x, u) -> np.ndarray:
-    """Total derivative of U w.r.t. u through x_next (w = 0)."""
-    x_next = step(dyn, x, u)
-    return -2.0 * dyn.B.T @ (U.Q @ (x_next - U.x0)) - 2.0 * (U.R @ np.asarray(u, dtype=float))
-
-
-def _central_diff(f: Callable[[np.ndarray], float], u: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty_like(u)
-    for i in range(u.size):
-        e = np.zeros_like(u)
-        e[i] = h
-        g[i] = (f(u + e) - f(u - e)) / (2.0 * h)
-    return g
+        """Total derivative of U w.r.t. u through x_next (w = 0)."""
+        x_next = step(dyn, x, u)
+        return -2.0 * dyn.B.T @ (self.Q @ (x_next - self.x0)) \
+            - 2.0 * (self.R @ np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -163,7 +149,7 @@ class SmoothUtility:
         u = as_vector(u, dyn.d, "u")
         if self.gradient_u is not None:
             return np.asarray(self.gradient_u(step(dyn, x, u), u, dyn), dtype=float)
-        return _central_diff(lambda v: self.value(step(dyn, x, v), v), u, 1e-6)
+        return fd_gradient(lambda v: self.value(step(dyn, x, v), v), u, 1e-6)
 
 
 def cross_term_utility(Q, R, x0, K: Sequence[np.ndarray]) -> SmoothUtility:
@@ -178,7 +164,7 @@ def cross_term_utility(Q, R, x0, K: Sequence[np.ndarray]) -> SmoothUtility:
 
     def value(x_next, u):
         cross = sum(x_next[i] * (u @ Ki @ u) for i, Ki in enumerate(Ks))
-        return eval_quadratic(base, x_next, u) - 0.5 * cross
+        return base.value(x_next, u) - 0.5 * cross
 
     def gradient(x_next, u, dyn):
         g = -2.0 * dyn.B.T @ (base.Q @ (x_next - base.x0)) - 2.0 * base.R @ u
@@ -212,13 +198,13 @@ class CouplingFunction:
     and to every agent's reward (penalties enter with a minus sign).
 
     value takes the joint next-state as an (N, d) array. gradient_n(X, n)
-    returns dG/dx_n; when absent it falls back to central differences.
+    returns dG/dx_n.
     """
 
     N: int
     d: int
     value_fn: Callable[[np.ndarray], float]
-    gradient_n: Callable | None = None
+    gradient_n: Callable[[np.ndarray, int], np.ndarray]
 
     def value(self, X) -> float:
         X = np.asarray(X, dtype=float).reshape(self.N, self.d)
@@ -226,14 +212,7 @@ class CouplingFunction:
 
     def grad(self, X, n: int) -> np.ndarray:
         X = np.asarray(X, dtype=float).reshape(self.N, self.d)
-        if self.gradient_n is not None:
-            return np.asarray(self.gradient_n(X, n), dtype=float)
-        g = np.empty(self.d)
-        for i in range(self.d):
-            E = np.zeros_like(X)
-            E[n, i] = 1e-6
-            g[i] = (self.value_fn(X + E) - self.value_fn(X - E)) / 2e-6
-        return g
+        return np.asarray(self.gradient_n(X, n), dtype=float)
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
@@ -322,6 +301,10 @@ def replace_states(sys: SystemInstance, states) -> SystemInstance:
     return SystemInstance(sys.dynamics, sys.utilities, sys.coupling, tuple(states))
 
 
+def _relative_error(g: np.ndarray, fd: np.ndarray) -> float:
+    return float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
+
+
 def utility_gradient_error(utility, dyn: LinearDynamics, points, h: float = 1e-5) -> float:
     """Max relative error of the analytic u-gradient vs central differences
     of value(step(x, u), u) over (x, u) sample points."""
@@ -329,10 +312,8 @@ def utility_gradient_error(utility, dyn: LinearDynamics, points, h: float = 1e-5
     for x, u in points:
         x = as_vector(x, dyn.d, "x")
         u = as_vector(u, dyn.d, "u")
-        g = utility.grad_u(dyn, x, u)
-        fd = _central_diff(lambda v: utility.value(step(dyn, x, v), v), u, h)
-        denom = max(np.linalg.norm(fd), 1e-12)
-        worst = max(worst, np.linalg.norm(g - fd) / denom)
+        fd = fd_gradient(lambda v: utility.value(step(dyn, x, v), v), u, h)
+        worst = max(worst, _relative_error(utility.grad_u(dyn, x, u), fd))
     return worst
 
 
@@ -341,13 +322,6 @@ def coupling_gradient_error(G: CouplingFunction, joint_points, h: float = 1e-5) 
     worst = 0.0
     for X in joint_points:
         X = np.asarray(X, dtype=float).reshape(G.N, G.d)
-        for n in range(G.N):
-            g = G.grad(X, n)
-            fd = np.empty(G.d)
-            for i in range(G.d):
-                E = np.zeros_like(X)
-                E[n, i] = h
-                fd[i] = (G.value(X + E) - G.value(X - E)) / (2.0 * h)
-            denom = max(np.linalg.norm(fd), 1e-12)
-            worst = max(worst, np.linalg.norm(g - fd) / denom)
+        fd = fd_gradient(G.value, X.ravel(), h).reshape(G.N, G.d)
+        worst = max([worst] + [_relative_error(G.grad(X, n), fd[n]) for n in range(G.N)])
     return worst

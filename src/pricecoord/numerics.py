@@ -1,0 +1,72 @@
+"""Finite differences and the damped-Newton root finder the solvers share.
+
+Every derivative the solvers do not get analytically is a central
+difference from this module, and every Newton solve on a gradient field
+(an agent's best response, the coordinator's welfare-optimal price) runs
+the one loop below. The oracle keeps its own polish loop (see oracle), so
+the reference stays independent of the code it checks.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def fd_gradient(f, point, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function at point. Raises
+    ValueError naming the first coordinate whose difference is non-finite."""
+    g = fd_jacobian(f, point, h)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise ValueError(f"non-finite evaluation near coordinate {bad[0]}")
+    return g
+
+
+def fd_jacobian(F, x, h: float | None = None) -> np.ndarray:
+    """Central-difference Jacobian of F at x: column j is
+    (F(x + h e_j) - F(x - h e_j)) / 2h, so a scalar F gives its gradient.
+    h defaults to the relative step 1e-6 max(1, ||x||_inf)."""
+    x = np.asarray(x, dtype=float)
+    if h is None:
+        h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        cols.append((F(x + e) - F(x - e)) / (2.0 * h))
+    return np.array(cols).T
+
+
+def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
+                shrink: float = 0.5, jacobian_name: str = "Jacobian"):
+    """Damped Newton for F(x) = 0, F a gradient field.
+
+    Each step solves jacobian(x) s = -F(x) and backtracks alpha = 1, shrink,
+    shrink^2, ... while alpha > 1e-12 (40 trials at shrink 0.5) until
+    ||F||_inf decreases. Returns (x, ||F(x)||_inf) at the first iterate with
+    ||F||_inf <= tol. On a singular Jacobian, a failed line search, or after
+    max_iter steps it raises error(message, last iterate, its residual), so
+    each caller keeps its own exception type.
+    """
+    x = np.array(x0, dtype=float)
+    g = F(x)
+    for _ in range(max_iter):
+        gnorm = float(np.max(np.abs(g)))
+        if gnorm <= tol:
+            return x, gnorm
+        try:
+            step = np.linalg.solve(jacobian(x), -g)
+        except np.linalg.LinAlgError:
+            raise error(f"singular {jacobian_name}", x, gnorm) from None
+        alpha = 1.0
+        while alpha > 1e-12:
+            x_try = x + alpha * step
+            g_try = F(x_try)
+            if np.max(np.abs(g_try)) < gnorm:
+                x, g = x_try, g_try
+                break
+            alpha *= shrink
+        else:
+            raise error("line search failed to reduce the gradient", x, gnorm)
+    raise error(f"no convergence after {max_iter} Newton iterations",
+                x, float(np.max(np.abs(g))))

@@ -2,12 +2,14 @@
 
 Everything here is deliberately assembled from utility and coupling VALUES
 only (finite differences, grid scans, probed affine systems), so it shares no
-gradient code with the solver modules it is used to check. The Newton polish
-behind every method takes its field from central first differences of the
-welfare value and its Hessian from central second differences of the same
-value. It stops when the field's sup-norm drops below 1e-11 or when no
-backtracking step down to alpha = 1e-10 reduces it, which is where the
-finite-difference field reaches its noise floor.
+gradient code with the solvers: numerics.fd_gradient only differences the
+welfare value. The Newton polish behind every method takes its field from
+central first differences of the welfare value and its Hessian from central
+second differences of the same value. It stops when the field's sup-norm
+drops below 1e-11 or when no backtracking step down to alpha = 1e-10 reduces
+it, which is where the finite-difference field reaches its noise floor. It
+does not use numerics.newton_root, so the reference never runs the loop it
+checks.
 
 Note on why oracle equivalence is a valid acceptance test at all: the test
 instances in this package are potential games by construction. The coupling G
@@ -26,21 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemInstance, joint_action, joint_next_state
-
-
-def fd_gradient(f, point, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function at point."""
-    point = np.asarray(point, dtype=float)
-    g = np.empty_like(point)
-    for i in range(point.size):
-        e = np.zeros_like(point)
-        e[i] = h
-        hi = f(point + e)
-        lo = f(point - e)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"non-finite evaluation near coordinate {i}")
-        g[i] = (hi - lo) / (2.0 * h)
-    return g
+from .numerics import fd_gradient
 
 
 def joint_welfare(sys: SystemInstance, u) -> float:

@@ -38,6 +38,7 @@ from .model import (
     joint_next_state,
     replace_states,
 )
+from .numerics import fd_jacobian, newton_root
 
 _SINGULAR_COND = 1e12
 
@@ -105,51 +106,71 @@ def csv_header(d: int) -> str:
     return ",".join(cols)
 
 
+def csv_row(t, n, x, u, p, *extra) -> str:
+    """One CSV data row: integer t, n and extra columns, 17-digit floats."""
+    vals = [str(int(t)), str(int(n))]
+    vals += [f"{v:.17g}" for arr in (x, u, p) for v in arr]
+    vals += [str(int(v)) for v in extra]
+    return ",".join(vals)
+
+
+def write_csv(path, header: str, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
+def read_csv(path, extra: tuple = ()) -> list:
+    """Parses CSV rows of the ObservationLog schema followed by the integer
+    columns named in extra into (line, t, n, x, u, p, extra values) tuples,
+    line being the 1-based line in the file; blank lines are skipped. Raises
+    ConfigError naming the offending line on a header off the schema, a
+    wrong field count, a non-integer t, n or extra field, an unparseable or
+    non-finite float, and on no data rows."""
+    with open(path) as fh:
+        lines = [(idx, ln) for idx, ln in enumerate((raw.strip() for raw in fh), start=1) if ln]
+    if not lines:
+        raise ConfigError(f"{path}: empty CSV (header row is mandatory)")
+    head_idx, head = lines[0]
+    header = head.split(",")
+    d = (len(header) - 2 - len(extra)) // 3
+    if d < 1 or header != csv_header(d).split(",") + list(extra):
+        schema = ",".join(["t,n,x_*,u_*,p_*", *extra])
+        raise ConfigError(f"{path}: line {head_idx}: header {head!r} does not match the "
+                          f"{schema} schema")
+    width = len(header)
+    rows = []
+    for idx, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != width:
+            raise ConfigError(f"{path}: line {idx}: expected {width} fields, got {len(parts)}")
+        try:
+            ints = [int(v) for v in parts[:2] + parts[2 + 3 * d:]]
+            vals = [float(v) for v in parts[2:2 + 3 * d]]
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {idx}: unparseable field ({exc})") from None
+        if not all(np.isfinite(vals)):
+            raise ConfigError(f"{path}: line {idx}: non-finite value")
+        rows.append((idx, ints[0], ints[1], vals[:d], vals[d:2 * d], vals[2 * d:], ints[2:]))
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    return rows
+
+
 def save_log(log: ObservationLog, path) -> None:
     """Writes the log as CSV with a mandatory header; floats carry 17
     significant digits so the round trip is exact."""
-    lines = [csv_header(log.d)]
-    for i in range(len(log)):
-        vals = [str(int(log.t[i])), str(int(log.n[i]))]
-        for arr in (log.x, log.u, log.p):
-            vals += [f"{v:.17g}" for v in arr[i]]
-        lines.append(",".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, csv_header(log.d),
+              (csv_row(log.t[i], log.n[i], log.x[i], log.u[i], log.p[i])
+               for i in range(len(log))))
 
 
 def load_log(path) -> ObservationLog:
     """Parses an ObservationLog CSV, validating shape row by row.
 
-    Raises ConfigError naming the offending line (1-based, header is line 1)
-    on any malformed row.
+    Raises ConfigError naming the offending line (1-based, blank lines
+    counted) on any malformed row.
     """
-    with open(path) as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    if not lines:
-        raise ConfigError(f"{path}: empty CSV (header row is mandatory)")
-    header = lines[0].split(",")
-    if len(header) < 5 or header[:2] != ["t", "n"] or (len(header) - 2) % 3 != 0:
-        raise ConfigError(f"{path}: line 1: malformed header {lines[0]!r}")
-    d = (len(header) - 2) // 3
-    if header != csv_header(d).split(","):
-        raise ConfigError(f"{path}: line 1: header does not match the t,n,x_*,u_*,p_* schema")
-    rows = []
-    for idx, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 2 + 3 * d:
-            raise ConfigError(f"{path}: line {idx}: expected {2 + 3 * d} fields, got {len(parts)}")
-        try:
-            t, n = int(parts[0]), int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {idx}: unparseable field ({exc})") from None
-        if not all(np.isfinite(vals)):
-            raise ConfigError(f"{path}: line {idx}: non-finite value")
-        rows.append((t, n, vals[:d], vals[d:2 * d], vals[2 * d:]))
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    return ObservationLog.from_rows(rows)
+    return ObservationLog.from_rows(row[1:6] for row in read_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -285,53 +306,22 @@ def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance
         if np.linalg.cond(m.D) > _SINGULAR_COND:
             raise ValueError("estimated D is numerically singular")
 
-    consts = [2.0 * inst.dynamics[n].B.T @ models[n].Q_hat @ models[n].x0 for n in range(N)]
-
-    def est_grad(n, x_n, u_n):
-        return -models[n].C @ x_n - models[n].D @ u_n + consts[n]
+    def est_grad(n, U):
+        return estimated_gradient(models[n], inst.dynamics[n], inst.states[n], U[n])
 
     def field(u_flat):
         U = u_flat.reshape(N, d)
         X_next = joint_next_state(inst, U)
         out = np.empty_like(U)
         for n in range(N):
-            out[n] = est_grad(n, inst.states[n], U[n]) \
-                + inst.dynamics[n].B.T @ inst.coupling.grad(X_next, n)
+            out[n] = est_grad(n, U) + inst.dynamics[n].B.T @ inst.coupling.grad(X_next, n)
         return out.ravel()
 
-    u = np.zeros(N * d)
-    g = field(u)
-    tol = 1e-10
-    for _ in range(100):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol:
-            break
-        m = N * d
-        J = np.empty((m, m))
-        h = 1e-6 * max(1.0, float(np.max(np.abs(u))))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            J[:, j] = (field(u + e) - field(u - e)) / (2 * h)
-        try:
-            dstep = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError:
-            raise NonConvergenceError("singular Jacobian in optimal-price Newton solve",
-                                      reason="newton", last=u.reshape(N, d))
-        alpha = 1.0
-        for _ in range(40):
-            u_try = u + alpha * dstep
-            g_try = field(u_try)
-            if float(np.max(np.abs(g_try))) < gnorm:
-                u, g = u_try, g_try
-                break
-            alpha *= 0.5
-        else:
-            raise NonConvergenceError("line search failed in optimal-price Newton solve",
-                                      reason="newton", last=u.reshape(N, d))
-    else:
-        raise NonConvergenceError("optimal-price Newton solve did not converge",
-                                  reason="newton", last=u.reshape(N, d))
+    def error(message, last, residual):
+        return NonConvergenceError(f"optimal-price Newton solve: {message}",
+                                   reason="newton", last=last.reshape(N, d))
 
-    U = u.reshape(N, d)
-    return [est_grad(n, inst.states[n], U[n]) for n in range(N)]
+    u, _ = newton_root(field, lambda v: fd_jacobian(field, v), np.zeros(N * d),
+                       tol=1e-10, max_iter=100, error=error)
+
+    return [est_grad(n, u.reshape(N, d)) for n in range(N)]

@@ -151,9 +151,6 @@ def polling_config(cfg: ScenarioConfig, mode_override: Optional[str] = None) -> 
     if any(k in m for k in ("tau", "lam", "gamma")):
         sched = StepSchedule(tau=m.pop("tau", None), lam=m.pop("lam", 100.0),
                              gamma=m.pop("gamma", None))
-    else:
-        for k in ("tau", "lam", "gamma"):
-            m.pop(k, None)
     size = cfg.N * cfg.d
     box = (np.full(size, cfg.box[0]), np.full(size, cfg.box[1]))
     return PollingConfig(schedule=sched, box=box,

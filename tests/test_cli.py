@@ -139,6 +139,8 @@ def test_simulate_best_response_failure_leaves_valid_output(tmp_path, capsys):
     failure = report["failure"]
     assert failure["reason"] == "best_response"
     assert failure["stage"] == 0
+    assert failure["agent"] == 0
+    assert failure["round"] == 1
     assert "not a local maximum" in failure["message"]
     assert failure["residual"] >= 0.0
     assert len(failure["last_iterate"]) == 2
@@ -213,6 +215,37 @@ def test_compare_runs_all_modes(tmp_path):
     # damped modes pay for robustness with extra rounds on this instance
     assert (report["modes"]["single_stage"]["iterations"]
             > report["modes"]["sequential"]["iterations"])
+
+
+def test_compare_records_a_mode_without_a_step_size(tmp_path):
+    # the barrier field is not co-coercive on this box, so the damped modes
+    # get no estimated step size; the other modes still run and are recorded
+    cfg = write_config(tmp_path, "c.json", N=4, d=2, seed=13, coupling_strength=50.0,
+                       safety_radius=12.0, mode={"max_rounds": 50})
+    out = tmp_path / "out"
+    rc = main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 0
+    modes = json.loads((out / "compare.json").read_text())["modes"]
+    assert set(modes) == set(pc.PLAY_MODES)
+    for mode in ("two_stage", "single_stage"):
+        assert modes[mode]["converged"] is False
+        assert modes[mode]["reason"] == "config"
+        assert "not co-coercive" in modes[mode]["message"]
+    assert modes["simultaneous"]["converged"] is True
+    assert modes["sequential"]["converged"] is True
+
+
+def test_simulate_records_a_stage_without_a_step_size(tmp_path):
+    cfg = write_config(tmp_path, "c.json", N=4, d=2, seed=13, coupling_strength=50.0,
+                       safety_radius=12.0)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet",
+               "--mode", "two_stage"])
+    assert rc == 1
+    assert (out / "trace.csv").read_text().splitlines() == ["t,n,x_0,x_1,u_0,u_1,p_0,p_1"]
+    failure = json.loads((out / "report.json").read_text())["failure"]
+    assert failure["reason"] == "config" and failure["stage"] == 0
+    assert "not co-coercive" in failure["message"]
 
 
 def test_missing_config_path_exits_one(tmp_path, capsys):

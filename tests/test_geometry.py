@@ -260,8 +260,15 @@ def test_sample_csv_malformed_rows(tmp_path, rng):
     samples = gradient_trajectory(rng, dyn, util, 3)
     path = tmp_path / "samples.csv"
     pc.save_samples(samples, path)
-    lines = path.read_text().splitlines()
-    lines[2] = lines[2].rsplit(",", 1)[0]  # drop the dflag field
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(pc.ConfigError, match="line 3"):
-        pc.load_samples(path)
+    good = path.read_text().splitlines()
+    mutations = [
+        lambda fields: fields[:-1],                        # drop the dflag field
+        lambda fields: ["abc", "xyz"] + fields[2:],        # non-integer t and n
+        lambda fields: fields[:2] + ["nan"] + fields[3:],  # non-finite x_0
+    ]
+    for mutate in mutations:
+        lines = list(good)
+        lines[2] = ",".join(mutate(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pc.ConfigError, match="line 3"):
+            pc.load_samples(path)

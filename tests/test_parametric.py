@@ -59,6 +59,8 @@ def test_csv_round_trip_is_exact(tmp_path, rng):
     (lambda lines: lines.__setitem__(2, "1,0,0.5,0.5"), 3),
     (lambda lines: lines.__setitem__(1, "0,0,oops,0.5,0.5"), 2),
     (lambda lines: lines.__setitem__(1, "0,0,inf,0.5,0.5"), 2),
+    # a blank line still counts: the bad row is the file's fourth line
+    (lambda lines: lines.__setitem__(slice(1, 3), ["", lines[1], "1,0,x,0.5,0.5"]), 4),
 ])
 def test_malformed_csv_names_the_line(tmp_path, mutate, lineno):
     log = pc.ObservationLog.from_rows(
