@@ -79,7 +79,6 @@ class BestResponseConfig:
 
 
 def payoff_value(game: GameSpec, x, dyn: LinearDynamics, u) -> float:
-    u = as_vector(u, dyn.d, "u")
     total = 0.0
     if game.utility is not None:
         x_next = step(dyn, x, u)
@@ -99,14 +98,13 @@ def payoff_value(game: GameSpec, x, dyn: LinearDynamics, u) -> float:
 
 
 def payoff_gradient(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
-    u = as_vector(u, dyn.d, "u")
     g = np.zeros(dyn.d)
     if game.utility is not None:
         g += game.utility.grad_u(dyn, x, u)
     if game.price is not None:
         g -= game.price
     if game.coupling is not None:
-        g += np.asarray(game.coupling.grad(u), dtype=float)
+        g += game.coupling.grad(u)
     if game.proximal is not None:
         lam, anchor = game.proximal
         g -= 2.0 * lam * (u - anchor)

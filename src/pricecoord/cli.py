@@ -184,18 +184,23 @@ def _load_dynamics(path: str):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: root must be a JSON object")
     for key in ("N", "d", "agents"):
         if key not in data:
             raise ConfigError(f"{path}: missing field {key!r}")
+    if not isinstance(data["agents"], list):
+        raise ConfigError(f"{path}: field 'agents' must be a list of agent objects")
     if len(data["agents"]) != data["N"]:
         raise ConfigError(f"{path}: expected {data['N']} agent entries")
     out = []
     for i, entry in enumerate(data["agents"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: agent {i}: entry in 'agents' must be an object")
         for key in ("A", "B", "x0"):
             if key not in entry:
                 raise ConfigError(f"{path}: agent {i}: missing field {key!r}")
-        out.append((LinearDynamics(A=np.array(entry["A"], dtype=float),
-                                   B=np.array(entry["B"], dtype=float)),
+        out.append((LinearDynamics(A=entry["A"], B=entry["B"]),
                     np.array(entry["x0"], dtype=float)))
     return out
 

@@ -163,12 +163,11 @@ def reward_field(sys: SystemInstance):
 
     def F(U):
         U = joint_action(sys, U)
-        X_next = joint_next_state(sys, U)
+        G = sys.coupling.grad(joint_next_state(sys, U))
         out = np.empty_like(U)
         for n in range(sys.N):
             dyn = sys.dynamics[n]
-            out[n] = (sys.utilities[n].grad_u(dyn, sys.states[n], U[n])
-                      + dyn.B.T @ sys.coupling.grad(X_next, n))
+            out[n] = sys.utilities[n].grad_u(dyn, sys.states[n], U[n]) + dyn.B.T @ G[n]
         return out
 
     return F
@@ -195,10 +194,9 @@ def default_schedule(sys: SystemInstance, box, n_pairs: int = 500,
 def coupling_slice(sys: SystemInstance, n: int, u_frozen) -> CouplingSlice:
     """The shared coupling as seen by agent n with opponents frozen at
     u_frozen, chain-ruled through agent n's next state."""
-    U = joint_action(sys, u_frozen)
     dyn = sys.dynamics[n]
     x_n = sys.states[n]
-    X_frozen = joint_next_state(sys, U)
+    X_frozen = joint_next_state(sys, u_frozen)
 
     def states_with(un):
         X = X_frozen.copy()
@@ -207,7 +205,7 @@ def coupling_slice(sys: SystemInstance, n: int, u_frozen) -> CouplingSlice:
 
     return CouplingSlice(
         value=lambda un: sys.coupling.value(states_with(un)),
-        grad=lambda un: dyn.B.T @ sys.coupling.grad(states_with(un), n))
+        grad=lambda un: dyn.B.T @ sys.coupling.grad(states_with(un))[n])
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +251,7 @@ def probe_utility_gradient(lam: float, response, anchor, coupling_grad) -> np.nd
     the coordinator reads the agent's private utility gradient using only the
     observed response and quantities it knows.
     """
-    return lam * (np.asarray(response, float) - np.asarray(anchor, float)) \
-        - np.asarray(coupling_grad, float)
+    return lam * (response - anchor) - coupling_grad
 
 
 def stage2_probe_target(anchor, gamma: float, utility_grad, coupling_grad) -> np.ndarray:
@@ -284,12 +281,10 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, k: i
     lam = sched.lam_at(k)
     gamma = sched.gamma_at(k)
     resp, slices = _proximal_responses(sys, U, lam, frozen, cfg)
-    X = joint_next_state(sys, resp)
-    g_util = np.empty_like(U)
-    g_coup = np.empty_like(U)
-    for n in range(sys.N):
-        g_util[n] = probe_utility_gradient(lam, resp[n], U[n], slices[n].grad(resp[n]))
-        g_coup[n] = sys.dynamics[n].B.T @ sys.coupling.grad(X, n)
+    G = sys.coupling.grad(joint_next_state(sys, resp))
+    slice_grads = np.array([s.grad(r) for s, r in zip(slices, resp)])
+    g_util = probe_utility_gradient(lam, resp, U, slice_grads)
+    g_coup = np.array([dyn.B.T @ g for dyn, g in zip(sys.dynamics, G)])
     return resp, U + gamma * (g_util + g_coup), g_util
 
 

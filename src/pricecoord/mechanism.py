@@ -96,16 +96,11 @@ def weak_coupling_diagnostic(sys: SystemInstance, u=None, h: float = 1e-5) -> We
     N, d = sys.N, sys.d
     U0 = np.zeros((N, d)) if u is None else joint_action(sys, u)
     J = fd_jacobian(flat_reward_field(sys), U0.ravel(), h)
-    diag_margin = math.inf
-    cross = 0.0
-    for n in range(N):
-        for mth in range(N):
-            blk = J[n * d:(n + 1) * d, mth * d:(mth + 1) * d]
-            if n == mth:
-                sym = -0.5 * (blk + blk.T)
-                diag_margin = min(diag_margin, float(np.linalg.eigvalsh(sym)[0]))
-            else:
-                cross = max(cross, float(np.linalg.norm(blk, 2)))
+    blocks = J.reshape(N, d, N, d).transpose(0, 2, 1, 3)  # blocks[n, m]: d(F_n)/d(u_m)
+    own = blocks[np.arange(N), np.arange(N)]
+    diag_margin = float(np.min(np.linalg.eigvalsh(-0.5 * (own + own.swapaxes(1, 2)))[:, 0]))
+    off = blocks[~np.eye(N, dtype=bool)]
+    cross = float(np.max(np.linalg.norm(off, 2, axis=(1, 2)), initial=0.0))
     ratio = cross / diag_margin if diag_margin > 0 else math.inf
     return WeakCouplingReport(cross_norm=cross, diag_margin=float(diag_margin),
                               ratio=float(ratio), passes=bool(diag_margin > 0 and ratio <= 0.1))

@@ -1,8 +1,11 @@
 """Ground-truth world: per-subsystem linear dynamics, private utilities, and
 the shared coupling term.
 
-States and actions are plain float ndarrays of length d, validated at
-operation boundaries. Everything here is immutable after construction and
+States and actions are plain float ndarrays of length d. Inputs are checked
+where data enters the package: the constructors (so replace_states too),
+joint_action, GameSpec, the best_response start, utility_gradient_error and
+the CSV and JSON loaders. step, the utility methods and agents.payoff_* trust
+1-D length-d float arrays. Everything here is immutable after construction and
 pure, so instances can be shared freely across solver threads.
 
 Sign convention used by the whole package: the coupling G is ADDED everywhere.
@@ -80,11 +83,9 @@ class LinearDynamics:
 
 def step(dyn: LinearDynamics, x, u, w=None) -> np.ndarray:
     """One step of the linear dynamics, x(t+1) = A x + B u + w."""
-    x = as_vector(x, dyn.d, "x")
-    u = as_vector(u, dyn.d, "u")
     out = dyn.A @ x + dyn.B @ u
     if w is not None:
-        out = out + as_vector(w, dyn.d, "w")
+        out = out + w
     return out
 
 
@@ -115,16 +116,13 @@ class QuadraticUtility:
         object.__setattr__(self, "x0", x0)
 
     def value(self, x_next, u) -> float:
-        x_next = as_vector(x_next, self.Q.shape[0], "x_next")
-        u = as_vector(u, self.R.shape[0], "u")
         e = x_next - self.x0
         return float(-(e @ self.Q @ e) - u @ self.R @ u)
 
     def grad_u(self, dyn: LinearDynamics, x, u) -> np.ndarray:
         """Total derivative of U w.r.t. u through x_next (w = 0)."""
         x_next = step(dyn, x, u)
-        return -2.0 * dyn.B.T @ (self.Q @ (x_next - self.x0)) \
-            - 2.0 * (self.R @ np.asarray(u, dtype=float))
+        return -2.0 * dyn.B.T @ (self.Q @ (x_next - self.x0)) - 2.0 * (self.R @ u)
 
 
 @dataclass(frozen=True)
@@ -142,13 +140,11 @@ class SmoothUtility:
     gradient_u: Callable | None = None
 
     def value(self, x_next, u) -> float:
-        return float(self.value_fn(np.asarray(x_next, float), np.asarray(u, float)))
+        return float(self.value_fn(x_next, u))
 
     def grad_u(self, dyn: LinearDynamics, x, u) -> np.ndarray:
-        x = as_vector(x, dyn.d, "x")
-        u = as_vector(u, dyn.d, "u")
         if self.gradient_u is not None:
-            return np.asarray(self.gradient_u(step(dyn, x, u), u, dyn), dtype=float)
+            return self.gradient_u(step(dyn, x, u), u, dyn)
         return fd_gradient(lambda v: self.value(step(dyn, x, v), v), u, 1e-6)
 
 
@@ -197,26 +193,35 @@ class CouplingFunction:
     """Shared regulation term G over the joint next-state, ADDED to welfare
     and to every agent's reward (penalties enter with a minus sign).
 
-    value takes the joint next-state as an (N, d) array. gradient_n(X, n)
-    returns dG/dx_n.
+    value_fn and gradient take the joint next-state as an (N, d) array.
+    gradient(X) returns the whole (N, d) gradient, row n being dG/dx_n, so
+    one call serves every agent of a joint evaluation.
     """
 
     N: int
     d: int
     value_fn: Callable[[np.ndarray], float]
-    gradient_n: Callable[[np.ndarray, int], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
 
     def value(self, X) -> float:
         X = np.asarray(X, dtype=float).reshape(self.N, self.d)
         return float(self.value_fn(X))
 
-    def grad(self, X, n: int) -> np.ndarray:
-        X = np.asarray(X, dtype=float).reshape(self.N, self.d)
-        return np.asarray(self.gradient_n(X, n), dtype=float)
+    def grad(self, X) -> np.ndarray:
+        return self.gradient(np.asarray(X, dtype=float).reshape(self.N, self.d))
+
+
+def pair_differences(X: np.ndarray):
+    """(N, N, d) differences D[n, m] = x_n - x_m and (N, N) squared distances,
+    the latter a stacked matmul with the exact bits of diff @ diff. Couplings
+    sum pair terms with np.cumsum(...)[-1], adding them in index order as a
+    loop over pairs does: np.sum reassociates eight or more terms."""
+    D = X[:, None, :] - X[None, :, :]
+    return D, (D[..., None, :] @ D[..., :, None])[..., 0, 0]
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
-    return CouplingFunction(N, d, lambda X: 0.0, lambda X, n: np.zeros(d))
+    return CouplingFunction(N, d, lambda X: 0.0, lambda X: np.zeros((N, d)))
 
 
 def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunction:
@@ -227,21 +232,14 @@ def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunc
     """
 
     def value(X):
-        total = 0.0
-        for n in range(N):
-            for m in range(n + 1, N):
-                diff = X[n] - X[m]
-                total += diff @ diff
-        return -strength * total
+        _, sq = pair_differences(X)
+        return -strength * np.cumsum(np.triu(sq, 1))[-1]
 
-    def grad(X, n):
-        g = np.zeros(d)
-        for m in range(N):
-            if m != n:
-                g += 2.0 * (X[n] - X[m])
-        return -strength * g
+    def gradient(X):
+        D, _ = pair_differences(X)
+        return -strength * np.cumsum(2.0 * D, axis=1)[:, -1]
 
-    return CouplingFunction(N, d, value, grad)
+    return CouplingFunction(N, d, value, gradient)
 
 
 @dataclass(frozen=True)
@@ -301,8 +299,8 @@ def replace_states(sys: SystemInstance, states) -> SystemInstance:
     return SystemInstance(sys.dynamics, sys.utilities, sys.coupling, tuple(states))
 
 
-def _relative_error(g: np.ndarray, fd: np.ndarray) -> float:
-    return float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
+def _relative_error(g: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(g - fd, axis=-1) / np.maximum(np.linalg.norm(fd, axis=-1), 1e-12)
 
 
 def utility_gradient_error(utility, dyn: LinearDynamics, points, h: float = 1e-5) -> float:
@@ -313,15 +311,15 @@ def utility_gradient_error(utility, dyn: LinearDynamics, points, h: float = 1e-5
         x = as_vector(x, dyn.d, "x")
         u = as_vector(u, dyn.d, "u")
         fd = fd_gradient(lambda v: utility.value(step(dyn, x, v), v), u, h)
-        worst = max(worst, _relative_error(utility.grad_u(dyn, x, u), fd))
+        worst = max(worst, float(_relative_error(utility.grad_u(dyn, x, u), fd)))
     return worst
 
 
 def coupling_gradient_error(G: CouplingFunction, joint_points, h: float = 1e-5) -> float:
-    """Max relative error of G.grad vs central differences of G.value."""
+    """Max relative error of a row of G.grad vs central differences of G.value."""
     worst = 0.0
     for X in joint_points:
         X = np.asarray(X, dtype=float).reshape(G.N, G.d)
         fd = fd_gradient(G.value, X.ravel(), h).reshape(G.N, G.d)
-        worst = max([worst] + [_relative_error(G.grad(X, n), fd[n]) for n in range(G.N)])
+        worst = max(worst, float(np.max(_relative_error(G.grad(X), fd))))
     return worst

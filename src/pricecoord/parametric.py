@@ -265,8 +265,6 @@ def identify(log: ObservationLog, n: int, dyn: LinearDynamics, x0) -> EstimatedQ
 
 def estimated_gradient(model: EstimatedQuadraticModel, dyn: LinearDynamics, x, u) -> np.ndarray:
     """grad U under the identified model: -C x - D u + 2 B^T Q_hat x0."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
     return -model.C @ x - model.D @ u + 2.0 * dyn.B.T @ model.Q_hat @ model.x0
 
 
@@ -311,10 +309,10 @@ def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance
 
     def field(u_flat):
         U = u_flat.reshape(N, d)
-        X_next = joint_next_state(inst, U)
+        G = inst.coupling.grad(joint_next_state(inst, U))
         out = np.empty_like(U)
         for n in range(N):
-            out[n] = est_grad(n, U) + inst.dynamics[n].B.T @ inst.coupling.grad(X_next, n)
+            out[n] = est_grad(n, U) + inst.dynamics[n].B.T @ G[n]
         return out.ravel()
 
     def error(message, last, residual):

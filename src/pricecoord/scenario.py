@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ from .model import (
     SystemInstance,
     cross_term_utility,
     decomposable_utility,
+    pair_differences,
     pairwise_quadratic_coupling,
     zero_coupling,
 )
@@ -38,8 +40,27 @@ from .model import (
 UTILITY_SPECS = ("quadratic_random", "quadratic_fixed", "cross_term", "decomposable_smooth")
 COUPLING_SPECS = ("separation_barrier", "consensus_quadratic")
 
-_MODE_KEYS = ("mode", "tol", "max_rounds", "tau", "lam", "gamma", "osc_window",
-              "osc_cos", "osc_decay", "detect_oscillation", "seed")
+# Type of every config field, top level and in the mode object ("mode.<key>"),
+# checked first so a wrong type is a ConfigError naming the field. JSON true
+# and false are bools, which Python counts as integers: only bool takes them.
+_FIELD_TYPES = {
+    "N": Integral, "d": Integral, "seed": Integral, "horizon": Integral,
+    "coupling_strength": Real, "safety_radius": Real, "box": (list, tuple), "noise_std": Real,
+    "utility_spec": str, "coupling_spec": str, "mode": dict, "mode.mode": str,
+    "mode.tol": Real, "mode.max_rounds": Integral, "mode.tau": Real, "mode.lam": Real,
+    "mode.gamma": Real, "mode.osc_window": Integral, "mode.osc_cos": Real,
+    "mode.osc_decay": Real, "mode.detect_oscillation": bool, "mode.seed": Integral}
+_TYPE_NAMES = {Integral: "an integer", Real: "a number", (list, tuple): "a [lo, hi] list",
+               str: "a string", dict: "an object", bool: "true or false"}
+_TOP_KEYS = tuple(key for key in _FIELD_TYPES if "." not in key)
+_MODE_KEYS = tuple(key[5:] for key in _FIELD_TYPES if key.startswith("mode."))
+
+
+def _check_type(field: str, value) -> None:
+    expected = _FIELD_TYPES[field]
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
+        raise ConfigError(f"config field {field!r} must be {_TYPE_NAMES[expected]}, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +86,12 @@ class ScenarioConfig:
     mode: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in _TOP_KEYS:
+            _check_type(key, getattr(self, key))
+        for key in self.mode:
+            if key not in _MODE_KEYS:
+                raise ConfigError(f"unknown mode field {key!r}; expected keys among {_MODE_KEYS}")
+            _check_type(f"mode.{key}", self.mode[key])
         if self.N < 1 or self.d < 1:
             raise ConfigError(f"N and d must be >= 1 (got N={self.N}, d={self.d})")
         if self.horizon < 1:
@@ -87,11 +114,6 @@ class ScenarioConfig:
         if len(box) != 2 or not box[0] < box[1]:
             raise ConfigError("box must be (lo, hi) with lo < hi")
         object.__setattr__(self, "box", box)
-        if not isinstance(self.mode, dict):
-            raise ConfigError("mode must be an object of polling fields")
-        for key in self.mode:
-            if key not in _MODE_KEYS:
-                raise ConfigError(f"unknown mode field {key!r}; expected keys among {_MODE_KEYS}")
         if "mode" in self.mode and self.mode["mode"] not in PLAY_MODES:
             raise ConfigError(f"unknown play mode {self.mode['mode']!r}; "
                               f"expected one of {PLAY_MODES}")
@@ -103,8 +125,6 @@ class ScenarioConfig:
 
 
 _REQUIRED = ("N", "d", "seed")
-_OPTIONAL = ("horizon", "coupling_strength", "safety_radius", "box", "noise_std",
-             "utility_spec", "coupling_spec", "mode")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -114,12 +134,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if key not in data:
             raise ConfigError(f"missing required config field {key!r}")
     for key in data:
-        if key not in _REQUIRED + _OPTIONAL:
+        if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config field {key!r}")
-    kwargs = dict(data)
-    if "box" in kwargs:
-        kwargs["box"] = tuple(kwargs["box"])
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**data)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -175,25 +192,16 @@ def separation_barrier_coupling(beta: float, radius: float, N: int, d: int) -> C
     r2 = radius * radius
 
     def value(X):
-        total = 0.0
-        for n in range(N):
-            for m in range(n + 1, N):
-                diff = X[n] - X[m]
-                s = r2 - float(diff @ diff)
-                total += np.logaddexp(0.0, s) ** 2
-        return -beta * total
+        _, sq = pair_differences(X)
+        return -beta * np.cumsum(np.triu(np.logaddexp(0.0, r2 - sq) ** 2, 1))[-1]
 
-    def gradient_n(X, n):
-        g = np.zeros(d)
-        for m in range(N):
-            if m == n:
-                continue
-            diff = X[n] - X[m]
-            s = r2 - float(diff @ diff)
-            g += 4.0 * beta * np.logaddexp(0.0, s) * _sigmoid(s) * diff
-        return g
+    def gradient(X):
+        D, sq = pair_differences(X)
+        s = r2 - sq
+        weight = 4.0 * beta * np.logaddexp(0.0, s) * _sigmoid(s)
+        return np.cumsum(weight[..., None] * D, axis=1)[:, -1]
 
-    return CouplingFunction(N=N, d=d, value_fn=value, gradient_n=gradient_n)
+    return CouplingFunction(N=N, d=d, value_fn=value, gradient=gradient)
 
 
 def _random_spd(rng, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:

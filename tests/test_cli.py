@@ -248,6 +248,34 @@ def test_simulate_records_a_stage_without_a_step_size(tmp_path):
     assert "not co-coercive" in failure["message"]
 
 
+@pytest.mark.parametrize("command, over, field", [
+    ("simulate", {"N": "3"}, "'N'"),
+    ("simulate", {"N": 3.5}, "'N'"),
+    ("simulate", {"box": 5}, "'box'"),
+    ("simulate", {"safety_radius": "big"}, "'safety_radius'"),
+    ("simulate", {"mode": {"max_rounds": "x"}}, "'mode.max_rounds'"),
+    ("compare", {"mode": {"max_rounds": "x"}}, "'mode.max_rounds'"),
+    ("identify", {"agents": 5}, "'agents'"),
+    ("identify", {"agents": [5]}, "'agents'"),
+], ids=["N_text", "N_fraction", "box_number", "safety_radius_text", "max_rounds_text",
+        "compare_max_rounds_text", "agents_number", "agents_entry_number"])
+def test_wrong_typed_input_field_is_named(tmp_path, capsys, command, over, field):
+    if command == "identify":
+        log = tmp_path / "trace.csv"
+        log.write_text("t,n,x_0,u_0,p_0\n0,0,0.0,0.0,0.0\n")
+        dyn = tmp_path / "dynamics.json"
+        dyn.write_text(json.dumps({"N": 1, "d": 1, **over}))
+        argv = ["identify", "--log", str(log), "--dynamics", str(dyn)]
+    else:
+        argv = [command, "--config", str(write_config(tmp_path, "c.json", **over))]
+    rc = main(argv + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("pricecoord: ") and field in err
+
+
 def test_missing_config_path_exits_one(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path)])

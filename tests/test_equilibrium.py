@@ -142,7 +142,7 @@ def test_coupling_slice_freezes_opponents(rng):
     X[1] = pc.step(sys.dynamics[1], sys.states[1], u1)
     assert np.isclose(slc.value(u1), sys.coupling.value(X))
     np.testing.assert_allclose(slc.grad(u1),
-                               sys.dynamics[1].B.T @ sys.coupling.grad(X, 1),
+                               sys.dynamics[1].B.T @ sys.coupling.grad(X)[1],
                                atol=1e-12)
 
 
@@ -187,7 +187,7 @@ def test_two_stage_update_probe_identities():
         np.testing.assert_allclose(resid, 0.0, atol=1e-6)
         # stage-2 probe lands on anchor + gamma * estimated welfare gradient,
         # with the coupling part re-evaluated at the stage-1 responses
-        g_coup = sys.dynamics[n].B.T @ sys.coupling.grad(X_hat, n)
+        g_coup = sys.dynamics[n].B.T @ sys.coupling.grad(X_hat)[n]
         target = pc.stage2_probe_target(u_prev[n], sched.gamma_at(1),
                                         upd.utility_grads[n], g_coup)
         np.testing.assert_allclose(upd.u[n], target, atol=1e-7)

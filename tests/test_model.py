@@ -90,7 +90,7 @@ def test_zero_coupling_is_identically_zero(rng):
     G = pc.zero_coupling(2, 3)
     X = rng.normal(size=(2, 3))
     assert G.value(X) == 0.0
-    np.testing.assert_array_equal(G.grad(X, 1), np.zeros(3))
+    np.testing.assert_array_equal(G.grad(X)[1], np.zeros(3))
 
 
 def test_system_instance_shape_validation():
@@ -105,6 +105,25 @@ def test_system_instance_shape_validation():
     with pytest.raises(ValueError):
         pc.SystemInstance(dynamics=(dyn,), utilities=(util,),
                           coupling=pc.zero_coupling(1, 1), states=np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys: pc.replace_states(sys, [np.array([np.nan]), np.zeros(1)]),
+    lambda sys: pc.social_welfare(sys, [[np.nan], [0.0]]),
+    lambda sys: pc.reward_field(sys)(np.array([[np.nan], [0.0]])),
+    lambda sys: pc.best_response(pc.GameSpec(utility=sys.utilities[0]), sys.states[0],
+                                 sys.dynamics[0], [np.nan]),
+    lambda sys: pc.best_response(pc.GameSpec(utility=sys.utilities[0]), sys.states[0],
+                                 sys.dynamics[0], [0.0, 0.0]),
+    lambda sys: pc.GameSpec(price=[np.nan]),
+    lambda sys: pc.GameSpec(proximal=(1.0, [np.nan])),
+    lambda sys: pc.GameSpec(linear_probe=[np.nan]),
+], ids=["replace_states", "social_welfare", "reward_field", "best_response_nan_start",
+        "best_response_short_start", "game_price", "game_proximal_anchor", "game_linear_probe"])
+def test_entry_points_reject_bad_input(call):
+    # the inner arithmetic trusts its arrays; these are the checks in front of it
+    with pytest.raises(ValueError):
+        call(make_two_agent_scalar(0.1))
 
 
 def test_replace_states_is_nonmutating():

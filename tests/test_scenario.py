@@ -108,8 +108,49 @@ def test_barrier_gradient_is_pairwise_additive():
             expected = np.zeros(d)
             for m in range(N):
                 if m != n:
-                    expected += pair.grad(np.array([X[n], X[m]]), 0)
-            np.testing.assert_allclose(G.grad(X, n), expected, rtol=1e-12, atol=1e-15)
+                    expected += pair.grad(np.array([X[n], X[m]]))[0]
+            np.testing.assert_allclose(G.grad(X)[n], expected, rtol=1e-12, atol=1e-15)
+
+
+def _pair_loop_coupling(kind, X, strength, radius):
+    """Value and (N, d) gradient of a coupling by an explicit loop over pairs."""
+    N, d = X.shape
+    value, grad = 0.0, np.zeros((N, d))
+    for n in range(N):
+        for m in range(N):
+            if m == n:
+                continue
+            diff = X[n] - X[m]
+            if kind == "barrier":
+                s = radius ** 2 - diff @ diff
+                softplus, sigmoid = np.logaddexp(0.0, s), 0.5 * (1.0 + np.tanh(0.5 * s))
+                term, slope = softplus ** 2, 4.0 * strength * softplus * sigmoid * diff
+            else:
+                term, slope = diff @ diff, -2.0 * strength * diff
+            if n < m:
+                value += term
+            grad[n] += slope
+    return -strength * value, grad
+
+
+# a single vehicle gets the barrier's zero coupling (see the test below)
+@pytest.mark.parametrize("kind, case", [("barrier", "random"), ("barrier", "coincident"),
+                                        ("quadratic", "random"), ("quadratic", "coincident"),
+                                        ("quadratic", "single")])
+def test_vectorized_couplings_match_a_loop_over_pairs(kind, case):
+    rng = np.random.default_rng(5)
+    N, d, strength, radius = (1 if case == "single" else 5), 3, 7.0, 2.0
+    G = (pc.separation_barrier_coupling(strength, radius, N, d) if kind == "barrier"
+         else pc.pairwise_quadratic_coupling(strength, N, d))
+    for _ in range(10):
+        X = rng.normal(scale=1.5, size=(N, d))
+        if case == "coincident":
+            X[3] = X[1]
+        value, grad = _pair_loop_coupling(kind, X, strength, radius)
+        assert G.grad(X).shape == (N, d)
+        assert np.all(np.isfinite(G.grad(X)))
+        np.testing.assert_allclose(G.value(X), value, rtol=1e-12)
+        np.testing.assert_allclose(G.grad(X), grad, rtol=1e-12, atol=1e-12)
 
 
 def test_barrier_penalizes_proximity_only():
