@@ -43,7 +43,7 @@ from .equilibrium import (
     SingleStageUpdate,
     StepSchedule,
     TwoStageUpdate,
-    coupling_slice,
+    coupling_slices,
     default_schedule,
     estimate_cocoercivity,
     flat_reward_field,

@@ -178,6 +178,19 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
     return 2 if failure["reason"] == "oscillation" else 1
 
 
+def _agent_array(path: str, i: int, entry: dict, key: str, shape: tuple) -> np.ndarray:
+    """Field key of agent entry i as a finite float array of the given shape."""
+    try:
+        arr = np.asarray(entry[key])
+        ok = arr.dtype.kind in "if" and arr.shape == shape and np.all(np.isfinite(arr))
+    except ValueError:  # ragged nested lists
+        ok = False
+    if not ok:
+        raise ConfigError(f"{path}: agent {i}: field {key!r} must be a finite array of "
+                          f"numbers of shape {shape}, got {entry[key]!r}")
+    return arr.astype(float)
+
+
 def _load_dynamics(path: str):
     with open(path) as fh:
         try:
@@ -189,10 +202,15 @@ def _load_dynamics(path: str):
     for key in ("N", "d", "agents"):
         if key not in data:
             raise ConfigError(f"{path}: missing field {key!r}")
+    for key in ("N", "d"):
+        if isinstance(data[key], bool) or not isinstance(data[key], int) or data[key] < 1:
+            raise ConfigError(f"{path}: field {key!r} must be a positive integer, "
+                              f"got {data[key]!r}")
     if not isinstance(data["agents"], list):
         raise ConfigError(f"{path}: field 'agents' must be a list of agent objects")
     if len(data["agents"]) != data["N"]:
         raise ConfigError(f"{path}: expected {data['N']} agent entries")
+    d = data["d"]
     out = []
     for i, entry in enumerate(data["agents"]):
         if not isinstance(entry, dict):
@@ -200,8 +218,9 @@ def _load_dynamics(path: str):
         for key in ("A", "B", "x0"):
             if key not in entry:
                 raise ConfigError(f"{path}: agent {i}: missing field {key!r}")
-        out.append((LinearDynamics(A=entry["A"], B=entry["B"]),
-                    np.array(entry["x0"], dtype=float)))
+        A, B, x0 = (_agent_array(path, i, entry, key, shape)
+                    for key, shape in (("A", (d, d)), ("B", (d, d)), ("x0", (d,))))
+        out.append((LinearDynamics(A=A, B=B), x0))
     return out
 
 

@@ -191,56 +191,64 @@ def default_schedule(sys: SystemInstance, box, n_pairs: int = 500,
     return StepSchedule(tau=tau, lam=100.0, gamma=tau)
 
 
-def coupling_slice(sys: SystemInstance, n: int, u_frozen) -> CouplingSlice:
-    """The shared coupling as seen by agent n with opponents frozen at
-    u_frozen, chain-ruled through agent n's next state."""
-    dyn = sys.dynamics[n]
-    x_n = sys.states[n]
+def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
+    """The shared coupling as seen by each agent n with opponents frozen at
+    u_frozen, chain-ruled through agent n's next state. The frozen joint next
+    state is computed once for all N slices."""
     X_frozen = joint_next_state(sys, u_frozen)
+    G = sys.coupling
 
-    def states_with(un):
-        X = X_frozen.copy()
-        X[n] = step(dyn, x_n, un)
-        return X
+    def slice_of(n):
+        dyn, x_n = sys.dynamics[n], sys.states[n]
 
-    return CouplingSlice(
-        value=lambda un: sys.coupling.value(states_with(un)),
-        grad=lambda un: dyn.B.T @ sys.coupling.grad(states_with(un))[n])
+        def states_with(un):
+            X = X_frozen.copy()
+            X[n] = step(dyn, x_n, un)
+            return X
+
+        return CouplingSlice(value=lambda un: G.value(states_with(un)),
+                             grad=lambda un: dyn.B.T @ G.grad_row(states_with(un), n))
+
+    return [slice_of(n) for n in range(sys.N)]
 
 
 # ---------------------------------------------------------------------------
 # play modes (one iteration each; the loop lives in mechanism.run_stage)
 
-def _respond(sys: SystemInstance, n: int, game: GameSpec, u_start,
-             cfg: BestResponseConfig) -> np.ndarray:
-    """Agent n's best response to game; a failure names the agent."""
-    try:
-        return best_response(game, sys.states[n], sys.dynamics[n], u_start, cfg)
-    except BestResponseError as exc:
-        exc.agent = n
-        raise
+def _responses(sys: SystemInstance, agents, frozen: np.ndarray, anchors: np.ndarray,
+               cfg: BestResponseConfig, lam: float | None = None):
+    """(anchors with the rows of `agents` replaced by their best responses
+    against opponents frozen at `frozen`, the coupling slices). Each response
+    starts at its anchor; with lam the game adds the proximal term anchored
+    there. A failure names the agent."""
+    slices = coupling_slices(sys, frozen)
+    out = anchors.copy()
+    for n in agents:
+        # GameSpec's proximal payoff is -c ||u - anchor||^2; posing c = lam/2
+        # makes the stationarity coefficient exactly lam (see module docstring).
+        game = GameSpec(utility=sys.utilities[n], coupling=slices[n],
+                        proximal=None if lam is None else (0.5 * lam, anchors[n]))
+        try:
+            out[n] = best_response(game, sys.states[n], sys.dynamics[n], anchors[n], cfg)
+        except BestResponseError as exc:
+            exc.agent = n
+            raise
+    return out, slices
 
 
 def play_simultaneous(sys: SystemInstance, u_prev,
                       cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
     """All agents best-respond in parallel against u_prev."""
     U = joint_action(sys, u_prev)
-    out = np.empty_like(U)
-    for n in range(sys.N):
-        game = GameSpec(utility=sys.utilities[n], coupling=coupling_slice(sys, n, U))
-        out[n] = _respond(sys, n, game, U[n], cfg)
-    return out
+    return _responses(sys, range(sys.N), U, U, cfg)[0]
 
 
 def play_sequential(sys: SystemInstance, u_prev, t: int,
                     cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
     """Only agent t mod N best-responds; everyone else copies u_prev.
     Chaining t = 0, 1, ... yields a Gauss-Seidel sweep."""
-    U = joint_action(sys, u_prev).copy()
-    n = t % sys.N
-    game = GameSpec(utility=sys.utilities[n], coupling=coupling_slice(sys, n, U))
-    U[n] = _respond(sys, n, game, U[n], cfg)
-    return U
+    U = joint_action(sys, u_prev)
+    return _responses(sys, [t % sys.N], U, U, cfg)[0]
 
 
 def probe_utility_gradient(lam: float, response, anchor, coupling_grad) -> np.ndarray:
@@ -261,26 +269,13 @@ def stage2_probe_target(anchor, gamma: float, utility_grad, coupling_grad) -> np
         np.asarray(utility_grad, float) + np.asarray(coupling_grad, float))
 
 
-def _proximal_responses(sys: SystemInstance, anchors: np.ndarray, lam: float,
-                        frozen: np.ndarray, cfg: BestResponseConfig):
-    # GameSpec's proximal payoff is -c ||u - anchor||^2; posing c = lam/2 makes
-    # the stationarity coefficient exactly lam (see module docstring).
-    slices = [coupling_slice(sys, n, frozen) for n in range(sys.N)]
-    resp = np.empty_like(anchors)
-    for n in range(sys.N):
-        game = GameSpec(utility=sys.utilities[n], coupling=slices[n],
-                        proximal=(0.5 * lam, anchors[n]))
-        resp[n] = _respond(sys, n, game, anchors[n], cfg)
-    return resp, slices
-
-
 def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, k: int,
                     sched: StepSchedule, cfg: BestResponseConfig):
     """(responses, net update, extracted grad U): proximal responses anchored
     at U against `frozen` opponents, and U + gamma_k (grad U_n + grad_n G)."""
     lam = sched.lam_at(k)
     gamma = sched.gamma_at(k)
-    resp, slices = _proximal_responses(sys, U, lam, frozen, cfg)
+    resp, slices = _responses(sys, range(sys.N), frozen, U, cfg, lam)
     G = sys.coupling.grad(joint_next_state(sys, resp))
     slice_grads = np.array([s.grad(r) for s, r in zip(slices, resp)])
     g_util = probe_utility_gradient(lam, resp, U, slice_grads)
@@ -338,8 +333,7 @@ def play_tikhonov(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,
     the Tikhonov anchor term; the responses are the next iterate directly
     (a perturbed projection step with effective step 1/lam_k)."""
     U = joint_action(sys, u_prev)
-    resp, _ = _proximal_responses(sys, U, sched.lam_at(k), U, cfg)
-    return resp
+    return _responses(sys, range(sys.N), U, U, cfg, sched.lam_at(k))[0]
 
 
 def grid_gradient_bound(sys: SystemInstance, box, pitch_divisions: int = 50) -> float:

@@ -188,40 +188,53 @@ def decomposable_utility(value_x, grad_x, value_u, grad_u) -> SmoothUtility:
     return SmoothUtility(value, gradient)
 
 
-@dataclass(frozen=True)
-class CouplingFunction:
-    """Shared regulation term G over the joint next-state, ADDED to welfare
-    and to every agent's reward (penalties enter with a minus sign).
-
-    value_fn and gradient take the joint next-state as an (N, d) array.
-    gradient(X) returns the whole (N, d) gradient, row n being dG/dx_n, so
-    one call serves every agent of a joint evaluation.
-    """
-
-    N: int
-    d: int
-    value_fn: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-
-    def value(self, X) -> float:
-        X = np.asarray(X, dtype=float).reshape(self.N, self.d)
-        return float(self.value_fn(X))
-
-    def grad(self, X) -> np.ndarray:
-        return self.gradient(np.asarray(X, dtype=float).reshape(self.N, self.d))
-
-
-def pair_differences(X: np.ndarray):
-    """(N, N, d) differences D[n, m] = x_n - x_m and (N, N) squared distances,
-    the latter a stacked matmul with the exact bits of diff @ diff. Couplings
-    sum pair terms with np.cumsum(...)[-1], adding them in index order as a
-    loop over pairs does: np.sum reassociates eight or more terms."""
-    D = X[:, None, :] - X[None, :, :]
+def pair_differences(X: np.ndarray, n: int | None = None):
+    """Differences x_n - x_m of all pairs as (N, N, d), or of agent n's pairs
+    as (N, d), and their squared norms: a stacked matmul with the exact bits
+    of diff @ diff."""
+    D = X[:, None, :] - X[None, :, :] if n is None else X[n] - X
     return D, (D[..., None, :] @ D[..., :, None])[..., 0, 0]
 
 
+def _ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    # in index order, as a loop over pairs adds: np.sum reassociates 8+ terms
+    return np.cumsum(terms, axis=axis).take(-1, axis=axis)
+
+
+@dataclass(frozen=True)
+class CouplingFunction:
+    """Shared regulation term G over the joint next-state X, an (N, d) array,
+    ADDED to welfare and to every agent's reward (penalties enter with a
+    minus sign). G is a sum of radial pair terms: with s = ||x_n - x_m||^2,
+    G = scale * sum_{n<m} pair_value(s) and dG/dx_n = sum_m pair_weight(s)
+    (x_n - x_m), so pair_weight = 2 * scale * pair_value'. grad(X) is the
+    whole (N, d) gradient; grad_row(X, n) is its row n, bit for bit, from
+    agent n's pairs only (the zero self pair included)."""
+
+    N: int
+    d: int
+    scale: float
+    pair_value: Callable[[np.ndarray], np.ndarray]
+    pair_weight: Callable[[np.ndarray], np.ndarray]
+
+    def _pairs(self, X, n: int | None = None):
+        return pair_differences(np.asarray(X, dtype=float).reshape(self.N, self.d), n)
+
+    def value(self, X) -> float:
+        _, sq = self._pairs(X)
+        return float(self.scale * _ordered_sum(np.triu(self.pair_value(sq), 1).ravel()))
+
+    def grad(self, X) -> np.ndarray:
+        D, sq = self._pairs(X)
+        return _ordered_sum(self.pair_weight(sq)[..., None] * D, axis=1)
+
+    def grad_row(self, X, n: int) -> np.ndarray:
+        D, sq = self._pairs(X, n)
+        return _ordered_sum(self.pair_weight(sq)[:, None] * D)
+
+
 def zero_coupling(N: int, d: int) -> CouplingFunction:
-    return CouplingFunction(N, d, lambda X: 0.0, lambda X: np.zeros((N, d)))
+    return CouplingFunction(N, d, 0.0, np.zeros_like, np.zeros_like)
 
 
 def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunction:
@@ -230,16 +243,8 @@ def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunc
     With strength = eps, N = 2, d = 1 this is the canonical weak/strong test
     coupling -eps (x_1 - x_2)^2.
     """
-
-    def value(X):
-        _, sq = pair_differences(X)
-        return -strength * np.cumsum(np.triu(sq, 1))[-1]
-
-    def gradient(X):
-        D, _ = pair_differences(X)
-        return -strength * np.cumsum(2.0 * D, axis=1)[:, -1]
-
-    return CouplingFunction(N, d, value, gradient)
+    return CouplingFunction(N, d, -strength, lambda sq: sq,
+                            lambda sq: np.full_like(sq, -2.0 * strength))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ and order-independent across vehicles.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 from typing import Optional
@@ -32,7 +33,6 @@ from .model import (
     SystemInstance,
     cross_term_utility,
     decomposable_utility,
-    pair_differences,
     pairwise_quadratic_coupling,
     zero_coupling,
 )
@@ -50,15 +50,23 @@ _FIELD_TYPES = {
     "mode.tol": Real, "mode.max_rounds": Integral, "mode.tau": Real, "mode.lam": Real,
     "mode.gamma": Real, "mode.osc_window": Integral, "mode.osc_cos": Real,
     "mode.osc_decay": Real, "mode.detect_oscillation": bool, "mode.seed": Integral}
-_TYPE_NAMES = {Integral: "an integer", Real: "a number", (list, tuple): "a [lo, hi] list",
-               str: "a string", dict: "an object", bool: "true or false"}
+_TYPE_NAMES = {Integral: "an integer", Real: "a finite number",
+               (list, tuple): "a [lo, hi] list of finite numbers", str: "a string",
+               dict: "an object", bool: "true or false"}
 _TOP_KEYS = tuple(key for key in _FIELD_TYPES if "." not in key)
 _MODE_KEYS = tuple(key[5:] for key in _FIELD_TYPES if key.startswith("mode."))
 
 
+def _is_a(value, expected) -> bool:
+    """isinstance, except that only bool takes JSON true and false and that a
+    Real must lie in the float range: Python's json reads NaN and Infinity."""
+    return (isinstance(value, bool) == (expected is bool) and isinstance(value, expected)
+            and (expected is not Real or abs(value) <= sys.float_info.max))
+
+
 def _check_type(field: str, value) -> None:
     expected = _FIELD_TYPES[field]
-    if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
+    if not (_is_a(value, expected) and (field != "box" or all(_is_a(v, Real) for v in value))):
         raise ConfigError(f"config field {field!r} must be {_TYPE_NAMES[expected]}, "
                           f"got {value!r}")
 
@@ -190,18 +198,9 @@ def separation_barrier_coupling(beta: float, radius: float, N: int, d: int) -> C
     if beta == 0.0 or N < 2:
         return zero_coupling(N, d)
     r2 = radius * radius
-
-    def value(X):
-        _, sq = pair_differences(X)
-        return -beta * np.cumsum(np.triu(np.logaddexp(0.0, r2 - sq) ** 2, 1))[-1]
-
-    def gradient(X):
-        D, sq = pair_differences(X)
-        s = r2 - sq
-        weight = 4.0 * beta * np.logaddexp(0.0, s) * _sigmoid(s)
-        return np.cumsum(weight[..., None] * D, axis=1)[:, -1]
-
-    return CouplingFunction(N=N, d=d, value_fn=value, gradient=gradient)
+    return CouplingFunction(
+        N, d, -beta, lambda sq: np.logaddexp(0.0, r2 - sq) ** 2,
+        lambda sq: 4.0 * beta * np.logaddexp(0.0, r2 - sq) * _sigmoid(r2 - sq))
 
 
 def _random_spd(rng, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:

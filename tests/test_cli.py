@@ -248,6 +248,9 @@ def test_simulate_records_a_stage_without_a_step_size(tmp_path):
     assert "not co-coercive" in failure["message"]
 
 
+_AGENT = {"A": [[1.0]], "B": [[1.0]], "x0": [0.0]}
+
+
 @pytest.mark.parametrize("command, over, field", [
     ("simulate", {"N": "3"}, "'N'"),
     ("simulate", {"N": 3.5}, "'N'"),
@@ -257,14 +260,27 @@ def test_simulate_records_a_stage_without_a_step_size(tmp_path):
     ("compare", {"mode": {"max_rounds": "x"}}, "'mode.max_rounds'"),
     ("identify", {"agents": 5}, "'agents'"),
     ("identify", {"agents": [5]}, "'agents'"),
+    ("simulate", {"noise_std": float("inf")}, "'noise_std'"),
+    ("simulate", {"coupling_strength": float("nan")}, "'coupling_strength'"),
+    ("simulate", {"box": ["a", 1]}, "'box'"),
+    ("simulate", {"box": [-1.0, float("inf")]}, "'box'"),
+    ("compare", {"mode": {"tau": float("nan")}}, "'mode.tau'"),
+    ("identify", {"agents": [dict(_AGENT, A={})]}, "agent 0: field 'A'"),
+    ("identify", {"agents": [dict(_AGENT, x0={})]}, "agent 0: field 'x0'"),
+    ("identify", {"agents": [dict(_AGENT, B=[[float("nan")]])]}, "agent 0: field 'B'"),
+    ("identify", {"N": "1"}, "'N'"),
+    ("identify", {"d": 2}, "agent 0: field 'A'"),
 ], ids=["N_text", "N_fraction", "box_number", "safety_radius_text", "max_rounds_text",
-        "compare_max_rounds_text", "agents_number", "agents_entry_number"])
+        "compare_max_rounds_text", "agents_number", "agents_entry_number",
+        "noise_std_infinite", "coupling_strength_nan", "box_text_entry", "box_infinite_entry",
+        "compare_tau_nan", "dynamics_A_object", "dynamics_x0_object", "dynamics_B_nan",
+        "dynamics_N_text", "dynamics_d_mismatch"])
 def test_wrong_typed_input_field_is_named(tmp_path, capsys, command, over, field):
     if command == "identify":
         log = tmp_path / "trace.csv"
         log.write_text("t,n,x_0,u_0,p_0\n0,0,0.0,0.0,0.0\n")
         dyn = tmp_path / "dynamics.json"
-        dyn.write_text(json.dumps({"N": 1, "d": 1, **over}))
+        dyn.write_text(json.dumps({"N": 1, "d": 1, "agents": [_AGENT], **over}))
         argv = ["identify", "--log", str(log), "--dynamics", str(dyn)]
     else:
         argv = [command, "--config", str(write_config(tmp_path, "c.json", **over))]

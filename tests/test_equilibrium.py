@@ -136,7 +136,7 @@ def test_reward_field_is_welfare_gradient(rng):
 def test_coupling_slice_freezes_opponents(rng):
     sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.7)
     u_frozen = rng.normal(size=(3, 2))
-    slc = pc.coupling_slice(sys, 1, u_frozen)
+    slc = pc.coupling_slices(sys, u_frozen)[1]
     u1 = rng.normal(size=2)
     X = pc.joint_next_state(sys, u_frozen)
     X[1] = pc.step(sys.dynamics[1], sys.states[1], u1)
@@ -144,6 +144,20 @@ def test_coupling_slice_freezes_opponents(rng):
     np.testing.assert_allclose(slc.grad(u1),
                                sys.dynamics[1].B.T @ sys.coupling.grad(X)[1],
                                atol=1e-12)
+
+
+def test_simultaneous_round_steps_the_frozen_fleet_once(rng, monkeypatch):
+    sys = random_quadratic_instance(rng, N=5, d=2, coupling=0.2)
+    calls = []
+    real = pc.equilibrium.joint_next_state
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pc.equilibrium, "joint_next_state", counted)
+    pc.play_simultaneous(sys, rng.normal(size=(5, 2)), pc.BestResponseConfig())
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------ play operators
@@ -182,7 +196,7 @@ def test_two_stage_update_probe_identities():
         np.testing.assert_allclose(upd.utility_grads[n], g_true, atol=1e-6)
         # stage-1 stationarity (opponents frozen at the anchor):
         # grad U + slice grad = lam (u_hat - anchor)
-        slc = pc.coupling_slice(sys, n, u_prev)
+        slc = pc.coupling_slices(sys, u_prev)[n]
         resid = g_true + slc.grad(upd.u_hat[n]) - lam * (upd.u_hat[n] - u_prev[n])
         np.testing.assert_allclose(resid, 0.0, atol=1e-6)
         # stage-2 probe lands on anchor + gamma * estimated welfare gradient,
@@ -216,7 +230,7 @@ def test_single_stage_freezes_slice_at_auxiliary_sequence():
     for n in range(2):
         # responses (.u) anchor at u_prev but see opponents frozen at the
         # coordinator sequence u_tilde_prev
-        slc = pc.coupling_slice(sys, n, u_tilde_prev)
+        slc = pc.coupling_slices(sys, u_tilde_prev)[n]
         x_next = pc.step(sys.dynamics[n], sys.states[n], upd.u[n])
         g = sys.utilities[n].gradient_u(x_next, upd.u[n], sys.dynamics[n])
         resid = g + slc.grad(upd.u[n]) - lam * (upd.u[n] - u_prev[n])
