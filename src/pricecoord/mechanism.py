@@ -19,7 +19,7 @@ import numpy as np
 
 from .agents import BestResponseConfig
 from .errors import BestResponseError, ConfigError, NonConvergenceError
-from .model import SystemInstance, joint_action, joint_next_state
+from .model import SystemInstance, batch_welfare, joint_action
 from .numerics import fd_jacobian
 from .equilibrium import (
     StepSchedule,
@@ -38,13 +38,9 @@ PLAY_MODES = ("simultaneous", "sequential", "two_stage", "single_stage", "tikhon
 
 def social_welfare(sys: SystemInstance, u) -> float:
     """Sum of private utilities plus the shared coupling at the joint action
-    (the coupling is added; penalties enter as negative coupling values)."""
-    U = joint_action(sys, u)
-    X_next = joint_next_state(sys, U)
-    total = sys.coupling.value(X_next)
-    for n in range(sys.N):
-        total += sys.utilities[n].value(X_next[n], U[n])
-    return float(total)
+    (the coupling is added; penalties enter as negative coupling values):
+    batch_welfare at K = 1."""
+    return float(batch_welfare(sys, joint_action(sys, u)[None])[0])
 
 
 def price_from_target(sys: SystemInstance, u_target) -> np.ndarray:

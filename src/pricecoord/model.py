@@ -6,7 +6,13 @@ where data enters the package: the constructors (so replace_states too),
 joint_action, GameSpec, the best_response start, utility_gradient_error and
 the CSV and JSON loaders. step, the utility methods and agents.payoff_* trust
 1-D length-d float arrays. Everything here is immutable after construction and
-pure, so instances can be shared freely across solver threads.
+pure, so instances can be shared freely across solver threads (a
+SystemInstance caches its stacked model arrays on first use).
+
+batch_welfare evaluates the social welfare at K joint actions in one call,
+each row bit for bit the scalar formula. as_vector and as_matrix return
+C-ordered arrays, which keeps a product the same whether it runs alone or
+stacked.
 
 Sign convention used by the whole package: the coupling G is ADDED everywhere.
 Social welfare is sum_n U_n + G and each agent's posed reward is U_n + G, so
@@ -17,6 +23,7 @@ drift that otherwise creeps in between the welfare and the agent-reward sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +32,8 @@ from .numerics import fd_gradient
 
 
 def as_vector(v, d: int | None = None, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float 1-D array, optionally checking length."""
+    """Coerce to a finite contiguous float 1-D array, optionally checking
+    length."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
@@ -33,10 +41,13 @@ def as_vector(v, d: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {d}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return np.ascontiguousarray(arr)
 
 
 def as_matrix(m, shape=None, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite C-ordered float 2-D array, optionally checking
+    shape. C order keeps a matrix's products bit for bit the same whether it
+    is used alone or stacked with others (see batch_welfare)."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
@@ -44,7 +55,7 @@ def as_matrix(m, shape=None, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} has shape {arr.shape}, expected {tuple(shape)}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return np.ascontiguousarray(arr)
 
 
 @dataclass(frozen=True)
@@ -189,10 +200,10 @@ def decomposable_utility(value_x, grad_x, value_u, grad_u) -> SmoothUtility:
 
 
 def pair_differences(X: np.ndarray, n: int | None = None):
-    """Differences x_n - x_m of all pairs as (N, N, d), or of agent n's pairs
-    as (N, d), and their squared norms: a stacked matmul with the exact bits
-    of diff @ diff."""
-    D = X[:, None, :] - X[None, :, :] if n is None else X[n] - X
+    """Differences x_n - x_m of all pairs as (..., N, N, d) for X of shape
+    (..., N, d), or of agent n's pairs as (N, d), and their squared norms: a
+    stacked matmul with the exact bits of diff @ diff."""
+    D = X[..., :, None, :] - X[..., None, :, :] if n is None else X[n] - X
     return D, (D[..., None, :] @ D[..., :, None])[..., 0, 0]
 
 
@@ -209,7 +220,10 @@ class CouplingFunction:
     G = scale * sum_{n<m} pair_value(s) and dG/dx_n = sum_m pair_weight(s)
     (x_n - x_m), so pair_weight = 2 * scale * pair_value'. grad(X) is the
     whole (N, d) gradient; grad_row(X, n) is its row n, bit for bit, from
-    agent n's pairs only (the zero self pair included)."""
+    agent n's pairs only (the zero self pair included); values(Xs) is value
+    at each (N, d) row of a (K, N, d) array, bit for bit. A coupling with
+    scale 0 is identically zero, pair_weight included, so it returns zeros
+    without touching its pair functions."""
 
     N: int
     d: int
@@ -221,14 +235,25 @@ class CouplingFunction:
         return pair_differences(np.asarray(X, dtype=float).reshape(self.N, self.d), n)
 
     def value(self, X) -> float:
-        _, sq = self._pairs(X)
-        return float(self.scale * _ordered_sum(np.triu(self.pair_value(sq), 1).ravel()))
+        return float(self.values(np.reshape(X, (1, self.N, self.d)))[0])
+
+    def values(self, Xs) -> np.ndarray:
+        Xs = np.asarray(Xs, dtype=float).reshape(-1, self.N, self.d)
+        if self.scale == 0.0:
+            return np.zeros(len(Xs))
+        _, sq = pair_differences(Xs)
+        pairs = np.triu(self.pair_value(sq), 1).reshape(len(Xs), -1)
+        return self.scale * _ordered_sum(pairs, axis=1)
 
     def grad(self, X) -> np.ndarray:
+        if self.scale == 0.0:
+            return np.zeros((self.N, self.d))
         D, sq = self._pairs(X)
         return _ordered_sum(self.pair_weight(sq)[..., None] * D, axis=1)
 
     def grad_row(self, X, n: int) -> np.ndarray:
+        if self.scale == 0.0:
+            return np.zeros(self.d)
         D, sq = self._pairs(X, n)
         return _ordered_sum(self.pair_weight(sq)[:, None] * D)
 
@@ -281,6 +306,20 @@ class SystemInstance:
     def N(self) -> int:
         return len(self.dynamics)
 
+    @cached_property
+    def _stacked(self):
+        """What the fleet step and batch_welfare need, built once: A_n x_n
+        and B_n stacked over the agents, and (Q, R, x0) stacked when every
+        utility is quadratic."""
+        A = np.array([dy.A for dy in self.dynamics])
+        Ax = (A @ np.array(self.states)[..., None])[..., 0]
+        B = np.array([dy.B for dy in self.dynamics])
+        quadratic = None
+        if all(isinstance(ut, QuadraticUtility) for ut in self.utilities):
+            quadratic = tuple(np.array([getattr(ut, k) for ut in self.utilities])
+                              for k in ("Q", "R", "x0"))
+        return Ax, B, quadratic
+
     @property
     def d(self) -> int:
         return self.dynamics[0].d
@@ -296,8 +335,37 @@ def joint_action(sys: SystemInstance, u) -> np.ndarray:
 
 def joint_next_state(sys: SystemInstance, u) -> np.ndarray:
     """Noise-free next states for all subsystems as an (N, d) array."""
-    U = joint_action(sys, u)
-    return np.stack([step(sys.dynamics[n], sys.states[n], U[n]) for n in range(sys.N)])
+    return _fleet_step(sys, np.ascontiguousarray(joint_action(sys, u)))
+
+
+def _fleet_step(sys: SystemInstance, U: np.ndarray) -> np.ndarray:
+    """A_n x_n + B_n u_n for every agent at each joint action of a C-ordered
+    (..., N, d) array, as one stacked matmul: each row is
+    step(dyn_n, x_n, u_n) bit for bit."""
+    Ax, B, _ = sys._stacked
+    return Ax + (B @ U[..., None])[..., 0]
+
+
+def batch_welfare(sys: SystemInstance, U) -> np.ndarray:
+    """Social welfare sum_n U_n(x_n(t+1), u_n) + G(x(t+1)), w = 0, at each of
+    K joint actions: (K, N, d) -> (K,). Row k equals the scalar formula
+    sum(U_n.value(step(dyn_n, x_n, u_n), u_n)) + G.value(X) bit for bit:
+    every product is a stacked matmul of C-ordered arrays with the shapes of
+    the scalar one and every sum runs in the scalar order. Trusts finite
+    input (joint_action checks a single joint action)."""
+    U = np.ascontiguousarray(U, dtype=float).reshape(-1, sys.N, sys.d)
+    X = _fleet_step(sys, U)
+    quadratic = sys._stacked[2]
+    if quadratic is not None:
+        Q, R, x0 = quadratic
+        E = X - x0
+        vals = (-((E[..., None, :] @ Q) @ E[..., :, None])
+                - ((U[..., None, :] @ R) @ U[..., :, None]))[..., 0, 0]
+    else:  # a SmoothUtility's value_fn is an arbitrary callable of one row
+        vals = np.array([[ut.value(x, u) for ut, x, u in zip(sys.utilities, Xk, Uk)]
+                         for Xk, Uk in zip(X, U)])
+    # the scalar sum starts from 0, so a row of zero utilities adds up to +0.0
+    return (_ordered_sum(vals, axis=1) + 0.0) + sys.coupling.values(X)
 
 
 def replace_states(sys: SystemInstance, states) -> SystemInstance:

@@ -3,8 +3,12 @@
 Every derivative the solvers do not get analytically is a central
 difference from this module, and every Newton solve on a gradient field
 (an agent's best response, the coordinator's welfare-optimal price) runs
-the one loop below. The oracle keeps its own polish loop (see oracle), so
-the reference stays independent of the code it checks.
+the one loop below. fd_gradients evaluates the stencil of fd_gradient at
+many points in one call of a batched function; the oracle uses it on the
+welfare and keeps its own polish loop (see oracle), so the reference stays
+independent of the code it checks. fd_jacobian keeps its loop over
+columns: it runs in every best-response Newton step on d-vectors, where a
+stacked stencil costs more per call than the loop.
 """
 
 from __future__ import annotations
@@ -15,10 +19,29 @@ import numpy as np
 def fd_gradient(f, point, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function at point. Raises
     ValueError naming the first coordinate whose difference is non-finite."""
-    g = fd_jacobian(f, point, h)
-    bad = np.flatnonzero(~np.isfinite(g))
+    return _finite(fd_jacobian(f, point, h))
+
+
+def fd_gradients(f_rows, points, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradients at each row of points, (B, m) or (m,),
+    as a (B, m) array, from one call of f_rows on all 2 m B stencil points:
+    f_rows maps a (K, m) array of points to their K values. Row b is
+    (f(p_b + h e_j) - f(p_b - h e_j)) / 2h, so it equals fd_gradient of the
+    row function bit for bit. Raises ValueError naming the first coordinate
+    whose difference is non-finite."""
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    m = X.shape[1]
+    E = h * np.eye(m)
+    w = f_rows(np.concatenate([X[:, None] + E, X[:, None] - E], axis=1).reshape(-1, m))
+    w = w.reshape(len(X), 2, m)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _finite((w[:, 0] - w[:, 1]) / (2.0 * h))
+
+
+def _finite(g: np.ndarray) -> np.ndarray:
+    bad = np.argwhere(~np.isfinite(g))
     if bad.size:
-        raise ValueError(f"non-finite evaluation near coordinate {bad[0]}")
+        raise ValueError(f"non-finite evaluation near coordinate {bad[0, -1]}")
     return g
 
 

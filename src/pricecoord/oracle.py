@@ -2,7 +2,7 @@
 
 Everything here is deliberately assembled from utility and coupling VALUES
 only (finite differences, grid scans, probed affine systems), so it shares no
-gradient code with the solvers: numerics.fd_gradient only differences the
+gradient code with the solvers: numerics.fd_gradients only differences the
 welfare value. The Newton polish behind every method takes its field from
 central first differences of the welfare value and its Hessian from central
 second differences of the same value. It stops when the field's sup-norm
@@ -10,6 +10,15 @@ drops below 1e-11 or when no backtracking step down to alpha = 1e-10 reduces
 it, which is where the finite-difference field reaches its noise floor. It
 does not use numerics.newton_root, so the reference never runs the loop it
 checks.
+
+Every stencil is one batch of model.batch_welfare rows, each row equal to
+the scalar welfare bit for bit: a field is 2m points (m = N d), a Hessian
+1 + 2m^2, the closed-form probe m + 1 fields, and the grid scan one batch
+per value of the first coordinate (201^(m-1) points). A batch is one
+batch_welfare call of up to 2^18 / (N^2 d) rows (14,563 at N = 3, d = 2),
+so the pair differences of a call stay under 2 MB whatever the fleet size;
+the stencil points themselves take (1 + 2m^2) m floats for a Hessian.
+joint_welfare is the same welfare at one joint action.
 
 Note on why oracle equivalence is a valid acceptance test at all: the test
 instances in this package are potential games by construction. The coupling G
@@ -27,16 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemInstance, joint_action, joint_next_state
-from .numerics import fd_gradient
+from .model import SystemInstance, batch_welfare, joint_action
+from .numerics import fd_gradients
 
 
 def joint_welfare(sys: SystemInstance, u) -> float:
-    """Social welfare sum_n U_n(x_n(t+1), u_n) + G(x(t+1)), w = 0."""
-    U = joint_action(sys, u)
-    X_next = joint_next_state(sys, U)
-    total = sum(sys.utilities[n].value(X_next[n], U[n]) for n in range(sys.N))
-    return float(total + sys.coupling.value(X_next))
+    """Social welfare sum_n U_n(x_n(t+1), u_n) + G(x(t+1)), w = 0: the
+    oracle's batch_welfare at K = 1."""
+    return float(batch_welfare(sys, joint_action(sys, u)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -46,30 +53,32 @@ class OracleResult:
     method: str
 
 
-def _welfare_flat(sys: SystemInstance):
-    def f(u_flat):
-        return joint_welfare(sys, u_flat.reshape(sys.N, sys.d))
+# a batch_welfare call holds (K, N, N, d) pair differences and a few (K, N, N)
+# pair arrays; K is capped so that the differences stay below 2^18 floats
+_PAIR_FLOATS = 2 ** 18
+
+
+def _welfare_rows(sys: SystemInstance):
+    """Welfare at each row of a (K, N*d) array of flat joint actions, in
+    batch_welfare calls of at most 2^18 / (N^2 d) rows each."""
+    rows = max(1, _PAIR_FLOATS // (sys.N * sys.N * sys.d))
+
+    def f(P):
+        U = P.reshape(-1, sys.N, sys.d)
+        return np.concatenate([batch_welfare(sys, U[k:k + rows]) for k in range(0, len(U), rows)])
 
     return f
 
 
-def _fd_field(sys: SystemInstance):
-    f = _welfare_flat(sys)
-    return lambda u_flat: fd_gradient(f, u_flat, 1e-5)
-
-
 def _closed_form(sys: SystemInstance) -> np.ndarray | None:
-    # Probe the welfare-gradient field at unit vectors. For quadratic welfare
-    # central differences are exact up to roundoff, so the probed system is the
-    # true linear stationarity system J u* = -f0.
+    # Probe the welfare-gradient field at zero and at the unit vectors, all
+    # m + 1 fields in one batch. For quadratic welfare central differences are
+    # exact up to roundoff, so the probed system is the true linear
+    # stationarity system J u* = -f0.
     m = sys.N * sys.d
-    F = _fd_field(sys)
-    f0 = F(np.zeros(m))
-    J = np.empty((m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        J[:, i] = F(e) - f0
+    fields = fd_gradients(_welfare_rows(sys), np.vstack([np.zeros(m), np.eye(m)]))
+    f0 = fields[0]
+    J = (fields[1:] - f0).T  # column i is F(e_i) - f0
     sym = 0.5 * (J + J.T)
     scale = max(np.max(np.abs(sym)), 1.0)
     if np.max(np.linalg.eigvalsh(sym)) > -1e-12 * scale:
@@ -77,19 +86,20 @@ def _closed_form(sys: SystemInstance) -> np.ndarray | None:
     return np.linalg.solve(J, -f0)
 
 
-def _fd_hessian(f, u: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Symmetric central second-difference Hessian of a scalar function from
-    1 + 2 m^2 values: the diagonal from f(u) and f(u +- h e_i), each
+def _fd_hessian(f_rows, u: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Symmetric central second-difference Hessian from one call of f_rows
+    on 1 + 2 m^2 points: the diagonal from f(u) and f(u +- h e_i), each
     off-diagonal pair from the four corners u +- h e_i +- h e_j."""
     m = u.size
     E = h * np.eye(m)
-    f0 = f(u)
+    I, J = np.tril_indices(m, -1)
+    up, um = u + E, u - E
+    w = f_rows(np.concatenate([u[None], up, um, up[I] + E[J], up[I] - E[J],
+                               um[I] + E[J], um[I] - E[J]]))
+    f0, wp, wm, corners = w[0], w[1:m + 1], w[m + 1:2 * m + 1], w[2 * m + 1:].reshape(4, -1)
     H = np.empty((m, m))
-    for i in range(m):
-        H[i, i] = (f(u + E[i]) - 2.0 * f0 + f(u - E[i])) / (h * h)
-        for j in range(i):
-            H[i, j] = H[j, i] = (f(u + E[i] + E[j]) - f(u + E[i] - E[j])
-                                 - f(u - E[i] + E[j]) + f(u - E[i] - E[j])) / (4.0 * h * h)
+    H[np.diag_indices(m)] = (wp - 2.0 * f0 + wm) / (h * h)
+    H[I, J] = H[J, I] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * h * h)
     return H
 
 
@@ -101,10 +111,9 @@ def _newton_polish(sys: SystemInstance, u_flat: np.ndarray, iters: int = 20) -> 
     its finite-difference noise floor and further steps only cost
     evaluations. The field at the accepted step is the next residual.
     """
-    f = _welfare_flat(sys)
-    F = _fd_field(sys)
+    f = _welfare_rows(sys)
     u = u_flat.copy()
-    g = F(u)
+    g = fd_gradients(f, u)[0]
     for _ in range(iters):
         gn = np.max(np.abs(g))
         if gn < 1e-11:
@@ -116,7 +125,7 @@ def _newton_polish(sys: SystemInstance, u_flat: np.ndarray, iters: int = 20) -> 
         alpha = 1.0
         while True:
             trial = u + alpha * delta
-            g_trial = F(trial)
+            g_trial = fd_gradients(f, trial)[0]
             if np.max(np.abs(g_trial)) < gn:
                 break
             alpha *= 0.5
@@ -139,28 +148,33 @@ def _grid(sys: SystemInstance, box) -> np.ndarray:
     if m > 3:
         raise ValueError(f"grid oracle supports N*d <= 3, got {m}")
     lo, hi = _box_arrays(sys, box)
-    f = _welfare_flat(sys)
+    f = _welfare_rows(sys)
     axes = [np.linspace(lo[i], hi[i], 201) for i in range(m)]  # pitch width/200
     best_w = -np.inf
     best_u = None
-    for point in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m):
-        w = f(point)
-        if w > best_w:
-            best_w = w
-            best_u = point
+    # one batch per value of the first coordinate, 201^(m-1) points each; the
+    # first point of the scan that attains the maximum wins
+    for first in axes[0]:
+        points = np.stack(np.meshgrid(first, *axes[1:], indexing="ij"), axis=-1).reshape(-1, m)
+        w = f(points)
+        w[np.isnan(w)] = -np.inf
+        k = np.argmax(w)
+        if w[k] > best_w:
+            best_w = w[k]
+            best_u = points[k]
     return _newton_polish(sys, best_u)
 
 
 def _multistart(sys: SystemInstance, box, n_starts: int = 32, seed: int = 0) -> np.ndarray:
     lo, hi = _box_arrays(sys, box)
     rng = np.random.default_rng(seed)
-    f = _welfare_flat(sys)
+    f = _welfare_rows(sys)
     best_w = -np.inf
     best_u = None
     for k in range(n_starts):
         start = lo + (hi - lo) * rng.random(lo.size) if k else 0.5 * (lo + hi)
         u = _newton_polish(sys, start)
-        w = f(u)
+        w = f(u[None])[0]
         if np.isfinite(w) and w > best_w:
             best_w = w
             best_u = u
@@ -179,8 +193,10 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
 
     Every Newton solve works on welfare values only: the field is a central
     first difference and the Hessian a symmetric central second difference
-    of the welfare. A solve stops at ||field||_inf < 1e-11, after 20 steps,
-    or as soon as backtracking to alpha <= 1e-10 finds no reducing step.
+    of the welfare, each evaluated as one batch of stencil points (as are
+    the closed-form probe and each slice of the grid scan). A solve stops at
+    ||field||_inf < 1e-11, after 20 steps, or as soon as backtracking to
+    alpha <= 1e-10 finds no reducing step.
     The result's method names the one that produced u_star, so a
     closed_form request that fell back reports "newton_multistart".
     """
@@ -192,15 +208,15 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
             # else the probed affine system was only a secant approximation
             # and polish/fallback corrects it.
             u = _newton_polish(sys, u)
-            F = _fd_field(sys)
-            if np.max(np.abs(F(u))) > 1e-7 * (1.0 + np.max(np.abs(u))):
+            f = _welfare_rows(sys)
+            if np.max(np.abs(fd_gradients(f, u))) > 1e-7 * (1.0 + np.max(np.abs(u))):
                 u = None
             else:
                 # stationary is not enough: the unit-vector secant probe can
                 # look negative definite on quartic welfare whose true
                 # curvature at the solve point is positive, so check the local
                 # Hessian before trusting the point as a maximizer
-                H = _fd_hessian(_welfare_flat(sys), u)
+                H = _fd_hessian(f, u)
                 if np.max(np.linalg.eigvalsh(H)) >= -1e-9 * max(np.max(np.abs(H)), 1e-12):
                     u = None
         if u is None:

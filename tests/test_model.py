@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pricecoord as pc
+from pricecoord.model import batch_welfare
 from conftest import make_two_agent_scalar, random_spd
 
 
@@ -142,3 +143,63 @@ def test_joint_action_accepts_flat_and_matrix():
     np.testing.assert_allclose(U, np.array([[0.25], [-0.5]]))
     with pytest.raises(ValueError):
         pc.joint_action(sys, np.zeros(3))
+
+
+def _utility(family, rng, d):
+    Q, R, x0 = random_spd(rng, d), random_spd(rng, d), rng.normal(size=d)
+    if family == "quadratic":
+        return pc.QuadraticUtility(Q=Q, R=R, x0=x0)
+    if family == "cross_term":
+        return pc.cross_term_utility(Q, R, x0, [rng.normal(size=(d, d)) for _ in range(d)])
+    if family == "decomposable":
+        return pc.decomposable_utility(
+            value_x=lambda x, x0=x0: -float(np.sum(np.cosh(x - x0) - 1.0)),
+            grad_x=lambda x, x0=x0: -np.sinh(x - x0),
+            value_u=lambda u, R=R: -float(u @ R @ u),
+            grad_u=lambda u, R=R: -2.0 * R @ u)
+    return pc.SmoothUtility(value_fn=lambda x_next, u, x0=x0: -float(np.sum((x_next - x0) ** 4)
+                                                                      + u @ u))
+
+
+@pytest.mark.parametrize("K", [1, 73])
+@pytest.mark.parametrize("N", [1, 3, 7])
+@pytest.mark.parametrize("coupling", ["quadratic", "barrier"])
+@pytest.mark.parametrize("family", ["quadratic", "cross_term", "decomposable", "smooth", "mixed"])
+def test_batch_welfare_matches_a_loop_over_rows(family, coupling, N, K):
+    rng = np.random.default_rng(11)
+    d = 3
+    families = ["quadratic", "cross_term", "decomposable", "smooth"]
+    utilities = tuple(_utility(families[n % 4] if family == "mixed" else family, rng, d)
+                      for n in range(N))
+    dynamics = tuple(pc.LinearDynamics(A=np.eye(d) + 0.3 * rng.normal(size=(d, d)),
+                                       B=np.eye(d) + 0.3 * rng.normal(size=(d, d)))
+                     for _ in range(N))
+    G = (pc.pairwise_quadratic_coupling(0.3, N, d) if coupling == "quadratic"
+         else pc.separation_barrier_coupling(3.0, 2.5, N, d))
+    sys = pc.SystemInstance(dynamics=dynamics, utilities=utilities, coupling=G,
+                            states=rng.normal(size=(N, d)))
+    U = rng.normal(size=(K, N, d))
+    expected = []
+    for k in range(K):
+        X = np.stack([pc.step(sys.dynamics[n], sys.states[n], U[k, n]) for n in range(N)])
+        np.testing.assert_array_equal(pc.joint_next_state(sys, U[k]), X)
+        total = 0.0
+        for n in range(N):
+            total += sys.utilities[n].value(X[n], U[k, n])
+        expected.append(total + G.value(X))
+    W = batch_welfare(sys, U)
+    assert W.shape == (K,)
+    np.testing.assert_array_equal(W, expected)
+    assert pc.social_welfare(sys, U[0]) == pc.joint_welfare(sys, U[0]) == expected[0]
+
+
+def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):
+    def unreachable(sq):
+        raise AssertionError("pair term evaluated")
+
+    G = pc.CouplingFunction(3, 2, 0.0, unreachable, unreachable)
+    X = rng.normal(size=(3, 2))
+    for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)), (G.grad_row(X, 1), (2,)),
+                       (G.values(rng.normal(size=(5, 3, 2))), (5,))):
+        assert np.shape(out) == shape
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))

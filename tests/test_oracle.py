@@ -5,24 +5,32 @@ import pytest
 
 import pricecoord as pc
 from pricecoord import oracle
+from pricecoord.numerics import fd_gradients
 from conftest import make_two_agent_scalar, random_quadratic_instance
+
+
+def readme_instance():
+    cfg = pc.config_from_dict({"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
+                               "safety_radius": 6.0})
+    return pc.generate(cfg)
 
 
 @pytest.fixture
 def welfare_calls(monkeypatch):
-    """Counts the oracle's welfare evaluations and Hessians."""
+    """Counts the oracle's welfare evaluations (the rows of its batched
+    welfare calls) and its Hessians."""
     calls = {"welfare": 0, "hessian": 0}
-    joint_welfare, fd_hessian = oracle.joint_welfare, oracle._fd_hessian
+    batch_welfare, fd_hessian = oracle.batch_welfare, oracle._fd_hessian
 
-    def counted_welfare(*args):
-        calls["welfare"] += 1
-        return joint_welfare(*args)
+    def counted_welfare(sys, U):
+        calls["welfare"] += len(U)
+        return batch_welfare(sys, U)
 
     def counted_hessian(*args, **kwargs):
         calls["hessian"] += 1
         return fd_hessian(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "joint_welfare", counted_welfare)
+    monkeypatch.setattr(oracle, "batch_welfare", counted_welfare)
     monkeypatch.setattr(oracle, "_fd_hessian", counted_hessian)
     return calls
 
@@ -133,6 +141,42 @@ def test_polish_at_the_optimum_stops_after_one_failed_line_search(rng, welfare_c
 def test_fd_hessian_is_exact_on_quadratics(rng):
     A = rng.normal(size=(4, 4))
     b = rng.normal(size=4)
-    H = oracle._fd_hessian(lambda u: float(u @ A @ u + b @ u), rng.normal(size=4))
+    H = oracle._fd_hessian(lambda P: np.sum((P @ A) * P, axis=1) + P @ b, rng.normal(size=4))
     np.testing.assert_allclose(H, A + A.T, atol=1e-6)
     np.testing.assert_array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("make", [readme_instance,
+                                  lambda: random_quadratic_instance(np.random.default_rng(3),
+                                                                    N=3, d=2, coupling=0.3)])
+def test_batched_field_equals_fd_gradient_of_the_scalar_welfare(rng, make):
+    sys = make()
+    m, h = sys.N * sys.d, 1e-5
+    E = h * np.eye(m)
+
+    def scalar(v):
+        return pc.joint_welfare(sys, v.reshape(sys.N, sys.d))
+
+    points = 3.0 * rng.normal(size=(4, m))
+    fields = fd_gradients(oracle._welfare_rows(sys), points, h)
+    for p, field in zip(points, fields):
+        np.testing.assert_array_equal(field, pc.fd_gradient(scalar, p, h))
+        np.testing.assert_array_equal(
+            field, [(scalar(p + E[j]) - scalar(p - E[j])) / (2.0 * h) for j in range(m)])
+
+
+def test_welfare_rows_caps_the_rows_per_call(rng, monkeypatch):
+    sys = random_quadratic_instance(rng, N=30, d=2, coupling=0.3)
+    cap = oracle._PAIR_FLOATS // (30 * 30 * 2)
+    P = rng.normal(size=(2 * cap + 7, 60))
+    sizes = []
+    batch_welfare = oracle.batch_welfare
+
+    def recorded(sys, U):
+        sizes.append(len(U))
+        return batch_welfare(sys, U)
+
+    monkeypatch.setattr(oracle, "batch_welfare", recorded)
+    w = oracle._welfare_rows(sys)(P)
+    assert sizes == [cap, cap, 7]
+    np.testing.assert_array_equal(w, batch_welfare(sys, P.reshape(-1, 30, 2)))
