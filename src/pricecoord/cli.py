@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (BestResponseError, ConfigError, CoordinationError, NonConvergenceError,
                      RankDeficiencyError)
 from .mechanism import PLAY_MODES, PollingConfig, run_stage, price_from_target, social_welfare
-from .model import LinearDynamics, replace_states, step
+from .model import LinearDynamics, joint_next_state, replace_states
 from .oracle import OracleResult, joint_welfare_opt
 from .parametric import ObservationLog, csv_header, identify, load_log, save_log, write_csv
 from .scenario import (
@@ -133,10 +133,10 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
         prices = price_from_target(inst, u_star)
         for n in range(cfg.N):
             rows.append((t, n, inst.states[n].copy(), u_star[n].copy(), prices[n].copy()))
-        new_states = np.empty_like(inst.states)
-        for n in range(cfg.N):
-            w = cfg.noise_std * noise[n].normal(size=cfg.d) if noise is not None else None
-            new_states[n] = step(inst.dynamics[n], inst.states[n], u_star[n], w)
+        new_states = joint_next_state(inst, u_star)
+        if noise is not None:
+            new_states = new_states + cfg.noise_std * np.array([g.normal(size=cfg.d)
+                                                                for g in noise])
         inst = replace_states(inst, new_states)
         u_warm = u_star
 

@@ -24,8 +24,10 @@ grad_u U(x, u) = B^T-free form B g(x) + h(u) with g = grad U^x, h = grad U^u
 (B maps the state part through the dynamics). Both unknown fields are
 represented in a scalar Gaussian kernel times identity and fitted jointly by
 ridge least squares against observed prices. Only the sum B g(x) + h(u) is
-identified: shifting g by a constant v and h by -B v changes nothing, and no
-gauge is imposed.
+identified: shifting g by a constant v and h by -B v changes nothing. The
+fit is therefore solved in its dual (representer) form, one md x md system
+for the m observed prices, whose Gram matrix is that of the identified sum;
+no gauge is imposed and none is needed.
 """
 
 from __future__ import annotations
@@ -229,15 +231,9 @@ def median_pairwise(points) -> float:
 
 
 def _as_xup(samples):
-    if isinstance(samples, tuple) and len(samples) == 3:
-        X, U, P = samples
-    else:
-        X = [s[0] for s in samples]
-        U = [s[1] for s in samples]
-        P = [s[2] for s in samples]
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if not (isinstance(samples, tuple) and len(samples) == 3):
+        raise ValueError("samples must be an (X, U, P) tuple of (m, d) arrays")
+    X, U, P = (np.atleast_2d(np.asarray(a, dtype=float)) for a in samples)
     if not (X.shape == U.shape == P.shape):
         raise ValueError("x, u, p samples must share one shape")
     return X, U, P
@@ -245,15 +241,17 @@ def _as_xup(samples):
 
 def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None,
                      ridge: Optional[float] = None) -> KernelFieldModel:
-    """Fits the decomposable-gradient model to (x, u, p) samples.
+    """Fits the decomposable-gradient model to an (X, U, P) tuple of (m, d)
+    arrays.
 
     Minimizes sum_i ||B g(x_i) + h(u_i) - p_i||^2 + ridge ||c||^2 over the
-    kernel coefficients of g and h jointly (one ridge system; the
-    Kronecker-structured design is small for the intended sample counts).
+    kernel coefficients c of g and h jointly, in dual form: the minimizer is
+    c_x = kron(Kx, B^T) a, c_u = kron(Ku, I) a with a the solution of the
+    md x md system (kron(Kx^2, B B^T) + kron(Ku^2, I) + ridge I) a = p.
     sigma defaults to the median pairwise distance over the pooled x and u
-    centers; ridge defaults to 1e-8 times the Gram trace. ridge = 0 is
-    accepted only while the unregularized system has full column rank
-    (duplicate centers break that).
+    centers; ridge defaults to 1e-8 times the Gram trace. ridge = 0 gives
+    the minimum-norm interpolant while that system is nonsingular; duplicate
+    samples make it singular and raise np.linalg.LinAlgError.
     """
     X, U, P = _as_xup(samples)
     m, d = X.shape
@@ -270,22 +268,12 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
 
-    design = np.hstack([np.kron(Kx, dyn.B), np.kron(Ku, np.eye(d))])  # (md, 2md)
-    y = P.ravel()
-    if ridge == 0.0:
-        if np.linalg.matrix_rank(design) < design.shape[1]:
-            raise np.linalg.LinAlgError(
-                "unregularized kernel system is singular (duplicate centers?); use ridge > 0")
-        coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    else:
-        aug = np.vstack([design, np.sqrt(ridge) * np.eye(design.shape[1])])
-        yaug = np.concatenate([y, np.zeros(design.shape[1])])
-        coeffs, *_ = np.linalg.lstsq(aug, yaug, rcond=None)
-
-    cx = coeffs[:m * d].reshape(m, d)
-    cu = coeffs[m * d:].reshape(m, d)
-    return KernelFieldModel(centers_x=X.copy(), coeff_x=cx, centers_u=U.copy(),
-                            coeff_u=cu, sigma=float(sigma), ridge=float(ridge))
+    gram = np.kron(Kx @ Kx, dyn.B @ dyn.B.T) + np.kron(Ku @ Ku, np.eye(d))
+    gram[np.diag_indices_from(gram)] += ridge
+    A = np.linalg.solve(gram, P.ravel()).reshape(m, d)
+    return KernelFieldModel(centers_x=X.copy(), coeff_x=Kx @ A @ dyn.B,
+                            centers_u=U.copy(), coeff_u=Ku @ A,
+                            sigma=float(sigma), ridge=float(ridge))
 
 
 def predict_field(model: KernelFieldModel, dyn: LinearDynamics, x, u) -> np.ndarray:
@@ -299,7 +287,8 @@ def predict_field(model: KernelFieldModel, dyn: LinearDynamics, x, u) -> np.ndar
 
 
 def kernel_fit_residual(model: KernelFieldModel, dyn: LinearDynamics, samples) -> float:
-    """RMS training error of a fitted model on (x, u, p) samples."""
+    """RMS training error of a fitted model on an (X, U, P) tuple of (m, d)
+    arrays."""
     X, U, P = _as_xup(samples)
     pred = np.atleast_2d(predict_field(model, dyn, X, U))
     return float(np.sqrt(np.mean((pred - P) ** 2)))

@@ -237,20 +237,20 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     F = reward_field(sys)
     tol = cfg.tol
 
-    rounds, actions, welfare, residual, delta_log = [], [], [], [], []
+    rounds, actions, residual, delta_log = [], [], [], []
 
     def snapshot(k, u_new, d_inf, f_inf):
         rounds.append(k)
         actions.append(u_new.copy())
-        welfare.append(social_welfare(sys, u_new))
         residual.append(f_inf)
         delta_log.append(d_inf)
 
     def trace(converged):
+        acts = np.asarray(actions, dtype=float)
         return StageTrace(mode=cfg.mode, u0=joint_action(sys, u0).copy(),
                           rounds=np.asarray(rounds, dtype=int),
-                          actions=np.asarray(actions, dtype=float),
-                          welfare=np.asarray(welfare, dtype=float),
+                          actions=acts,
+                          welfare=batch_welfare(sys, acts) if rounds else np.empty(0),
                           residual=np.asarray(residual, dtype=float),
                           delta=np.asarray(delta_log, dtype=float),
                           converged=converged)

@@ -214,6 +214,40 @@ def test_kernel_gauge_only_the_sum_is_identified(rng):
                                atol=1e-10)
 
 
+def test_kernel_fit_matches_the_primal_ridge_solution(rng):
+    # the dual solve and ridge least squares over all 2md coefficients have
+    # one minimizer
+    m, d = 25, 2
+    dyn = pc.LinearDynamics(A=np.eye(d), B=rng.normal(size=(d, d)))
+    X, U, P = decomposable_samples(rng, dyn, m)
+    model = pc.fit_decomposable((X, U, P), dyn)
+
+    Kx = pc.gaussian_kernel(X, X, model.sigma)
+    Ku = pc.gaussian_kernel(U, U, model.sigma)
+    design = np.hstack([np.kron(Kx, dyn.B), np.kron(Ku, np.eye(d))])
+    aug = np.vstack([design, np.sqrt(model.ridge) * np.eye(2 * m * d)])
+    y = np.concatenate([P.ravel(), np.zeros(2 * m * d)])
+    coeffs = np.linalg.lstsq(aug, y, rcond=None)[0]
+    # relative to the coefficient norm: single entries near zero carry the
+    # absolute error of the large ones
+    dual = np.concatenate([model.coeff_x.ravel(), model.coeff_u.ravel()])
+    assert np.linalg.norm(dual - coeffs) <= 1e-6 * np.linalg.norm(coeffs)
+
+    Xh, Uh = rng.normal(size=(10, d)), rng.normal(size=(10, d))
+    primal = (pc.gaussian_kernel(Xh, X, model.sigma) @ coeffs[:m * d].reshape(m, d) @ dyn.B.T
+              + pc.gaussian_kernel(Uh, U, model.sigma) @ coeffs[m * d:].reshape(m, d))
+    np.testing.assert_allclose(pc.predict_field(model, dyn, Xh, Uh), primal, rtol=0, atol=1e-8)
+
+
+def test_kernel_fit_without_ridge_interpolates_distinct_samples(rng):
+    d = 1
+    dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
+    X, U, P = decomposable_samples(rng, dyn, 10)
+    model = pc.fit_decomposable((X, U, P), dyn, ridge=0.0)
+    assert model.ridge == 0.0
+    assert pc.kernel_fit_residual(model, dyn, (X, U, P)) < 1e-6
+
+
 def test_kernel_fit_input_validation(rng):
     d = 1
     dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))

@@ -84,6 +84,18 @@ def test_simultaneous_stage_converges_with_monotone_welfare():
     assert np.isclose(welfare[-1], -1.0 / 3.0, atol=1e-8)
 
 
+def test_stage_welfare_is_the_social_welfare_of_each_round_on_every_exit():
+    sys = make_two_agent_scalar(0.1)
+    done = pc.run_stage(sys, np.zeros((2, 1)), pc.PollingConfig(mode="simultaneous"))
+    with pytest.raises(pc.NonConvergenceError) as exc:
+        pc.run_stage(sys, np.zeros((2, 1)), pc.PollingConfig(mode="simultaneous", max_rounds=3))
+    for trace in (done, exc.value.trace):
+        assert trace.welfare.shape == (trace.iterations,)
+        assert trace.welfare.tolist() == [pc.social_welfare(sys, u) for u in trace.actions]
+    idle = pc.run_stage(sys, scalar_nash(0.1), pc.PollingConfig(mode="simultaneous"))
+    assert idle.welfare.shape == (0,)
+
+
 def test_sequential_stage_counts_full_sweeps():
     sys = make_two_agent_scalar(0.1)
     trace = pc.run_stage(sys, np.zeros((2, 1)), pc.PollingConfig(mode="sequential"))
