@@ -34,7 +34,7 @@ from .model import (
     utility_gradient_error,
     zero_coupling,
 )
-from .agents import BestResponseConfig, CouplingSlice, GameSpec, best_response
+from .agents import CouplingSlice, GameSpec, best_response
 from .numerics import fd_gradient
 from .oracle import OracleResult, joint_welfare, joint_welfare_opt
 from .equilibrium import (

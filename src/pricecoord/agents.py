@@ -11,7 +11,6 @@ always best-respond to the posed game.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,18 +65,6 @@ class GameSpec:
                                (float(lam), as_vector(anchor, name="proximal anchor")))
 
 
-@dataclass(frozen=True)
-class BestResponseConfig:
-    tol: float = 1e-10
-    max_iter: int = 100
-    line_search_shrink: float = 0.5
-    box: tuple | None = None
-
-    def __post_init__(self):
-        if not (self.tol > 0 and self.max_iter >= 1 and 0 < self.line_search_shrink < 1):
-            raise ValueError("invalid BestResponseConfig")
-
-
 def payoff_value(game: GameSpec, x, dyn: LinearDynamics, u) -> float:
     total = 0.0
     if game.utility is not None:
@@ -113,19 +100,14 @@ def payoff_gradient(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
     return g
 
 
-def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start,
-                  cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
+def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start) -> np.ndarray:
     """Maximize the posed payoff: damped Newton on the payoff gradient.
 
     Starts at u_start, which implements the closest-root selection rule when
-    payoffs have several stationary points. Stops at
-    ||grad||_inf <= cfg.tol. Raises BestResponseError on a singular Hessian,
-    on convergence to a non-maximum, or after max_iter.
-
-    When cfg.box is set and the unconstrained optimum leaves it, the result
-    is clamped and a warning is issued (the clamped point is not a
-    constrained optimum; the box is a sanity report, not a constraint
-    solver).
+    payoffs have several stationary points. Stops at ||grad||_inf <= 1e-10,
+    with at most 100 Newton steps and the halving line search of newton_root.
+    Raises BestResponseError on a singular Hessian, on convergence to a
+    non-maximum, or at the iteration cap.
     """
     def gradient(u):
         return payoff_gradient(game, x, dyn, u)
@@ -135,15 +117,9 @@ def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start,
         return 0.5 * (H + H.T)
 
     u, gnorm = newton_root(gradient, hessian, as_vector(u_start, dyn.d, "u_start"),
-                           cfg.tol, cfg.max_iter, error=BestResponseError,
-                           shrink=cfg.line_search_shrink, jacobian_name="payoff Hessian")
+                           1e-10, 100, error=BestResponseError,
+                           jacobian_name="payoff Hessian")
     if np.max(np.linalg.eigvalsh(hessian(u))) >= 0.0:
         raise BestResponseError("stationary point is not a local maximum",
                                 last_iterate=u, residual=gnorm)
-    if cfg.box is not None:
-        lo, hi = cfg.box
-        clipped = np.clip(u, lo, hi)
-        if not np.array_equal(clipped, u):
-            warnings.warn("best response outside configured box, clamping")
-            return clipped
     return u

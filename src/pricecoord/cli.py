@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import (BestResponseError, ConfigError, CoordinationError, NonConvergenceError,
                      RankDeficiencyError)
-from .mechanism import PLAY_MODES, PollingConfig, run_stage, price_from_target, social_welfare
+from .mechanism import (PLAY_MODES, PollingConfig, StageTrace, run_stage, price_from_target,
+                        social_welfare)
 from .model import LinearDynamics, joint_next_state, replace_states
 from .oracle import OracleResult, joint_welfare_opt
 from .parametric import ObservationLog, csv_header, identify, load_log, save_log, write_csv
@@ -72,6 +73,12 @@ def _override_config(cfg: ScenarioConfig, seed) -> ScenarioConfig:
 
 def _oracle_welfare(inst, pcfg: PollingConfig) -> OracleResult:
     return joint_welfare_opt(inst, box=pcfg.box, method="closed_form", seed=0)
+
+
+def _stage_welfare(inst, st: StageTrace) -> float:
+    """Social welfare at a stage's final action: the trace's last row, which
+    holds exactly that value, or one evaluation for a stage with no round."""
+    return float(st.welfare[-1]) if st.iterations else social_welfare(inst, st.u_final)
 
 
 def _failure(exc: CoordinationError) -> dict:
@@ -129,7 +136,7 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
         iterations += st.iterations
         u_star = st.u_final
         stage_inst = inst
-        welfare_series.append(social_welfare(inst, u_star))
+        welfare_series.append(_stage_welfare(inst, st))
         prices = price_from_target(inst, u_star)
         for n in range(cfg.N):
             rows.append((t, n, inst.states[n].copy(), u_star[n].copy(), prices[n].copy()))
@@ -266,12 +273,12 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
         pcfg = polling_config(cfg, mode_override=mode)
         try:
             st = run_stage(inst, u0, pcfg)
-            final = social_welfare(inst, st.u_final)
+            final = _stage_welfare(inst, st)
             table[mode] = {"iterations": st.iterations, "final_welfare": final,
                            "gap": oracle_welfare - final, "converged": True}
         except NonConvergenceError as exc:
             tr = exc.trace
-            final = float(tr.welfare[-1]) if tr is not None and tr.iterations else None
+            final = _stage_welfare(inst, tr) if tr is not None else None
             table[mode] = {"iterations": (tr.iterations if tr is not None else 0),
                            "final_welfare": final,
                            "gap": (oracle_welfare - final) if final is not None else None,

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .agents import BestResponseConfig, CouplingSlice, GameSpec, best_response
+from .agents import CouplingSlice, GameSpec, best_response
 from .errors import BestResponseError, NonConvergenceError
 from .model import SystemInstance, joint_action, joint_next_state, step
 
@@ -128,6 +128,7 @@ class CoCoercivityEstimate:
 def estimate_cocoercivity(F, box, n_pairs: int = 500, seed: int = 0) -> CoCoercivityEstimate:
     """Sampled co-coercivity constant of an ascent field over a box.
 
+    F is a callable on flat points of the box (flat_reward_field, say).
     c_hat = min over pairs of <-(F(x) - F(y)), x - y> / ||F(x) - F(y)||^2;
     the orientation treats F as a reward gradient, so F(u) = b - u gives
     c_hat = 1 and F(u) = b - M u gives 1/lambda_max(M) for SPD M. Pairs with
@@ -136,7 +137,6 @@ def estimate_cocoercivity(F, box, n_pairs: int = 500, seed: int = 0) -> CoCoerci
     """
     if n_pairs < 2:
         raise ValueError("n_pairs must be >= 2")
-    eval_F = F.eval if isinstance(F, OperatorField) else F
     lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
     rng = np.random.default_rng(seed)
     best = np.inf
@@ -144,7 +144,7 @@ def estimate_cocoercivity(F, box, n_pairs: int = 500, seed: int = 0) -> CoCoerci
     for _ in range(n_pairs):
         x = lo + (hi - lo) * rng.random(lo.size)
         y = lo + (hi - lo) * rng.random(lo.size)
-        dF = eval_F(x) - eval_F(y)
+        dF = F(x) - F(y)
         denom = float(dF @ dF)
         if denom < 1e-24:  # ||dF|| < 1e-12
             continue
@@ -216,7 +216,7 @@ def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
 # play modes (one iteration each; the loop lives in mechanism.run_stage)
 
 def _responses(sys: SystemInstance, agents, frozen: np.ndarray, anchors: np.ndarray,
-               cfg: BestResponseConfig, lam: float | None = None):
+               lam: float | None = None):
     """(anchors with the rows of `agents` replaced by their best responses
     against opponents frozen at `frozen`, the coupling slices). Each response
     starts at its anchor; with lam the game adds the proximal term anchored
@@ -229,26 +229,24 @@ def _responses(sys: SystemInstance, agents, frozen: np.ndarray, anchors: np.ndar
         game = GameSpec(utility=sys.utilities[n], coupling=slices[n],
                         proximal=None if lam is None else (0.5 * lam, anchors[n]))
         try:
-            out[n] = best_response(game, sys.states[n], sys.dynamics[n], anchors[n], cfg)
+            out[n] = best_response(game, sys.states[n], sys.dynamics[n], anchors[n])
         except BestResponseError as exc:
             exc.agent = n
             raise
     return out, slices
 
 
-def play_simultaneous(sys: SystemInstance, u_prev,
-                      cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
+def play_simultaneous(sys: SystemInstance, u_prev) -> np.ndarray:
     """All agents best-respond in parallel against u_prev."""
     U = joint_action(sys, u_prev)
-    return _responses(sys, range(sys.N), U, U, cfg)[0]
+    return _responses(sys, range(sys.N), U, U)[0]
 
 
-def play_sequential(sys: SystemInstance, u_prev, t: int,
-                    cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
+def play_sequential(sys: SystemInstance, u_prev, t: int) -> np.ndarray:
     """Only agent t mod N best-responds; everyone else copies u_prev.
     Chaining t = 0, 1, ... yields a Gauss-Seidel sweep."""
     U = joint_action(sys, u_prev)
-    return _responses(sys, [t % sys.N], U, U, cfg)[0]
+    return _responses(sys, [t % sys.N], U, U)[0]
 
 
 def probe_utility_gradient(lam: float, response, anchor, coupling_grad) -> np.ndarray:
@@ -270,12 +268,12 @@ def stage2_probe_target(anchor, gamma: float, utility_grad, coupling_grad) -> np
 
 
 def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, k: int,
-                    sched: StepSchedule, cfg: BestResponseConfig):
+                    sched: StepSchedule):
     """(responses, net update, extracted grad U): proximal responses anchored
     at U against `frozen` opponents, and U + gamma_k (grad U_n + grad_n G)."""
     lam = sched.lam_at(k)
     gamma = sched.gamma_at(k)
-    resp, slices = _responses(sys, range(sys.N), frozen, U, cfg, lam)
+    resp, slices = _responses(sys, range(sys.N), frozen, U, lam)
     G = sys.coupling.grad(joint_next_state(sys, resp))
     slice_grads = np.array([s.grad(r) for s, r in zip(slices, resp)])
     g_util = probe_utility_gradient(lam, resp, U, slice_grads)
@@ -289,8 +287,8 @@ class TwoStageUpdate(NamedTuple):
     utility_grads: np.ndarray  # extracted grad U_n(u_hat_n), coordinator-side
 
 
-def two_stage_update(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,
-                     cfg: BestResponseConfig = BestResponseConfig()) -> TwoStageUpdate:
+def two_stage_update(sys: SystemInstance, u_prev, k: int,
+                     sched: StepSchedule) -> TwoStageUpdate:
     """One round of two-stage play, exposing the probe internals.
 
     Stage 1: each agent solves grad U_n(u_hat) + grad_n G(u_hat, u_prev_{-n})
@@ -300,7 +298,7 @@ def two_stage_update(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,
     probe game is available through stage2_probe_target.
     """
     U = joint_action(sys, u_prev)
-    u_hat, u_next, g_util = _proximal_round(sys, U, U, k, sched, cfg)
+    u_hat, u_next, g_util = _proximal_round(sys, U, U, k, sched)
     return TwoStageUpdate(u=u_next, u_hat=u_hat, utility_grads=g_util)
 
 
@@ -311,8 +309,7 @@ class SingleStageUpdate(NamedTuple):
 
 
 def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, k: int,
-                        sched: StepSchedule,
-                        cfg: BestResponseConfig = BestResponseConfig()) -> SingleStageUpdate:
+                        sched: StepSchedule) -> SingleStageUpdate:
     """One round of single-stage play.
 
     Agents best-respond to the proximal probe anchored at their own previous
@@ -323,17 +320,16 @@ def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, k: int,
     """
     U = joint_action(sys, u_prev)
     resp, u_tilde, g_util = _proximal_round(sys, U, joint_action(sys, u_tilde_prev),
-                                            k, sched, cfg)
+                                            k, sched)
     return SingleStageUpdate(u=resp, u_tilde=u_tilde, utility_grads=g_util)
 
 
-def play_tikhonov(sys: SystemInstance, u_prev, k: int, sched: StepSchedule,
-                  cfg: BestResponseConfig = BestResponseConfig()) -> np.ndarray:
+def play_tikhonov(sys: SystemInstance, u_prev, k: int, sched: StepSchedule) -> np.ndarray:
     """Proximally regularized full step: each agent maximizes its reward plus
     the Tikhonov anchor term; the responses are the next iterate directly
     (a perturbed projection step with effective step 1/lam_k)."""
     U = joint_action(sys, u_prev)
-    return _responses(sys, range(sys.N), U, U, cfg, sched.lam_at(k))[0]
+    return _responses(sys, range(sys.N), U, U, sched.lam_at(k))[0]
 
 
 def grid_gradient_bound(sys: SystemInstance, box, pitch_divisions: int = 50) -> float:

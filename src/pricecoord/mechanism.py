@@ -12,12 +12,11 @@ reward field are small: ||u^k - u^{k-1}||_inf <= tol and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .agents import BestResponseConfig
 from .errors import BestResponseError, ConfigError, NonConvergenceError
 from .model import SystemInstance, batch_welfare, joint_action
 from .numerics import fd_jacobian
@@ -128,7 +127,6 @@ class PollingConfig:
     osc_cos: float = -0.99
     osc_decay: float = 0.8
     detect_oscillation: bool = True
-    br: BestResponseConfig = field(default_factory=BestResponseConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -267,19 +265,19 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     for k in range(1, cfg.max_rounds + 1):
         try:
             if cfg.mode == "simultaneous":
-                u_new = play_simultaneous(sys, U, cfg.br)
+                u_new = play_simultaneous(sys, U)
             elif cfg.mode == "sequential":
                 u_new = U
                 for _ in range(sys.N):
-                    u_new = play_sequential(sys, u_new, t, cfg.br)
+                    u_new = play_sequential(sys, u_new, t)
                     t += 1
             elif cfg.mode == "two_stage":
-                u_new = two_stage_update(sys, U, k, sched, cfg.br).u
+                u_new = two_stage_update(sys, U, k, sched).u
             elif cfg.mode == "single_stage":
-                upd = single_stage_update(sys, U, u_tilde, k, sched, cfg.br)
+                upd = single_stage_update(sys, U, u_tilde, k, sched)
                 u_new, u_tilde = upd.u, upd.u_tilde
             else:
-                u_new = play_tikhonov(sys, U, k, sched, cfg.br)
+                u_new = play_tikhonov(sys, U, k, sched)
         except BestResponseError as exc:
             exc.round = k
             raise

@@ -60,16 +60,13 @@ def as_matrix(m, shape=None, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """State evolution x(t+1) = A x(t) + B u(t) + w(t).
-
-    noise_cov is the covariance of w; None means noise-free. B must be
-    invertible for parametric identification (its condition number is
-    reported there, not enforced here).
+    """State evolution x(t+1) = A x(t) + B u(t) + w(t), with the noise w
+    passed to step. B must be invertible for parametric identification (its
+    condition number is reported there, not enforced here).
     """
 
     A: np.ndarray
     B: np.ndarray
-    noise_cov: np.ndarray | None = None
 
     def __post_init__(self):
         A = as_matrix(self.A, name="A")
@@ -79,13 +76,6 @@ class LinearDynamics:
         B = as_matrix(self.B, (d, d), name="B")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        if self.noise_cov is not None:
-            W = as_matrix(self.noise_cov, (d, d), name="noise_cov")
-            if not np.allclose(W, W.T, atol=1e-10):
-                raise ValueError("noise_cov must be symmetric")
-            if np.min(np.linalg.eigvalsh(W)) < -1e-12:
-                raise ValueError("noise_cov must be PSD")
-            object.__setattr__(self, "noise_cov", W)
 
     @property
     def d(self) -> int:

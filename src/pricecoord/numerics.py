@@ -61,15 +61,15 @@ def fd_jacobian(F, x, h: float | None = None) -> np.ndarray:
 
 
 def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
-                shrink: float = 0.5, jacobian_name: str = "Jacobian"):
+                jacobian_name: str = "Jacobian"):
     """Damped Newton for F(x) = 0, F a gradient field.
 
-    Each step solves jacobian(x) s = -F(x) and backtracks alpha = 1, shrink,
-    shrink^2, ... while alpha > 1e-12 (40 trials at shrink 0.5) until
-    ||F||_inf decreases. Returns (x, ||F(x)||_inf) at the first iterate with
-    ||F||_inf <= tol. On a singular Jacobian, a failed line search, or after
-    max_iter steps it raises error(message, last iterate, its residual), so
-    each caller keeps its own exception type.
+    Each step solves jacobian(x) s = -F(x) and halves alpha = 1, 1/2, 1/4,
+    ... while alpha > 1e-12 (40 trials) until ||F||_inf decreases. Returns
+    (x, ||F(x)||_inf) at the first iterate with ||F||_inf <= tol. On a
+    singular Jacobian, a failed line search, or after max_iter steps it
+    raises error(message, last iterate, its residual), so each caller keeps
+    its own exception type.
     """
     x = np.array(x0, dtype=float)
     g = F(x)
@@ -88,7 +88,7 @@ def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
             if np.max(np.abs(g_try)) < gnorm:
                 x, g = x_try, g_try
                 break
-            alpha *= shrink
+            alpha *= 0.5
         else:
             raise error("line search failed to reduce the gradient", x, gnorm)
     raise error(f"no convergence after {max_iter} Newton iterations",

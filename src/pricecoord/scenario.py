@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from .agents import BestResponseConfig
 from .errors import ConfigError
 from .mechanism import PLAY_MODES, PollingConfig
 from .equilibrium import StepSchedule
@@ -178,8 +177,7 @@ def polling_config(cfg: ScenarioConfig, mode_override: Optional[str] = None) -> 
                              gamma=m.pop("gamma", None))
     size = cfg.N * cfg.d
     box = (np.full(size, cfg.box[0]), np.full(size, cfg.box[1]))
-    return PollingConfig(schedule=sched, box=box,
-                         br=BestResponseConfig(), **m)
+    return PollingConfig(schedule=sched, box=box, **m)
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,6 @@ def test_c07_proximal_gap_and_stage_limits():
     both estimated co-coercivity constants, the two-stage and single-stage
     iterations converge to the oracle optimum."""
     box = pc.uniform_box(-2.0, 2.0, 2)
-    cfg = pc.BestResponseConfig()
     for eps, max_rounds in ((0.1, 400), (10.0, 150)):
         sys = make_two_agent_scalar(eps)
         D = pc.grid_gradient_bound(sys, (-2.0, 2.0))
@@ -244,7 +243,7 @@ def test_c07_proximal_gap_and_stage_limits():
         def residual_field(u_flat, sys=sys, F=F):
             probe = pc.StepSchedule(tau=1.0, lam=100.0, gamma=1.0)
             u = u_flat.reshape(2, 1)
-            upd = pc.two_stage_update(sys, u, 1, probe, cfg)
+            upd = pc.two_stage_update(sys, u, 1, probe)
             return F(u_flat) - F(upd.u_hat.ravel())
 
         c2 = pc.estimate_cocoercivity(residual_field, box, n_pairs=200)
@@ -253,7 +252,7 @@ def test_c07_proximal_gap_and_stage_limits():
 
         u = np.zeros((2, 1))
         for k in range(1, max_rounds + 1):
-            upd = pc.two_stage_update(sys, u, k, sched, cfg)
+            upd = pc.two_stage_update(sys, u, k, sched)
             gap = float(np.linalg.norm(upd.u_hat - u))
             assert gap <= sys.N * D / sched.lam_at(k) + 1e-9
             delta = float(np.linalg.norm(upd.u - u))
@@ -355,10 +354,9 @@ def test_c10_tracking_error_bound_holds():
     base = pc.SystemInstance(dynamics=(dyn, dyn), utilities=utils,
                              coupling=pc.pairwise_quadratic_coupling(0.1, 2, 1),
                              states=np.array([[0.5], [-0.25]]))
-    cfg = pc.BestResponseConfig()
 
     def br_round(sys, u):
-        return pc.play_simultaneous(sys, u, cfg)
+        return pc.play_simultaneous(sys, u)
 
     def stage_nash(sys):
         u = np.zeros((2, 1))

@@ -93,24 +93,8 @@ def test_best_response_linear_probe_returns_target(rng):
     np.testing.assert_allclose(u, v, atol=1e-10)
 
 
-def test_best_response_box_clamps():
-    dyn, util = _scalar_setup()
-    cfg = pc.BestResponseConfig(box=(np.array([-0.5]), np.array([0.5])))
-    with pytest.warns(UserWarning, match="clamping"):
-        u = pc.best_response(pc.GameSpec(utility=util), np.zeros(1), dyn,
-                             np.zeros(1), cfg)
-    np.testing.assert_allclose(u, [0.5], atol=1e-9)
-
-
 def test_best_response_rejects_convex_payoff():
     dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
     util = pc.SmoothUtility(value_fn=lambda x_next, u: float(u @ u))
     with pytest.raises(pc.BestResponseError):
         pc.best_response(pc.GameSpec(utility=util), np.zeros(1), dyn, np.ones(1))
-
-
-def test_best_response_config_validation():
-    with pytest.raises(ValueError):
-        pc.BestResponseConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        pc.BestResponseConfig(line_search_shrink=1.0)

@@ -156,7 +156,7 @@ def test_simultaneous_round_steps_the_frozen_fleet_once(rng, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(pc.equilibrium, "joint_next_state", counted)
-    pc.play_simultaneous(sys, rng.normal(size=(5, 2)), pc.BestResponseConfig())
+    pc.play_simultaneous(sys, rng.normal(size=(5, 2)))
     assert len(calls) == 1
 
 
@@ -164,20 +164,18 @@ def test_simultaneous_round_steps_the_frozen_fleet_once(rng, monkeypatch):
 
 def test_simultaneous_play_contracts_to_nash():
     sys = make_two_agent_scalar(0.1)
-    cfg = pc.BestResponseConfig()
     u = np.zeros((2, 1))
     for _ in range(40):
-        u = pc.play_simultaneous(sys, u, cfg)
+        u = pc.play_simultaneous(sys, u)
     np.testing.assert_allclose(u, scalar_nash(0.1), atol=1e-8)
 
 
 def test_sequential_play_updates_one_agent_per_call():
     sys = make_two_agent_scalar(0.1)
-    cfg = pc.BestResponseConfig()
     u0 = np.zeros((2, 1))
-    u1 = pc.play_sequential(sys, u0, 0, cfg)
+    u1 = pc.play_sequential(sys, u0, 0)
     assert u1[0, 0] != 0.0 and u1[1, 0] == 0.0
-    u2 = pc.play_sequential(sys, u1, 1, cfg)
+    u2 = pc.play_sequential(sys, u1, 1)
     assert u2[1, 0] != 0.0
     np.testing.assert_array_equal(u2[0], u1[0])
 
@@ -185,9 +183,8 @@ def test_sequential_play_updates_one_agent_per_call():
 def test_two_stage_update_probe_identities():
     sys = make_two_agent_scalar(0.1)
     sched = pc.StepSchedule(tau=0.75, lam=50.0, gamma=0.75)
-    cfg = pc.BestResponseConfig()
     u_prev = np.array([[0.3], [-0.2]])
-    upd = pc.two_stage_update(sys, u_prev, 1, sched, cfg)
+    upd = pc.two_stage_update(sys, u_prev, 1, sched)
     lam = sched.lam_at(1)
     X_hat = pc.joint_next_state(sys, upd.u_hat)
     for n in range(2):
@@ -213,8 +210,7 @@ def test_proximal_response_stays_within_gap_bound():
     D = pc.grid_gradient_bound(sys, (-2.0, 2.0))
     for lam in (10.0, 100.0, 1000.0):
         sched = pc.StepSchedule(tau=0.5, lam=lam, gamma=0.5)
-        upd = pc.two_stage_update(sys, np.zeros((2, 1)), 1, sched,
-                                  pc.BestResponseConfig())
+        upd = pc.two_stage_update(sys, np.zeros((2, 1)), 1, sched)
         gap = float(np.linalg.norm(upd.u_hat - np.zeros((2, 1))))
         assert gap <= sys.N * D / lam + 1e-9
 
@@ -222,10 +218,9 @@ def test_proximal_response_stays_within_gap_bound():
 def test_single_stage_freezes_slice_at_auxiliary_sequence():
     sys = make_two_agent_scalar(0.1)
     sched = pc.StepSchedule(tau=0.5, lam=20.0, gamma=0.5)
-    cfg = pc.BestResponseConfig()
     u_prev = np.array([[0.1], [0.2]])
     u_tilde_prev = np.array([[-0.4], [0.6]])
-    upd = pc.single_stage_update(sys, u_prev, u_tilde_prev, 1, sched, cfg)
+    upd = pc.single_stage_update(sys, u_prev, u_tilde_prev, 1, sched)
     lam = sched.lam_at(1)
     for n in range(2):
         # responses (.u) anchor at u_prev but see opponents frozen at the
@@ -241,7 +236,7 @@ def test_tikhonov_play_fixes_nash():
     sys = make_two_agent_scalar(10.0)
     nash = scalar_nash(10.0)
     sched = pc.StepSchedule(tau=1.0, lam=20.0)
-    u = pc.play_tikhonov(sys, nash, 1, sched, pc.BestResponseConfig())
+    u = pc.play_tikhonov(sys, nash, 1, sched)
     np.testing.assert_allclose(u, nash, atol=1e-8)
 
 

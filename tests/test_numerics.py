@@ -71,10 +71,13 @@ def test_best_response_iteration_cap_keeps_its_message_and_state():
     quartic = pc.SmoothUtility(lambda x_next, u: -float(np.sum(u ** 4)),
                                lambda x_next, u, dyn: -4.0 * u ** 3)
     game = pc.GameSpec(utility=quartic)
+    # each Newton step on -4 u^3 contracts by 2/3, so from 1e30 the fixed cap
+    # of 100 steps is reached far from the root
     with pytest.raises(pc.BestResponseError,
-                       match="^no convergence after 1 Newton iterations$") as info:
-        pc.best_response(game, np.zeros(2), dyn, np.ones(2), pc.BestResponseConfig(max_iter=1))
+                       match="^no convergence after 100 Newton iterations$") as info:
+        pc.best_response(game, np.zeros(2), dyn, np.full(2, 1e30))
     exc = info.value
-    np.testing.assert_allclose(exc.last_iterate, [2.0 / 3.0] * 2, rtol=1e-6)
-    assert exc.residual == pytest.approx(4.0 * (2.0 / 3.0) ** 3, rel=1e-5)
+    last = 1e30 * (2.0 / 3.0) ** 100
+    np.testing.assert_allclose(exc.last_iterate, [last] * 2, rtol=1e-6)
+    assert exc.residual == pytest.approx(4.0 * last ** 3, rel=1e-5)
     assert exc.agent is None and exc.round is None
