@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import (BestResponseError, ConfigError, CoordinationError, NonConvergenceError,
                      RankDeficiencyError)
-from .mechanism import (PLAY_MODES, PollingConfig, StageTrace, run_stage, price_from_target,
-                        social_welfare)
+from .mechanism import PLAY_MODES, StageTrace, price_from_target, run_stage, social_welfare
 from .model import LinearDynamics, joint_next_state, replace_states
-from .oracle import OracleResult, joint_welfare_opt
+from .oracle import joint_welfare_opt
 from .parametric import ObservationLog, csv_header, identify, load_log, save_log, write_csv
 from .scenario import (
     ScenarioConfig,
@@ -69,10 +68,6 @@ def _override_config(cfg: ScenarioConfig, seed) -> ScenarioConfig:
     data = cfg.to_dict()
     data["seed"] = int(seed)
     return config_from_dict(data)
-
-
-def _oracle_welfare(inst, pcfg: PollingConfig) -> OracleResult:
-    return joint_welfare_opt(inst, box=pcfg.box, method="closed_form", seed=0)
 
 
 def _stage_welfare(inst, st: StageTrace) -> float:
@@ -158,7 +153,7 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
     gap = None
     if failure is None:
         # oracle at the same states the final stage converged on
-        res = _oracle_welfare(stage_inst, pcfg)
+        res = joint_welfare_opt(stage_inst, box=pcfg.box)
         oracle_welfare, oracle_method = res.welfare, res.method
         gap = oracle_welfare - final_welfare
 
@@ -264,7 +259,7 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
     cfg = _override_config(load_config(config_path), seed)
     inst = generate(cfg)
     base_pcfg = polling_config(cfg)
-    oracle = _oracle_welfare(inst, base_pcfg)
+    oracle = joint_welfare_opt(inst, box=base_pcfg.box)
     oracle_welfare = oracle.welfare
 
     table = {}

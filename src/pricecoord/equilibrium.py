@@ -74,6 +74,8 @@ class StepSchedule:
             v = float(value)
         else:
             seq = np.asarray(value, dtype=float)
+            if seq.size == 0:
+                raise ValueError(f"schedule {name} is an empty sequence")
             v = float(seq[min(k - 1, seq.size - 1)])
         if not v > 0:
             raise ValueError(f"{name}_{k} must be positive, got {v}")
@@ -179,16 +181,15 @@ def flat_reward_field(sys: SystemInstance):
     return lambda u_flat: F(u_flat.reshape(sys.N, sys.d)).ravel()
 
 
-def default_schedule(sys: SystemInstance, box, n_pairs: int = 500,
-                     seed: int = 0) -> StepSchedule:
-    """tau_k = gamma_k = min(0.9 * 2 * c_hat, 1), lam_k = 100, with c_hat
-    estimated for the instance's reward field over the given flat box."""
-    est = estimate_cocoercivity(flat_reward_field(sys), box, n_pairs, seed)
+def default_schedule(sys: SystemInstance, box) -> StepSchedule:
+    """tau_k = gamma_k = min(0.9 * 2 * c_hat, 1) and the default lam_k = 100,
+    with c_hat estimated for the instance's reward field over the flat box."""
+    est = estimate_cocoercivity(flat_reward_field(sys), box)
     if not est.co_coercive:
         raise ValueError(f"reward field not co-coercive on the box (c_hat={est.c_hat:.3e}); "
                          "supply an explicit StepSchedule")
     tau = min(0.9 * 2.0 * est.c_hat, 1.0)
-    return StepSchedule(tau=tau, lam=100.0, gamma=tau)
+    return StepSchedule(tau=tau, gamma=tau)
 
 
 def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
@@ -332,9 +333,9 @@ def play_tikhonov(sys: SystemInstance, u_prev, k: int, sched: StepSchedule) -> n
     return _responses(sys, range(sys.N), U, U, sched.lam_at(k))[0]
 
 
-def grid_gradient_bound(sys: SystemInstance, box, pitch_divisions: int = 50) -> float:
+def grid_gradient_bound(sys: SystemInstance, box) -> float:
     """Dense-grid estimate of D = max_n sup ||grad_{u_n}(U_n + G)|| over the
-    joint action box (pitch = width / pitch_divisions per dimension). This
+    joint action box (pitch = width / 50 per dimension). This
     is the constant in the proximal-gap bound ||u_hat - u_prev|| <= N D / lam.
     Practical for N * d <= 3, like the grid oracle."""
     m = sys.N * sys.d
@@ -343,7 +344,7 @@ def grid_gradient_bound(sys: SystemInstance, box, pitch_divisions: int = 50) -> 
     lo = np.broadcast_to(np.asarray(box[0], dtype=float), (m,))
     hi = np.broadcast_to(np.asarray(box[1], dtype=float), (m,))
     F = reward_field(sys)
-    axes = [np.linspace(lo[i], hi[i], pitch_divisions + 1) for i in range(m)]
+    axes = [np.linspace(lo[i], hi[i], 51) for i in range(m)]
     best = 0.0
     for point in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m):
         vals = F(point.reshape(sys.N, sys.d))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -78,7 +79,7 @@ class WeakCouplingReport:
     passes: bool
 
 
-def weak_coupling_diagnostic(sys: SystemInstance, u=None, h: float = 1e-5) -> WeakCouplingReport:
+def weak_coupling_diagnostic(sys: SystemInstance, u=None) -> WeakCouplingReport:
     """Checks the contraction condition behind simultaneous-play convergence.
 
     Finite-differences the stacked reward field's Jacobian at u (default the
@@ -90,7 +91,7 @@ def weak_coupling_diagnostic(sys: SystemInstance, u=None, h: float = 1e-5) -> We
     """
     N, d = sys.N, sys.d
     U0 = np.zeros((N, d)) if u is None else joint_action(sys, u)
-    J = fd_jacobian(flat_reward_field(sys), U0.ravel(), h)
+    J = fd_jacobian(flat_reward_field(sys), U0.ravel(), 1e-5)
     blocks = J.reshape(N, d, N, d).transpose(0, 2, 1, 3)  # blocks[n, m]: d(F_n)/d(u_m)
     own = blocks[np.arange(N), np.arange(N)]
     diag_margin = float(np.min(np.linalg.eigvalsh(-0.5 * (own + own.swapaxes(1, 2)))[:, 0]))
@@ -106,16 +107,12 @@ def weak_coupling_diagnostic(sys: SystemInstance, u=None, h: float = 1e-5) -> We
 
 @dataclass(frozen=True)
 class PollingConfig:
-    """Knobs for run_stage.
+    """Settings for run_stage.
 
     mode is one of PLAY_MODES. schedule supplies (tau, lam, gamma) for the
     damped modes; when omitted, two_stage and single_stage estimate one from
-    box (which is then required) and tikhonov falls back to lam = 100.
-    Oscillation classification (simultaneous and sequential modes only)
-    flags sustained alternation: osc_window consecutive rounds whose
-    successive increments point in opposing directions (cosine <= osc_cos)
-    without decaying fast enough (ratio >= osc_decay) while still far from
-    convergence. An exact period-2 cycle raises immediately in any mode.
+    box (which is then required) and tikhonov uses StepSchedule's default
+    lam = 100. The stopping and oscillation rules are fixed (see run_stage).
     """
 
     mode: str = "simultaneous"
@@ -123,17 +120,14 @@ class PollingConfig:
     max_rounds: int = 500
     schedule: Optional[StepSchedule] = None
     box: Optional[tuple] = None
-    osc_window: int = 10
-    osc_cos: float = -0.99
-    osc_decay: float = 0.8
-    detect_oscillation: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in PLAY_MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {PLAY_MODES}")
-        if self.tol <= 0 or self.max_rounds < 1 or self.osc_window < 2:
-            raise ConfigError("tol must be > 0, max_rounds >= 1, osc_window >= 2")
+        if not (0 < self.tol < math.inf) or isinstance(self.max_rounds, bool) \
+                or not isinstance(self.max_rounds, Integral) or self.max_rounds < 1:
+            raise ConfigError(f"tol must be finite and > 0 and max_rounds an integer >= 1 "
+                              f"(got tol={self.tol!r}, max_rounds={self.max_rounds!r})")
 
 
 @dataclass(frozen=True)
@@ -171,15 +165,14 @@ def _resolve_schedule(sys, cfg: PollingConfig) -> Optional[StepSchedule]:
         return cfg.schedule
     sched = cfg.schedule
     if cfg.mode == "tikhonov":
-        # only lam is consumed; any placeholder tau keeps the schedule valid
-        return sched if sched is not None else StepSchedule(tau=1.0, lam=100.0)
+        return sched if sched is not None else StepSchedule()
     if sched is not None and (sched.gamma is not None or sched.tau is not None):
         return sched
     if cfg.box is None:
         raise ConfigError(f"mode {cfg.mode!r} needs a step size (gamma or tau in the "
                           "schedule) or a box to estimate one from")
     try:
-        est = default_schedule(sys, cfg.box, seed=cfg.seed)
+        est = default_schedule(sys, cfg.box)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if sched is None:
@@ -187,48 +180,35 @@ def _resolve_schedule(sys, cfg: PollingConfig) -> Optional[StepSchedule]:
     return StepSchedule(tau=est.tau, lam=sched.lam, gamma=est.tau)
 
 
-class _AlternationClassifier:
-    """Flags sustained sign-flipping increments that refuse to decay.
+# Strong symmetric coupling drives parallel best responses into an
+# alternation u^k = c +/- r^k v with ratio r close to 1: each increment nearly
+# reverses the previous one and shrinks slowly. Requiring both for
+# _ALT_WINDOW consecutive rounds, while the stage is still unconverged,
+# separates that from ordinary damped overshoot, whose increments decay fast
+# even when they alternate in sign.
+_ALT_WINDOW = 10
+_ALT_COS = -0.99
+_ALT_RATIO = 0.8
 
-    Strong symmetric coupling drives parallel best responses into an
-    alternation u^k = c +/- r^k v with ratio r close to 1: each increment
-    nearly reverses the previous one and shrinks slowly. Requiring both for
-    osc_window consecutive rounds, while the stage is still unconverged,
-    separates that from ordinary damped overshoot, whose increments decay
-    fast even when they alternate in sign.
-    """
 
-    def __init__(self, window: int, cos_thresh: float, decay_thresh: float):
-        self.window = window
-        self.cos_thresh = cos_thresh
-        self.decay_thresh = decay_thresh
-        self.prev_delta = None
-        self.streak = 0
-
-    def update(self, delta: np.ndarray) -> bool:
-        dn = float(np.linalg.norm(delta))
-        hit = False
-        if self.prev_delta is not None:
-            pn = float(np.linalg.norm(self.prev_delta))
-            if dn > 0 and pn > 0:
-                cos = float(delta.ravel() @ self.prev_delta.ravel()) / (dn * pn)
-                if cos <= self.cos_thresh and dn / pn >= self.decay_thresh:
-                    hit = True
-        self.streak = self.streak + 1 if hit else 0
-        self.prev_delta = delta.copy()
-        return self.streak >= self.window
+def _alternates(delta: np.ndarray, prev: np.ndarray) -> bool:
+    """Whether an increment nearly reverses the previous one without shrinking much."""
+    dn, pn = float(np.linalg.norm(delta)), float(np.linalg.norm(prev))
+    return dn > 0 and pn > 0 and (float(delta.ravel() @ prev.ravel()) / (dn * pn) <= _ALT_COS
+                                  and dn / pn >= _ALT_RATIO)
 
 
 def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     """Iterates the configured play mode at frozen states until convergence.
 
     Returns the StageTrace on success. Raises NonConvergenceError with
-    reason "oscillation" when play cycles (exact period-2, or sustained
-    alternation under simultaneous or sequential play) and reason
-    "max_rounds" when the budget runs out; the partial trace rides on the
-    exception. One sequential round is a full sweep of all N agents. A
-    BestResponseError leaves with the 1-based round it happened in; a damped
-    mode whose step size cannot be estimated raises ConfigError.
+    reason "oscillation" when play cycles (an exact period-2 cycle in any
+    mode, or _ALT_WINDOW rounds of sustained alternation under simultaneous
+    or sequential play) and reason "max_rounds" when the budget runs out;
+    the partial trace rides on the exception. One sequential round is a full
+    sweep of all N agents. A BestResponseError leaves with the 1-based round
+    it happened in; a damped mode whose step size cannot be estimated raises
+    ConfigError.
     """
     U = joint_action(sys, u0).copy()
     sched = _resolve_schedule(sys, cfg)
@@ -256,8 +236,7 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     if float(np.max(np.abs(F(U)))) <= tol:
         return trace(True)
 
-    classify = (cfg.detect_oscillation and cfg.mode in ("simultaneous", "sequential"))
-    alt = _AlternationClassifier(cfg.osc_window, cfg.osc_cos, cfg.osc_decay)
+    streak = 0          # consecutive alternating rounds
     u_two_ago = None
     u_tilde = U.copy()  # single_stage coordinator sequence
     t = 0               # sequential agent pointer
@@ -298,9 +277,11 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
             raise NonConvergenceError(
                 f"exact period-2 cycle detected at round {k}",
                 reason="oscillation", trace=trace(False), last=u_new)
-        if classify and alt.update(u_new - U):
+        if cfg.mode in ("simultaneous", "sequential") and u_two_ago is not None:
+            streak = streak + 1 if _alternates(u_new - U, U - u_two_ago) else 0
+        if streak >= _ALT_WINDOW:
             raise NonConvergenceError(
-                f"sustained alternation over {cfg.osc_window} rounds at round {k} "
+                f"sustained alternation over {_ALT_WINDOW} rounds at round {k} "
                 f"(residual {f_inf:.3e})",
                 reason="oscillation", trace=trace(False), last=u_new)
 

@@ -165,9 +165,9 @@ def _grid(sys: SystemInstance, box) -> np.ndarray:
     return _newton_polish(sys, best_u)
 
 
-def _multistart(sys: SystemInstance, box, n_starts: int = 32, seed: int = 0) -> np.ndarray:
+def _multistart(sys: SystemInstance, box, n_starts: int = 32) -> np.ndarray:
     lo, hi = _box_arrays(sys, box)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     f = _welfare_rows(sys)
     best_w = -np.inf
     best_u = None
@@ -181,8 +181,7 @@ def _multistart(sys: SystemInstance, box, n_starts: int = 32, seed: int = 0) -> 
     return best_u
 
 
-def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form",
-                      seed: int = 0) -> OracleResult:
+def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form") -> OracleResult:
     """Reference joint welfare maximizer.
 
     method "closed_form" probes the stationarity system (quadratic welfare
@@ -225,7 +224,7 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
                           "to newton_multistart")
             if box is None:
                 raise ValueError("multistart fallback requires a box")
-            u = _multistart(sys, box, seed=seed)
+            u = _multistart(sys, box)
             method = "newton_multistart"
     elif method == "grid":
         if box is None:
@@ -234,7 +233,7 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
     elif method == "newton_multistart":
         if box is None:
             raise ValueError("newton_multistart requires a box")
-        u = _multistart(sys, box, seed=seed)
+        u = _multistart(sys, box)
     else:
         raise ValueError(f"unknown oracle method: {method}")
     u_star = u.reshape(sys.N, sys.d)

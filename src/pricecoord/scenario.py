@@ -41,25 +41,25 @@ COUPLING_SPECS = ("separation_barrier", "consensus_quadratic")
 
 # Type of every config field, top level and in the mode object ("mode.<key>"),
 # checked first so a wrong type is a ConfigError naming the field. JSON true
-# and false are bools, which Python counts as integers: only bool takes them.
+# and false are bools, which Python counts as integers: no field takes them.
 _FIELD_TYPES = {
     "N": Integral, "d": Integral, "seed": Integral, "horizon": Integral,
     "coupling_strength": Real, "safety_radius": Real, "box": (list, tuple), "noise_std": Real,
     "utility_spec": str, "coupling_spec": str, "mode": dict, "mode.mode": str,
     "mode.tol": Real, "mode.max_rounds": Integral, "mode.tau": Real, "mode.lam": Real,
-    "mode.gamma": Real, "mode.osc_window": Integral, "mode.osc_cos": Real,
-    "mode.osc_decay": Real, "mode.detect_oscillation": bool, "mode.seed": Integral}
+    "mode.gamma": Real}
 _TYPE_NAMES = {Integral: "an integer", Real: "a finite number",
                (list, tuple): "a [lo, hi] list of finite numbers", str: "a string",
-               dict: "an object", bool: "true or false"}
+               dict: "an object"}
 _TOP_KEYS = tuple(key for key in _FIELD_TYPES if "." not in key)
 _MODE_KEYS = tuple(key[5:] for key in _FIELD_TYPES if key.startswith("mode."))
 
 
 def _is_a(value, expected) -> bool:
-    """isinstance, except that only bool takes JSON true and false and that a
-    Real must lie in the float range: Python's json reads NaN and Infinity."""
-    return (isinstance(value, bool) == (expected is bool) and isinstance(value, expected)
+    """isinstance, except that no field type takes JSON true and false and
+    that a Real must lie in the float range: Python's json reads NaN and
+    Infinity."""
+    return (not isinstance(value, bool) and isinstance(value, expected)
             and (expected is not Real or abs(value) <= sys.float_info.max))
 
 
@@ -75,9 +75,10 @@ class ScenarioConfig:
     """Declarative description of one synthetic instance plus how to run it.
 
     mode holds polling fields by name (mode, tol, max_rounds, optional
-    scalar tau/lam/gamma forming a step schedule, oscillation knobs); box is
-    a global (lo, hi) pair applied per action coordinate. d is free to be 1
-    for scalar diagnostics even though the vehicle story suggests 2 or 3.
+    scalar tau/lam/gamma forming a step schedule, lam defaulting to 100);
+    box is a global (lo, hi) pair applied per action coordinate. d is free
+    to be 1 for scalar diagnostics even though the vehicle story suggests 2
+    or 3.
     """
 
     N: int
@@ -171,10 +172,8 @@ def polling_config(cfg: ScenarioConfig, mode_override: Optional[str] = None) -> 
     m = dict(cfg.mode)
     if mode_override is not None:
         m["mode"] = mode_override
-    sched = None
-    if any(k in m for k in ("tau", "lam", "gamma")):
-        sched = StepSchedule(tau=m.pop("tau", None), lam=m.pop("lam", 100.0),
-                             gamma=m.pop("gamma", None))
+    steps = {k: m.pop(k) for k in ("tau", "lam", "gamma") if k in m}
+    sched = StepSchedule(**steps) if steps else None
     size = cfg.N * cfg.d
     box = (np.full(size, cfg.box[0]), np.full(size, cfg.box[1]))
     return PollingConfig(schedule=sched, box=box, **m)

@@ -29,6 +29,8 @@ def test_schedule_missing_or_nonpositive_entries():
         pc.StepSchedule(tau=-0.1, lam=1.0).tau_at(1)
     with pytest.raises(ValueError):
         pc.StepSchedule(tau=1.0, lam=0.0).lam_at(1)
+    with pytest.raises(ValueError, match="tau is an empty sequence"):
+        pc.StepSchedule(tau=[]).tau_at(1)
 
 
 # ------------------------------------------------------------- VI iteration

@@ -37,6 +37,10 @@ def test_config_validation():
         base_config(mode={"mode": "parallel"})
     with pytest.raises(pc.ConfigError):
         base_config(mode={"step": 0.5})  # unknown mode key
+    for key, value in (("osc_window", 10), ("osc_cos", -0.99), ("osc_decay", 0.8),
+                       ("detect_oscillation", True), ("seed", 0)):
+        with pytest.raises(pc.ConfigError, match=key):  # removed: the oscillation rule is fixed
+            base_config(mode={key: value})
 
 
 def test_config_dict_round_trip():
