@@ -36,7 +36,7 @@ def run_mode(sys, mode):
     if mode in ("two_stage", "single_stage"):
         kwargs["box"] = box
     if mode == "tikhonov":
-        kwargs["schedule"] = pc.StepSchedule(tau=1.0, lam=20.0)
+        kwargs["lam"] = 20.0
     try:
         trace = pc.run_stage(sys, np.zeros((2, 1)), pc.PollingConfig(mode=mode, **kwargs))
     except pc.NonConvergenceError as exc:

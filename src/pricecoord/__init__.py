@@ -39,9 +39,7 @@ from .numerics import fd_gradient
 from .oracle import OracleResult, joint_welfare, joint_welfare_opt
 from .equilibrium import (
     CoCoercivityEstimate,
-    OperatorField,
     SingleStageUpdate,
-    StepSchedule,
     TwoStageUpdate,
     coupling_slices,
     default_schedule,

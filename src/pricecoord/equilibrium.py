@@ -1,5 +1,5 @@
 """Fictitious-play iterations and the variational-inequality projection
-solver they reduce to, plus co-coercivity estimation and step-size rules.
+solver they reduce to, plus co-coercivity estimation and the default step.
 
 The stacked operator F(u) = (grad_{u_1} R_1, ..., grad_{u_N} R_N) collects
 each agent's reward gradient (private utility plus the shared coupling,
@@ -9,16 +9,16 @@ orientation used here.
 
 Proximal bookkeeping: GameSpec's proximal term is -lam ||u - anchor||^2 with
 gradient -2 lam (u - anchor). The two-stage, single-stage, and Tikhonov plays
-pose lam_k / 2 so their stationarity condition carries the coefficient
-lam_k(u - anchor) exactly as the step-size analysis assumes; the gap bound
-||u_hat - u_prev|| <= N D / lam_k and the probe-identity extraction of the
+pose lam / 2 so their stationarity condition carries the coefficient
+lam (u - anchor) exactly as the step-size analysis assumes; the gap bound
+||u_hat - u_prev|| <= N D / lam and the probe-identity extraction of the
 agent's private gradient both rely on this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,16 +28,7 @@ from .model import SystemInstance, joint_action, joint_next_state, step
 
 
 # ---------------------------------------------------------------------------
-# operator fields and the projection solver
-
-@dataclass(frozen=True)
-class OperatorField:
-    """A vector field u -> F(u) on a box K given by per-coordinate bounds
-    (lo, hi) as arrays; box None means unconstrained."""
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    box: tuple | None = None
-
+# boxes and the projection solver
 
 def uniform_box(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.full(m, float(lo)), np.full(m, float(hi))
@@ -50,64 +41,27 @@ def project(box, u: np.ndarray) -> np.ndarray:
     return np.clip(u, lo, hi)
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step sequences (tau_k, lam_k, gamma_k), 1-indexed in k.
+def vi_project_iterate(F, u0, tau: float, box=None, tol: float = 1e-8, max_iter: int = 1000):
+    """Projection iteration u^k = Pi_K(u^{k-1} + tau F(u^{k-1})).
 
-    Each entry may be a scalar, a sequence (last value repeats), or a
-    callable k -> value. gamma defaults to tau. The convergence theory wants
-    0 < inf tau_k <= sup tau_k < 2c for the estimated co-coercivity c;
-    default_schedule builds schedules honoring that with a 0.9 margin.
+    F is an ascent (reward-gradient) field, a callable on flat points; box
+    is K as per-coordinate bounds (lo, hi), None for unconstrained. The
+    convergence theory wants 0 < tau < 2c for the field's co-coercivity c.
+    Stops at the first iterate whose projected residual
+    ||Pi_K(u + F(u)) - u||_inf is <= tol. Returns (u, trace) where trace rows
+    are (k, residual). Raises NonConvergenceError with the trace after
+    max_iter.
     """
-
-    tau: object = None
-    lam: object = 100.0
-    gamma: object = None
-
-    @staticmethod
-    def _at(value, k: int, name: str) -> float:
-        if value is None:
-            raise ValueError(f"schedule has no {name}; set it or use default_schedule")
-        if callable(value):
-            v = float(value(k))
-        elif np.ndim(value) == 0:
-            v = float(value)
-        else:
-            seq = np.asarray(value, dtype=float)
-            if seq.size == 0:
-                raise ValueError(f"schedule {name} is an empty sequence")
-            v = float(seq[min(k - 1, seq.size - 1)])
-        if not v > 0:
-            raise ValueError(f"{name}_{k} must be positive, got {v}")
-        return v
-
-    def tau_at(self, k: int) -> float:
-        return self._at(self.tau, k, "tau")
-
-    def lam_at(self, k: int) -> float:
-        return self._at(self.lam, k, "lam")
-
-    def gamma_at(self, k: int) -> float:
-        return self._at(self.gamma if self.gamma is not None else self.tau, k, "gamma")
-
-
-def vi_project_iterate(F: OperatorField, u0, sched: StepSchedule,
-                       tol: float = 1e-8, max_iter: int = 1000):
-    """Projection iteration u^k = Pi_K(u^{k-1} + tau_k F(u^{k-1})).
-
-    F is an ascent (reward-gradient) field. Stops at the first iterate whose
-    projected residual ||Pi_K(u + F(u)) - u||_inf is <= tol. Returns
-    (u, trace) where trace rows are (k, residual). Raises NonConvergenceError
-    with the trace after max_iter.
-    """
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     u = np.asarray(u0, dtype=float).copy()
     trace = []
-    resid = float(np.max(np.abs(project(F.box, u + F.eval(u)) - u)))
+    resid = float(np.max(np.abs(project(box, u + F(u)) - u)))
     if resid <= tol:
         return u, trace
     for k in range(1, max_iter + 1):
-        u = project(F.box, u + sched.tau_at(k) * F.eval(u))
-        resid = float(np.max(np.abs(project(F.box, u + F.eval(u)) - u)))
+        u = project(box, u + tau * F(u))
+        resid = float(np.max(np.abs(project(box, u + F(u)) - u)))
         trace.append((k, resid))
         if resid <= tol:
             return u, trace
@@ -181,15 +135,15 @@ def flat_reward_field(sys: SystemInstance):
     return lambda u_flat: F(u_flat.reshape(sys.N, sys.d)).ravel()
 
 
-def default_schedule(sys: SystemInstance, box) -> StepSchedule:
-    """tau_k = gamma_k = min(0.9 * 2 * c_hat, 1) and the default lam_k = 100,
-    with c_hat estimated for the instance's reward field over the flat box."""
+def default_schedule(sys: SystemInstance, box) -> float:
+    """The default step gamma = min(0.9 * 2 * c_hat, 1), with c_hat estimated
+    for the instance's reward field over the flat box: a 0.9 margin under
+    the 2c bound of the convergence theory."""
     est = estimate_cocoercivity(flat_reward_field(sys), box)
     if not est.co_coercive:
         raise ValueError(f"reward field not co-coercive on the box (c_hat={est.c_hat:.3e}); "
-                         "supply an explicit StepSchedule")
-    tau = min(0.9 * 2.0 * est.c_hat, 1.0)
-    return StepSchedule(tau=tau, gamma=tau)
+                         "supply an explicit gamma")
+    return min(0.9 * 2.0 * est.c_hat, 1.0)
 
 
 def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
@@ -268,12 +222,10 @@ def stage2_probe_target(anchor, gamma: float, utility_grad, coupling_grad) -> np
         np.asarray(utility_grad, float) + np.asarray(coupling_grad, float))
 
 
-def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, k: int,
-                    sched: StepSchedule):
+def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, lam: float,
+                    gamma: float):
     """(responses, net update, extracted grad U): proximal responses anchored
-    at U against `frozen` opponents, and U + gamma_k (grad U_n + grad_n G)."""
-    lam = sched.lam_at(k)
-    gamma = sched.gamma_at(k)
+    at U against `frozen` opponents, and U + gamma (grad U_n + grad_n G)."""
     resp, slices = _responses(sys, range(sys.N), frozen, U, lam)
     G = sys.coupling.grad(joint_next_state(sys, resp))
     slice_grads = np.array([s.grad(r) for s, r in zip(slices, resp)])
@@ -288,18 +240,17 @@ class TwoStageUpdate(NamedTuple):
     utility_grads: np.ndarray  # extracted grad U_n(u_hat_n), coordinator-side
 
 
-def two_stage_update(sys: SystemInstance, u_prev, k: int,
-                     sched: StepSchedule) -> TwoStageUpdate:
+def two_stage_update(sys: SystemInstance, u_prev, lam: float, gamma: float) -> TwoStageUpdate:
     """One round of two-stage play, exposing the probe internals.
 
     Stage 1: each agent solves grad U_n(u_hat) + grad_n G(u_hat, u_prev_{-n})
-    - lam_k (u_hat - u_prev_n) = 0. Stage 2 is applied as the derived net
-    update u^k = u^{k-1} + gamma_k (grad U_n(u_hat_n) + grad_n G(u_hat)),
+    - lam (u_hat - u_prev_n) = 0. Stage 2 is applied as the derived net
+    update u^k = u^{k-1} + gamma (grad U_n(u_hat_n) + grad_n G(u_hat)),
     with grad U extracted via probe_utility_gradient; the equivalent posed
     probe game is available through stage2_probe_target.
     """
     U = joint_action(sys, u_prev)
-    u_hat, u_next, g_util = _proximal_round(sys, U, U, k, sched)
+    u_hat, u_next, g_util = _proximal_round(sys, U, U, lam, gamma)
     return TwoStageUpdate(u=u_next, u_hat=u_hat, utility_grads=g_util)
 
 
@@ -309,28 +260,28 @@ class SingleStageUpdate(NamedTuple):
     utility_grads: np.ndarray  # extracted grad U_n(u_n^k)
 
 
-def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, k: int,
-                        sched: StepSchedule) -> SingleStageUpdate:
+def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, lam: float,
+                        gamma: float) -> SingleStageUpdate:
     """One round of single-stage play.
 
     Agents best-respond to the proximal probe anchored at their own previous
     response, with opponents frozen at the coordinator sequence
     u_tilde^{k-1}; the coordinator then advances
-    u_tilde^k = u^{k-1} + gamma_k (grad U_n(u_n^k) + grad_n G(u^k)) using only
+    u_tilde^k = u^{k-1} + gamma (grad U_n(u_n^k) + grad_n G(u^k)) using only
     known quantities (grad U extracted via the probe identity).
     """
     U = joint_action(sys, u_prev)
     resp, u_tilde, g_util = _proximal_round(sys, U, joint_action(sys, u_tilde_prev),
-                                            k, sched)
+                                            lam, gamma)
     return SingleStageUpdate(u=resp, u_tilde=u_tilde, utility_grads=g_util)
 
 
-def play_tikhonov(sys: SystemInstance, u_prev, k: int, sched: StepSchedule) -> np.ndarray:
+def play_tikhonov(sys: SystemInstance, u_prev, lam: float) -> np.ndarray:
     """Proximally regularized full step: each agent maximizes its reward plus
     the Tikhonov anchor term; the responses are the next iterate directly
-    (a perturbed projection step with effective step 1/lam_k)."""
+    (a perturbed projection step with effective step 1/lam)."""
     U = joint_action(sys, u_prev)
-    return _responses(sys, range(sys.N), U, U, sched.lam_at(k))[0]
+    return _responses(sys, range(sys.N), U, U, lam)[0]
 
 
 def grid_gradient_bound(sys: SystemInstance, box) -> float:

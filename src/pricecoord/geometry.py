@@ -33,6 +33,7 @@ no gauge is imposed and none is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,6 +155,8 @@ def sliding_connection(samples: Sequence[TrajectorySample], window: int = 50,
     if window < 2:
         raise ValueError("window must be >= 2")
     stride = window if stride is None else stride
+    if isinstance(stride, bool) or not isinstance(stride, Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     out = []
     for start in range(0, max(len(samples) - window + 1, 1), stride):
         chunk = samples[start:start + window]
@@ -166,11 +169,11 @@ def sliding_connection(samples: Sequence[TrajectorySample], window: int = 50,
     return out
 
 
-def transport(model: ConnectionModel, z, xi, dz) -> np.ndarray:
-    """Transports the field value xi at z along the step dz:
+def transport(model: ConnectionModel, xi, dz) -> np.ndarray:
+    """Transports the field value xi along the step dz:
     xi + [dz^T d_j + dz^T Gamma_j xi_lift]_j. Linear in dz for fixed xi and
-    affine in xi for fixed dz, by construction. z is accepted for interface
-    symmetry; locally constant coefficients do not use it."""
+    affine in xi for fixed dz, by construction; the coefficients are locally
+    constant, so the base point does not enter."""
     xi = np.asarray(xi, dtype=float).ravel()
     dz = np.asarray(dz, dtype=float).ravel()
     if xi.size != model.d or dz.size != 2 * model.d:
@@ -181,8 +184,8 @@ def transport(model: ConnectionModel, z, xi, dz) -> np.ndarray:
 
 
 def predict_delta(model: ConnectionModel, xi, dz) -> np.ndarray:
-    """The increment transport adds: transport(model, z, xi, dz) - xi."""
-    return transport(model, None, xi, dz) - np.asarray(xi, dtype=float).ravel()
+    """The increment transport adds: transport(model, xi, dz) - xi."""
+    return transport(model, xi, dz) - np.asarray(xi, dtype=float).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import BestResponseError, ConfigError, NonConvergenceError
 from .model import SystemInstance, batch_welfare, joint_action
 from .numerics import fd_jacobian
 from .equilibrium import (
-    StepSchedule,
     default_schedule,
     flat_reward_field,
     play_sequential,
@@ -109,16 +108,17 @@ def weak_coupling_diagnostic(sys: SystemInstance, u=None) -> WeakCouplingReport:
 class PollingConfig:
     """Settings for run_stage.
 
-    mode is one of PLAY_MODES. schedule supplies (tau, lam, gamma) for the
-    damped modes; when omitted, two_stage and single_stage estimate one from
-    box (which is then required) and tikhonov uses StepSchedule's default
-    lam = 100. The stopping and oscillation rules are fixed (see run_stage).
+    mode is one of PLAY_MODES. lam is the proximal weight of two_stage,
+    single_stage and tikhonov; gamma is the step of two_stage and
+    single_stage, which estimate it from box (then required) when it is
+    None. The stopping and oscillation rules are fixed (see run_stage).
     """
 
     mode: str = "simultaneous"
     tol: float = 1e-8
     max_rounds: int = 500
-    schedule: Optional[StepSchedule] = None
+    lam: float = 100.0
+    gamma: Optional[float] = None
     box: Optional[tuple] = None
 
     def __post_init__(self):
@@ -128,6 +128,12 @@ class PollingConfig:
                 or not isinstance(self.max_rounds, Integral) or self.max_rounds < 1:
             raise ConfigError(f"tol must be finite and > 0 and max_rounds an integer >= 1 "
                               f"(got tol={self.tol!r}, max_rounds={self.max_rounds!r})")
+        for name, value in (("lam", self.lam), ("gamma", self.gamma)):
+            if name == "gamma" and value is None:
+                continue  # run_stage estimates it from box
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+                raise ConfigError(f"polling field {name!r} must be a finite number > 0, "
+                                  f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -160,24 +166,18 @@ class StageTrace:
                  float(self.residual[i])) for i in range(self.rounds.size)]
 
 
-def _resolve_schedule(sys, cfg: PollingConfig) -> Optional[StepSchedule]:
-    if cfg.mode in ("simultaneous", "sequential"):
-        return cfg.schedule
-    sched = cfg.schedule
-    if cfg.mode == "tikhonov":
-        return sched if sched is not None else StepSchedule()
-    if sched is not None and (sched.gamma is not None or sched.tau is not None):
-        return sched
+def _step(sys, cfg: PollingConfig) -> Optional[float]:
+    """gamma for the stage: cfg.gamma, or for two_stage and single_stage
+    without one the default step estimated from cfg.box."""
+    if cfg.gamma is not None or cfg.mode not in ("two_stage", "single_stage"):
+        return cfg.gamma
     if cfg.box is None:
-        raise ConfigError(f"mode {cfg.mode!r} needs a step size (gamma or tau in the "
-                          "schedule) or a box to estimate one from")
+        raise ConfigError(f"mode {cfg.mode!r} needs a step size (gamma) or a box to "
+                          "estimate one from")
     try:
-        est = default_schedule(sys, cfg.box)
+        return default_schedule(sys, cfg.box)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if sched is None:
-        return est
-    return StepSchedule(tau=est.tau, lam=sched.lam, gamma=est.tau)
 
 
 # Strong symmetric coupling drives parallel best responses into an
@@ -211,7 +211,7 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     ConfigError.
     """
     U = joint_action(sys, u0).copy()
-    sched = _resolve_schedule(sys, cfg)
+    gamma = _step(sys, cfg)
     F = reward_field(sys)
     tol = cfg.tol
 
@@ -239,7 +239,6 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     streak = 0          # consecutive alternating rounds
     u_two_ago = None
     u_tilde = U.copy()  # single_stage coordinator sequence
-    t = 0               # sequential agent pointer
 
     for k in range(1, cfg.max_rounds + 1):
         try:
@@ -247,16 +246,15 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
                 u_new = play_simultaneous(sys, U)
             elif cfg.mode == "sequential":
                 u_new = U
-                for _ in range(sys.N):
-                    u_new = play_sequential(sys, u_new, t)
-                    t += 1
+                for n in range(sys.N):
+                    u_new = play_sequential(sys, u_new, n)
             elif cfg.mode == "two_stage":
-                u_new = two_stage_update(sys, U, k, sched).u
+                u_new = two_stage_update(sys, U, cfg.lam, gamma).u
             elif cfg.mode == "single_stage":
-                upd = single_stage_update(sys, U, u_tilde, k, sched)
+                upd = single_stage_update(sys, U, u_tilde, cfg.lam, gamma)
                 u_new, u_tilde = upd.u, upd.u_tilde
             else:
-                u_new = play_tikhonov(sys, U, k, sched)
+                u_new = play_tikhonov(sys, U, cfg.lam)
         except BestResponseError as exc:
             exc.round = k
             raise

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .mechanism import PLAY_MODES, PollingConfig
-from .equilibrium import StepSchedule
 from .model import (
     CouplingFunction,
     LinearDynamics,
@@ -46,8 +45,7 @@ _FIELD_TYPES = {
     "N": Integral, "d": Integral, "seed": Integral, "horizon": Integral,
     "coupling_strength": Real, "safety_radius": Real, "box": (list, tuple), "noise_std": Real,
     "utility_spec": str, "coupling_spec": str, "mode": dict, "mode.mode": str,
-    "mode.tol": Real, "mode.max_rounds": Integral, "mode.tau": Real, "mode.lam": Real,
-    "mode.gamma": Real}
+    "mode.tol": Real, "mode.max_rounds": Integral, "mode.lam": Real, "mode.gamma": Real}
 _TYPE_NAMES = {Integral: "an integer", Real: "a finite number",
                (list, tuple): "a [lo, hi] list of finite numbers", str: "a string",
                dict: "an object"}
@@ -74,9 +72,9 @@ def _check_type(field: str, value) -> None:
 class ScenarioConfig:
     """Declarative description of one synthetic instance plus how to run it.
 
-    mode holds polling fields by name (mode, tol, max_rounds, optional
-    scalar tau/lam/gamma forming a step schedule, lam defaulting to 100);
-    box is a global (lo, hi) pair applied per action coordinate. d is free
+    mode holds PollingConfig fields by name (mode, tol, max_rounds, the
+    proximal weight lam, default 100, and the step gamma, estimated from the
+    box when absent); box is a global (lo, hi) pair applied per action coordinate. d is free
     to be 1 for scalar diagnostics even though the vehicle story suggests 2
     or 3.
     """
@@ -172,11 +170,9 @@ def polling_config(cfg: ScenarioConfig, mode_override: Optional[str] = None) -> 
     m = dict(cfg.mode)
     if mode_override is not None:
         m["mode"] = mode_override
-    steps = {k: m.pop(k) for k in ("tau", "lam", "gamma") if k in m}
-    sched = StepSchedule(**steps) if steps else None
     size = cfg.N * cfg.d
     box = (np.full(size, cfg.box[0]), np.full(size, cfg.box[1]))
-    return PollingConfig(schedule=sched, box=box, **m)
+    return PollingConfig(box=box, **m)
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,7 @@ def test_c05_weak_coupling_converges_strong_flagged():
     np.testing.assert_allclose(seq.u_final, opt_strong.u_star, atol=1e-6)
 
     tik = pc.run_stage(strong, np.zeros((2, 1)),
-                       pc.PollingConfig(mode="tikhonov",
-                                        schedule=pc.StepSchedule(tau=1.0, lam=20.0)))
+                       pc.PollingConfig(mode="tikhonov", lam=20.0))
     assert tik.converged
     np.testing.assert_allclose(tik.u_final, opt_strong.u_star, atol=1e-6)
 
@@ -205,14 +204,15 @@ def test_c06_vi_step_rule_and_cocoercivity():
     (0, 2) and diverges at 2.5; the co-coercivity probe recovers 1/lambda_max
     within 5% on random SPD affine fields."""
     b = np.array([1.0, 0.5, -0.25])
-    field = pc.OperatorField(eval=lambda u: b - u)
+
+    def field(u):
+        return b - u
+
     for tau in (0.1, 0.5, 1.0, 1.5, 1.9):
-        u, _ = pc.vi_project_iterate(field, np.zeros(3),
-                                     pc.StepSchedule(tau=tau), tol=1e-10)
+        u, _ = pc.vi_project_iterate(field, np.zeros(3), tau, tol=1e-10)
         np.testing.assert_allclose(u, b, atol=1e-8)
     with pytest.raises(pc.NonConvergenceError) as exc:
-        pc.vi_project_iterate(field, np.zeros(3),
-                              pc.StepSchedule(tau=2.5), max_iter=50)
+        pc.vi_project_iterate(field, np.zeros(3), 2.5, max_iter=50)
     assert exc.value.trace[-1][1] > exc.value.trace[0][1]
 
     rng = fresh_rng()
@@ -229,32 +229,30 @@ def test_c06_vi_step_rule_and_cocoercivity():
 
 def test_c07_proximal_gap_and_stage_limits():
     """The stage-1 proximal responses never move further from the anchor
-    than N * D / lam_k, with D estimated on a grid; with steps below twice
+    than N * D / lam, with D estimated on a grid; with steps below twice
     both estimated co-coercivity constants, the two-stage and single-stage
     iterations converge to the oracle optimum."""
     box = pc.uniform_box(-2.0, 2.0, 2)
     for eps, max_rounds in ((0.1, 400), (10.0, 150)):
         sys = make_two_agent_scalar(eps)
         D = pc.grid_gradient_bound(sys, (-2.0, 2.0))
-        sched = pc.default_schedule(sys, box)
+        lam, gamma = 100.0, pc.default_schedule(sys, box)
         F = pc.flat_reward_field(sys)
         c1 = pc.estimate_cocoercivity(F, box)
 
         def residual_field(u_flat, sys=sys, F=F):
-            probe = pc.StepSchedule(tau=1.0, lam=100.0, gamma=1.0)
             u = u_flat.reshape(2, 1)
-            upd = pc.two_stage_update(sys, u, 1, probe)
+            upd = pc.two_stage_update(sys, u, 100.0, 1.0)
             return F(u_flat) - F(upd.u_hat.ravel())
 
         c2 = pc.estimate_cocoercivity(residual_field, box, n_pairs=200)
-        gamma_sup = sched.gamma_at(1)
-        assert gamma_sup < 2.0 * min(c1.c_hat, c2.c_hat)
+        assert gamma < 2.0 * min(c1.c_hat, c2.c_hat)
 
         u = np.zeros((2, 1))
-        for k in range(1, max_rounds + 1):
-            upd = pc.two_stage_update(sys, u, k, sched)
+        for _ in range(max_rounds):
+            upd = pc.two_stage_update(sys, u, lam, gamma)
             gap = float(np.linalg.norm(upd.u_hat - u))
-            assert gap <= sys.N * D / sched.lam_at(k) + 1e-9
+            assert gap <= sys.N * D / lam + 1e-9
             delta = float(np.linalg.norm(upd.u - u))
             u = upd.u
             if delta < 1e-10:

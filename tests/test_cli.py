@@ -264,7 +264,7 @@ _AGENT = {"A": [[1.0]], "B": [[1.0]], "x0": [0.0]}
     ("simulate", {"coupling_strength": float("nan")}, "'coupling_strength'"),
     ("simulate", {"box": ["a", 1]}, "'box'"),
     ("simulate", {"box": [-1.0, float("inf")]}, "'box'"),
-    ("compare", {"mode": {"tau": float("nan")}}, "'mode.tau'"),
+    ("compare", {"mode": {"gamma": float("nan")}}, "'mode.gamma'"),
     ("identify", {"agents": [dict(_AGENT, A={})]}, "agent 0: field 'A'"),
     ("identify", {"agents": [dict(_AGENT, x0={})]}, "agent 0: field 'x0'"),
     ("identify", {"agents": [dict(_AGENT, B=[[float("nan")]])]}, "agent 0: field 'B'"),
@@ -273,7 +273,7 @@ _AGENT = {"A": [[1.0]], "B": [[1.0]], "x0": [0.0]}
 ], ids=["N_text", "N_fraction", "box_number", "safety_radius_text", "max_rounds_text",
         "compare_max_rounds_text", "agents_number", "agents_entry_number",
         "noise_std_infinite", "coupling_strength_nan", "box_text_entry", "box_infinite_entry",
-        "compare_tau_nan", "dynamics_A_object", "dynamics_x0_object", "dynamics_B_nan",
+        "compare_gamma_nan", "dynamics_A_object", "dynamics_x0_object", "dynamics_B_nan",
         "dynamics_N_text", "dynamics_d_mismatch"])
 def test_wrong_typed_input_field_is_named(tmp_path, capsys, command, over, field):
     if command == "identify":
@@ -290,6 +290,22 @@ def test_wrong_typed_input_field_is_named(tmp_path, capsys, command, over, field
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith("pricecoord: ") and field in err
+
+
+def test_bad_step_size_writes_nothing_and_names_its_field(tmp_path, capsys):
+    cfg = {"N": 3, "d": 2, "seed": 13, "horizon": 2, "mode": {"mode": "two_stage", "lam": -1.0}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(path), "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert "'lam'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg["mode"] = {"mode": "two_stage", "gamma": 0}
+    path.write_text(json.dumps(cfg))
+    rc = main(["compare", "--config", str(path), "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert not out.exists()
 
 
 def test_missing_config_path_exits_one(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Schedules, VI iteration, co-coercivity, play operators, bounds."""
+"""VI iteration, co-coercivity, play operators, bounds."""
 
 import numpy as np
 import pytest
@@ -7,42 +7,15 @@ import pricecoord as pc
 from conftest import make_two_agent_scalar, random_quadratic_instance, scalar_nash
 
 
-# ---------------------------------------------------------------- schedules
-
-def test_schedule_scalar_sequence_callable():
-    s = pc.StepSchedule(tau=0.5, lam=[10.0, 5.0], gamma=lambda k: 1.0 / k)
-    assert s.tau_at(1) == 0.5 and s.tau_at(9) == 0.5
-    assert s.lam_at(1) == 10.0 and s.lam_at(2) == 5.0 and s.lam_at(7) == 5.0
-    assert s.gamma_at(4) == 0.25
-
-
-def test_schedule_gamma_falls_back_to_tau():
-    s = pc.StepSchedule(tau=[0.8, 0.4], lam=1.0)
-    assert s.gamma_at(1) == 0.8 and s.gamma_at(3) == 0.4
-
-
-def test_schedule_missing_or_nonpositive_entries():
-    s = pc.StepSchedule(lam=1.0)
-    with pytest.raises(ValueError, match="has no tau"):
-        s.tau_at(1)
-    with pytest.raises(ValueError):
-        pc.StepSchedule(tau=-0.1, lam=1.0).tau_at(1)
-    with pytest.raises(ValueError):
-        pc.StepSchedule(tau=1.0, lam=0.0).lam_at(1)
-    with pytest.raises(ValueError, match="tau is an empty sequence"):
-        pc.StepSchedule(tau=[]).tau_at(1)
-
-
 # ------------------------------------------------------------- VI iteration
 
-def _affine_field(b, box=None):
-    return pc.OperatorField(eval=lambda u: b - u, box=box)
+def _affine_field(b):
+    return lambda u: b - u
 
 
 def test_vi_converges_in_one_step_at_unit_tau():
     b = np.array([2.0, -1.0])
-    u, trace = pc.vi_project_iterate(_affine_field(b), np.zeros(2),
-                                     pc.StepSchedule(tau=1.0))
+    u, trace = pc.vi_project_iterate(_affine_field(b), np.zeros(2), 1.0)
     np.testing.assert_allclose(u, b, atol=1e-12)
     assert len(trace) == 1
 
@@ -50,16 +23,14 @@ def test_vi_converges_in_one_step_at_unit_tau():
 def test_vi_converges_for_tau_below_two():
     b = np.array([1.0, 0.5, -0.25])
     for tau in (0.5, 1.5, 1.9):
-        u, _ = pc.vi_project_iterate(_affine_field(b), np.zeros(3),
-                                     pc.StepSchedule(tau=tau), tol=1e-10)
+        u, _ = pc.vi_project_iterate(_affine_field(b), np.zeros(3), tau, tol=1e-10)
         np.testing.assert_allclose(u, b, atol=1e-8)
 
 
 def test_vi_diverges_beyond_two():
     b = np.ones(1)
     with pytest.raises(pc.NonConvergenceError) as exc:
-        pc.vi_project_iterate(_affine_field(b), np.zeros(1),
-                              pc.StepSchedule(tau=2.5), max_iter=50)
+        pc.vi_project_iterate(_affine_field(b), np.zeros(1), 2.5, max_iter=50)
     assert exc.value.reason == "max_rounds"
     assert len(exc.value.trace) == 50
     # residual grew, it did not stall near the solution
@@ -70,17 +41,21 @@ def test_vi_respects_box_constraint():
     # b outside the box: the VI solution is the boundary point
     box = pc.uniform_box(-1.0, 1.0, 2)
     b = np.array([2.0, -3.0])
-    u, _ = pc.vi_project_iterate(_affine_field(b, box), np.zeros(2),
-                                 pc.StepSchedule(tau=0.7))
+    u, _ = pc.vi_project_iterate(_affine_field(b), np.zeros(2), 0.7, box=box)
     np.testing.assert_allclose(u, [1.0, -1.0], atol=1e-8)
 
 
 def test_vi_zero_rounds_when_started_at_solution():
     b = np.array([0.5])
-    u, trace = pc.vi_project_iterate(_affine_field(b), b.copy(),
-                                     pc.StepSchedule(tau=1.0))
+    u, trace = pc.vi_project_iterate(_affine_field(b), b.copy(), 1.0)
     assert trace == []
     np.testing.assert_allclose(u, b)
+
+
+@pytest.mark.parametrize("tau", [-0.1, 0.0, np.inf, np.nan])
+def test_vi_rejects_nonpositive_or_nonfinite_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        pc.vi_project_iterate(_affine_field(np.ones(1)), np.zeros(1), tau)
 
 
 # ------------------------------------------------------------ co-coercivity
@@ -117,9 +92,8 @@ def test_default_schedule_uses_estimated_constant():
     # two-agent scalar field is b - M u with eigenvalues {2, 2 + 4 eps};
     # c = 1/2.4 at eps = 0.1, so tau = min(0.9 * 2c, 1) = 0.75
     sys = make_two_agent_scalar(0.1)
-    sched = pc.default_schedule(sys, pc.uniform_box(-2, 2, 2))
-    assert abs(sched.tau_at(1) - 0.75) < 0.01
-    assert sched.gamma_at(1) == sched.tau_at(1)
+    tau = pc.default_schedule(sys, pc.uniform_box(-2, 2, 2))
+    assert abs(tau - 0.75) < 0.01
 
 
 # ------------------------------------------------------------- reward field
@@ -184,10 +158,9 @@ def test_sequential_play_updates_one_agent_per_call():
 
 def test_two_stage_update_probe_identities():
     sys = make_two_agent_scalar(0.1)
-    sched = pc.StepSchedule(tau=0.75, lam=50.0, gamma=0.75)
+    lam, gamma = 50.0, 0.75
     u_prev = np.array([[0.3], [-0.2]])
-    upd = pc.two_stage_update(sys, u_prev, 1, sched)
-    lam = sched.lam_at(1)
+    upd = pc.two_stage_update(sys, u_prev, lam, gamma)
     X_hat = pc.joint_next_state(sys, upd.u_hat)
     for n in range(2):
         g_true = sys.utilities[n].gradient_u(X_hat[n], upd.u_hat[n], sys.dynamics[n])
@@ -201,8 +174,7 @@ def test_two_stage_update_probe_identities():
         # stage-2 probe lands on anchor + gamma * estimated welfare gradient,
         # with the coupling part re-evaluated at the stage-1 responses
         g_coup = sys.dynamics[n].B.T @ sys.coupling.grad(X_hat)[n]
-        target = pc.stage2_probe_target(u_prev[n], sched.gamma_at(1),
-                                        upd.utility_grads[n], g_coup)
+        target = pc.stage2_probe_target(u_prev[n], gamma, upd.utility_grads[n], g_coup)
         np.testing.assert_allclose(upd.u[n], target, atol=1e-7)
 
 
@@ -211,19 +183,17 @@ def test_proximal_response_stays_within_gap_bound():
     box = pc.uniform_box(-2.0, 2.0, 2)
     D = pc.grid_gradient_bound(sys, (-2.0, 2.0))
     for lam in (10.0, 100.0, 1000.0):
-        sched = pc.StepSchedule(tau=0.5, lam=lam, gamma=0.5)
-        upd = pc.two_stage_update(sys, np.zeros((2, 1)), 1, sched)
+        upd = pc.two_stage_update(sys, np.zeros((2, 1)), lam, 0.5)
         gap = float(np.linalg.norm(upd.u_hat - np.zeros((2, 1))))
         assert gap <= sys.N * D / lam + 1e-9
 
 
 def test_single_stage_freezes_slice_at_auxiliary_sequence():
     sys = make_two_agent_scalar(0.1)
-    sched = pc.StepSchedule(tau=0.5, lam=20.0, gamma=0.5)
+    lam = 20.0
     u_prev = np.array([[0.1], [0.2]])
     u_tilde_prev = np.array([[-0.4], [0.6]])
-    upd = pc.single_stage_update(sys, u_prev, u_tilde_prev, 1, sched)
-    lam = sched.lam_at(1)
+    upd = pc.single_stage_update(sys, u_prev, u_tilde_prev, lam, 0.5)
     for n in range(2):
         # responses (.u) anchor at u_prev but see opponents frozen at the
         # coordinator sequence u_tilde_prev
@@ -237,8 +207,7 @@ def test_single_stage_freezes_slice_at_auxiliary_sequence():
 def test_tikhonov_play_fixes_nash():
     sys = make_two_agent_scalar(10.0)
     nash = scalar_nash(10.0)
-    sched = pc.StepSchedule(tau=1.0, lam=20.0)
-    u = pc.play_tikhonov(sys, nash, 1, sched)
+    u = pc.play_tikhonov(sys, nash, 20.0)
     np.testing.assert_allclose(u, nash, atol=1e-8)
 
 

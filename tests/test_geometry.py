@@ -120,10 +120,10 @@ def test_transport_shape_checks_and_zero_step(rng):
     util = pc.QuadraticUtility(Q=np.eye(d), R=np.eye(d), x0=np.zeros(d))
     model = pc.fit_connection(gradient_trajectory(rng, dyn, util, 40))
     xi = rng.normal(size=d)
-    np.testing.assert_allclose(pc.transport(model, None, xi, np.zeros(2 * d)), xi)
+    np.testing.assert_allclose(pc.transport(model, xi, np.zeros(2 * d)), xi)
     np.testing.assert_allclose(pc.predict_delta(model, xi, np.zeros(2 * d)), 0.0)
     with pytest.raises(ValueError):
-        pc.transport(model, None, xi, np.zeros(d))
+        pc.transport(model, xi, np.zeros(d))
 
 
 def test_sliding_connection_windows(rng):
@@ -135,6 +135,9 @@ def test_sliding_connection_windows(rng):
     assert [start for start, _ in fits] == [0, 25, 50]
     for _, model in fits:
         assert model.gamma_frobenius() < 1e-6
+    for stride in (0, -5, True):
+        with pytest.raises(ValueError, match="stride"):
+            pc.sliding_connection(samples, window=50, stride=stride)
 
 
 # ------------------------------------------------------------- kernel field

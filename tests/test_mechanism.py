@@ -71,6 +71,12 @@ def test_polling_config_validation():
                 dict(max_rounds=True), dict(max_rounds=0)):
         with pytest.raises(pc.ConfigError):
             pc.PollingConfig(**bad)
+    for name, values in (("lam", (0, -1, float("inf"), float("nan"), True)),
+                         ("gamma", (0, -1, float("inf"), float("nan")))):
+        for value in values:
+            with pytest.raises(pc.ConfigError, match=name):
+                pc.PollingConfig(**{name: value})
+    assert pc.PollingConfig(gamma=None).gamma is None
 
 
 # ---------------------------------------------------------------- run_stage
@@ -138,8 +144,7 @@ def test_strong_coupling_tikhonov_converges():
     # lam = 20 equals twice the coupling slope, annihilating the alternating
     # mode of this antisymmetric instance in a couple of rounds
     sys = make_two_agent_scalar(10.0)
-    cfg = pc.PollingConfig(mode="tikhonov",
-                           schedule=pc.StepSchedule(tau=1.0, lam=20.0))
+    cfg = pc.PollingConfig(mode="tikhonov", lam=20.0)
     trace = pc.run_stage(sys, np.zeros((2, 1)), cfg)
     assert trace.converged
     assert trace.iterations <= 5

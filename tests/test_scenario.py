@@ -41,6 +41,8 @@ def test_config_validation():
                        ("detect_oscillation", True), ("seed", 0)):
         with pytest.raises(pc.ConfigError, match=key):  # removed: the oscillation rule is fixed
             base_config(mode={key: value})
+    with pytest.raises(pc.ConfigError, match="tau"):  # removed: gamma is the only step key
+        base_config(mode={"tau": 0.5})
 
 
 def test_config_dict_round_trip():
@@ -75,13 +77,11 @@ def test_malformed_json_reports_position(tmp_path):
 
 def test_polling_config_mapping():
     cfg = base_config(mode={"mode": "two_stage", "tol": 1e-6, "max_rounds": 99,
-                            "tau": 0.5, "lam": 30.0, "gamma": 0.25})
+                            "lam": 30.0, "gamma": 0.25})
     pcfg = pc.polling_config(cfg)
     assert pcfg.mode == "two_stage"
     assert pcfg.tol == 1e-6 and pcfg.max_rounds == 99
-    assert pcfg.schedule.tau_at(1) == 0.5
-    assert pcfg.schedule.lam_at(3) == 30.0
-    assert pcfg.schedule.gamma_at(1) == 0.25
+    assert pcfg.lam == 30.0 and pcfg.gamma == 0.25
     lo, hi = pcfg.box
     assert lo.shape == (6,) and np.all(lo == -20.0) and np.all(hi == 20.0)
     override = pc.polling_config(cfg, mode_override="sequential")
