@@ -31,10 +31,9 @@ def consensus_instance(eps):
 
 
 def run_mode(sys, mode):
-    box = pc.uniform_box(-2.0, 2.0, 2)
     kwargs = {"max_rounds": 3000}
     if mode in ("two_stage", "single_stage"):
-        kwargs["box"] = box
+        kwargs["box"] = (-2.0, 2.0)
     if mode == "tikhonov":
         kwargs["lam"] = 20.0
     try:

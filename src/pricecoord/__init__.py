@@ -38,7 +38,6 @@ from .agents import CouplingSlice, GameSpec, best_response
 from .numerics import fd_gradient
 from .oracle import OracleResult, joint_welfare, joint_welfare_opt
 from .equilibrium import (
-    CoCoercivityEstimate,
     SingleStageUpdate,
     TwoStageUpdate,
     coupling_slices,
@@ -55,7 +54,6 @@ from .equilibrium import (
     stage2_probe_target,
     tracking_error_bound,
     two_stage_update,
-    uniform_box,
     vi_project_iterate,
 )
 from .mechanism import (

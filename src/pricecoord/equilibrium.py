@@ -17,7 +17,6 @@ agent's private gradient both rely on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,40 +27,30 @@ from .model import SystemInstance, joint_action, joint_next_state, step
 
 
 # ---------------------------------------------------------------------------
-# boxes and the projection solver
-
-def uniform_box(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.full(m, float(lo)), np.full(m, float(hi))
-
-
-def project(box, u: np.ndarray) -> np.ndarray:
-    if box is None:
-        return u
-    lo, hi = box
-    return np.clip(u, lo, hi)
-
+# the projection solver and the co-coercivity estimate
 
 def vi_project_iterate(F, u0, tau: float, box=None, tol: float = 1e-8, max_iter: int = 1000):
     """Projection iteration u^k = Pi_K(u^{k-1} + tau F(u^{k-1})).
 
-    F is an ascent (reward-gradient) field, a callable on flat points; box
-    is K as per-coordinate bounds (lo, hi), None for unconstrained. The
-    convergence theory wants 0 < tau < 2c for the field's co-coercivity c.
-    Stops at the first iterate whose projected residual
-    ||Pi_K(u + F(u)) - u||_inf is <= tol. Returns (u, trace) where trace rows
-    are (k, residual). Raises NonConvergenceError with the trace after
-    max_iter.
+    F is an ascent (reward-gradient) field, a callable on flat points; K is
+    the box (lo, hi)^m, so Pi_K clips every coordinate to the pair box, and
+    box None means (-inf, inf). The convergence theory wants 0 < tau < 2c
+    for the field's co-coercivity c. Stops at the first iterate whose
+    projected residual ||Pi_K(u + F(u)) - u||_inf is <= tol. Returns
+    (u, trace) where trace rows are (k, residual). Raises NonConvergenceError
+    with the trace after max_iter.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+    lo, hi = (-np.inf, np.inf) if box is None else box
     u = np.asarray(u0, dtype=float).copy()
     trace = []
-    resid = float(np.max(np.abs(project(box, u + F(u)) - u)))
+    resid = float(np.max(np.abs(np.clip(u + F(u), lo, hi) - u)))
     if resid <= tol:
         return u, trace
     for k in range(1, max_iter + 1):
-        u = project(box, u + tau * F(u))
-        resid = float(np.max(np.abs(project(box, u + F(u)) - u)))
+        u = np.clip(u + tau * F(u), lo, hi)
+        resid = float(np.max(np.abs(np.clip(u + F(u), lo, hi) - u)))
         trace.append((k, resid))
         if resid <= tol:
             return u, trace
@@ -70,45 +59,40 @@ def vi_project_iterate(F, u0, tau: float, box=None, tol: float = 1e-8, max_iter:
         reason="max_rounds", trace=trace, last=u)
 
 
-@dataclass(frozen=True)
-class CoCoercivityEstimate:
-    c_hat: float
-    samples: int
-    box: tuple
+def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
+    """Sampled co-coercivity constant c_hat of an ascent field over the box
+    (lo, hi)^m.
 
-    @property
-    def co_coercive(self) -> bool:
-        return self.c_hat > 0
-
-
-def estimate_cocoercivity(F, box, n_pairs: int = 500, seed: int = 0) -> CoCoercivityEstimate:
-    """Sampled co-coercivity constant of an ascent field over a box.
-
-    F is a callable on flat points of the box (flat_reward_field, say).
-    c_hat = min over pairs of <-(F(x) - F(y)), x - y> / ||F(x) - F(y)||^2;
-    the orientation treats F as a reward gradient, so F(u) = b - u gives
-    c_hat = 1 and F(u) = b - M u gives 1/lambda_max(M) for SPD M. Pairs with
+    F is a callable on flat length-m points (flat_reward_field, say).
+    c_hat = min over pairs of <-(F(x) - F(y)), x - y> / ||F(x) - F(y)||^2,
+    the pairs drawn uniformly from the box with seed 0; the orientation
+    treats F as a reward gradient, so F(u) = b - u gives c_hat = 1 and
+    F(u) = b - M u gives 1/lambda_max(M) for SPD M. Pairs with
     ||F(x) - F(y)|| < 1e-12 are skipped; c_hat <= 0 flags the field as
-    non-co-coercive (see CoCoercivityEstimate.co_coercive).
+    non-co-coercive. Raises ValueError when every pair is skipped, or when a
+    ratio's terms are not finite (they overflow on a box too large).
     """
     if n_pairs < 2:
         raise ValueError("n_pairs must be >= 2")
-    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-    rng = np.random.default_rng(seed)
+    lo, hi = box
+    rng = np.random.default_rng(0)
     best = np.inf
-    used = 0
-    for _ in range(n_pairs):
-        x = lo + (hi - lo) * rng.random(lo.size)
-        y = lo + (hi - lo) * rng.random(lo.size)
-        dF = F(x) - F(y)
-        denom = float(dF @ dF)
-        if denom < 1e-24:  # ||dF|| < 1e-12
-            continue
-        used += 1
-        best = min(best, float(-(dF @ (x - y))) / denom)
-    if used == 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        for _ in range(n_pairs):
+            x = lo + (hi - lo) * rng.random(m)
+            y = lo + (hi - lo) * rng.random(m)
+            dF = F(x) - F(y)
+            denom = float(dF @ dF)
+            if denom < 1e-24:  # ||dF|| < 1e-12
+                continue
+            num = float(-(dF @ (x - y)))
+            if not np.isfinite(num) or not np.isfinite(denom):
+                raise ValueError(f"co-coercivity ratio is not finite on the box {tuple(box)!r}; "
+                                 "use a smaller box or supply an explicit gamma")
+            best = min(best, num / denom)
+    if best == np.inf:
         raise ValueError("all sampled pairs were degenerate (constant field?)")
-    return CoCoercivityEstimate(c_hat=float(best), samples=used, box=(lo, hi))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +121,13 @@ def flat_reward_field(sys: SystemInstance):
 
 def default_schedule(sys: SystemInstance, box) -> float:
     """The default step gamma = min(0.9 * 2 * c_hat, 1), with c_hat estimated
-    for the instance's reward field over the flat box: a 0.9 margin under
-    the 2c bound of the convergence theory."""
-    est = estimate_cocoercivity(flat_reward_field(sys), box)
-    if not est.co_coercive:
-        raise ValueError(f"reward field not co-coercive on the box (c_hat={est.c_hat:.3e}); "
+    for the instance's reward field over the box (lo, hi)^{N d}: a 0.9 margin
+    under the 2c bound of the convergence theory."""
+    c_hat = estimate_cocoercivity(flat_reward_field(sys), box, sys.N * sys.d)
+    if not c_hat > 0:
+        raise ValueError(f"reward field not co-coercive on the box (c_hat={c_hat:.3e}); "
                          "supply an explicit gamma")
-    return min(0.9 * 2.0 * est.c_hat, 1.0)
+    return min(0.9 * 2.0 * c_hat, 1.0)
 
 
 def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
@@ -286,16 +270,14 @@ def play_tikhonov(sys: SystemInstance, u_prev, lam: float) -> np.ndarray:
 
 def grid_gradient_bound(sys: SystemInstance, box) -> float:
     """Dense-grid estimate of D = max_n sup ||grad_{u_n}(U_n + G)|| over the
-    joint action box (pitch = width / 50 per dimension). This
+    joint action box (lo, hi)^{N d} (pitch = width / 50 per dimension). This
     is the constant in the proximal-gap bound ||u_hat - u_prev|| <= N D / lam.
     Practical for N * d <= 3, like the grid oracle."""
     m = sys.N * sys.d
     if m > 3:
         raise ValueError(f"grid bound supports N*d <= 3, got {m}")
-    lo = np.broadcast_to(np.asarray(box[0], dtype=float), (m,))
-    hi = np.broadcast_to(np.asarray(box[1], dtype=float), (m,))
     F = reward_field(sys)
-    axes = [np.linspace(lo[i], hi[i], 51) for i in range(m)]
+    axes = [np.linspace(box[0], box[1], 51)] * m
     best = 0.0
     for point in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m):
         vals = F(point.reshape(sys.N, sys.d))

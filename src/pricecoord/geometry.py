@@ -152,8 +152,8 @@ def sliding_connection(samples: Sequence[TrajectorySample], window: int = 50,
     (start_index, model). Windows without enough difference rows are
     skipped; treating the symbols as constant only within a window is what
     lets slowly varying utilities pass through the constant-coefficient fit."""
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    if isinstance(window, bool) or not isinstance(window, Integral) or window < 2:
+        raise ValueError(f"window must be an integer >= 2, got {window!r}")
     stride = window if stride is None else stride
     if isinstance(stride, bool) or not isinstance(stride, Integral) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
@@ -208,10 +208,10 @@ class KernelFieldModel:
         if not (len(self.centers_x) == len(self.coeff_x)
                 and len(self.centers_u) == len(self.coeff_u)):
             raise ValueError("centers and coefficients disagree in length")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
 
 def gaussian_kernel(A, B_pts, sigma: float) -> np.ndarray:
@@ -262,14 +262,14 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
         raise ValueError("need at least 2 samples")
     if sigma is None:
         sigma = float(np.median([median_pairwise(X), median_pairwise(U)]))
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     Kx = gaussian_kernel(X, X, sigma)
     Ku = gaussian_kernel(U, U, sigma)
     if ridge is None:
         ridge = 1e-8 * float(np.trace(Kx) + np.trace(Ku))
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
 
     gram = np.kron(Kx @ Kx, dyn.B @ dyn.B.T) + np.kron(Ku @ Ku, np.eye(d))
     gram[np.diag_indices_from(gram)] += ridge

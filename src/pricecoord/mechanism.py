@@ -111,7 +111,9 @@ class PollingConfig:
     mode is one of PLAY_MODES. lam is the proximal weight of two_stage,
     single_stage and tikhonov; gamma is the step of two_stage and
     single_stage, which estimate it from box (then required) when it is
-    None. The stopping and oscillation rules are fixed (see run_stage).
+    None. box is the (lo, hi) pair that bounds every action coordinate;
+    run_stage uses it only for that estimate and never clamps a response
+    to it. The stopping and oscillation rules are fixed (see run_stage).
     """
 
     mode: str = "simultaneous"

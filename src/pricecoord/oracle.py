@@ -135,21 +135,12 @@ def _newton_polish(sys: SystemInstance, u_flat: np.ndarray, iters: int = 20) -> 
     return u
 
 
-def _box_arrays(sys: SystemInstance, box) -> tuple[np.ndarray, np.ndarray]:
-    m = sys.N * sys.d
-    lo, hi = box
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (m,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (m,)).copy()
-    return lo, hi
-
-
 def _grid(sys: SystemInstance, box) -> np.ndarray:
     m = sys.N * sys.d
     if m > 3:
         raise ValueError(f"grid oracle supports N*d <= 3, got {m}")
-    lo, hi = _box_arrays(sys, box)
     f = _welfare_rows(sys)
-    axes = [np.linspace(lo[i], hi[i], 201) for i in range(m)]  # pitch width/200
+    axes = [np.linspace(box[0], box[1], 201)] * m  # pitch width/200
     best_w = -np.inf
     best_u = None
     # one batch per value of the first coordinate, 201^(m-1) points each; the
@@ -166,13 +157,14 @@ def _grid(sys: SystemInstance, box) -> np.ndarray:
 
 
 def _multistart(sys: SystemInstance, box, n_starts: int = 32) -> np.ndarray:
-    lo, hi = _box_arrays(sys, box)
+    m = sys.N * sys.d
+    lo, hi = box
     rng = np.random.default_rng(0)
     f = _welfare_rows(sys)
     best_w = -np.inf
     best_u = None
     for k in range(n_starts):
-        start = lo + (hi - lo) * rng.random(lo.size) if k else 0.5 * (lo + hi)
+        start = lo + (hi - lo) * rng.random(m) if k else np.full(m, 0.5 * (lo + hi))
         u = _newton_polish(sys, start)
         w = f(u[None])[0]
         if np.isfinite(w) and w > best_w:

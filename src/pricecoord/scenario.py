@@ -165,14 +165,12 @@ def save_config(cfg: ScenarioConfig, path) -> None:
 
 
 def polling_config(cfg: ScenarioConfig, mode_override: Optional[str] = None) -> PollingConfig:
-    """PollingConfig implied by the config's mode object; action box is the
-    config box broadcast over all N*d coordinates."""
+    """PollingConfig implied by the config's mode object, with the config's
+    (lo, hi) box."""
     m = dict(cfg.mode)
     if mode_override is not None:
         m["mode"] = mode_override
-    size = cfg.N * cfg.d
-    box = (np.full(size, cfg.box[0]), np.full(size, cfg.box[1]))
-    return PollingConfig(box=box, **m)
+    return PollingConfig(box=cfg.box, **m)
 
 
 # ---------------------------------------------------------------------------

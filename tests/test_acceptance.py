@@ -219,10 +219,9 @@ def test_c06_vi_step_rule_and_cocoercivity():
     for d in (2, 4):
         M = random_spd(rng, d, 0.5, 3.0)
         c_true = 1.0 / np.max(np.linalg.eigvalsh(M))
-        est = pc.estimate_cocoercivity(lambda u: -M @ u,
-                                       pc.uniform_box(-5, 5, d), n_pairs=2000)
-        assert est.co_coercive
-        assert abs(est.c_hat - c_true) <= 0.05 * c_true
+        c_hat = pc.estimate_cocoercivity(lambda u: -M @ u, (-5.0, 5.0), d, n_pairs=2000)
+        assert c_hat > 0
+        assert abs(c_hat - c_true) <= 0.05 * c_true
 
 
 # --------------------------------------------------------------- criterion 7
@@ -232,21 +231,21 @@ def test_c07_proximal_gap_and_stage_limits():
     than N * D / lam, with D estimated on a grid; with steps below twice
     both estimated co-coercivity constants, the two-stage and single-stage
     iterations converge to the oracle optimum."""
-    box = pc.uniform_box(-2.0, 2.0, 2)
+    box = (-2.0, 2.0)
     for eps, max_rounds in ((0.1, 400), (10.0, 150)):
         sys = make_two_agent_scalar(eps)
-        D = pc.grid_gradient_bound(sys, (-2.0, 2.0))
+        D = pc.grid_gradient_bound(sys, box)
         lam, gamma = 100.0, pc.default_schedule(sys, box)
         F = pc.flat_reward_field(sys)
-        c1 = pc.estimate_cocoercivity(F, box)
+        c1 = pc.estimate_cocoercivity(F, box, 2)
 
         def residual_field(u_flat, sys=sys, F=F):
             u = u_flat.reshape(2, 1)
             upd = pc.two_stage_update(sys, u, 100.0, 1.0)
             return F(u_flat) - F(upd.u_hat.ravel())
 
-        c2 = pc.estimate_cocoercivity(residual_field, box, n_pairs=200)
-        assert gamma < 2.0 * min(c1.c_hat, c2.c_hat)
+        c2 = pc.estimate_cocoercivity(residual_field, box, 2, n_pairs=200)
+        assert gamma < 2.0 * min(c1, c2)
 
         u = np.zeros((2, 1))
         for _ in range(max_rounds):

@@ -248,6 +248,24 @@ def test_simulate_records_a_stage_without_a_step_size(tmp_path):
     assert "not co-coercive" in failure["message"]
 
 
+def test_an_overflowing_box_is_a_config_failure(tmp_path):
+    # the default-step estimate overflows on this box instead of reading an
+    # infinite co-coercivity constant and a step of 1
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, coupling_strength=0.5,
+                       coupling_spec="consensus_quadratic", utility_spec="quadratic_random",
+                       box=[-1e300, 1e300], mode={"mode": "two_stage"})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert (out / "trace.csv").read_text().splitlines() == ["t,n,x_0,x_1,u_0,u_1,p_0,p_1"]
+    failure = json.loads((out / "report.json").read_text())["failure"]
+    assert failure["reason"] == "config" and failure["stage"] == 0
+    assert "not finite on the box" in failure["message"]
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    modes = json.loads((out / "compare.json").read_text())["modes"]
+    for mode in ("two_stage", "single_stage"):
+        assert modes[mode]["converged"] is False and modes[mode]["reason"] == "config"
+
+
 _AGENT = {"A": [[1.0]], "B": [[1.0]], "x0": [0.0]}
 
 

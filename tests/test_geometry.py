@@ -138,6 +138,8 @@ def test_sliding_connection_windows(rng):
     for stride in (0, -5, True):
         with pytest.raises(ValueError, match="stride"):
             pc.sliding_connection(samples, window=50, stride=stride)
+    with pytest.raises(ValueError, match="window"):
+        pc.sliding_connection(samples, window=10.0)
 
 
 # ------------------------------------------------------------- kernel field
@@ -261,6 +263,14 @@ def test_kernel_fit_input_validation(rng):
         pc.fit_decomposable((X[:1], U[:1], P[:1]), dyn)
     with pytest.raises(ValueError):
         pc.fit_decomposable((X, U, P), dyn, sigma=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            pc.fit_decomposable((X, U, P), dyn, sigma=bad)
+        with pytest.raises(ValueError, match="ridge"):
+            pc.fit_decomposable((X, U, P), dyn, ridge=bad)
+    with pytest.raises(ValueError, match="sigma"):
+        pc.KernelFieldModel(centers_x=X, coeff_x=P, centers_u=U, coeff_u=P,
+                            sigma=np.nan, ridge=0.0)
     X2 = np.vstack([X, X[:1]])
     U2 = np.vstack([U, U[:1]])
     P2 = np.vstack([P, P[:1]])

@@ -164,8 +164,7 @@ def test_exact_period_two_cycle_detected_early():
 
 def test_two_stage_converges_with_default_schedule():
     sys = make_two_agent_scalar(0.1)
-    cfg = pc.PollingConfig(mode="two_stage", box=pc.uniform_box(-2, 2, 2),
-                           max_rounds=500)
+    cfg = pc.PollingConfig(mode="two_stage", box=(-2.0, 2.0), max_rounds=500)
     trace = pc.run_stage(sys, np.zeros((2, 1)), cfg)
     assert trace.converged
     assert trace.iterations == 69
@@ -174,8 +173,7 @@ def test_two_stage_converges_with_default_schedule():
 
 def test_single_stage_converges_slower_than_two_stage():
     sys = make_two_agent_scalar(0.1)
-    cfg = pc.PollingConfig(mode="single_stage", box=pc.uniform_box(-2, 2, 2),
-                           max_rounds=2000)
+    cfg = pc.PollingConfig(mode="single_stage", box=(-2.0, 2.0), max_rounds=2000)
     trace = pc.run_stage(sys, np.zeros((2, 1)), cfg)
     assert trace.converged
     assert trace.iterations > 69

@@ -82,8 +82,7 @@ def test_polling_config_mapping():
     assert pcfg.mode == "two_stage"
     assert pcfg.tol == 1e-6 and pcfg.max_rounds == 99
     assert pcfg.lam == 30.0 and pcfg.gamma == 0.25
-    lo, hi = pcfg.box
-    assert lo.shape == (6,) and np.all(lo == -20.0) and np.all(hi == 20.0)
+    assert pcfg.box == (-20.0, 20.0)
     override = pc.polling_config(cfg, mode_override="sequential")
     assert override.mode == "sequential"
 
