@@ -85,11 +85,8 @@ from .geometry import (
     fit_decomposable,
     gaussian_kernel,
     kernel_fit_residual,
-    load_samples,
     median_pairwise,
-    predict_delta,
     predict_field,
-    save_samples,
     sliding_connection,
     transport,
 )

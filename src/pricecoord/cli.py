@@ -11,6 +11,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ from .oracle import joint_welfare_opt
 from .parametric import ObservationLog, csv_header, identify, load_log, save_log, write_csv
 from .scenario import (
     ScenarioConfig,
-    config_from_dict,
     generate,
     load_config,
     noise_streams,
@@ -35,39 +35,29 @@ from .scenario import (
 )
 
 
-def _jsonify(obj):
+def _json_default(obj):
+    """json.dump's hook for the numpy values a report holds. np.float64 is a
+    float subclass and never reaches it."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(data: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonify(data), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
 def _announce(path: str, quiet: bool) -> None:
     if not quiet:
         print(path)
-
-
-def _override_config(cfg: ScenarioConfig, seed) -> ScenarioConfig:
-    if seed is None:
-        return cfg
-    data = cfg.to_dict()
-    data["seed"] = int(seed)
-    return config_from_dict(data)
 
 
 def _stage_welfare(inst, st: StageTrace) -> float:
@@ -104,7 +94,9 @@ def _write_dynamics(cfg: ScenarioConfig, inst, path: str) -> None:
 def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
                  quiet: bool = False) -> int:
     t_start = time.perf_counter()
-    cfg = _override_config(load_config(config_path), seed)
+    cfg = load_config(config_path)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=int(seed))
     pcfg = polling_config(cfg, mode_override=mode)
     inst = generate(cfg)
     noise = noise_streams(cfg) if cfg.noise_std > 0 else None
@@ -256,7 +248,9 @@ def cmd_identify(log_path: str, dynamics_path: str, out_dir: str,
 
 
 def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) -> int:
-    cfg = _override_config(load_config(config_path), seed)
+    cfg = load_config(config_path)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=int(seed))
     inst = generate(cfg)
     base_pcfg = polling_config(cfg)
     oracle = joint_welfare_opt(inst, box=base_pcfg.box)

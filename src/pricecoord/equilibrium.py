@@ -36,24 +36,24 @@ def vi_project_iterate(F, u0, tau: float, box=None, tol: float = 1e-8, max_iter:
     the box (lo, hi)^m, so Pi_K clips every coordinate to the pair box, and
     box None means (-inf, inf). The convergence theory wants 0 < tau < 2c
     for the field's co-coercivity c. Stops at the first iterate whose
-    projected residual ||Pi_K(u + F(u)) - u||_inf is <= tol. Returns
-    (u, trace) where trace rows are (k, residual). Raises NonConvergenceError
-    with the trace after max_iter.
+    projected residual ||Pi_K(u + F(u)) - u||_inf is <= tol, evaluating F
+    once per iterate. Returns (u, trace) where trace rows are (k, residual)
+    for k >= 1. Raises NonConvergenceError with the trace after max_iter.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     lo, hi = (-np.inf, np.inf) if box is None else box
     u = np.asarray(u0, dtype=float).copy()
     trace = []
-    resid = float(np.max(np.abs(np.clip(u + F(u), lo, hi) - u)))
-    if resid <= tol:
-        return u, trace
-    for k in range(1, max_iter + 1):
-        u = np.clip(u + tau * F(u), lo, hi)
-        resid = float(np.max(np.abs(np.clip(u + F(u), lo, hi) - u)))
-        trace.append((k, resid))
+    for k in range(max_iter + 1):
+        Fu = F(u)
+        resid = float(np.max(np.abs(np.clip(u + Fu, lo, hi) - u)))
+        if k:
+            trace.append((k, resid))
         if resid <= tol:
             return u, trace
+        if k < max_iter:
+            u = np.clip(u + tau * Fu, lo, hi)
     raise NonConvergenceError(
         f"projection iteration residual {resid:.3e} > tol after {max_iter} iters",
         reason="max_rounds", trace=trace, last=u)

@@ -38,9 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, RankDeficiencyError
+from .errors import RankDeficiencyError
 from .model import LinearDynamics
-from .parametric import csv_header, csv_row, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -183,11 +182,6 @@ def transport(model: ConnectionModel, xi, dz) -> np.ndarray:
     return xi + corr
 
 
-def predict_delta(model: ConnectionModel, xi, dz) -> np.ndarray:
-    """The increment transport adds: transport(model, xi, dz) - xi."""
-    return transport(model, xi, dz) - np.asarray(xi, dtype=float).ravel()
-
-
 # ---------------------------------------------------------------------------
 # decomposable utilities via matrix-valued kernel regression
 
@@ -296,37 +290,3 @@ def kernel_fit_residual(model: KernelFieldModel, dyn: LinearDynamics, samples) -
     pred = np.atleast_2d(predict_field(model, dyn, X, U))
     return float(np.sqrt(np.mean((pred - P) ** 2)))
 
-
-# ---------------------------------------------------------------------------
-# serialization: ObservationLog schema plus a dflag column
-
-def save_samples(samples: Sequence[TrajectorySample], path, agent: int = 0) -> None:
-    """Writes trajectory samples as CSV rows t,n,x_*,u_*,p_* plus dflag.
-
-    x and u are the two halves of z, p is xi. dflag is 1 when the row
-    continues the previous row's segment (its difference is usable) and 0 at
-    segment starts.
-    """
-    if not samples:
-        raise ValueError("no samples to save")
-    d = samples[0].xi.size
-    rows = []
-    for i, s in enumerate(samples):
-        flag = int(i > 0 and s.segment == samples[i - 1].segment)
-        rows.append(csv_row(i, agent, s.z[:d], s.z[d:], s.xi, flag))
-    write_csv(path, csv_header(d) + ",dflag", rows)
-
-
-def load_samples(path) -> list:
-    """Reads trajectory samples written by save_samples; segments are
-    reconstructed from the dflag column. Raises ConfigError naming the
-    offending line on malformed input."""
-    out = []
-    segment = -1
-    for idx, _, _, x, u, p, (flag,) in read_csv(path, extra=("dflag",)):
-        if flag not in (0, 1):
-            raise ConfigError(f"{path}: line {idx}: dflag must be 0 or 1")
-        if flag == 0:
-            segment += 1
-        out.append(TrajectorySample(z=np.array(x + u), xi=np.array(p), segment=segment))
-    return out

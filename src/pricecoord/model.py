@@ -363,26 +363,29 @@ def replace_states(sys: SystemInstance, states) -> SystemInstance:
 
 
 def _relative_error(g: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """||g - fd|| / ||fd|| along the last axis, the denominator floored at
+    1e-12 so a zero reference gradient does not divide by zero."""
     return np.linalg.norm(g - fd, axis=-1) / np.maximum(np.linalg.norm(fd, axis=-1), 1e-12)
 
 
-def utility_gradient_error(utility, dyn: LinearDynamics, points, h: float = 1e-5) -> float:
+def utility_gradient_error(utility, dyn: LinearDynamics, points) -> float:
     """Max relative error of the analytic u-gradient vs central differences
-    of value(step(x, u), u) over (x, u) sample points."""
+    (step 1e-5) of value(step(x, u), u) over (x, u) sample points."""
     worst = 0.0
     for x, u in points:
         x = as_vector(x, dyn.d, "x")
         u = as_vector(u, dyn.d, "u")
-        fd = fd_gradient(lambda v: utility.value(step(dyn, x, v), v), u, h)
+        fd = fd_gradient(lambda v: utility.value(step(dyn, x, v), v), u)
         worst = max(worst, float(_relative_error(utility.grad_u(dyn, x, u), fd)))
     return worst
 
 
-def coupling_gradient_error(G: CouplingFunction, joint_points, h: float = 1e-5) -> float:
-    """Max relative error of a row of G.grad vs central differences of G.value."""
+def coupling_gradient_error(G: CouplingFunction, joint_points) -> float:
+    """Max relative error of a row of G.grad vs central differences (step
+    1e-5) of G.value over (N, d) joint sample points."""
     worst = 0.0
     for X in joint_points:
         X = np.asarray(X, dtype=float).reshape(G.N, G.d)
-        fd = fd_gradient(G.value, X.ravel(), h).reshape(G.N, G.d)
+        fd = fd_gradient(G.value, X.ravel()).reshape(G.N, G.d)
         worst = max(worst, float(np.max(_relative_error(G.grad(X), fd))))
     return worst

@@ -86,11 +86,12 @@ def _closed_form(sys: SystemInstance) -> np.ndarray | None:
     return np.linalg.solve(J, -f0)
 
 
-def _fd_hessian(f_rows, u: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Symmetric central second-difference Hessian from one call of f_rows
-    on 1 + 2 m^2 points: the diagonal from f(u) and f(u +- h e_i), each
-    off-diagonal pair from the four corners u +- h e_i +- h e_j."""
-    m = u.size
+def _fd_hessian(f_rows, u: np.ndarray) -> np.ndarray:
+    """Symmetric central second-difference Hessian, step h = 1e-4, from one
+    call of f_rows on 1 + 2 m^2 points: the diagonal from f(u) and
+    f(u +- h e_i), each off-diagonal pair from the four corners
+    u +- h e_i +- h e_j."""
+    m, h = u.size, 1e-4
     E = h * np.eye(m)
     I, J = np.tril_indices(m, -1)
     up, um = u + E, u - E
@@ -103,10 +104,10 @@ def _fd_hessian(f_rows, u: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return H
 
 
-def _newton_polish(sys: SystemInstance, u_flat: np.ndarray, iters: int = 20) -> np.ndarray:
+def _newton_polish(sys: SystemInstance, u_flat: np.ndarray) -> np.ndarray:
     """Damped Newton on the finite-difference welfare field F.
 
-    Stops when ||F||_inf < 1e-11, after iters steps, or when backtracking to
+    Stops when ||F||_inf < 1e-11, after 20 steps, or when backtracking to
     alpha <= 1e-10 finds no step that reduces ||F||_inf: F has then reached
     its finite-difference noise floor and further steps only cost
     evaluations. The field at the accepted step is the next residual.
@@ -114,7 +115,7 @@ def _newton_polish(sys: SystemInstance, u_flat: np.ndarray, iters: int = 20) -> 
     f = _welfare_rows(sys)
     u = u_flat.copy()
     g = fd_gradients(f, u)[0]
-    for _ in range(iters):
+    for _ in range(20):
         gn = np.max(np.abs(g))
         if gn < 1e-11:
             break
@@ -156,14 +157,14 @@ def _grid(sys: SystemInstance, box) -> np.ndarray:
     return _newton_polish(sys, best_u)
 
 
-def _multistart(sys: SystemInstance, box, n_starts: int = 32) -> np.ndarray:
+def _multistart(sys: SystemInstance, box) -> np.ndarray:
     m = sys.N * sys.d
     lo, hi = box
     rng = np.random.default_rng(0)
     f = _welfare_rows(sys)
     best_w = -np.inf
     best_u = None
-    for k in range(n_starts):
+    for k in range(32):
         start = lo + (hi - lo) * rng.random(m) if k else np.full(m, 0.5 * (lo + hi))
         u = _newton_polish(sys, start)
         w = f(u[None])[0]

@@ -36,7 +36,6 @@ from .model import (
     SystemInstance,
     as_vector,
     joint_next_state,
-    replace_states,
 )
 from .numerics import fd_jacobian, newton_root
 
@@ -106,37 +105,37 @@ def csv_header(d: int) -> str:
     return ",".join(cols)
 
 
-def csv_row(t, n, x, u, p, *extra) -> str:
-    """One CSV data row: integer t, n and extra columns, 17-digit floats."""
-    vals = [str(int(t)), str(int(n))]
-    vals += [f"{v:.17g}" for arr in (x, u, p) for v in arr]
-    vals += [str(int(v)) for v in extra]
-    return ",".join(vals)
-
-
 def write_csv(path, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
 
 
-def read_csv(path, extra: tuple = ()) -> list:
-    """Parses CSV rows of the ObservationLog schema followed by the integer
-    columns named in extra into (line, t, n, x, u, p, extra values) tuples,
-    line being the 1-based line in the file; blank lines are skipped. Raises
-    ConfigError naming the offending line on a header off the schema, a
-    wrong field count, a non-integer t, n or extra field, an unparseable or
-    non-finite float, and on no data rows."""
+def save_log(log: ObservationLog, path) -> None:
+    """Writes the log as CSV in the one observation schema: the header
+    t,n,x_*,u_*,p_*, then one row per observation with integer t and n and
+    17-significant-digit floats, so load_log reads back the same bits."""
+    write_csv(path, csv_header(log.d),
+              (",".join([str(int(log.t[i])), str(int(log.n[i]))]
+                        + [f"{v:.17g}" for arr in (log.x[i], log.u[i], log.p[i]) for v in arr])
+               for i in range(len(log))))
+
+
+def load_log(path) -> ObservationLog:
+    """Parses a CSV of the t,n,x_*,u_*,p_* schema, as save_log writes it,
+    into an ObservationLog; blank lines are skipped. Raises ConfigError
+    naming the file and the offending 1-based line (blank lines counted) on
+    a header off the schema, a wrong field count, a non-integer t or n, an
+    unparseable or non-finite float, and on no data rows."""
     with open(path) as fh:
         lines = [(idx, ln) for idx, ln in enumerate((raw.strip() for raw in fh), start=1) if ln]
     if not lines:
         raise ConfigError(f"{path}: empty CSV (header row is mandatory)")
     head_idx, head = lines[0]
     header = head.split(",")
-    d = (len(header) - 2 - len(extra)) // 3
-    if d < 1 or header != csv_header(d).split(",") + list(extra):
-        schema = ",".join(["t,n,x_*,u_*,p_*", *extra])
+    d = (len(header) - 2) // 3
+    if d < 1 or header != csv_header(d).split(","):
         raise ConfigError(f"{path}: line {head_idx}: header {head!r} does not match the "
-                          f"{schema} schema")
+                          "t,n,x_*,u_*,p_* schema")
     width = len(header)
     rows = []
     for idx, ln in lines[1:]:
@@ -144,33 +143,16 @@ def read_csv(path, extra: tuple = ()) -> list:
         if len(parts) != width:
             raise ConfigError(f"{path}: line {idx}: expected {width} fields, got {len(parts)}")
         try:
-            ints = [int(v) for v in parts[:2] + parts[2 + 3 * d:]]
-            vals = [float(v) for v in parts[2:2 + 3 * d]]
+            t, n = int(parts[0]), int(parts[1])
+            vals = [float(v) for v in parts[2:]]
         except ValueError as exc:
             raise ConfigError(f"{path}: line {idx}: unparseable field ({exc})") from None
         if not all(np.isfinite(vals)):
             raise ConfigError(f"{path}: line {idx}: non-finite value")
-        rows.append((idx, ints[0], ints[1], vals[:d], vals[d:2 * d], vals[2 * d:], ints[2:]))
+        rows.append((t, n, vals[:d], vals[d:2 * d], vals[2 * d:]))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return rows
-
-
-def save_log(log: ObservationLog, path) -> None:
-    """Writes the log as CSV with a mandatory header; floats carry 17
-    significant digits so the round trip is exact."""
-    write_csv(path, csv_header(log.d),
-              (csv_row(log.t[i], log.n[i], log.x[i], log.u[i], log.p[i])
-               for i in range(len(log))))
-
-
-def load_log(path) -> ObservationLog:
-    """Parses an ObservationLog CSV, validating shape row by row.
-
-    Raises ConfigError naming the offending line (1-based, blank lines
-    counted) on any malformed row.
-    """
-    return ObservationLog.from_rows(row[1:6] for row in read_csv(path))
+    return ObservationLog.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +250,25 @@ def estimated_gradient(model: EstimatedQuadraticModel, dyn: LinearDynamics, x, u
     return -model.C @ x - model.D @ u + 2.0 * dyn.B.T @ model.Q_hat @ model.x0
 
 
-def price_to_action_map(model: EstimatedQuadraticModel, x, x0, dyn: LinearDynamics):
+def price_to_action_map(model: EstimatedQuadraticModel, x, dyn: LinearDynamics):
     """Affine response map of the identified agent to a posted price.
 
     Returns (gain, offset) with u(p) = gain @ p + offset, where
-    gain = -D^{-1} and offset = D^{-1} (2 B^T Q_hat x0 - C x). The gain sign
-    follows from the payoff's -p^T u term: stationarity is grad U(u) = p.
+    gain = -D^{-1} and offset = D^{-1} (2 B^T Q_hat x0 - C x), x0 being the
+    rest target identify echoed into model.x0. The gain sign follows from
+    the payoff's -p^T u term: stationarity is grad U(u) = p.
     """
-    d = dyn.d
-    x = as_vector(x, d, "x")
-    x0 = as_vector(x0, d, "x0")
+    x = as_vector(x, dyn.d, "x")
     if np.linalg.cond(model.D) > _SINGULAR_COND:
         raise ValueError("estimated D is numerically singular; no price-response map")
     Dinv = np.linalg.inv(model.D)
     gain = -Dinv
-    offset = Dinv @ (2.0 * dyn.B.T @ model.Q_hat @ x0 - model.C @ x)
+    offset = Dinv @ (2.0 * dyn.B.T @ model.Q_hat @ model.x0 - model.C @ x)
     return gain, offset
 
 
-def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance,
-                  x=None):
-    """Welfare-optimal prices from identified models.
+def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance):
+    """Welfare-optimal prices from identified models at sys's states.
 
     Solves the stationarity system of the estimated social welfare,
     grad U_hat_n(x_n, u_n) + B_n^T grad_{x_n} G(X_next) = 0 for all n, by
@@ -298,21 +278,20 @@ def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance
     """
     if len(models) != sys.N:
         raise ValueError(f"need one model per agent ({sys.N}), got {len(models)}")
-    inst = sys if x is None else replace_states(sys, x)
-    N, d = inst.N, inst.d
+    N, d = sys.N, sys.d
     for m in models:
         if np.linalg.cond(m.D) > _SINGULAR_COND:
             raise ValueError("estimated D is numerically singular")
 
     def est_grad(n, U):
-        return estimated_gradient(models[n], inst.dynamics[n], inst.states[n], U[n])
+        return estimated_gradient(models[n], sys.dynamics[n], sys.states[n], U[n])
 
     def field(u_flat):
         U = u_flat.reshape(N, d)
-        G = inst.coupling.grad(joint_next_state(inst, U))
+        G = sys.coupling.grad(joint_next_state(sys, U))
         out = np.empty_like(U)
         for n in range(N):
-            out[n] = est_grad(n, U) + inst.dynamics[n].B.T @ G[n]
+            out[n] = est_grad(n, U) + sys.dynamics[n].B.T @ G[n]
         return out.ravel()
 
     def error(message, last, residual):

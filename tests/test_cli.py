@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pricecoord as pc
-from pricecoord.cli import main
+from pricecoord.cli import _write_json, main
 
 
 def write_config(tmp_path, name, **over):
@@ -179,6 +179,31 @@ def test_simulate_seed_flag_changes_the_run(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out_b),
                  "--seed", "101", "--quiet"]) == 0
     assert (out_a / "trace.csv").read_text() != (out_b / "trace.csv").read_text()
+
+
+def test_simulate_rejects_a_negative_seed_flag(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "-1", "--quiet"])
+    assert rc == 1
+    assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_json_text_is_pinned(tmp_path):
+    path = tmp_path / "out.json"
+    _write_json({"int": 3, "np_int": np.int64(-4), "bool": True, "np_bool": np.bool_(False),
+                 "array": np.array([[1.5, -0.0], [np.nan, 2.0]]), "tuple": (1, np.float64(2.5)),
+                 "nan": float("nan"), "neg_zero": -0.0, "f32": np.float32(0.1),
+                 "f64": np.float64(1 / 3), "none": None}, str(path))
+    assert path.read_text() == (
+        '{\n  "array": [\n    [\n      1.5,\n      -0.0\n    ],\n    [\n      NaN,\n'
+        '      2.0\n    ]\n  ],\n  "bool": true,\n  "f32": 0.10000000149011612,\n'
+        '  "f64": 0.3333333333333333,\n  "int": 3,\n  "nan": NaN,\n  "neg_zero": -0.0,\n'
+        '  "none": null,\n  "np_bool": false,\n  "np_int": -4,\n  "tuple": [\n    1,\n'
+        '    2.5\n  ]\n}\n')
+    with pytest.raises(TypeError, match="set"):
+        _write_json({"bad": {1}}, str(path))
 
 
 def test_simulate_is_byte_deterministic(tmp_path):

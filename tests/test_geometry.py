@@ -121,7 +121,6 @@ def test_transport_shape_checks_and_zero_step(rng):
     model = pc.fit_connection(gradient_trajectory(rng, dyn, util, 40))
     xi = rng.normal(size=d)
     np.testing.assert_allclose(pc.transport(model, xi, np.zeros(2 * d)), xi)
-    np.testing.assert_allclose(pc.predict_delta(model, xi, np.zeros(2 * d)), 0.0)
     with pytest.raises(ValueError):
         pc.transport(model, xi, np.zeros(d))
 
@@ -276,46 +275,3 @@ def test_kernel_fit_input_validation(rng):
     P2 = np.vstack([P, P[:1]])
     with pytest.raises(np.linalg.LinAlgError):
         pc.fit_decomposable((X2, U2, P2), dyn, ridge=0.0)
-
-
-# ------------------------------------------------------------- persistence
-
-def test_sample_csv_round_trip(tmp_path, rng):
-    d = 1
-    dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
-    util = pc.QuadraticUtility(Q=np.eye(d), R=np.eye(d), x0=np.zeros(d))
-    samples = (gradient_trajectory(rng, dyn, util, 5, segment=0)
-               + gradient_trajectory(rng, dyn, util, 5, segment=1))
-    path = tmp_path / "samples.csv"
-    pc.save_samples(samples, path)
-    assert path.read_text().splitlines()[0] == "t,n,x_0,u_0,p_0,dflag"
-    back = pc.load_samples(path)
-    assert len(back) == 10
-    for orig, loaded in zip(samples, back):
-        np.testing.assert_array_equal(orig.z, loaded.z)
-        np.testing.assert_array_equal(orig.xi, loaded.xi)
-    # the reconstructed segment ids differ at exactly the original break
-    segs = [s.segment for s in back]
-    assert segs[4] != segs[5]
-    assert len(set(segs[:5])) == 1 and len(set(segs[5:])) == 1
-
-
-def test_sample_csv_malformed_rows(tmp_path, rng):
-    d = 1
-    dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
-    util = pc.QuadraticUtility(Q=np.eye(d), R=np.eye(d), x0=np.zeros(d))
-    samples = gradient_trajectory(rng, dyn, util, 3)
-    path = tmp_path / "samples.csv"
-    pc.save_samples(samples, path)
-    good = path.read_text().splitlines()
-    mutations = [
-        lambda fields: fields[:-1],                        # drop the dflag field
-        lambda fields: ["abc", "xyz"] + fields[2:],        # non-integer t and n
-        lambda fields: fields[:2] + ["nan"] + fields[3:],  # non-finite x_0
-    ]
-    for mutate in mutations:
-        lines = list(good)
-        lines[2] = ",".join(mutate(lines[2].split(",")))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(pc.ConfigError, match="line 3"):
-            pc.load_samples(path)

@@ -59,6 +59,12 @@ def test_csv_round_trip_is_exact(tmp_path, rng):
     (lambda lines: lines.__setitem__(2, "1,0,0.5,0.5"), 3),
     (lambda lines: lines.__setitem__(1, "0,0,oops,0.5,0.5"), 2),
     (lambda lines: lines.__setitem__(1, "0,0,inf,0.5,0.5"), 2),
+    pytest.param(lambda lines: lines.__setitem__(2, "abc,xyz,0.4,0.5,0.6"), 3,
+                 id="non_integer_t_n"),
+    # a trajectory-sample file (trailing dflag column) is off the schema
+    pytest.param(lambda lines: lines.__setitem__(
+        slice(None), [lines[0] + ",dflag"] + [ln + ",1" for ln in lines[1:]]), 1,
+        id="dflag_column"),
     # a blank line still counts: the bad row is the file's fourth line
     (lambda lines: lines.__setitem__(slice(1, 3), ["", lines[1], "1,0,x,0.5,0.5"]), 4),
 ])
@@ -191,7 +197,7 @@ def test_price_to_action_map_matches_best_response(rng):
     U = rng.normal(size=(2 * d, d))
     model = pc.identify(log_from_samples(dyn, util, X, U), 0, dyn, util.x0)
     x = rng.normal(size=d)
-    gain, offset = pc.price_to_action_map(model, x, util.x0, dyn)
+    gain, offset = pc.price_to_action_map(model, x, dyn)
     for _ in range(3):
         p = rng.normal(size=d)
         predicted = gain @ p + offset
