@@ -1,5 +1,6 @@
 """Selfish subsystem behavior: each agent maximizes the payoff the
-coordinator poses to it, by damped Newton on the payoff gradient.
+coordinator poses to it, by damped Newton on the payoff gradient with the
+payoff Hessian in closed form.
 
 A posed game (GameSpec) is a sum of optional terms: the agent's private
 utility, a linear price charge -p^T u, a frozen coupling slice (the shared
@@ -24,11 +25,13 @@ from .numerics import fd_jacobian, newton_root
 @dataclass(frozen=True)
 class CouplingSlice:
     """The shared coupling as a function of one agent's action only,
-    opponents frozen. value(u_n) -> float, grad(u_n) -> d-vector
-    (already chain-ruled through the agent's next state)."""
+    opponents frozen. value(u_n) -> float, grad(u_n) -> d-vector,
+    hess(u_n) -> (d, d) matrix (both already chain-ruled through the agent's
+    next state)."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -100,21 +103,45 @@ def payoff_gradient(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
     return g
 
 
+def payoff_hessian(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
+    """The Hessian of the posed payoff in u, term by term: the utility's
+    hess_u, 0 for the price, the coupling slice's hess, -2 lam I for the
+    proximal term and -2 I for the probe. A utility without a closed form
+    (a SmoothUtility without hessian_u) contributes the symmetrized central
+    difference of its grad_u."""
+    H = np.zeros((dyn.d, dyn.d))
+    if game.utility is not None:
+        H_u = game.utility.hess_u(dyn, x, u)
+        if H_u is None:
+            H_u = fd_jacobian(lambda v: game.utility.grad_u(dyn, x, v), u)
+            H_u = 0.5 * (H_u + H_u.T)
+        H += H_u
+    if game.coupling is not None:
+        H += game.coupling.hess(u)
+    if game.proximal is not None:
+        H -= 2.0 * game.proximal[0] * np.eye(dyn.d)
+    if game.linear_probe is not None:
+        H -= 2.0 * np.eye(dyn.d)
+    return H
+
+
 def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start) -> np.ndarray:
-    """Maximize the posed payoff: damped Newton on the payoff gradient.
+    """Maximize the posed payoff: damped Newton on payoff_gradient, with
+    payoff_hessian as its Jacobian.
 
     Starts at u_start, which implements the closest-root selection rule when
     payoffs have several stationary points. Stops at ||grad||_inf <= 1e-10,
-    with at most 100 Newton steps and the halving line search of newton_root.
-    Raises BestResponseError on a singular Hessian, on convergence to a
-    non-maximum, or at the iteration cap.
+    or where the line search stalls at the gradient's rounding floor, with at
+    most 100 Newton steps and the halving line search of newton_root.
+    Raises BestResponseError on a singular Hessian, on a stalled line search
+    above that floor, on convergence to a non-maximum (the Hessian at the
+    result is not negative definite), or at the iteration cap.
     """
     def gradient(u):
         return payoff_gradient(game, x, dyn, u)
 
     def hessian(u):
-        H = fd_jacobian(gradient, u)
-        return 0.5 * (H + H.T)
+        return payoff_hessian(game, x, dyn, u)
 
     u, gnorm = newton_root(gradient, hessian, as_vector(u_start, dyn.d, "u_start"),
                            1e-10, 100, error=BestResponseError,

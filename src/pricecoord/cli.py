@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (BestResponseError, ConfigError, CoordinationError, NonConvergenceError,
                      RankDeficiencyError)
-from .mechanism import PLAY_MODES, StageTrace, price_from_target, run_stage, social_welfare
+from .mechanism import (DAMPED_MODES, PLAY_MODES, StageTrace, price_from_target, run_stage,
+                        social_welfare, stage_step)
 from .model import LinearDynamics, joint_next_state, replace_states
 from .oracle import joint_welfare_opt
 from .parametric import ObservationLog, csv_header, identify, load_log, save_log, write_csv
@@ -256,11 +257,22 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
     oracle = joint_welfare_opt(inst, box=base_pcfg.box)
     oracle_welfare = oracle.welfare
 
+    # the damped modes share one step size, estimated once; a failed estimate
+    # is each damped mode's own failure
+    try:
+        gamma = stage_step(inst, polling_config(cfg, mode_override=DAMPED_MODES[0]))
+    except ConfigError as exc:
+        gamma = exc
+
     table = {}
     u0 = np.zeros((cfg.N, cfg.d))
     for mode in PLAY_MODES:
         pcfg = polling_config(cfg, mode_override=mode)
         try:
+            if mode in DAMPED_MODES:
+                if isinstance(gamma, ConfigError):
+                    raise gamma
+                pcfg = dataclasses.replace(pcfg, gamma=gamma)
             st = run_stage(inst, u0, pcfg)
             final = _stage_welfare(inst, st)
             table[mode] = {"iterations": st.iterations, "final_welfare": final,

@@ -132,7 +132,8 @@ def default_schedule(sys: SystemInstance, box) -> float:
 
 def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
     """The shared coupling as seen by each agent n with opponents frozen at
-    u_frozen, chain-ruled through agent n's next state. The frozen joint next
+    u_frozen, chain-ruled through agent n's next state x_n = A x + B u_n:
+    gradient B^T grad_row, Hessian B^T hess_row B. The frozen joint next
     state is computed once for all N slices."""
     X_frozen = joint_next_state(sys, u_frozen)
     G = sys.coupling
@@ -146,7 +147,8 @@ def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
             return X
 
         return CouplingSlice(value=lambda un: G.value(states_with(un)),
-                             grad=lambda un: dyn.B.T @ G.grad_row(states_with(un), n))
+                             grad=lambda un: dyn.B.T @ G.grad_row(states_with(un), n),
+                             hess=lambda un: dyn.B.T @ G.hess_row(states_with(un), n) @ dyn.B)
 
     return [slice_of(n) for n in range(sys.N)]
 

@@ -33,6 +33,7 @@ from .equilibrium import (
 )
 
 PLAY_MODES = ("simultaneous", "sequential", "two_stage", "single_stage", "tikhonov")
+DAMPED_MODES = ("two_stage", "single_stage")  # the modes that take a step gamma
 
 
 def social_welfare(sys: SystemInstance, u) -> float:
@@ -168,10 +169,11 @@ class StageTrace:
                  float(self.residual[i])) for i in range(self.rounds.size)]
 
 
-def _step(sys, cfg: PollingConfig) -> Optional[float]:
-    """gamma for the stage: cfg.gamma, or for two_stage and single_stage
-    without one the default step estimated from cfg.box."""
-    if cfg.gamma is not None or cfg.mode not in ("two_stage", "single_stage"):
+def stage_step(sys, cfg: PollingConfig) -> Optional[float]:
+    """gamma for the stage: cfg.gamma, or for a damped mode without one the
+    default step estimated from cfg.box. Raises ConfigError when it cannot
+    be estimated."""
+    if cfg.gamma is not None or cfg.mode not in DAMPED_MODES:
         return cfg.gamma
     if cfg.box is None:
         raise ConfigError(f"mode {cfg.mode!r} needs a step size (gamma) or a box to "
@@ -213,7 +215,7 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     ConfigError.
     """
     U = joint_action(sys, u0).copy()
-    gamma = _step(sys, cfg)
+    gamma = stage_step(sys, cfg)
     F = reward_field(sys)
     tol = cfg.tol
 

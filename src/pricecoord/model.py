@@ -125,6 +125,10 @@ class QuadraticUtility:
         x_next = step(dyn, x, u)
         return -2.0 * dyn.B.T @ (self.Q @ (x_next - self.x0)) - 2.0 * (self.R @ u)
 
+    def hess_u(self, dyn: LinearDynamics, x, u) -> np.ndarray:
+        """Second total derivative of U w.r.t. u, -2 (B^T Q B + R): constant."""
+        return -2.0 * (dyn.B.T @ self.Q @ dyn.B + self.R)
+
 
 @dataclass(frozen=True)
 class SmoothUtility:
@@ -133,12 +137,16 @@ class SmoothUtility:
     gradient_u, when present, is the total derivative of U w.r.t. u through
     x_next, with signature (x_next, u, dyn) -> vector. When absent it is
     defined by central finite differences of value through the dynamics.
-    Analytic gradients must match finite differences to rel. err <= 1e-5;
-    tests enforce this on sampled points.
+    hessian_u, when present, is the second total derivative with the same
+    signature, returning a (d, d) matrix; hess_u returns None without it
+    (agents.payoff_hessian then differences grad_u). Analytic gradients must
+    match finite differences to rel. err <= 1e-5; tests enforce this on
+    sampled points, and on the Hessians too.
     """
 
     value_fn: Callable[[np.ndarray, np.ndarray], float]
     gradient_u: Callable | None = None
+    hessian_u: Callable | None = None
 
     def value(self, x_next, u) -> float:
         return float(self.value_fn(x_next, u))
@@ -147,6 +155,11 @@ class SmoothUtility:
         if self.gradient_u is not None:
             return self.gradient_u(step(dyn, x, u), u, dyn)
         return fd_gradient(lambda v: self.value(step(dyn, x, v), v), u, 1e-6)
+
+    def hess_u(self, dyn: LinearDynamics, x, u) -> np.ndarray | None:
+        if self.hessian_u is None:
+            return None
+        return self.hessian_u(step(dyn, x, u), u, dyn)
 
 
 def cross_term_utility(Q, R, x0, K: Sequence[np.ndarray]) -> SmoothUtility:
@@ -170,7 +183,17 @@ def cross_term_utility(Q, R, x0, K: Sequence[np.ndarray]) -> SmoothUtility:
             g = g - 0.5 * ((u @ Ki @ u) * dyn.B.T[:, i] + x_next[i] * (Ki + Ki.T) @ u)
         return g
 
-    return SmoothUtility(value, gradient)
+    def hessian(x_next, u, dyn):
+        H = -2.0 * (dyn.B.T @ base.Q @ dyn.B + base.R)
+        for i, Ki in enumerate(Ks):
+            # d/du of the gradient above: b v^T + v b^T + x_next_i (K_i + K_i^T),
+            # with b = B[i, :] and v = (K_i + K_i^T) u
+            S = Ki + Ki.T
+            b, v = dyn.B[i], S @ u
+            H = H - 0.5 * (np.outer(b, v) + np.outer(v, b) + x_next[i] * S)
+        return H
+
+    return SmoothUtility(value, gradient, hessian)
 
 
 def decomposable_utility(value_x, grad_x, value_u, grad_u) -> SmoothUtility:
@@ -208,18 +231,24 @@ class CouplingFunction:
     ADDED to welfare and to every agent's reward (penalties enter with a
     minus sign). G is a sum of radial pair terms: with s = ||x_n - x_m||^2,
     G = scale * sum_{n<m} pair_value(s) and dG/dx_n = sum_m pair_weight(s)
-    (x_n - x_m), so pair_weight = 2 * scale * pair_value'. grad(X) is the
-    whole (N, d) gradient; grad_row(X, n) is its row n, bit for bit, from
-    agent n's pairs only (the zero self pair included); values(Xs) is value
-    at each (N, d) row of a (K, N, d) array, bit for bit. A coupling with
-    scale 0 is identically zero, pair_weight included, so it returns zeros
-    without touching its pair functions."""
+    (x_n - x_m), so pair_weight = 2 * scale * pair_value'. pair_curvature is
+    d pair_weight / ds, which gives agent n's Hessian block
+    d^2G/dx_n^2 = sum_{m != n} [pair_weight(s) I + 2 pair_curvature(s) D D^T]
+    with D = x_n - x_m. grad(X) is the whole (N, d) gradient; grad_row(X, n)
+    is its row n, bit for bit, from agent n's pairs only (the zero self pair
+    included); hess_row(X, n) is that (d, d) block from the same pairs, the
+    self pair masked (its D is zero, but its pair_weight is not); values(Xs)
+    is value at each (N, d) row of a (K, N, d) array, bit for bit. A
+    coupling with scale 0 is identically zero, pair_weight and
+    pair_curvature included, so it returns zeros without touching its pair
+    functions."""
 
     N: int
     d: int
     scale: float
     pair_value: Callable[[np.ndarray], np.ndarray]
     pair_weight: Callable[[np.ndarray], np.ndarray]
+    pair_curvature: Callable[[np.ndarray], np.ndarray]
 
     def _pairs(self, X, n: int | None = None):
         return pair_differences(np.asarray(X, dtype=float).reshape(self.N, self.d), n)
@@ -247,9 +276,18 @@ class CouplingFunction:
         D, sq = self._pairs(X, n)
         return _ordered_sum(self.pair_weight(sq)[:, None] * D)
 
+    def hess_row(self, X, n: int) -> np.ndarray:
+        if self.scale == 0.0:
+            return np.zeros((self.d, self.d))
+        D, sq = self._pairs(X, n)
+        others = np.arange(self.N) != n
+        D, sq = D[others], sq[others]
+        return (self.pair_weight(sq).sum() * np.eye(self.d)
+                + 2.0 * (D.T * self.pair_curvature(sq)) @ D)
+
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
-    return CouplingFunction(N, d, 0.0, np.zeros_like, np.zeros_like)
+    return CouplingFunction(N, d, 0.0, np.zeros_like, np.zeros_like, np.zeros_like)
 
 
 def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunction:
@@ -259,7 +297,7 @@ def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunc
     coupling -eps (x_1 - x_2)^2.
     """
     return CouplingFunction(N, d, -strength, lambda sq: sq,
-                            lambda sq: np.full_like(sq, -2.0 * strength))
+                            lambda sq: np.full_like(sq, -2.0 * strength), np.zeros_like)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ the one loop below. fd_gradients evaluates the stencil of fd_gradient at
 many points in one call of a batched function; the oracle uses it on the
 welfare and keeps its own polish loop (see oracle), so the reference stays
 independent of the code it checks. fd_jacobian keeps its loop over
-columns: it runs in every best-response Newton step on d-vectors, where a
-stacked stencil costs more per call than the loop.
+columns: its callers (the welfare-optimal price's Newton steps, the
+weak-coupling diagnostic, the Hessian block of a utility given without one)
+difference small fields, where a stacked stencil costs more per call than
+the loop.
 """
 
 from __future__ import annotations
@@ -60,16 +62,28 @@ def fd_jacobian(F, x, h: float | None = None) -> np.ndarray:
     return np.array(cols).T
 
 
+def _rounding_floor(J: np.ndarray, x: np.ndarray) -> float:
+    """8 eps ||J||_2 max(1, ||x||_inf): the size below which rounding alone
+    can keep a field with Jacobian J from decreasing near x (0 when J is not
+    finite)."""
+    if not np.all(np.isfinite(J)):
+        return 0.0
+    x_inf = float(np.max(np.abs(x)))
+    return 8.0 * np.finfo(float).eps * float(np.linalg.norm(J, 2)) * max(1.0, x_inf)
+
+
 def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
                 jacobian_name: str = "Jacobian"):
     """Damped Newton for F(x) = 0, F a gradient field.
 
-    Each step solves jacobian(x) s = -F(x) and halves alpha = 1, 1/2, 1/4,
-    ... while alpha > 1e-12 (40 trials) until ||F||_inf decreases. Returns
-    (x, ||F(x)||_inf) at the first iterate with ||F||_inf <= tol. On a
-    singular Jacobian, a failed line search, or after max_iter steps it
-    raises error(message, last iterate, its residual), so each caller keeps
-    its own exception type.
+    Each step solves J s = -F(x), J = jacobian(x), and halves alpha = 1,
+    1/2, 1/4, ... while alpha > 1e-12 (40 trials) until ||F||_inf decreases.
+    Returns (x, ||F(x)||_inf) at the first iterate with ||F||_inf <= tol, or
+    at an iterate where the line search stalls with ||F||_inf at the
+    rounding floor of F, 8 eps ||J||_2 max(1, ||x||_inf). On a singular
+    Jacobian, a line search that stalls above that floor, or after max_iter
+    steps it raises error(message, last iterate, its residual), so each
+    caller keeps its own exception type.
     """
     x = np.array(x0, dtype=float)
     g = F(x)
@@ -77,8 +91,9 @@ def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol:
             return x, gnorm
+        J = jacobian(x)
         try:
-            step = np.linalg.solve(jacobian(x), -g)
+            step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
             raise error(f"singular {jacobian_name}", x, gnorm) from None
         alpha = 1.0
@@ -90,6 +105,8 @@ def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
                 break
             alpha *= 0.5
         else:
+            if gnorm <= _rounding_floor(J, x):
+                return x, gnorm
             raise error("line search failed to reduce the gradient", x, gnorm)
     raise error(f"no convergence after {max_iter} Newton iterations",
                 x, float(np.max(np.abs(g))))

@@ -189,9 +189,16 @@ def separation_barrier_coupling(beta: float, radius: float, N: int, d: int) -> C
     if beta == 0.0 or N < 2:
         return zero_coupling(N, d)
     r2 = radius * radius
+
+    def curvature(sq):
+        # d/ds of 4 beta softplus(r^2 - s) sigma(r^2 - s), with sigma' = sigma (1 - sigma)
+        z = r2 - sq
+        sig = _sigmoid(z)
+        return -4.0 * beta * sig * (sig + np.logaddexp(0.0, z) * _sigmoid(-z))
+
     return CouplingFunction(
         N, d, -beta, lambda sq: np.logaddexp(0.0, r2 - sq) ** 2,
-        lambda sq: 4.0 * beta * np.logaddexp(0.0, r2 - sq) * _sigmoid(r2 - sq))
+        lambda sq: 4.0 * beta * np.logaddexp(0.0, r2 - sq) * _sigmoid(r2 - sq), curvature)
 
 
 def _random_spd(rng, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:

@@ -70,6 +70,24 @@ def random_quadratic_instance(rng, N: int, d: int, coupling: float = 0.0,
     )
 
 
+def make_utility(family: str, rng, d: int):
+    """A random utility of one family: quadratic, cross_term,
+    decomposable, or (any other name) a value-only SmoothUtility."""
+    Q, R, x0 = random_spd(rng, d), random_spd(rng, d), rng.normal(size=d)
+    if family == "quadratic":
+        return pc.QuadraticUtility(Q=Q, R=R, x0=x0)
+    if family == "cross_term":
+        return pc.cross_term_utility(Q, R, x0, [rng.normal(size=(d, d)) for _ in range(d)])
+    if family == "decomposable":
+        return pc.decomposable_utility(
+            value_x=lambda x, x0=x0: -float(np.sum(np.cosh(x - x0) - 1.0)),
+            grad_x=lambda x, x0=x0: -np.sinh(x - x0),
+            value_u=lambda u, R=R: -float(u @ R @ u),
+            grad_u=lambda u, R=R: -2.0 * R @ u)
+    return pc.SmoothUtility(value_fn=lambda x_next, u, x0=x0: -float(np.sum((x_next - x0) ** 4)
+                                                                      + u @ u))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

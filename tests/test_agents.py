@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pricecoord as pc
-from conftest import make_two_agent_scalar, random_spd
+from conftest import make_two_agent_scalar, make_utility, random_spd
 
 
 def _scalar_setup():
@@ -40,7 +40,8 @@ def test_payoff_gradient_matches_fd(rng):
     util = pc.QuadraticUtility(Q=random_spd(rng, d), R=random_spd(rng, d),
                                x0=rng.normal(size=d))
     slc = pc.CouplingSlice(value=lambda u: -float(np.sum(u ** 2) + np.sum(u ** 4)),
-                           grad=lambda u: -(2.0 * u + 4.0 * u ** 3))
+                           grad=lambda u: -(2.0 * u + 4.0 * u ** 3),
+                           hess=lambda u: -np.diag(2.0 + 12.0 * u ** 2))
     game = pc.GameSpec(utility=util, price=rng.normal(size=d), coupling=slc,
                        proximal=(0.7, rng.normal(size=d)),
                        linear_probe=rng.normal(size=d))
@@ -98,3 +99,70 @@ def test_best_response_rejects_convex_payoff():
     util = pc.SmoothUtility(value_fn=lambda x_next, u: float(u @ u))
     with pytest.raises(pc.BestResponseError):
         pc.best_response(pc.GameSpec(utility=util), np.zeros(1), dyn, np.ones(1))
+
+
+_TERMS = ("utility", "price", "coupling", "proximal", "linear_probe")
+
+
+@pytest.mark.parametrize("terms", [(t,) for t in _TERMS] + [_TERMS])
+@pytest.mark.parametrize("family", ["quadratic", "cross_term", "decomposable", "smooth"])
+def test_payoff_hessian_matches_fd_of_payoff_gradient(family, terms):
+    rng = np.random.default_rng(3)
+    N, d = 3, 3
+    sys = pc.SystemInstance(
+        dynamics=tuple(pc.LinearDynamics(A=np.eye(d) + 0.3 * rng.normal(size=(d, d)),
+                                         B=np.eye(d) + 0.3 * rng.normal(size=(d, d)))
+                       for _ in range(N)),
+        utilities=tuple(make_utility(family, rng, d) for _ in range(N)),
+        coupling=pc.separation_barrier_coupling(3.0, 2.5, N, d),
+        states=rng.normal(size=(N, d)))
+    n = 1
+    dyn, x = sys.dynamics[n], sys.states[n]
+    available = {"utility": sys.utilities[n], "price": rng.normal(size=d),
+                 "coupling": pc.coupling_slices(sys, 0.5 * rng.normal(size=(N, d)))[n],
+                 "proximal": (0.7, rng.normal(size=d)), "linear_probe": rng.normal(size=d)}
+    game = pc.GameSpec(**{t: available[t] for t in terms})
+    for _ in range(5):
+        u = 0.5 * rng.normal(size=d)
+        H = pc.agents.payoff_hessian(game, x, dyn, u)
+        fd = pc.numerics.fd_jacobian(lambda v: pc.agents.payoff_gradient(game, x, dyn, v), u)
+        fd = 0.5 * (fd + fd.T)
+        np.testing.assert_allclose(H, fd, rtol=1e-6,
+                                   atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
+
+
+@pytest.mark.parametrize("cfg", [
+    {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0, "safety_radius": 6.0},
+    {"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
+     "coupling_strength": 0.5},
+    {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0, "safety_radius": 6.0,
+     "utility_spec": "cross_term"},
+])
+def test_closed_form_best_responses_take_no_finite_differences(cfg, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite-difference Jacobian evaluated")
+
+    monkeypatch.setattr(pc.agents, "fd_jacobian", refuse)
+    monkeypatch.setattr(pc.numerics, "fd_jacobian", refuse)
+    sys = pc.generate(pc.config_from_dict(cfg))
+    U = np.zeros((sys.N, sys.d))
+    for _ in range(3):
+        U = pc.play_simultaneous(sys, U)
+    slices = pc.coupling_slices(sys, U)
+    p = np.ones(sys.d)
+    for n in range(sys.N):
+        game = pc.GameSpec(utility=sys.utilities[n], price=p, coupling=slices[n])
+        x, dyn = sys.states[n], sys.dynamics[n]
+        u = pc.best_response(game, x, dyn, U[n])
+        assert np.max(np.abs(pc.agents.payoff_gradient(game, x, dyn, u))) <= 1e-9
+
+
+def test_best_response_stops_at_the_gradient_noise_floor():
+    # consensus strength 1e6: the payoff Hessian norm is ~4e4 at |u| ~ 120, so
+    # the gradient's rounding floor (~9e-9) lies above the 1e-10 tolerance;
+    # agent 1's first response used to fail its line search at 3.0e-10
+    sys = pc.generate(pc.config_from_dict(
+        {"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
+         "coupling_strength": 1e6}))
+    U = pc.play_simultaneous(sys, np.zeros((sys.N, sys.d)))
+    assert np.all(np.isfinite(U)) and np.max(np.abs(U)) > 100.0

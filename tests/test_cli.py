@@ -371,3 +371,29 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "identify" in proc.stdout
+
+
+def test_compare_estimates_the_default_step_once(tmp_path, monkeypatch):
+    calls = []
+    estimate = pc.mechanism.default_schedule
+    monkeypatch.setattr(pc.mechanism, "default_schedule",
+                        lambda *args: calls.append(args) or estimate(*args))
+    cfg = write_config(tmp_path, "c.json", seed=5, coupling_strength=5.0,
+                       coupling_spec="consensus_quadratic", mode={"max_rounds": 20})
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert len(calls) == 1
+    modes = json.loads((out / "compare.json").read_text())["modes"]
+    assert modes["two_stage"]["iterations"] > 0 and modes["single_stage"]["iterations"] > 0
+
+
+def test_simulate_on_a_stiff_consensus_ends_on_the_round_budget(tmp_path):
+    # the best responses stop at their gradient's rounding floor, so the run
+    # ends on the game-level round budget, not on a best-response failure
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=2,
+                       coupling_spec="consensus_quadratic", coupling_strength=1e6,
+                       mode={"mode": "simultaneous", "max_rounds": 200})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    failure = json.loads((out / "report.json").read_text())["failure"]
+    assert failure["reason"] == "max_rounds" and failure["rounds"] == 200

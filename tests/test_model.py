@@ -5,7 +5,7 @@ import pytest
 
 import pricecoord as pc
 from pricecoord.model import batch_welfare
-from conftest import make_two_agent_scalar, random_spd
+from conftest import make_two_agent_scalar, make_utility, random_spd
 
 
 def test_linear_dynamics_validation():
@@ -145,22 +145,6 @@ def test_joint_action_accepts_flat_and_matrix():
         pc.joint_action(sys, np.zeros(3))
 
 
-def _utility(family, rng, d):
-    Q, R, x0 = random_spd(rng, d), random_spd(rng, d), rng.normal(size=d)
-    if family == "quadratic":
-        return pc.QuadraticUtility(Q=Q, R=R, x0=x0)
-    if family == "cross_term":
-        return pc.cross_term_utility(Q, R, x0, [rng.normal(size=(d, d)) for _ in range(d)])
-    if family == "decomposable":
-        return pc.decomposable_utility(
-            value_x=lambda x, x0=x0: -float(np.sum(np.cosh(x - x0) - 1.0)),
-            grad_x=lambda x, x0=x0: -np.sinh(x - x0),
-            value_u=lambda u, R=R: -float(u @ R @ u),
-            grad_u=lambda u, R=R: -2.0 * R @ u)
-    return pc.SmoothUtility(value_fn=lambda x_next, u, x0=x0: -float(np.sum((x_next - x0) ** 4)
-                                                                      + u @ u))
-
-
 @pytest.mark.parametrize("K", [1, 73])
 @pytest.mark.parametrize("N", [1, 3, 7])
 @pytest.mark.parametrize("coupling", ["quadratic", "barrier"])
@@ -169,7 +153,7 @@ def test_batch_welfare_matches_a_loop_over_rows(family, coupling, N, K):
     rng = np.random.default_rng(11)
     d = 3
     families = ["quadratic", "cross_term", "decomposable", "smooth"]
-    utilities = tuple(_utility(families[n % 4] if family == "mixed" else family, rng, d)
+    utilities = tuple(make_utility(families[n % 4] if family == "mixed" else family, rng, d)
                       for n in range(N))
     dynamics = tuple(pc.LinearDynamics(A=np.eye(d) + 0.3 * rng.normal(size=(d, d)),
                                        B=np.eye(d) + 0.3 * rng.normal(size=(d, d)))
@@ -197,9 +181,58 @@ def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):
     def unreachable(sq):
         raise AssertionError("pair term evaluated")
 
-    G = pc.CouplingFunction(3, 2, 0.0, unreachable, unreachable)
+    G = pc.CouplingFunction(3, 2, 0.0, unreachable, unreachable, unreachable)
     X = rng.normal(size=(3, 2))
     for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)), (G.grad_row(X, 1), (2,)),
+                       (G.hess_row(X, 1), (2, 2)),
                        (G.values(rng.normal(size=(5, 3, 2))), (5,))):
         assert np.shape(out) == shape
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+
+def _couplings(N, d):
+    return {"zero": pc.zero_coupling(N, d),
+            "quadratic": pc.pairwise_quadratic_coupling(0.7, N, d),
+            "barrier": pc.separation_barrier_coupling(50.0, 6.0, N, d)}
+
+
+@pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])
+def test_hess_row_matches_fd_of_grad_row(kind):
+    rng = np.random.default_rng(5)
+    for N in range(1, 13):
+        for d in range(1, 5):
+            G = _couplings(N, d)[kind]
+            X = 3.0 * rng.normal(size=(N, d))
+            if N > 2:
+                X[2] = X[1]  # a coincident pair that is not the self pair
+            for n in range(N):
+                def row(v, n=n):
+                    Y = X.copy()
+                    Y[n] = v
+                    return G.grad_row(Y, n)
+
+                fd = pc.numerics.fd_jacobian(row, X[n])
+                H = G.hess_row(X, n)
+                assert H.shape == (d, d)
+                np.testing.assert_allclose(H, fd, rtol=1e-6,
+                                           atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
+
+
+def test_hess_row_of_well_separated_barrier_agents_is_zero():
+    # the self pair has D = 0 but pair_weight(0) = 4 beta softplus(r^2) sigma(r^2)
+    # = 7,200 here, so a Hessian that kept it would read 7,200 I
+    G = pc.separation_barrier_coupling(50.0, 6.0, 4, 2)
+    X = 30.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert G.pair_weight(np.zeros(1))[0] == pytest.approx(7200.0)
+    for n in range(4):
+        assert np.max(np.abs(G.hess_row(X, n))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])
+def test_pair_curvature_is_the_derivative_of_pair_weight(kind):
+    G = _couplings(3, 2)[kind]
+    s = np.linspace(0.0, 100.0, 201)
+    h = 1e-6 * np.maximum(1.0, s)
+    fd = (G.pair_weight(s + h) - G.pair_weight(s - h)) / (2.0 * h)
+    np.testing.assert_allclose(G.pair_curvature(s), fd, rtol=1e-6,
+                               atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))

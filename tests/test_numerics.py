@@ -81,3 +81,26 @@ def test_best_response_iteration_cap_keeps_its_message_and_state():
     np.testing.assert_allclose(exc.last_iterate, [last] * 2, rtol=1e-6)
     assert exc.residual == pytest.approx(4.0 * last ** 3, rel=1e-5)
     assert exc.agent is None and exc.round is None
+
+
+@pytest.mark.parametrize("c, scale, x0, stops", [
+    (1e-14, 1.0, [0.0, 0.0], False),   # floor 8 eps = 1.8e-15
+    (1e-14, 10.0, [0.0, 0.0], True),   # floor scales with ||J||_2
+    (1e-14, 1.0, [10.0, -3.0], True),  # and with ||x||_inf above 1
+])
+def test_newton_root_accepts_a_stalled_line_search_at_the_rounding_floor(c, scale, x0, stops):
+    # a constant field never decreases, so every line search stalls
+    args = (lambda x: np.full(2, c), lambda x: -scale * np.eye(2), np.array(x0))
+    if stops:
+        x, resid = newton_root(*args, tol=1e-20, max_iter=5, error=Failed)
+        np.testing.assert_array_equal(x, x0)
+        assert resid == c
+    else:
+        with pytest.raises(Failed, match="^line search failed"):
+            newton_root(*args, tol=1e-20, max_iter=5, error=Failed)
+
+
+def test_newton_root_with_a_non_finite_jacobian_reports_its_line_search():
+    with pytest.raises(Failed, match="^line search failed"):
+        newton_root(lambda x: np.full(2, 1e-20), lambda x: np.full((2, 2), np.nan),
+                    np.zeros(2), tol=1e-30, max_iter=5, error=Failed)
