@@ -39,7 +39,7 @@ def run_mode(sys, mode):
     try:
         trace = pc.run_stage(sys, np.zeros((2, 1)), pc.PollingConfig(mode=mode, **kwargs))
     except pc.NonConvergenceError as exc:
-        return exc.reason, exc.trace.iterations if exc.trace else 0, None
+        return exc.reason, exc.trace.iterations, None
     return "converged", trace.iterations, trace.u_final
 
 

@@ -43,7 +43,6 @@ from .equilibrium import (
     coupling_slices,
     default_schedule,
     estimate_cocoercivity,
-    flat_reward_field,
     grid_gradient_bound,
     play_sequential,
     play_simultaneous,

@@ -21,11 +21,10 @@ import numpy as np
 
 from .errors import (BestResponseError, ConfigError, CoordinationError, NonConvergenceError,
                      RankDeficiencyError)
-from .mechanism import (DAMPED_MODES, PLAY_MODES, StageTrace, price_from_target, run_stage,
-                        social_welfare, stage_step)
+from .mechanism import PLAY_MODES, StageTrace, price_from_target, run_stage, social_welfare
 from .model import LinearDynamics, joint_next_state, replace_states
 from .oracle import joint_welfare_opt
-from .parametric import ObservationLog, csv_header, identify, load_log, save_log, write_csv
+from .parametric import ObservationLog, identify, load_log, save_log
 from .scenario import (
     ScenarioConfig,
     generate,
@@ -73,8 +72,8 @@ def _failure(exc: CoordinationError) -> dict:
     out = {"message": str(exc)}
     if isinstance(exc, NonConvergenceError):
         tr = exc.trace
-        out.update(reason=exc.reason, rounds=tr.iterations if tr is not None else 0)
-        if out["rounds"]:
+        out.update(reason=exc.reason, rounds=tr.iterations)
+        if tr.iterations:
             out.update(recent_actions=tr.actions[-6:], recent_residuals=tr.residual[-6:])
     elif isinstance(exc, BestResponseError):
         out.update(reason="best_response", agent=exc.agent, round=exc.round,
@@ -107,7 +106,7 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
     report_path = os.path.join(out_dir, "report.json")
     _write_dynamics(cfg, inst, os.path.join(out_dir, "dynamics.json"))
 
-    rows = []
+    states, actions, prices = [], [], []  # (N, d) per completed stage
     welfare_series = []
     iterations = 0
     failure = None
@@ -125,9 +124,9 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
         u_star = st.u_final
         stage_inst = inst
         welfare_series.append(_stage_welfare(inst, st))
-        prices = price_from_target(inst, u_star)
-        for n in range(cfg.N):
-            rows.append((t, n, inst.states[n].copy(), u_star[n].copy(), prices[n].copy()))
+        states.append(np.array(inst.states))
+        actions.append(u_star)
+        prices.append(price_from_target(inst, u_star))
         new_states = joint_next_state(inst, u_star)
         if noise is not None:
             new_states = new_states + cfg.noise_std * np.array([g.normal(size=cfg.d)
@@ -135,10 +134,12 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
         inst = replace_states(inst, new_states)
         u_warm = u_star
 
-    if rows:
-        save_log(ObservationLog.from_rows(rows), trace_path)
-    else:
-        write_csv(trace_path, csv_header(cfg.d), [])
+    stages = len(actions)
+    save_log(ObservationLog(t=np.repeat(np.arange(stages), cfg.N),
+                            n=np.tile(np.arange(cfg.N), stages),
+                            x=np.reshape(states, (-1, cfg.d)),
+                            u=np.reshape(actions, (-1, cfg.d)),
+                            p=np.reshape(prices, (-1, cfg.d))), trace_path)
 
     final_welfare = welfare_series[-1] if welfare_series else None
     oracle_welfare = None
@@ -257,35 +258,20 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
     oracle = joint_welfare_opt(inst, box=base_pcfg.box)
     oracle_welfare = oracle.welfare
 
-    # the damped modes share one step size, estimated once; a failed estimate
-    # is each damped mode's own failure
-    try:
-        gamma = stage_step(inst, polling_config(cfg, mode_override=DAMPED_MODES[0]))
-    except ConfigError as exc:
-        gamma = exc
-
+    # the damped modes share inst, so run_stage estimates their default step once
     table = {}
     u0 = np.zeros((cfg.N, cfg.d))
     for mode in PLAY_MODES:
-        pcfg = polling_config(cfg, mode_override=mode)
         try:
-            if mode in DAMPED_MODES:
-                if isinstance(gamma, ConfigError):
-                    raise gamma
-                pcfg = dataclasses.replace(pcfg, gamma=gamma)
-            st = run_stage(inst, u0, pcfg)
-            final = _stage_welfare(inst, st)
-            table[mode] = {"iterations": st.iterations, "final_welfare": final,
-                           "gap": oracle_welfare - final, "converged": True}
+            st, outcome = run_stage(inst, u0, polling_config(cfg, mode_override=mode)), {}
         except NonConvergenceError as exc:
-            tr = exc.trace
-            final = _stage_welfare(inst, tr) if tr is not None else None
-            table[mode] = {"iterations": (tr.iterations if tr is not None else 0),
-                           "final_welfare": final,
-                           "gap": (oracle_welfare - final) if final is not None else None,
-                           "converged": False, "reason": exc.reason}
+            st, outcome = exc.trace, {"reason": exc.reason}
         except CoordinationError as exc:
             table[mode] = {"converged": False, **_failure(exc)}
+            continue
+        final = _stage_welfare(inst, st)
+        table[mode] = {"iterations": st.iterations, "final_welfare": final,
+                       "gap": oracle_welfare - final, "converged": st.converged, **outcome}
 
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "compare.json")

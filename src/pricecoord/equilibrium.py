@@ -63,7 +63,7 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
     """Sampled co-coercivity constant c_hat of an ascent field over the box
     (lo, hi)^m.
 
-    F is a callable on flat length-m points (flat_reward_field, say).
+    F is a callable on flat length-m points (reward_field, say).
     c_hat = min over pairs of <-(F(x) - F(y)), x - y> / ||F(x) - F(y)||^2,
     the pairs drawn uniformly from the box with seed 0; the orientation
     treats F as a reward gradient, so F(u) = b - u gives c_hat = 1 and
@@ -99,31 +99,26 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
 # the stacked reward field of a system instance
 
 def reward_field(sys: SystemInstance):
-    """F(U) as an (N, d) -> (N, d) map stacking per-agent reward gradients."""
+    """F(u) stacking the per-agent reward gradients, in the shape of the joint
+    action it is given: (N, d) -> (N, d), or flat N*d -> N*d."""
 
-    def F(U):
-        U = joint_action(sys, U)
+    def F(u):
+        U = joint_action(sys, u)
         G = sys.coupling.grad(joint_next_state(sys, U))
         out = np.empty_like(U)
         for n in range(sys.N):
             dyn = sys.dynamics[n]
             out[n] = sys.utilities[n].grad_u(dyn, sys.states[n], U[n]) + dyn.B.T @ G[n]
-        return out
+        return out.reshape(np.shape(u))
 
     return F
-
-
-def flat_reward_field(sys: SystemInstance):
-    """Same field flattened to length N*d vectors, for the VI machinery."""
-    F = reward_field(sys)
-    return lambda u_flat: F(u_flat.reshape(sys.N, sys.d)).ravel()
 
 
 def default_schedule(sys: SystemInstance, box) -> float:
     """The default step gamma = min(0.9 * 2 * c_hat, 1), with c_hat estimated
     for the instance's reward field over the box (lo, hi)^{N d}: a 0.9 margin
     under the 2c bound of the convergence theory."""
-    c_hat = estimate_cocoercivity(flat_reward_field(sys), box, sys.N * sys.d)
+    c_hat = estimate_cocoercivity(reward_field(sys), box, sys.N * sys.d)
     if not c_hat > 0:
         raise ValueError(f"reward field not co-coercive on the box (c_hat={c_hat:.3e}); "
                          "supply an explicit gamma")

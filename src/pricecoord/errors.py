@@ -28,7 +28,9 @@ class NonConvergenceError(CoordinationError):
     """An iteration loop stopped without meeting its tolerance.
 
     reason is "oscillation" (the detector fired), "max_rounds", or "newton".
-    trace carries the per-round history for oscillation studies.
+    trace carries the per-round history: run_stage always attaches the
+    stage's partial StageTrace, vi_project_iterate its (k, residual) rows,
+    and the optimal-price Newton solve none.
     """
 
     def __init__(self, message, reason="max_rounds", trace=None, last=None):

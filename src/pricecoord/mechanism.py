@@ -23,7 +23,6 @@ from .model import SystemInstance, batch_welfare, joint_action
 from .numerics import fd_jacobian
 from .equilibrium import (
     default_schedule,
-    flat_reward_field,
     play_sequential,
     play_simultaneous,
     play_tikhonov,
@@ -91,7 +90,7 @@ def weak_coupling_diagnostic(sys: SystemInstance, u=None) -> WeakCouplingReport:
     """
     N, d = sys.N, sys.d
     U0 = np.zeros((N, d)) if u is None else joint_action(sys, u)
-    J = fd_jacobian(flat_reward_field(sys), U0.ravel(), 1e-5)
+    J = fd_jacobian(reward_field(sys), U0.ravel(), 1e-5)
     blocks = J.reshape(N, d, N, d).transpose(0, 2, 1, 3)  # blocks[n, m]: d(F_n)/d(u_m)
     own = blocks[np.arange(N), np.arange(N)]
     diag_margin = float(np.min(np.linalg.eigvalsh(-0.5 * (own + own.swapaxes(1, 2)))[:, 0]))
@@ -141,14 +140,12 @@ class PollingConfig:
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Per-round record of one stage. Arrays are aligned: rounds[i] is the
-    1-based round index, actions[i] the joint action after it, welfare[i]
-    and residual[i] the social welfare and ||F||_inf there, delta[i] the
-    inf-norm increment from the previous round."""
+    """Per-round record of one stage from u0, one entry per round: actions[i]
+    is the joint action after round i + 1, welfare[i] and residual[i] the
+    social welfare and ||F||_inf there, delta[i] the inf-norm increment from
+    the previous round. converged is False on a NonConvergenceError's trace."""
 
-    mode: str
     u0: np.ndarray
-    rounds: np.ndarray
     actions: np.ndarray
     welfare: np.ndarray
     residual: np.ndarray
@@ -157,31 +154,30 @@ class StageTrace:
 
     @property
     def iterations(self) -> int:
-        return int(self.rounds.size)
+        return len(self.actions)
 
     @property
     def u_final(self) -> np.ndarray:
-        return self.actions[-1] if self.rounds.size else self.u0
-
-    def rows(self):
-        """(round, action, welfare, residual) tuples, one per round."""
-        return [(int(self.rounds[i]), self.actions[i], float(self.welfare[i]),
-                 float(self.residual[i])) for i in range(self.rounds.size)]
+        return self.actions[-1] if self.iterations else self.u0
 
 
-def stage_step(sys, cfg: PollingConfig) -> Optional[float]:
+def stage_step(sys: SystemInstance, cfg: PollingConfig) -> Optional[float]:
     """gamma for the stage: cfg.gamma, or for a damped mode without one the
-    default step estimated from cfg.box. Raises ConfigError when it cannot
-    be estimated."""
+    default step estimated from cfg.box. The estimate is made once per
+    instance and box and remembered on the instance; one that fails raises
+    ConfigError, each time it is asked for."""
     if cfg.gamma is not None or cfg.mode not in DAMPED_MODES:
         return cfg.gamma
     if cfg.box is None:
         raise ConfigError(f"mode {cfg.mode!r} needs a step size (gamma) or a box to "
                           "estimate one from")
-    try:
-        return default_schedule(sys, cfg.box)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    box = tuple(cfg.box)
+    if box not in sys._default_steps:
+        try:
+            sys._default_steps[box] = default_schedule(sys, box)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return sys._default_steps[box]
 
 
 # Strong symmetric coupling drives parallel best responses into an
@@ -209,30 +205,22 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     reason "oscillation" when play cycles (an exact period-2 cycle in any
     mode, or _ALT_WINDOW rounds of sustained alternation under simultaneous
     or sequential play) and reason "max_rounds" when the budget runs out;
-    the partial trace rides on the exception. One sequential round is a full
-    sweep of all N agents. A BestResponseError leaves with the 1-based round
-    it happened in; a damped mode whose step size cannot be estimated raises
-    ConfigError.
+    the partial trace always rides on the exception. One sequential round
+    is a full sweep of all N agents. A BestResponseError leaves with the
+    1-based round it happened in; a damped mode takes its step from
+    stage_step and raises its ConfigError when the step cannot be estimated.
     """
     U = joint_action(sys, u0).copy()
     gamma = stage_step(sys, cfg)
     F = reward_field(sys)
     tol = cfg.tol
 
-    rounds, actions, residual, delta_log = [], [], [], []
-
-    def snapshot(k, u_new, d_inf, f_inf):
-        rounds.append(k)
-        actions.append(u_new.copy())
-        residual.append(f_inf)
-        delta_log.append(d_inf)
+    actions, residual, delta_log = [], [], []
 
     def trace(converged):
         acts = np.asarray(actions, dtype=float)
-        return StageTrace(mode=cfg.mode, u0=joint_action(sys, u0).copy(),
-                          rounds=np.asarray(rounds, dtype=int),
-                          actions=acts,
-                          welfare=batch_welfare(sys, acts) if rounds else np.empty(0),
+        return StageTrace(u0=joint_action(sys, u0).copy(), actions=acts,
+                          welfare=batch_welfare(sys, acts) if actions else np.empty(0),
                           residual=np.asarray(residual, dtype=float),
                           delta=np.asarray(delta_log, dtype=float),
                           converged=converged)
@@ -265,7 +253,9 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
 
         d_inf = float(np.max(np.abs(u_new - U)))
         f_inf = float(np.max(np.abs(F(u_new))))
-        snapshot(k, u_new, d_inf, f_inf)
+        actions.append(u_new.copy())
+        residual.append(f_inf)
+        delta_log.append(d_inf)
 
         if d_inf <= tol and f_inf <= 10 * tol:
             return trace(True)

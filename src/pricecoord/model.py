@@ -348,6 +348,11 @@ class SystemInstance:
                               for k in ("Q", "R", "x0"))
         return Ax, B, quadratic
 
+    @cached_property
+    def _default_steps(self) -> dict:
+        """mechanism.stage_step's estimated default steps, keyed by box."""
+        return {}
+
     @property
     def d(self) -> int:
         return self.dynamics[0].d

@@ -166,11 +166,17 @@ def _multistart(sys: SystemInstance, box) -> np.ndarray:
     best_u = None
     for k in range(32):
         start = lo + (hi - lo) * rng.random(m) if k else np.full(m, 0.5 * (lo + hi))
-        u = _newton_polish(sys, start)
-        w = f(u[None])[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite welfare is skipped
+            try:
+                u = _newton_polish(sys, start)
+            except ValueError:  # the welfare is not finite near this start
+                continue
+            w = f(u[None])[0]
         if np.isfinite(w) and w > best_w:
             best_w = w
             best_u = u
+    if best_u is None:
+        raise ValueError(f"no multistart start on the box {tuple(box)!r} has a finite welfare")
     return best_u
 
 
@@ -181,7 +187,8 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
     only; falls back to multistart with a warning if the probed Hessian is not
     negative definite), "grid" scans the box at pitch width/200 for N*d <= 3
     and polishes with Newton, "newton_multistart" runs 32 damped Newton solves
-    from random box starts and keeps the best.
+    from the box centre and random box starts and keeps the best finite one
+    (a start whose welfare overflows is skipped; ValueError if all do).
 
     Every Newton solve works on welfare values only: the field is a central
     first difference and the Hessian a symmetric central second difference

@@ -236,7 +236,7 @@ def test_c07_proximal_gap_and_stage_limits():
         sys = make_two_agent_scalar(eps)
         D = pc.grid_gradient_bound(sys, box)
         lam, gamma = 100.0, pc.default_schedule(sys, box)
-        F = pc.flat_reward_field(sys)
+        F = pc.reward_field(sys)
         c1 = pc.estimate_cocoercivity(F, box, 2)
 
         def residual_field(u_flat, sys=sys, F=F):

@@ -267,7 +267,7 @@ def test_simulate_records_a_stage_without_a_step_size(tmp_path):
     rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet",
                "--mode", "two_stage"])
     assert rc == 1
-    assert (out / "trace.csv").read_text().splitlines() == ["t,n,x_0,x_1,u_0,u_1,p_0,p_1"]
+    assert (out / "trace.csv").read_text() == "t,n,x_0,x_1,u_0,u_1,p_0,p_1\n"
     failure = json.loads((out / "report.json").read_text())["failure"]
     assert failure["reason"] == "config" and failure["stage"] == 0
     assert "not co-coercive" in failure["message"]
@@ -385,6 +385,21 @@ def test_compare_estimates_the_default_step_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     modes = json.loads((out / "compare.json").read_text())["modes"]
     assert modes["two_stage"]["iterations"] > 0 and modes["single_stage"]["iterations"] > 0
+
+
+def test_simulate_estimates_the_default_step_once_per_stage(tmp_path, monkeypatch):
+    # each stage runs on a new instance, so no step is carried across stages
+    calls = []
+    estimate = pc.mechanism.default_schedule
+    monkeypatch.setattr(pc.mechanism, "default_schedule",
+                        lambda *args: calls.append(args) or estimate(*args))
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=3,
+                       coupling_spec="consensus_quadratic", coupling_strength=0.5,
+                       utility_spec="quadratic_random")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet",
+                 "--mode", "two_stage"]) == 0
+    assert len(calls) == 3
 
 
 def test_simulate_on_a_stiff_consensus_ends_on_the_round_budget(tmp_path):

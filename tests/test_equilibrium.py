@@ -111,11 +111,23 @@ def test_reward_field_is_welfare_gradient(rng):
     # utilities plus a shared coupling form an exact potential: the stacked
     # agent payoff gradients equal the welfare gradient
     sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.4)
-    F = pc.flat_reward_field(sys)
+    F = pc.reward_field(sys)
     for _ in range(5):
         u = rng.normal(size=6)
         g = pc.fd_gradient(lambda v: pc.joint_welfare(sys, v.reshape(3, 2)), u)
         np.testing.assert_allclose(F(u), g, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("utility_spec", ["quadratic_random", "cross_term"])
+def test_reward_field_answers_in_the_input_shape(rng, utility_spec):
+    # the README instance, and the same fleet with SmoothUtility agents
+    sys = pc.generate(pc.config_from_dict({"N": 3, "d": 2, "seed": 13,
+                                           "coupling_strength": 50.0, "safety_radius": 6.0,
+                                           "utility_spec": utility_spec}))
+    F = pc.reward_field(sys)
+    U = rng.normal(size=(3, 2))
+    assert F(U).shape == (3, 2)
+    assert np.array_equal(F(U.ravel()), F(U).ravel())
 
 
 def test_coupling_slice_freezes_opponents(rng):

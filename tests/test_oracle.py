@@ -84,7 +84,7 @@ def test_closed_form_on_random_quadratic_instances(rng):
     for trial in range(5):
         sys = random_quadratic_instance(rng, N=2, d=2, coupling=0.2)
         res = pc.joint_welfare_opt(sys)
-        field = pc.flat_reward_field(sys)
+        field = pc.reward_field(sys)
         # welfare field = utility gradients + coupling part; welfare optimum of
         # a shared coupling zeroes the full welfare gradient
         g = pc.fd_gradient(lambda v: pc.joint_welfare(sys, v.reshape(2, 2)),
@@ -92,18 +92,35 @@ def test_closed_form_on_random_quadratic_instances(rng):
         assert np.max(np.abs(g)) < 1e-6
 
 
-def test_nonquadratic_welfare_falls_back_with_warning():
+def double_well_instance():
+    """One agent with the non-quadratic welfare -(u^2 - 1)^2, maximized at u = +-1."""
     dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
     util = pc.SmoothUtility(
         value_fn=lambda x_next, u: -float((u[0] ** 2 - 1.0) ** 2))
-    sys = pc.SystemInstance(dynamics=(dyn,), utilities=(util,),
-                            coupling=pc.zero_coupling(1, 1),
-                            states=np.zeros((1, 1)))
+    return pc.SystemInstance(dynamics=(dyn,), utilities=(util,),
+                             coupling=pc.zero_coupling(1, 1), states=np.zeros((1, 1)))
+
+
+def test_nonquadratic_welfare_falls_back_with_warning():
+    sys = double_well_instance()
     with pytest.warns(UserWarning):
         res = pc.joint_welfare_opt(sys, box=(-2.0, 2.0))
     assert np.isclose(abs(res.u_star[0, 0]), 1.0, atol=1e-6)
     assert np.isclose(res.welfare, 0.0, atol=1e-9)
     assert res.method == "newton_multistart"
+
+
+def test_multistart_skips_starts_whose_welfare_overflows(rng):
+    sys = random_quadratic_instance(rng, N=2, d=1, coupling=0.3)
+    closed = pc.joint_welfare_opt(sys)
+    multi = pc.joint_welfare_opt(sys, box=(-1e300, 1e300), method="newton_multistart")
+    np.testing.assert_allclose(multi.u_star, closed.u_star, atol=1e-7)
+
+
+def test_multistart_without_a_finite_start_names_the_box():
+    with pytest.raises(ValueError, match="box"):
+        pc.joint_welfare_opt(double_well_instance(), box=(1e300, 1.5e300),
+                             method="newton_multistart")
 
 
 def test_unknown_method_rejected():
