@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BestResponseError
 from .model import LinearDynamics, as_vector, step
-from .numerics import fd_jacobian, newton_root
+from .numerics import newton_root
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,10 @@ def payoff_gradient(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
 def payoff_hessian(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
     """The Hessian of the posed payoff in u, term by term: the utility's
     hess_u, 0 for the price, the coupling slice's hess, -2 lam I for the
-    proximal term and -2 I for the probe. A utility without a closed form
-    (a SmoothUtility without hessian_u) contributes the symmetrized central
-    difference of its grad_u."""
+    proximal term and -2 I for the probe."""
     H = np.zeros((dyn.d, dyn.d))
     if game.utility is not None:
-        H_u = game.utility.hess_u(dyn, x, u)
-        if H_u is None:
-            H_u = fd_jacobian(lambda v: game.utility.grad_u(dyn, x, v), u)
-            H_u = 0.5 * (H_u + H_u.T)
-        H += H_u
+        H += game.utility.hess_u(dyn, x, u)
     if game.coupling is not None:
         H += game.coupling.hess(u)
     if game.proximal is not None:
@@ -127,7 +121,7 @@ def payoff_hessian(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
 
 def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start) -> np.ndarray:
     """Maximize the posed payoff: damped Newton on payoff_gradient, with
-    payoff_hessian as its Jacobian.
+    payoff_hessian as its Jacobian, as the one-row case of newton_root.
 
     Starts at u_start, which implements the closest-root selection rule when
     payoffs have several stationary points. Stops at ||grad||_inf <= 1e-10,
@@ -137,16 +131,16 @@ def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start) -> np.ndarray
     above that floor, on convergence to a non-maximum (the Hessian at the
     result is not negative definite), or at the iteration cap.
     """
-    def gradient(u):
-        return payoff_gradient(game, x, dyn, u)
+    def gradient(U, rows):
+        return payoff_gradient(game, x, dyn, U[0])[None]
 
-    def hessian(u):
-        return payoff_hessian(game, x, dyn, u)
+    def hessian(U, rows):
+        return payoff_hessian(game, x, dyn, U[0])[None]
 
-    u, gnorm = newton_root(gradient, hessian, as_vector(u_start, dyn.d, "u_start"),
-                           1e-10, 100, error=BestResponseError,
-                           jacobian_name="payoff Hessian")
-    if np.max(np.linalg.eigvalsh(hessian(u))) >= 0.0:
-        raise BestResponseError("stationary point is not a local maximum",
-                                last_iterate=u, residual=gnorm)
-    return u
+    def error(message, last, residual, row):
+        return BestResponseError(message, last_iterate=last, residual=residual)
+
+    U, _ = newton_root(gradient, hessian, as_vector(u_start, dyn.d, "u_start")[None],
+                       1e-10, 100, error=error, jacobian_name="payoff Hessian",
+                       maximize=True)
+    return U[0]

@@ -5,7 +5,11 @@ The stacked operator F(u) = (grad_{u_1} R_1, ..., grad_{u_N} R_N) collects
 each agent's reward gradient (private utility plus the shared coupling,
 chain-ruled through that agent's next state). Nash stationarity is F(u*) = 0,
 equivalently the VI: (y - u*)^T F(u*) >= 0 rewritten for the ascent
-orientation used here.
+orientation used here. F and every agent's payoff derivatives come from one
+stacked fleet derivative (_utility_derivative, _coupling_derivative), and
+the simultaneous, two-stage, single-stage and Tikhonov plays solve a round's
+N best responses as one row-stacked Newton iteration (numerics.newton_root),
+each row bit for bit agents.best_response on that agent's game.
 
 Proximal bookkeeping: GameSpec's proximal term is -lam ||u - anchor||^2 with
 gradient -2 lam (u - anchor). The two-stage, single-stage, and Tikhonov plays
@@ -23,7 +27,8 @@ import numpy as np
 
 from .agents import CouplingSlice, GameSpec, best_response
 from .errors import BestResponseError, NonConvergenceError
-from .model import SystemInstance, joint_action, joint_next_state, step
+from .model import SystemInstance, _fleet_step, joint_action, joint_next_state, pair_batch_rows
+from .numerics import newton_root
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +68,8 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
     """Sampled co-coercivity constant c_hat of an ascent field over the box
     (lo, hi)^m.
 
-    F is a callable on flat length-m points (reward_field, say).
+    F is a callable on a (K, m) batch of flat points (reward_field, say),
+    called once on all 2 n_pairs sampled points.
     c_hat = min over pairs of <-(F(x) - F(y)), x - y> / ||F(x) - F(y)||^2,
     the pairs drawn uniformly from the box with seed 0; the orientation
     treats F as a reward gradient, so F(u) = b - u gives c_hat = 1 and
@@ -75,40 +81,78 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
     if n_pairs < 2:
         raise ValueError("n_pairs must be >= 2")
     lo, hi = box
-    rng = np.random.default_rng(0)
-    best = np.inf
+    P = lo + (hi - lo) * np.random.default_rng(0).random((n_pairs, 2, m))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        for _ in range(n_pairs):
-            x = lo + (hi - lo) * rng.random(m)
-            y = lo + (hi - lo) * rng.random(m)
-            dF = F(x) - F(y)
-            denom = float(dF @ dF)
-            if denom < 1e-24:  # ||dF|| < 1e-12
-                continue
-            num = float(-(dF @ (x - y)))
-            if not np.isfinite(num) or not np.isfinite(denom):
-                raise ValueError(f"co-coercivity ratio is not finite on the box {tuple(box)!r}; "
-                                 "use a smaller box or supply an explicit gamma")
-            best = min(best, num / denom)
-    if best == np.inf:
+        FP = F(P.reshape(-1, m)).reshape(n_pairs, 2, m)
+        dF = (FP[:, 0] - FP[:, 1])[:, None, :]
+        denom = (dF @ dF.swapaxes(1, 2))[:, 0, 0]
+        num = -(dF @ (P[:, 0] - P[:, 1])[:, :, None])[:, 0, 0]
+    kept = ~(denom < 1e-24)  # ||dF|| < 1e-12
+    if not (np.all(np.isfinite(num[kept])) and np.all(np.isfinite(denom[kept]))):
+        raise ValueError(f"co-coercivity ratio is not finite on the box {tuple(box)!r}; "
+                         "use a smaller box or supply an explicit gamma")
+    if not kept.any():
         raise ValueError("all sampled pairs were degenerate (constant field?)")
-    return best
+    return float(np.min(num[kept] / denom[kept]))
 
 
 # ---------------------------------------------------------------------------
 # the stacked reward field of a system instance
 
+def _utility_derivative(sys: SystemInstance, V, rows, hessian: bool = False) -> np.ndarray:
+    """Row i: the private utility gradient of agent n = rows[i] at the action
+    V[..., i, :], (..., k, d), or with hessian its Hessian, (k, d, d) for V
+    of shape (k, d). Stacked from the instance's (Q, R, x0) arrays when every
+    utility is quadratic, each row bit for bit QuadraticUtility's; through
+    each utility's grad_u and hess_u otherwise."""
+    quadratic = sys._stacked[2]
+    if quadratic is None:
+        utility = [(sys.utilities[n], sys.dynamics[n], sys.states[n]) for n in rows]
+        if hessian:
+            return np.array([ut.hess_u(dyn, x, v) for (ut, dyn, x), v in zip(utility, V)])
+        out = [[ut.grad_u(dyn, x, v) for (ut, dyn, x), v in zip(utility, Vb)]
+               for Vb in V.reshape(-1, len(rows), sys.d)]
+        return np.reshape(out, np.shape(V))
+    Q, R, x0 = (a[rows] for a in quadratic)
+    Bt = sys._stacked[1][rows].swapaxes(1, 2)
+    if hessian:
+        return -2.0 * (Bt @ Q @ Bt.swapaxes(1, 2) + R)
+    e = _fleet_step(sys, V, rows) - x0
+    return (((-2.0 * Bt) @ (Q @ e[..., None]))[..., 0]
+            - 2.0 * (R @ V[..., None])[..., 0])
+
+
+def _coupling_derivative(sys: SystemInstance, V, X, rows, hessian: bool = False) -> np.ndarray:
+    """Row i: the shared coupling's gradient for agent n = rows[i] at the
+    action V[i], everyone else at the next states X, chain-ruled through
+    x_n = A x + B u_n: B^T grad_rows, (k, d), or with hessian
+    B^T hess_rows B, (k, d, d). For the gradient, X None means every agent
+    at its own row of V, (..., N, d), with rows all agents in order:
+    B^T grad."""
+    B = sys._stacked[1][rows]
+    Y = _fleet_step(sys, V, rows)
+    if hessian:
+        return B.swapaxes(1, 2) @ sys.coupling.hess_rows(Y, X, rows) @ B
+    g = sys.coupling.grad(Y) if X is None else sys.coupling.grad_rows(Y, X, rows)
+    return (B.swapaxes(1, 2) @ g[..., None])[..., 0]
+
+
 def reward_field(sys: SystemInstance):
     """F(u) stacking the per-agent reward gradients, in the shape of the joint
-    action it is given: (N, d) -> (N, d), or flat N*d -> N*d."""
+    actions it is given: (..., N, d) -> (..., N, d), or flat (..., N*d) ->
+    (..., N*d). Each row is agent n's utility gradient plus B_n^T times
+    row n of the coupling gradient; a batch is taken in pieces of
+    model.pair_batch_rows joint actions."""
+    rows = np.arange(sys.N)
+    chunk = pair_batch_rows(sys)
 
     def F(u):
-        U = joint_action(sys, u)
-        G = sys.coupling.grad(joint_next_state(sys, U))
-        out = np.empty_like(U)
-        for n in range(sys.N):
-            dyn = sys.dynamics[n]
-            out[n] = sys.utilities[n].grad_u(dyn, sys.states[n], U[n]) + dyn.B.T @ G[n]
+        U = np.ascontiguousarray(np.reshape(u, (-1, sys.N, sys.d)), dtype=float)
+        if not np.all(np.isfinite(U)):
+            raise ValueError("joint action contains non-finite entries")
+        out = np.concatenate([_utility_derivative(sys, Uk, rows)
+                              + _coupling_derivative(sys, Uk, None, rows)
+                              for Uk in (U[k:k + chunk] for k in range(0, len(U), chunk))])
         return out.reshape(np.shape(u))
 
     return F
@@ -128,61 +172,78 @@ def default_schedule(sys: SystemInstance, box) -> float:
 def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
     """The shared coupling as seen by each agent n with opponents frozen at
     u_frozen, chain-ruled through agent n's next state x_n = A x + B u_n:
-    gradient B^T grad_row, Hessian B^T hess_row B. The frozen joint next
-    state is computed once for all N slices."""
+    gradient B^T grad_rows, Hessian B^T hess_rows B, on the one row n. The
+    frozen joint next state is computed once for all N slices."""
     X_frozen = joint_next_state(sys, u_frozen)
-    G = sys.coupling
+    return [_coupling_slice(sys, X_frozen, n) for n in range(sys.N)]
 
-    def slice_of(n):
-        dyn, x_n = sys.dynamics[n], sys.states[n]
 
-        def states_with(un):
-            X = X_frozen.copy()
-            X[n] = step(dyn, x_n, un)
-            return X
+def _coupling_slice(sys: SystemInstance, X_frozen: np.ndarray, n: int) -> CouplingSlice:
+    G, Ax, B, row = sys.coupling, sys._stacked[0][n], sys.dynamics[n].B, np.array([n])
 
-        return CouplingSlice(value=lambda un: G.value(states_with(un)),
-                             grad=lambda un: dyn.B.T @ G.grad_row(states_with(un), n),
-                             hess=lambda un: dyn.B.T @ G.hess_row(states_with(un), n) @ dyn.B)
+    def states_with(un):
+        X = X_frozen.copy()
+        X[n] = Ax + B @ un
+        return X
 
-    return [slice_of(n) for n in range(sys.N)]
+    return CouplingSlice(
+        value=lambda un: G.value(states_with(un)),
+        grad=lambda un: B.T @ G.grad_rows((Ax + B @ un)[None], X_frozen, row)[0],
+        hess=lambda un: B.T @ G.hess_rows((Ax + B @ un)[None], X_frozen, row)[0] @ B)
 
 
 # ---------------------------------------------------------------------------
 # play modes (one iteration each; the loop lives in mechanism.run_stage)
 
-def _responses(sys: SystemInstance, agents, frozen: np.ndarray, anchors: np.ndarray,
-               lam: float | None = None):
-    """(anchors with the rows of `agents` replaced by their best responses
-    against opponents frozen at `frozen`, the coupling slices). Each response
-    starts at its anchor; with lam the game adds the proximal term anchored
-    there. A failure names the agent."""
-    slices = coupling_slices(sys, frozen)
-    out = anchors.copy()
-    for n in agents:
-        # GameSpec's proximal payoff is -c ||u - anchor||^2; posing c = lam/2
-        # makes the stationarity coefficient exactly lam (see module docstring).
-        game = GameSpec(utility=sys.utilities[n], coupling=slices[n],
-                        proximal=None if lam is None else (0.5 * lam, anchors[n]))
-        try:
-            out[n] = best_response(game, sys.states[n], sys.dynamics[n], anchors[n])
-        except BestResponseError as exc:
-            exc.agent = n
-            raise
-    return out, slices
+def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.ndarray,
+                      lam: float | None = None) -> np.ndarray:
+    """Every agent's best response against opponents frozen at the next
+    states X_frozen, all N solved as one row-stacked Newton iteration: row n
+    is best_response on agent n's game, bit for bit, and starts at
+    anchors[n]. With lam the game adds the proximal term anchored there. A
+    failure raises the lowest failing agent's BestResponseError, naming it."""
+    # GameSpec's proximal payoff is -c ||u - anchor||^2; posing c = lam/2
+    # makes the stationarity coefficient exactly lam (see module docstring).
+    c = None if lam is None else 0.5 * lam
+
+    def gradient(V, rows):
+        g = _utility_derivative(sys, V, rows) + _coupling_derivative(sys, V, X_frozen, rows)
+        if c is not None:
+            g -= 2.0 * c * (V - anchors[rows])
+        return g
+
+    def hessian(V, rows):
+        H = (_utility_derivative(sys, V, rows, hessian=True)
+             + _coupling_derivative(sys, V, X_frozen, rows, hessian=True))
+        if c is not None:
+            H -= 2.0 * c * np.eye(sys.d)
+        return H
+
+    U, _ = newton_root(gradient, hessian, anchors, 1e-10, 100, error=BestResponseError,
+                       jacobian_name="payoff Hessian", maximize=True)
+    return U
 
 
 def play_simultaneous(sys: SystemInstance, u_prev) -> np.ndarray:
     """All agents best-respond in parallel against u_prev."""
     U = joint_action(sys, u_prev)
-    return _responses(sys, range(sys.N), U, U)[0]
+    return _jacobi_responses(sys, joint_next_state(sys, U), U)
 
 
 def play_sequential(sys: SystemInstance, u_prev, t: int) -> np.ndarray:
     """Only agent t mod N best-responds; everyone else copies u_prev.
     Chaining t = 0, 1, ... yields a Gauss-Seidel sweep."""
     U = joint_action(sys, u_prev)
-    return _responses(sys, [t % sys.N], U, U)[0]
+    n = t % sys.N
+    game = GameSpec(utility=sys.utilities[n],
+                    coupling=_coupling_slice(sys, joint_next_state(sys, U), n))
+    out = U.copy()
+    try:
+        out[n] = best_response(game, sys.states[n], sys.dynamics[n], U[n])
+    except BestResponseError as exc:
+        exc.agent = n
+        raise
+    return out
 
 
 def probe_utility_gradient(lam: float, response, anchor, coupling_grad) -> np.ndarray:
@@ -207,11 +268,11 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, lam:
                     gamma: float):
     """(responses, net update, extracted grad U): proximal responses anchored
     at U against `frozen` opponents, and U + gamma (grad U_n + grad_n G)."""
-    resp, slices = _responses(sys, range(sys.N), frozen, U, lam)
-    G = sys.coupling.grad(joint_next_state(sys, resp))
-    slice_grads = np.array([s.grad(r) for s, r in zip(slices, resp)])
-    g_util = probe_utility_gradient(lam, resp, U, slice_grads)
-    g_coup = np.array([dyn.B.T @ g for dyn, g in zip(sys.dynamics, G)])
+    rows = np.arange(sys.N)
+    X_frozen = joint_next_state(sys, frozen)
+    resp = _jacobi_responses(sys, X_frozen, U, lam)
+    g_util = probe_utility_gradient(lam, resp, U, _coupling_derivative(sys, resp, X_frozen, rows))
+    g_coup = _coupling_derivative(sys, resp, None, rows)
     return resp, U + gamma * (g_util + g_coup), g_util
 
 
@@ -262,7 +323,7 @@ def play_tikhonov(sys: SystemInstance, u_prev, lam: float) -> np.ndarray:
     the Tikhonov anchor term; the responses are the next iterate directly
     (a perturbed projection step with effective step 1/lam)."""
     U = joint_action(sys, u_prev)
-    return _responses(sys, range(sys.N), U, U, lam)[0]
+    return _jacobi_responses(sys, joint_next_state(sys, U), U, lam)
 
 
 def grid_gradient_bound(sys: SystemInstance, box) -> float:

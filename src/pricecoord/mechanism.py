@@ -22,6 +22,7 @@ from .errors import BestResponseError, ConfigError, NonConvergenceError
 from .model import SystemInstance, batch_welfare, joint_action
 from .numerics import fd_jacobian
 from .equilibrium import (
+    _utility_derivative,
     default_schedule,
     play_sequential,
     play_simultaneous,
@@ -50,11 +51,8 @@ def price_from_target(sys: SystemInstance, u_target) -> np.ndarray:
     gradient at the target. With concave utilities the target is the priced
     game's unique best response.
     """
-    U = joint_action(sys, u_target)
-    p = np.empty_like(U)
-    for n in range(sys.N):
-        p[n] = sys.utilities[n].grad_u(sys.dynamics[n], sys.states[n], U[n])
-    return p
+    U = np.ascontiguousarray(joint_action(sys, u_target))
+    return _utility_derivative(sys, U, np.arange(sys.N))
 
 
 def message_space_dimension(N: int, d: int) -> int:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import fd_gradient
+from .numerics import fd_gradient, fd_jacobian
 
 
 def as_vector(v, d: int | None = None, name: str = "vector") -> np.ndarray:
@@ -39,7 +39,7 @@ def as_vector(v, d: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if d is not None and arr.shape[0] != d:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {d}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 
@@ -53,7 +53,7 @@ def as_matrix(m, shape=None, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if shape is not None and arr.shape != tuple(shape):
         raise ValueError(f"{name} has shape {arr.shape}, expected {tuple(shape)}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 
@@ -138,8 +138,8 @@ class SmoothUtility:
     x_next, with signature (x_next, u, dyn) -> vector. When absent it is
     defined by central finite differences of value through the dynamics.
     hessian_u, when present, is the second total derivative with the same
-    signature, returning a (d, d) matrix; hess_u returns None without it
-    (agents.payoff_hessian then differences grad_u). Analytic gradients must
+    signature, returning a (d, d) matrix; without it hess_u is the
+    symmetrized central difference of grad_u. Analytic gradients must
     match finite differences to rel. err <= 1e-5; tests enforce this on
     sampled points, and on the Hessians too.
     """
@@ -156,9 +156,10 @@ class SmoothUtility:
             return self.gradient_u(step(dyn, x, u), u, dyn)
         return fd_gradient(lambda v: self.value(step(dyn, x, v), v), u, 1e-6)
 
-    def hess_u(self, dyn: LinearDynamics, x, u) -> np.ndarray | None:
+    def hess_u(self, dyn: LinearDynamics, x, u) -> np.ndarray:
         if self.hessian_u is None:
-            return None
+            H = fd_jacobian(lambda v: self.grad_u(dyn, x, v), u)
+            return 0.5 * (H + H.T)
         return self.hessian_u(step(dyn, x, u), u, dyn)
 
 
@@ -212,12 +213,17 @@ def decomposable_utility(value_x, grad_x, value_u, grad_u) -> SmoothUtility:
     return SmoothUtility(value, gradient)
 
 
-def pair_differences(X: np.ndarray, n: int | None = None):
+def pair_differences(X: np.ndarray):
     """Differences x_n - x_m of all pairs as (..., N, N, d) for X of shape
-    (..., N, d), or of agent n's pairs as (N, d), and their squared norms: a
-    stacked matmul with the exact bits of diff @ diff."""
-    D = X[..., :, None, :] - X[..., None, :, :] if n is None else X[n] - X
-    return D, (D[..., None, :] @ D[..., :, None])[..., 0, 0]
+    (..., N, d), and their squared norms."""
+    D = X[..., :, None, :] - X[..., None, :, :]
+    return D, _squared_norms(D)
+
+
+def _squared_norms(D: np.ndarray) -> np.ndarray:
+    """||D||^2 along the last axis: a stacked matmul with the exact bits of
+    diff @ diff."""
+    return (D[..., None, :] @ D[..., :, None])[..., 0, 0]
 
 
 def _ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -234,14 +240,16 @@ class CouplingFunction:
     (x_n - x_m), so pair_weight = 2 * scale * pair_value'. pair_curvature is
     d pair_weight / ds, which gives agent n's Hessian block
     d^2G/dx_n^2 = sum_{m != n} [pair_weight(s) I + 2 pair_curvature(s) D D^T]
-    with D = x_n - x_m. grad(X) is the whole (N, d) gradient; grad_row(X, n)
-    is its row n, bit for bit, from agent n's pairs only (the zero self pair
-    included); hess_row(X, n) is that (d, d) block from the same pairs, the
-    self pair masked (its D is zero, but its pair_weight is not); values(Xs)
-    is value at each (N, d) row of a (K, N, d) array, bit for bit. A
-    coupling with scale 0 is identically zero, pair_weight and
-    pair_curvature included, so it returns zeros without touching its pair
-    functions."""
+    with D = x_n - x_m. grad(X) is the whole gradient at each (N, d) joint
+    state of X, (..., N, d). grad_rows(Y, X, rows) is the same pair sum for
+    a stack of agents against one joint state X, (N, d): row i is dG/dx_n for
+    n = rows[i] with x_n replaced by Y[i], from agent n's pairs only (the
+    self pair exactly zero), bit for bit row n of grad when Y[i] = x_n.
+    hess_rows(Y, X, rows) gives those (d, d) blocks, (k, d, d), with the
+    self pair masked (its D is zero, but its pair_weight is not). values(Xs)
+    is value at each (N, d) row of a (K, N, d) array, bit for bit. A coupling
+    with scale 0 is identically zero, pair_weight and pair_curvature
+    included, so it returns zeros without touching its pair functions."""
 
     N: int
     d: int
@@ -249,9 +257,6 @@ class CouplingFunction:
     pair_value: Callable[[np.ndarray], np.ndarray]
     pair_weight: Callable[[np.ndarray], np.ndarray]
     pair_curvature: Callable[[np.ndarray], np.ndarray]
-
-    def _pairs(self, X, n: int | None = None):
-        return pair_differences(np.asarray(X, dtype=float).reshape(self.N, self.d), n)
 
     def value(self, X) -> float:
         return float(self.values(np.reshape(X, (1, self.N, self.d)))[0])
@@ -265,25 +270,33 @@ class CouplingFunction:
         return self.scale * _ordered_sum(pairs, axis=1)
 
     def grad(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        X = X.reshape(X.shape[:-2] + (self.N, self.d))
         if self.scale == 0.0:
-            return np.zeros((self.N, self.d))
-        D, sq = self._pairs(X)
-        return _ordered_sum(self.pair_weight(sq)[..., None] * D, axis=1)
+            return np.zeros(X.shape)
+        return self._pair_sum(*pair_differences(X))
 
-    def grad_row(self, X, n: int) -> np.ndarray:
+    def grad_rows(self, Y, X, rows) -> np.ndarray:
         if self.scale == 0.0:
-            return np.zeros(self.d)
-        D, sq = self._pairs(X, n)
-        return _ordered_sum(self.pair_weight(sq)[:, None] * D)
+            return np.zeros(np.shape(Y))
+        D = Y[:, None, :] - X
+        D[np.arange(len(rows)), rows] = 0.0
+        return self._pair_sum(D, _squared_norms(D))
 
-    def hess_row(self, X, n: int) -> np.ndarray:
+    def _pair_sum(self, D, sq) -> np.ndarray:
+        """sum_m pair_weight(s) (x_n - x_m) for the pair differences D of
+        each row, in index order."""
+        return _ordered_sum(self.pair_weight(sq)[..., None] * D, axis=-2)
+
+    def hess_rows(self, Y, X, rows) -> np.ndarray:
+        k = len(rows)
         if self.scale == 0.0:
-            return np.zeros((self.d, self.d))
-        D, sq = self._pairs(X, n)
-        others = np.arange(self.N) != n
-        D, sq = D[others], sq[others]
-        return (self.pair_weight(sq).sum() * np.eye(self.d)
-                + 2.0 * (D.T * self.pair_curvature(sq)) @ D)
+            return np.zeros((k, self.d, self.d))
+        others = np.arange(self.N) != np.asarray(rows)[:, None]
+        D = (Y[:, None, :] - X)[others].reshape(k, self.N - 1, self.d)
+        sq = _squared_norms(D)
+        return (self.pair_weight(sq).sum(axis=-1)[:, None, None] * np.eye(self.d)
+                + 2.0 * (D.transpose(0, 2, 1) * self.pair_curvature(sq)[:, None, :]) @ D)
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
@@ -361,7 +374,7 @@ class SystemInstance:
 def joint_action(sys: SystemInstance, u) -> np.ndarray:
     """Coerce a joint action to a finite (N, d) float array."""
     arr = np.asarray(u, dtype=float).reshape(sys.N, sys.d)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("joint action contains non-finite entries")
     return arr
 
@@ -371,12 +384,21 @@ def joint_next_state(sys: SystemInstance, u) -> np.ndarray:
     return _fleet_step(sys, np.ascontiguousarray(joint_action(sys, u)))
 
 
-def _fleet_step(sys: SystemInstance, U: np.ndarray) -> np.ndarray:
+def _fleet_step(sys: SystemInstance, U: np.ndarray, rows=None) -> np.ndarray:
     """A_n x_n + B_n u_n for every agent at each joint action of a C-ordered
-    (..., N, d) array, as one stacked matmul: each row is
-    step(dyn_n, x_n, u_n) bit for bit."""
+    (..., N, d) array, or with rows for agent rows[i] at U[..., i, :], as one
+    stacked matmul: each row is step(dyn_n, x_n, u_n) bit for bit."""
     Ax, B, _ = sys._stacked
+    if rows is not None:
+        Ax, B = Ax[rows], B[rows]
     return Ax + (B @ U[..., None])[..., 0]
+
+
+def pair_batch_rows(sys: SystemInstance) -> int:
+    """How many joint actions one call of a batched pair computation takes:
+    at most 2^18 / (N^2 d), so that the (K, N, N, d) pair differences of a
+    call stay below 2 MB whatever the fleet size."""
+    return max(1, 2 ** 18 // (sys.N * sys.N * sys.d))
 
 
 def batch_welfare(sys: SystemInstance, U) -> np.ndarray:

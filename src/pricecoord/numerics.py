@@ -1,16 +1,18 @@
-"""Finite differences and the damped-Newton root finder the solvers share.
+"""Finite differences and the one damped-Newton loop the solvers share.
 
 Every derivative the solvers do not get analytically is a central
 difference from this module, and every Newton solve on a gradient field
-(an agent's best response, the coordinator's welfare-optimal price) runs
-the one loop below. fd_gradients evaluates the stencil of fd_gradient at
-many points in one call of a batched function; the oracle uses it on the
-welfare and keeps its own polish loop (see oracle), so the reference stays
-independent of the code it checks. fd_jacobian keeps its loop over
-columns: its callers (the welfare-optimal price's Newton steps, the
-weak-coupling diagnostic, the Hessian block of a utility given without one)
-difference small fields, where a stacked stencil costs more per call than
-the loop.
+(an agent's best response, a Jacobi round's N best responses, the
+coordinator's welfare-optimal price) runs the one row-stacked loop below:
+newton_root solves k independent problems at once, each row with its own
+stopping test, line search and failure, and a single solve is its one-row
+case. fd_gradients evaluates the stencil of fd_gradient at many points in
+one call of a batched function; the oracle uses it on the welfare and keeps
+its own polish loop (see oracle), so the reference stays independent of the
+code it checks. fd_jacobian keeps its loop over columns: its callers (the
+welfare-optimal price's Newton steps, the weak-coupling diagnostic, the
+Hessian block of a utility given without one) difference small fields,
+where a stacked stencil costs more per call than the loop.
 """
 
 from __future__ import annotations
@@ -73,40 +75,133 @@ def _rounding_floor(J: np.ndarray, x: np.ndarray) -> float:
 
 
 def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
-                jacobian_name: str = "Jacobian"):
-    """Damped Newton for F(x) = 0, F a gradient field.
+                jacobian_name: str = "Jacobian", maximize: bool = False):
+    """Damped Newton for F(x) = 0, F a gradient field, on every row of x0.
 
-    Each step solves J s = -F(x), J = jacobian(x), and halves alpha = 1,
-    1/2, 1/4, ... while alpha > 1e-12 (40 trials) until ||F||_inf decreases.
-    Returns (x, ||F(x)||_inf) at the first iterate with ||F||_inf <= tol, or
-    at an iterate where the line search stalls with ||F||_inf at the
-    rounding floor of F, 8 eps ||J||_2 max(1, ||x||_inf). On a singular
-    Jacobian, a line search that stalls above that floor, or after max_iter
-    steps it raises error(message, last iterate, its residual), so each
-    caller keeps its own exception type.
+    x0 is (k, m): each row is its own problem, solved exactly as if alone,
+    and all rows step together, so one iteration makes one stacked call of
+    F(X, rows), one of jacobian(X, rows) and one np.linalg.solve. rows is
+    the index array of the rows evaluated, X their (len(rows), m) points;
+    F answers (len(rows), m) and jacobian (len(rows), m, m).
+
+    Per row, each step solves J s = -F(x) and halves alpha = 1, 1/2, 1/4,
+    ... while alpha > 1e-12 (40 trials) until ||F||_inf decreases. A row
+    stops at the first iterate with ||F||_inf <= tol, or where its line
+    search stalls with ||F||_inf at the rounding floor of F,
+    8 eps ||J||_2 max(1, ||x||_inf). With maximize a stopped row must also
+    have a negative definite Jacobian there, a local maximum of the function
+    F is the gradient of. Returns (X, residuals), the rows' last iterates
+    and their ||F||_inf.
+
+    A row fails on a singular Jacobian, a line search that stalls above that
+    floor, after max_iter steps, or under maximize at a point that is not a
+    maximum. The rows above a failed one stop iterating, and the lowest
+    failed row raises error(message, last iterate, its residual, row), so
+    each caller keeps its own exception type.
     """
-    x = np.array(x0, dtype=float)
-    g = F(x)
+    X = np.array(x0, dtype=float)
+    residual = np.empty(len(X))
+    failures = []                    # (row, message, last iterate, residual)
+    solved = len(X)                  # rows 0 .. solved-1 are below every failure
+    rows = np.arange(len(X))
+    live, x = rows, X                # the rows still stepping, their iterates
+    G = F(x, live)                   # and their fields
     for _ in range(max_iter):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol:
-            return x, gnorm
-        J = jacobian(x)
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError:
-            raise error(f"singular {jacobian_name}", x, gnorm) from None
-        alpha = 1.0
-        while alpha > 1e-12:
-            x_try = x + alpha * step
-            g_try = F(x_try)
-            if np.max(np.abs(g_try)) < gnorm:
-                x, g = x_try, g_try
+        gnorm = _row_norms(G)
+        if len(live) == len(X) and gnorm.max() <= tol:
+            X, residual = x, gnorm
+            break
+        stop = gnorm <= tol
+        if np.count_nonzero(stop):
+            X[live[stop]], residual[live[stop]] = x[stop], gnorm[stop]
+            go = ~stop
+            live, x, G, gnorm = live[go], x[go], G[go], gnorm[go]
+            if not live.size:
                 break
-            alpha *= 0.5
+        J = jacobian(x, live)
+        S, singular = _newton_steps(J, G)
+        x, G, stalled = _line_search(F, x, G, gnorm, S, live, singular)
+        if singular is None and stalled is None:
+            continue
+        stopped = np.zeros(len(live), dtype=bool) if singular is None else singular.copy()
+        if stalled is not None:
+            stopped[stalled] = True
+        for i in np.flatnonzero(stopped):
+            if singular is not None and singular[i]:
+                failures.append((live[i], f"singular {jacobian_name}", x[i].copy(), gnorm[i]))
+            elif gnorm[i] <= _rounding_floor(J[i], x[i]):
+                X[live[i]], residual[live[i]] = x[i], gnorm[i]
+            else:
+                failures.append((live[i], "line search failed to reduce the gradient",
+                                 x[i].copy(), gnorm[i]))
+        keep = ~stopped
+        if failures:
+            solved = min(f[0] for f in failures)
+            keep &= live < solved
+        live, x, G = live[keep], x[keep], G[keep]
+        if not live.size:
+            break
+    else:
+        failures.extend((r, f"no convergence after {max_iter} Newton iterations", xr, gn)
+                        for r, xr, gn in zip(live, x, _row_norms(G)))
+        solved = min(f[0] for f in failures)
+    if maximize and solved:
+        # eigvalsh sorts ascending: the last eigenvalue is the largest
+        not_max = np.linalg.eigvalsh(jacobian(X[:solved], rows[:solved]))[:, -1] >= 0.0
+        if np.count_nonzero(not_max):
+            r = np.argmax(not_max)
+            failures.append((r, "stationary point is not a local maximum", X[r], residual[r]))
+    if failures:
+        row, message, last, resid = min(failures, key=lambda f: f[0])
+        raise error(message, last, float(resid), int(row))
+    return X, residual
+
+
+def _row_norms(G: np.ndarray) -> np.ndarray:
+    """||g||_inf of each row."""
+    return np.maximum.reduce(np.abs(G), axis=1)
+
+
+def _line_search(F, x, G, gnorm, S, live, singular):
+    """The halving line search of newton_root on the rows of live whose
+    Jacobian is not singular (singular None: all of them): alpha = 1, 1/2,
+    ... while alpha > 1e-12, until a row's ||F||_inf drops below its gnorm.
+    Returns (x, G, stalled): the iterates and fields, with each row that
+    found its step moved to it, and the positions in live whose search
+    stalled, or None."""
+    todo = None if singular is None else np.flatnonzero(~singular)
+    alpha = 1.0
+    while alpha > 1e-12 and (todo is None or todo.size):
+        if todo is None:  # the first trial, on every row
+            x_try = x + alpha * S
+            G_try = F(x_try, live)
+            better = _row_norms(G_try) < gnorm
+            if np.count_nonzero(better) == len(x):
+                return x_try, G_try, None
+            todo = np.arange(len(x))
         else:
-            if gnorm <= _rounding_floor(J, x):
-                return x, gnorm
-            raise error("line search failed to reduce the gradient", x, gnorm)
-    raise error(f"no convergence after {max_iter} Newton iterations",
-                x, float(np.max(np.abs(g))))
+            x_try = x[todo] + alpha * S[todo]
+            G_try = F(x_try, live[todo])
+            better = _row_norms(G_try) < gnorm[todo]
+        x[todo[better]], G[todo[better]] = x_try[better], G_try[better]
+        todo = todo[~better]
+        alpha *= 0.5
+    return x, G, (todo if todo.size else None)
+
+
+def _newton_steps(J: np.ndarray, G: np.ndarray):
+    """(steps s solving J s = -g for each row, None), from one stacked solve;
+    or when some J is singular, (steps, mask of the singular rows) from one
+    solve per row."""
+    try:
+        return np.linalg.solve(J, -G[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        pass
+    S = np.zeros_like(G)
+    singular = np.zeros(len(G), dtype=bool)
+    for i in range(len(G)):
+        try:
+            S[i] = np.linalg.solve(J[i], -G[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return S, singular

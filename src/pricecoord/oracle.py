@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemInstance, batch_welfare, joint_action
+from .model import SystemInstance, batch_welfare, joint_action, pair_batch_rows
 from .numerics import fd_gradients
 
 
@@ -53,15 +53,10 @@ class OracleResult:
     method: str
 
 
-# a batch_welfare call holds (K, N, N, d) pair differences and a few (K, N, N)
-# pair arrays; K is capped so that the differences stay below 2^18 floats
-_PAIR_FLOATS = 2 ** 18
-
-
 def _welfare_rows(sys: SystemInstance):
     """Welfare at each row of a (K, N*d) array of flat joint actions, in
     batch_welfare calls of at most 2^18 / (N^2 d) rows each."""
-    rows = max(1, _PAIR_FLOATS // (sys.N * sys.N * sys.d))
+    rows = pair_batch_rows(sys)
 
     def f(P):
         U = P.reshape(-1, sys.N, sys.d)
@@ -157,13 +152,23 @@ def _grid(sys: SystemInstance, box) -> np.ndarray:
     return _newton_polish(sys, best_u)
 
 
+def _is_maximum(f_rows, u: np.ndarray) -> bool:
+    """Whether the finite-difference welfare Hessian at u is negative
+    definite: finite, with its largest eigenvalue below
+    -1e-9 max(max |H_ij|, 1e-12)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Hessian is no maximum
+        H = _fd_hessian(f_rows, u)
+    if not np.all(np.isfinite(H)):
+        return False
+    return not np.max(np.linalg.eigvalsh(H)) >= -1e-9 * max(np.max(np.abs(H)), 1e-12)
+
+
 def _multistart(sys: SystemInstance, box) -> np.ndarray:
     m = sys.N * sys.d
     lo, hi = box
     rng = np.random.default_rng(0)
     f = _welfare_rows(sys)
-    best_w = -np.inf
-    best_u = None
+    ends = []  # (welfare, start index, polished point) of each finite start
     for k in range(32):
         start = lo + (hi - lo) * rng.random(m) if k else np.full(m, 0.5 * (lo + hi))
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite welfare is skipped
@@ -172,12 +177,14 @@ def _multistart(sys: SystemInstance, box) -> np.ndarray:
             except ValueError:  # the welfare is not finite near this start
                 continue
             w = f(u[None])[0]
-        if np.isfinite(w) and w > best_w:
-            best_w = w
-            best_u = u
-    if best_u is None:
-        raise ValueError(f"no multistart start on the box {tuple(box)!r} has a finite welfare")
-    return best_u
+        if np.isfinite(w):
+            ends.append((-w, k, u))
+    # the best finite end that is a maximum; the first start wins a tie
+    for _, _, u in sorted(ends, key=lambda e: e[:2]):
+        if _is_maximum(f, u):
+            return u
+    raise ValueError(f"no multistart start on the box {tuple(box)!r} ends at a finite "
+                     "welfare maximum")
 
 
 def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form") -> OracleResult:
@@ -187,8 +194,10 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
     only; falls back to multistart with a warning if the probed Hessian is not
     negative definite), "grid" scans the box at pitch width/200 for N*d <= 3
     and polishes with Newton, "newton_multistart" runs 32 damped Newton solves
-    from the box centre and random box starts and keeps the best finite one
-    (a start whose welfare overflows is skipped; ValueError if all do).
+    from the box centre and random box starts and keeps the one with the
+    highest finite welfare whose finite-difference Hessian is negative
+    definite (a start whose welfare overflows is skipped; ValueError naming
+    the box when no start ends at such a maximum).
 
     Every Newton solve works on welfare values only: the field is a central
     first difference and the Hessian a symmetric central second difference
@@ -215,8 +224,7 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
                 # look negative definite on quartic welfare whose true
                 # curvature at the solve point is positive, so check the local
                 # Hessian before trusting the point as a maximizer
-                H = _fd_hessian(f, u)
-                if np.max(np.linalg.eigvalsh(H)) >= -1e-9 * max(np.max(np.abs(H)), 1e-12):
+                if not _is_maximum(f, u):
                     u = None
         if u is None:
             warnings.warn("closed_form: probed stationarity system unreliable "

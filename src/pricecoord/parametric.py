@@ -294,11 +294,12 @@ def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance
             out[n] = est_grad(n, U) + sys.dynamics[n].B.T @ G[n]
         return out.ravel()
 
-    def error(message, last, residual):
+    def error(message, last, residual, row):
         return NonConvergenceError(f"optimal-price Newton solve: {message}",
                                    reason="newton", last=last.reshape(N, d))
 
-    u, _ = newton_root(field, lambda v: fd_jacobian(field, v), np.zeros(N * d),
+    u, _ = newton_root(lambda U, rows: field(U[0])[None],
+                       lambda U, rows: fd_jacobian(field, U[0])[None], np.zeros((1, N * d)),
                        tol=1e-10, max_iter=100, error=error)
 
     return [est_grad(n, u.reshape(N, d)) for n in range(N)]

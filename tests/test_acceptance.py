@@ -219,7 +219,8 @@ def test_c06_vi_step_rule_and_cocoercivity():
     for d in (2, 4):
         M = random_spd(rng, d, 0.5, 3.0)
         c_true = 1.0 / np.max(np.linalg.eigvalsh(M))
-        c_hat = pc.estimate_cocoercivity(lambda u: -M @ u, (-5.0, 5.0), d, n_pairs=2000)
+        c_hat = pc.estimate_cocoercivity(lambda U: np.array([-M @ u for u in U]),
+                                         (-5.0, 5.0), d, n_pairs=2000)
         assert c_hat > 0
         assert abs(c_hat - c_true) <= 0.05 * c_true
 
@@ -244,7 +245,8 @@ def test_c07_proximal_gap_and_stage_limits():
             upd = pc.two_stage_update(sys, u, 100.0, 1.0)
             return F(u_flat) - F(upd.u_hat.ravel())
 
-        c2 = pc.estimate_cocoercivity(residual_field, box, 2, n_pairs=200)
+        c2 = pc.estimate_cocoercivity(lambda U: np.array([residual_field(u) for u in U]),
+                                      box, 2, n_pairs=200)
         assert gamma < 2.0 * min(c1, c2)
 
         u = np.zeros((2, 1))

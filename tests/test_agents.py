@@ -142,7 +142,7 @@ def test_closed_form_best_responses_take_no_finite_differences(cfg, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("finite-difference Jacobian evaluated")
 
-    monkeypatch.setattr(pc.agents, "fd_jacobian", refuse)
+    monkeypatch.setattr(pc.model, "fd_jacobian", refuse)
     monkeypatch.setattr(pc.numerics, "fd_jacobian", refuse)
     sys = pc.generate(pc.config_from_dict(cfg))
     U = np.zeros((sys.N, sys.d))

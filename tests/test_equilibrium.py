@@ -59,8 +59,13 @@ def test_vi_rejects_nonpositive_or_nonfinite_tau(tau):
 
 # ------------------------------------------------------------ co-coercivity
 
+def _rows(field):
+    """A field on single flat points, applied to each row of a batch."""
+    return lambda U: np.array([field(u) for u in U])
+
+
 def test_cocoercivity_identity_field():
-    c_hat = pc.estimate_cocoercivity(lambda u: 3.0 - u, (-2.0, 2.0), 3)
+    c_hat = pc.estimate_cocoercivity(lambda U: 3.0 - U, (-2.0, 2.0), 3)
     assert c_hat > 0
     assert np.isclose(c_hat, 1.0, rtol=1e-6)
 
@@ -70,19 +75,46 @@ def test_cocoercivity_spd_field_matches_eigenvalue(rng):
     for d in (2, 4):
         M = random_spd(rng, d, 0.5, 3.0)
         c_true = 1.0 / np.max(np.linalg.eigvalsh(M))
-        c_hat = pc.estimate_cocoercivity(lambda u: -M @ u, (-5.0, 5.0), d, n_pairs=2000)
+        c_hat = pc.estimate_cocoercivity(_rows(lambda u: -M @ u), (-5.0, 5.0), d,
+                                         n_pairs=2000)
         assert c_hat > 0
         assert abs(c_hat - c_true) <= 0.05 * c_true
 
 
 def test_cocoercivity_rotation_is_flagged():
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert not pc.estimate_cocoercivity(lambda u: R @ u, (-1.0, 1.0), 2) > 0
+    assert not pc.estimate_cocoercivity(_rows(lambda u: R @ u), (-1.0, 1.0), 2) > 0
 
 
 def test_cocoercivity_constant_field_rejected():
     with pytest.raises(ValueError, match="degenerate"):
-        pc.estimate_cocoercivity(lambda u: np.ones(2), (-1.0, 1.0), 2)
+        pc.estimate_cocoercivity(_rows(lambda u: np.ones(2)), (-1.0, 1.0), 2)
+
+
+def _loop_cocoercivity(F, box, m, n_pairs=500):
+    """The estimate one pair at a time, the reference for the batched one."""
+    lo, hi = box
+    rng = np.random.default_rng(0)
+    best = np.inf
+    for _ in range(n_pairs):
+        x = lo + (hi - lo) * rng.random(m)
+        y = lo + (hi - lo) * rng.random(m)
+        dF = F(x) - F(y)
+        denom = float(dF @ dF)
+        if denom >= 1e-24:
+            best = min(best, float(-(dF @ (x - y))) / denom)
+    return best
+
+
+@pytest.mark.parametrize("coupling_spec", ["separation_barrier", "consensus_quadratic"])
+@pytest.mark.parametrize("N", [2, 5, 12])
+def test_cocoercivity_batch_equals_the_loop_over_pairs(coupling_spec, N):
+    sys = pc.generate(pc.config_from_dict({"N": N, "d": 2, "seed": 13, "coupling_strength": 3.0,
+                                           "safety_radius": 8.0,
+                                           "coupling_spec": coupling_spec}))
+    F = pc.reward_field(sys)
+    box = (-20.0, 20.0)
+    assert pc.estimate_cocoercivity(F, box, N * 2) == _loop_cocoercivity(F, box, N * 2)
 
 
 def test_default_schedule_uses_estimated_constant():
@@ -128,6 +160,50 @@ def test_reward_field_answers_in_the_input_shape(rng, utility_spec):
     U = rng.normal(size=(3, 2))
     assert F(U).shape == (3, 2)
     assert np.array_equal(F(U.ravel()), F(U).ravel())
+
+
+_ROUND_INSTANCES = {
+    "readme_barrier": {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
+                       "safety_radius": 6.0},
+    "consensus": {"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
+                  "coupling_strength": 0.5},
+    "cross_term": {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
+                   "safety_radius": 6.0, "utility_spec": "cross_term"},
+    "decomposable_smooth": {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
+                            "safety_radius": 6.0, "utility_spec": "decomposable_smooth"},
+}
+
+
+def _round_instance(name):
+    """(instance, a joint action inside its coupling's reach) by name."""
+    if name == "two_agent_scalar":
+        return make_two_agent_scalar(0.1), np.zeros((2, 1))
+    if name == "random_dynamics":
+        # general A and B, so that a product's order shows in its bits, under
+        # an active barrier
+        base = random_quadratic_instance(np.random.default_rng(8), N=4, d=2)
+        return (pc.SystemInstance(base.dynamics, base.utilities,
+                                  pc.separation_barrier_coupling(0.5, 1.5, 4, 2), base.states),
+                np.zeros((4, 2)))
+    sys = pc.generate(pc.config_from_dict(_ROUND_INSTANCES[name]))
+    # where the agents' next states overlap, inside the barrier
+    return sys, -7.0 * (np.array(sys.states) - np.mean(sys.states, axis=0))
+
+
+@pytest.mark.parametrize("instance", ["readme_barrier", "consensus", "cross_term",
+                                      "random_dynamics"])
+def test_fleet_derivative_equals_the_loop_over_agents(instance, rng):
+    sys = _round_instance(instance)[0]
+    U = 5.0 * rng.normal(size=(4, sys.N, sys.d))
+    G = sys.coupling.grad(pc.joint_next_state(sys, U[0]))
+    loop_field = [sys.utilities[n].grad_u(sys.dynamics[n], sys.states[n], U[0, n])
+                  + sys.dynamics[n].B.T @ G[n] for n in range(sys.N)]
+    loop_prices = [sys.utilities[n].grad_u(sys.dynamics[n], sys.states[n], U[0, n])
+                   for n in range(sys.N)]
+    F = pc.reward_field(sys)
+    assert np.array_equal(F(U[0]), loop_field)
+    assert np.array_equal(pc.price_from_target(sys, U[0]), loop_prices)
+    assert np.array_equal(F(U), [F(Uk) for Uk in U])
 
 
 def test_coupling_slice_freezes_opponents(rng):
@@ -232,6 +308,92 @@ def test_tikhonov_play_fixes_nash():
 
 
 # ------------------------------------------------------------------- bounds
+
+# ------------------------------------------- stacked rounds vs a loop over agents
+
+def _loop_responses(sys, frozen, anchors, lam=None):
+    """The per-agent loop the stacked Jacobi round replaces: best_response on
+    each agent's game against its coupling slice, starting at its anchor."""
+    slices = pc.coupling_slices(sys, frozen)
+    out = anchors.copy()
+    for n in range(sys.N):
+        game = pc.GameSpec(utility=sys.utilities[n], coupling=slices[n],
+                           proximal=None if lam is None else (0.5 * lam, anchors[n]))
+        try:
+            out[n] = pc.best_response(game, sys.states[n], sys.dynamics[n], anchors[n])
+        except pc.BestResponseError as exc:
+            exc.agent = n
+            raise
+    return out, slices
+
+
+def _loop_proximal_round(sys, U, frozen, lam, gamma):
+    resp, slices = _loop_responses(sys, frozen, U, lam)
+    G = sys.coupling.grad(pc.joint_next_state(sys, resp))
+    g_util = lam * (resp - U) - np.array([s.grad(r) for s, r in zip(slices, resp)])
+    g_coup = np.array([dyn.B.T @ g for dyn, g in zip(sys.dynamics, G)])
+    return resp, U + gamma * (g_util + g_coup), g_util
+
+
+def _loop_round(sys, mode, U, U_tilde, lam, gamma):
+    """(next joint action, next coordinator sequence, the round's other
+    outputs) of one round, from the per-agent loop."""
+    if mode == "simultaneous":
+        return _loop_responses(sys, U, U)[0], U_tilde, ()
+    if mode == "tikhonov":
+        return _loop_responses(sys, U, U, lam)[0], U_tilde, ()
+    if mode == "two_stage":
+        u_hat, u, g_util = _loop_proximal_round(sys, U, U, lam, gamma)
+        return u, U_tilde, (u_hat, g_util)
+    resp, u_tilde, g_util = _loop_proximal_round(sys, U, U_tilde, lam, gamma)
+    return resp, u_tilde, (g_util,)
+
+
+def _stacked_round(sys, mode, U, U_tilde, lam, gamma):
+    if mode == "simultaneous":
+        return pc.play_simultaneous(sys, U), U_tilde, ()
+    if mode == "tikhonov":
+        return pc.play_tikhonov(sys, U, lam), U_tilde, ()
+    if mode == "two_stage":
+        upd = pc.two_stage_update(sys, U, lam, gamma)
+        return upd.u, U_tilde, (upd.u_hat, upd.utility_grads)
+    upd = pc.single_stage_update(sys, U, U_tilde, lam, gamma)
+    return upd.u, upd.u_tilde, (upd.utility_grads,)
+
+
+@pytest.mark.parametrize("mode", ["simultaneous", "two_stage", "single_stage", "tikhonov"])
+@pytest.mark.parametrize("instance", list(_ROUND_INSTANCES) + ["random_dynamics",
+                                                              "two_agent_scalar"])
+def test_stacked_rounds_equal_the_loop_over_agents(instance, mode):
+    sys, U = _round_instance(instance)
+    U_tilde = U.copy()
+    for lam, gamma in ((100.0, 0.5), (5.0, 0.2)):
+        for _ in range(4):
+            expected = _loop_round(sys, mode, U, U_tilde, lam, gamma)
+            got = _stacked_round(sys, mode, U, U_tilde, lam, gamma)
+            for e, g in zip((expected[0], expected[1], *expected[2]),
+                            (got[0], got[1], *got[2])):
+                assert np.array_equal(e, g)
+            U, U_tilde = got[0], got[1]
+
+
+def test_stacked_round_failure_names_the_loop_agent_and_its_state():
+    # 20 vehicles on the 10 m waypoint circle with a 6 m safety radius: in
+    # the first round agent 0's response settles on a non-maximum
+    sys = pc.generate(pc.config_from_dict({"N": 20, "d": 2, "seed": 13,
+                                           "coupling_strength": 50.0, "safety_radius": 6.0}))
+    U = np.zeros((sys.N, sys.d))
+    with pytest.raises(pc.BestResponseError) as loop:
+        _loop_responses(sys, U, U)
+    with pytest.raises(pc.BestResponseError) as stacked:
+        pc.run_stage(sys, U, pc.PollingConfig(mode="simultaneous"))
+    assert (stacked.value.agent, stacked.value.round) == (0, 1)
+    assert loop.value.agent == 0
+    assert str(stacked.value) == str(loop.value)
+    assert "not a local maximum" in str(stacked.value)
+    assert np.array_equal(stacked.value.last_iterate, loop.value.last_iterate)
+    assert stacked.value.residual == loop.value.residual
+
 
 def test_grid_gradient_bound_hand_value():
     # |F_1| on [-2,2]^2 peaks at u = (-2, 2): 2*3 + 0.2*4 = 6.8

@@ -183,8 +183,9 @@ def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):
 
     G = pc.CouplingFunction(3, 2, 0.0, unreachable, unreachable, unreachable)
     X = rng.normal(size=(3, 2))
-    for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)), (G.grad_row(X, 1), (2,)),
-                       (G.hess_row(X, 1), (2, 2)),
+    for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)),
+                       (G.grad_rows(X[1:], X, [1, 2]), (2, 2)),
+                       (G.hess_rows(X[1:], X, [1, 2]), (2, 2, 2)),
                        (G.values(rng.normal(size=(5, 3, 2))), (5,))):
         assert np.shape(out) == shape
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
@@ -205,16 +206,14 @@ def test_hess_row_matches_fd_of_grad_row(kind):
             X = 3.0 * rng.normal(size=(N, d))
             if N > 2:
                 X[2] = X[1]  # a coincident pair that is not the self pair
+            H = G.hess_rows(X, X, np.arange(N))
+            assert H.shape == (N, d, d)
             for n in range(N):
                 def row(v, n=n):
-                    Y = X.copy()
-                    Y[n] = v
-                    return G.grad_row(Y, n)
+                    return G.grad_rows(v[None], X, [n])[0]
 
                 fd = pc.numerics.fd_jacobian(row, X[n])
-                H = G.hess_row(X, n)
-                assert H.shape == (d, d)
-                np.testing.assert_allclose(H, fd, rtol=1e-6,
+                np.testing.assert_allclose(H[n], fd, rtol=1e-6,
                                            atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
 
 
@@ -224,8 +223,7 @@ def test_hess_row_of_well_separated_barrier_agents_is_zero():
     G = pc.separation_barrier_coupling(50.0, 6.0, 4, 2)
     X = 30.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     assert G.pair_weight(np.zeros(1))[0] == pytest.approx(7200.0)
-    for n in range(4):
-        assert np.max(np.abs(G.hess_row(X, n))) < 1e-12
+    assert np.max(np.abs(G.hess_rows(X, X, np.arange(4)))) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])

@@ -123,6 +123,21 @@ def test_multistart_without_a_finite_start_names_the_box():
                              method="newton_multistart")
 
 
+def test_multistart_keeps_a_maximum_of_the_double_well():
+    res = pc.joint_welfare_opt(double_well_instance(), box=(-3.0, 3.0),
+                               method="newton_multistart")
+    assert np.isclose(abs(res.u_star[0, 0]), 1.0, atol=1e-6)
+    assert np.isclose(res.welfare, 0.0, atol=1e-9)
+
+
+def test_multistart_rejects_the_double_well_minimum_on_a_huge_box():
+    # every random start's welfare overflows; the box centre u = 0 polishes to
+    # the stationary point it starts on, the double well's local minimum
+    with pytest.raises(ValueError, match="box .*maximum"):
+        pc.joint_welfare_opt(double_well_instance(), box=(-1e300, 1e300),
+                             method="newton_multistart")
+
+
 def test_unknown_method_rejected():
     sys = make_two_agent_scalar(0.1)
     with pytest.raises(ValueError):
@@ -184,7 +199,7 @@ def test_batched_field_equals_fd_gradient_of_the_scalar_welfare(rng, make):
 
 def test_welfare_rows_caps_the_rows_per_call(rng, monkeypatch):
     sys = random_quadratic_instance(rng, N=30, d=2, coupling=0.3)
-    cap = oracle._PAIR_FLOATS // (30 * 30 * 2)
+    cap = 2 ** 18 // (30 * 30 * 2)
     P = rng.normal(size=(2 * cap + 7, 60))
     sizes = []
     batch_welfare = oracle.batch_welfare
