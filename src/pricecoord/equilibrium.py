@@ -7,9 +7,12 @@ chain-ruled through that agent's next state). Nash stationarity is F(u*) = 0,
 equivalently the VI: (y - u*)^T F(u*) >= 0 rewritten for the ascent
 orientation used here. F and every agent's payoff derivatives come from one
 stacked fleet derivative (_utility_derivative, _coupling_derivative), and
-the simultaneous, two-stage, single-stage and Tikhonov plays solve a round's
-N best responses as one row-stacked Newton iteration (numerics.newton_root),
-each row bit for bit agents.best_response on that agent's game.
+every play mode solves its best responses as one row-stacked Newton
+iteration (numerics.newton_root): all N agents in the simultaneous,
+two-stage, single-stage and Tikhonov plays, the one agent t mod N in
+sequential play. Each row is bit for bit agents.best_response on that
+agent's game against its coupling_slices slice, the per-agent reference the
+tests compare the stacked rows against.
 
 Proximal bookkeeping: GameSpec's proximal term is -lam ||u - anchor||^2 with
 gradient -2 lam (u - anchor). The two-stage, single-stage, and Tikhonov plays
@@ -25,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .agents import CouplingSlice, GameSpec, best_response
+from .agents import CouplingSlice
 from .errors import BestResponseError, NonConvergenceError
 from .model import SystemInstance, _fleet_step, joint_action, joint_next_state, pair_batch_rows
 from .numerics import newton_root
@@ -196,30 +199,38 @@ def _coupling_slice(sys: SystemInstance, X_frozen: np.ndarray, n: int) -> Coupli
 # play modes (one iteration each; the loop lives in mechanism.run_stage)
 
 def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.ndarray,
-                      lam: float | None = None) -> np.ndarray:
-    """Every agent's best response against opponents frozen at the next
-    states X_frozen, all N solved as one row-stacked Newton iteration: row n
-    is best_response on agent n's game, bit for bit, and starts at
-    anchors[n]. With lam the game adds the proximal term anchored there. A
-    failure raises the lowest failing agent's BestResponseError, naming it."""
+                      lam: float | None = None, rows=None) -> np.ndarray:
+    """The best responses of the agents in rows (default all N, in order)
+    against opponents frozen at the next states X_frozen, solved as one
+    row-stacked Newton iteration: row i is best_response on agent
+    n = rows[i]'s game, bit for bit, and starts at anchors[n]. With lam the
+    game adds the proximal term anchored there. Returns (len(rows), d). A
+    failure raises the lowest failing row's BestResponseError, naming its
+    agent rows[i]."""
+    rows = np.arange(sys.N) if rows is None else np.asarray(rows)
     # GameSpec's proximal payoff is -c ||u - anchor||^2; posing c = lam/2
     # makes the stationarity coefficient exactly lam (see module docstring).
     c = None if lam is None else 0.5 * lam
 
-    def gradient(V, rows):
-        g = _utility_derivative(sys, V, rows) + _coupling_derivative(sys, V, X_frozen, rows)
+    def gradient(V, i):
+        n = rows[i]
+        g = _utility_derivative(sys, V, n) + _coupling_derivative(sys, V, X_frozen, n)
         if c is not None:
-            g -= 2.0 * c * (V - anchors[rows])
+            g -= 2.0 * c * (V - anchors[n])
         return g
 
-    def hessian(V, rows):
-        H = (_utility_derivative(sys, V, rows, hessian=True)
-             + _coupling_derivative(sys, V, X_frozen, rows, hessian=True))
+    def hessian(V, i):
+        n = rows[i]
+        H = (_utility_derivative(sys, V, n, hessian=True)
+             + _coupling_derivative(sys, V, X_frozen, n, hessian=True))
         if c is not None:
             H -= 2.0 * c * np.eye(sys.d)
         return H
 
-    U, _ = newton_root(gradient, hessian, anchors, 1e-10, 100, error=BestResponseError,
+    def error(message, last, residual, i):
+        return BestResponseError(message, last, residual, int(rows[i]))
+
+    U, _ = newton_root(gradient, hessian, anchors[rows], 1e-10, 100, error=error,
                        jacobian_name="payoff Hessian", maximize=True)
     return U
 
@@ -235,14 +246,8 @@ def play_sequential(sys: SystemInstance, u_prev, t: int) -> np.ndarray:
     Chaining t = 0, 1, ... yields a Gauss-Seidel sweep."""
     U = joint_action(sys, u_prev)
     n = t % sys.N
-    game = GameSpec(utility=sys.utilities[n],
-                    coupling=_coupling_slice(sys, joint_next_state(sys, U), n))
     out = U.copy()
-    try:
-        out[n] = best_response(game, sys.states[n], sys.dynamics[n], U[n])
-    except BestResponseError as exc:
-        exc.agent = n
-        raise
+    out[n] = _jacobi_responses(sys, joint_next_state(sys, U), U, rows=[n])[0]
     return out
 
 
@@ -334,13 +339,10 @@ def grid_gradient_bound(sys: SystemInstance, box) -> float:
     m = sys.N * sys.d
     if m > 3:
         raise ValueError(f"grid bound supports N*d <= 3, got {m}")
-    F = reward_field(sys)
     axes = [np.linspace(box[0], box[1], 51)] * m
-    best = 0.0
-    for point in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m):
-        vals = F(point.reshape(sys.N, sys.d))
-        best = max(best, float(np.max(np.linalg.norm(vals, axis=1))))
-    return best
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sys.N, sys.d)
+    vals = reward_field(sys)(grid)
+    return float(np.max(np.linalg.norm(vals, axis=-1), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -213,13 +213,6 @@ def decomposable_utility(value_x, grad_x, value_u, grad_u) -> SmoothUtility:
     return SmoothUtility(value, gradient)
 
 
-def pair_differences(X: np.ndarray):
-    """Differences x_n - x_m of all pairs as (..., N, N, d) for X of shape
-    (..., N, d), and their squared norms."""
-    D = X[..., :, None, :] - X[..., None, :, :]
-    return D, _squared_norms(D)
-
-
 def _squared_norms(D: np.ndarray) -> np.ndarray:
     """||D||^2 along the last axis: a stacked matmul with the exact bits of
     diff @ diff."""
@@ -240,12 +233,13 @@ class CouplingFunction:
     (x_n - x_m), so pair_weight = 2 * scale * pair_value'. pair_curvature is
     d pair_weight / ds, which gives agent n's Hessian block
     d^2G/dx_n^2 = sum_{m != n} [pair_weight(s) I + 2 pair_curvature(s) D D^T]
-    with D = x_n - x_m. grad(X) is the whole gradient at each (N, d) joint
-    state of X, (..., N, d). grad_rows(Y, X, rows) is the same pair sum for
-    a stack of agents against one joint state X, (N, d): row i is dG/dx_n for
-    n = rows[i] with x_n replaced by Y[i], from agent n's pairs only (the
-    self pair exactly zero), bit for bit row n of grad when Y[i] = x_n.
-    hess_rows(Y, X, rows) gives those (d, d) blocks, (k, d, d), with the
+    with D = x_n - x_m. grad_rows(Y, X, rows) is that pair sum for a stack
+    of agents against a joint state X, (..., N, d): row i is dG/dx_n for
+    n = rows[i] with x_n replaced by Y[..., i, :], from agent n's pairs only
+    (the self pair set to zero), (..., k, d). grad(X) is its all-rows case
+    grad_rows(X, X, arange(N)), the whole gradient at each (N, d) joint
+    state of X. hess_rows(Y, X, rows) gives the (d, d) blocks for one joint
+    state X, (N, d), and Y of shape (k, d): (k, d, d), with the
     self pair masked (its D is zero, but its pair_weight is not). values(Xs)
     is value at each (N, d) row of a (K, N, d) array, bit for bit. A coupling
     with scale 0 is identically zero, pair_weight and pair_curvature
@@ -265,28 +259,22 @@ class CouplingFunction:
         Xs = np.asarray(Xs, dtype=float).reshape(-1, self.N, self.d)
         if self.scale == 0.0:
             return np.zeros(len(Xs))
-        _, sq = pair_differences(Xs)
+        sq = _squared_norms(Xs[..., :, None, :] - Xs[..., None, :, :])
         pairs = np.triu(self.pair_value(sq), 1).reshape(len(Xs), -1)
         return self.scale * _ordered_sum(pairs, axis=1)
 
     def grad(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         X = X.reshape(X.shape[:-2] + (self.N, self.d))
-        if self.scale == 0.0:
-            return np.zeros(X.shape)
-        return self._pair_sum(*pair_differences(X))
+        return self.grad_rows(X, X, np.arange(self.N))
 
     def grad_rows(self, Y, X, rows) -> np.ndarray:
         if self.scale == 0.0:
             return np.zeros(np.shape(Y))
-        D = Y[:, None, :] - X
-        D[np.arange(len(rows)), rows] = 0.0
-        return self._pair_sum(D, _squared_norms(D))
-
-    def _pair_sum(self, D, sq) -> np.ndarray:
-        """sum_m pair_weight(s) (x_n - x_m) for the pair differences D of
-        each row, in index order."""
-        return _ordered_sum(self.pair_weight(sq)[..., None] * D, axis=-2)
+        # sum_m pair_weight(s) (y_i - x_m) over agent rows[i]'s pairs, in index order
+        D = Y[..., :, None, :] - X[..., None, :, :]
+        D[..., np.arange(len(rows)), rows, :] = 0.0
+        return _ordered_sum(self.pair_weight(_squared_norms(D))[..., None] * D, axis=-2)
 
     def hess_rows(self, Y, X, rows) -> np.ndarray:
         k = len(rows)

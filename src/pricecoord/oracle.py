@@ -143,12 +143,15 @@ def _grid(sys: SystemInstance, box) -> np.ndarray:
     # first point of the scan that attains the maximum wins
     for first in axes[0]:
         points = np.stack(np.meshgrid(first, *axes[1:], indexing="ij"), axis=-1).reshape(-1, m)
-        w = f(points)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite welfare is skipped
+            w = f(points)
         w[np.isnan(w)] = -np.inf
         k = np.argmax(w)
         if w[k] > best_w:
             best_w = w[k]
             best_u = points[k]
+    if best_u is None:
+        raise ValueError(f"no grid point on the box {tuple(box)!r} has a finite welfare")
     return _newton_polish(sys, best_u)
 
 

@@ -1,5 +1,7 @@
 """VI iteration, co-coercivity, play operators, bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -311,20 +313,35 @@ def test_tikhonov_play_fixes_nash():
 
 # ------------------------------------------- stacked rounds vs a loop over agents
 
+def _loop_response(sys, slices, anchors, n, lam=None):
+    """best_response on agent n's game against its coupling slice, starting
+    at its anchor; a failure names the agent."""
+    game = pc.GameSpec(utility=sys.utilities[n], coupling=slices[n],
+                       proximal=None if lam is None else (0.5 * lam, anchors[n]))
+    try:
+        return pc.best_response(game, sys.states[n], sys.dynamics[n], anchors[n])
+    except pc.BestResponseError as exc:
+        exc.agent = n
+        raise
+
+
 def _loop_responses(sys, frozen, anchors, lam=None):
-    """The per-agent loop the stacked Jacobi round replaces: best_response on
-    each agent's game against its coupling slice, starting at its anchor."""
+    """The per-agent loop the stacked Jacobi round replaces: every agent
+    against opponents frozen at `frozen`."""
     slices = pc.coupling_slices(sys, frozen)
     out = anchors.copy()
     for n in range(sys.N):
-        game = pc.GameSpec(utility=sys.utilities[n], coupling=slices[n],
-                           proximal=None if lam is None else (0.5 * lam, anchors[n]))
-        try:
-            out[n] = pc.best_response(game, sys.states[n], sys.dynamics[n], anchors[n])
-        except pc.BestResponseError as exc:
-            exc.agent = n
-            raise
+        out[n] = _loop_response(sys, slices, anchors, n, lam)
     return out, slices
+
+
+def _loop_sweep(sys, U):
+    """One Gauss-Seidel sweep, the loop sequential play replaces: agent
+    n = 0, 1, ... best-responds to everyone's latest action, from its own."""
+    U = U.copy()
+    for n in range(sys.N):
+        U[n] = _loop_response(sys, pc.coupling_slices(sys, U), U, n)
+    return U
 
 
 def _loop_proximal_round(sys, U, frozen, lam, gamma):
@@ -340,6 +357,8 @@ def _loop_round(sys, mode, U, U_tilde, lam, gamma):
     outputs) of one round, from the per-agent loop."""
     if mode == "simultaneous":
         return _loop_responses(sys, U, U)[0], U_tilde, ()
+    if mode == "sequential":
+        return _loop_sweep(sys, U), U_tilde, ()
     if mode == "tikhonov":
         return _loop_responses(sys, U, U, lam)[0], U_tilde, ()
     if mode == "two_stage":
@@ -352,6 +371,10 @@ def _loop_round(sys, mode, U, U_tilde, lam, gamma):
 def _stacked_round(sys, mode, U, U_tilde, lam, gamma):
     if mode == "simultaneous":
         return pc.play_simultaneous(sys, U), U_tilde, ()
+    if mode == "sequential":
+        for t in range(sys.N):
+            U = pc.play_sequential(sys, U, t)
+        return U, U_tilde, ()
     if mode == "tikhonov":
         return pc.play_tikhonov(sys, U, lam), U_tilde, ()
     if mode == "two_stage":
@@ -361,7 +384,8 @@ def _stacked_round(sys, mode, U, U_tilde, lam, gamma):
     return upd.u, upd.u_tilde, (upd.utility_grads,)
 
 
-@pytest.mark.parametrize("mode", ["simultaneous", "two_stage", "single_stage", "tikhonov"])
+@pytest.mark.parametrize("mode", ["simultaneous", "two_stage", "single_stage", "tikhonov",
+                                  "sequential"])
 @pytest.mark.parametrize("instance", list(_ROUND_INSTANCES) + ["random_dynamics",
                                                               "two_agent_scalar"])
 def test_stacked_rounds_equal_the_loop_over_agents(instance, mode):
@@ -379,20 +403,23 @@ def test_stacked_rounds_equal_the_loop_over_agents(instance, mode):
 
 def test_stacked_round_failure_names_the_loop_agent_and_its_state():
     # 20 vehicles on the 10 m waypoint circle with a 6 m safety radius: in
-    # the first round agent 0's response settles on a non-maximum
+    # the first round agent 0's response settles on a non-maximum, in a
+    # Jacobi round and in a Gauss-Seidel sweep alike
     sys = pc.generate(pc.config_from_dict({"N": 20, "d": 2, "seed": 13,
                                            "coupling_strength": 50.0, "safety_radius": 6.0}))
     U = np.zeros((sys.N, sys.d))
-    with pytest.raises(pc.BestResponseError) as loop:
-        _loop_responses(sys, U, U)
-    with pytest.raises(pc.BestResponseError) as stacked:
-        pc.run_stage(sys, U, pc.PollingConfig(mode="simultaneous"))
-    assert (stacked.value.agent, stacked.value.round) == (0, 1)
-    assert loop.value.agent == 0
-    assert str(stacked.value) == str(loop.value)
-    assert "not a local maximum" in str(stacked.value)
-    assert np.array_equal(stacked.value.last_iterate, loop.value.last_iterate)
-    assert stacked.value.residual == loop.value.residual
+    for mode, loop_round in (("simultaneous", lambda: _loop_responses(sys, U, U)),
+                             ("sequential", lambda: _loop_sweep(sys, U))):
+        with pytest.raises(pc.BestResponseError) as loop:
+            loop_round()
+        with pytest.raises(pc.BestResponseError) as stacked:
+            pc.run_stage(sys, U, pc.PollingConfig(mode=mode))
+        assert (stacked.value.agent, stacked.value.round) == (0, 1)
+        assert loop.value.agent == 0
+        assert str(stacked.value) == str(loop.value)
+        assert "not a local maximum" in str(stacked.value)
+        assert np.array_equal(stacked.value.last_iterate, loop.value.last_iterate)
+        assert stacked.value.residual == loop.value.residual
 
 
 def test_grid_gradient_bound_hand_value():
@@ -400,6 +427,21 @@ def test_grid_gradient_bound_hand_value():
     sys = make_two_agent_scalar(0.1)
     D = pc.grid_gradient_bound(sys, (-2.0, 2.0))
     assert np.isclose(D, 6.8, atol=1e-12)
+    # three scalar agents (x_next = u), U_n = -(u_n - a_n)^2 - u_n^2, under a
+    # consensus coupling: F_n(u) = -2 (u_n - a_n) - 2 u_n + sum_m w (u_n - u_m)
+    # with w = -2 eps, the pair sum in index order; the bound is the max
+    # |F_n| over the 51^3 grid points
+    dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
+    targets = (1.0, -1.0, 0.5)
+    sys = pc.SystemInstance((dyn,) * 3,
+                            tuple(pc.QuadraticUtility(np.eye(1), np.eye(1), [a]) for a in targets),
+                            pc.pairwise_quadratic_coupling(0.3, 3, 1), np.zeros((3, 1)))
+    w = -2.0 * 0.3
+    axis = [float(v) for v in np.linspace(-2.0, 2.0, 51)]
+    loop = max(abs(-2.0 * (un - a) - 2.0 * un + (w * (un - u[0]) + w * (un - u[1])
+                                                  + w * (un - u[2])))
+               for u in itertools.product(axis, repeat=3) for un, a in zip(u, targets))
+    assert pc.grid_gradient_bound(sys, (-2.0, 2.0)) == loop
 
 
 def test_grid_gradient_bound_dimension_limit(rng):

@@ -123,6 +123,13 @@ def test_multistart_without_a_finite_start_names_the_box():
                              method="newton_multistart")
 
 
+def test_grid_without_a_finite_welfare_names_the_box():
+    # every grid point's welfare overflows; the scan raises no RuntimeWarning
+    sys = pc.generate(pc.config_from_dict({"N": 1, "d": 2, "seed": 13}))
+    with pytest.raises(ValueError, match=r"box \(1e\+300, 1.5e\+300\)"):
+        pc.joint_welfare_opt(sys, box=(1e300, 1.5e300), method="grid")
+
+
 def test_multistart_keeps_a_maximum_of_the_double_well():
     res = pc.joint_welfare_opt(double_well_instance(), box=(-3.0, 3.0),
                                method="newton_multistart")
