@@ -147,9 +147,13 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
     gap = None
     if failure is None:
         # oracle at the same states the final stage converged on
-        res = joint_welfare_opt(stage_inst, box=pcfg.box)
-        oracle_welfare, oracle_method = res.welfare, res.method
-        gap = oracle_welfare - final_welfare
+        try:
+            res = joint_welfare_opt(stage_inst, box=pcfg.box)
+        except ValueError as exc:
+            failure = {"reason": "oracle", "stage": stages - 1, "message": str(exc)}
+        else:
+            oracle_welfare, oracle_method = res.welfare, res.method
+            gap = oracle_welfare - final_welfare
 
     report = {
         "config": cfg.to_dict(),
@@ -254,9 +258,12 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed))
     inst = generate(cfg)
-    base_pcfg = polling_config(cfg)
-    oracle = joint_welfare_opt(inst, box=base_pcfg.box)
-    oracle_welfare = oracle.welfare
+    oracle_welfare = oracle_method = failure = None
+    try:
+        oracle = joint_welfare_opt(inst, box=polling_config(cfg).box)
+        oracle_welfare, oracle_method = oracle.welfare, oracle.method
+    except ValueError as exc:
+        failure = {"reason": "oracle", "stage": 0, "message": str(exc)}
 
     # the damped modes share inst, so run_stage estimates their default step once
     table = {}
@@ -271,14 +278,21 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
             continue
         final = _stage_welfare(inst, st)
         table[mode] = {"iterations": st.iterations, "final_welfare": final,
-                       "gap": oracle_welfare - final, "converged": st.converged, **outcome}
+                       "gap": None if failure else oracle_welfare - final,
+                       "converged": st.converged, **outcome}
 
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "compare.json")
-    _write_json({"config": cfg.to_dict(), "oracle_welfare": oracle_welfare,
-                 "oracle_method": oracle.method, "modes": table}, out_path)
+    out = {"config": cfg.to_dict(), "oracle_welfare": oracle_welfare,
+           "oracle_method": oracle_method, "modes": table}
+    if failure is not None:
+        out["failure"] = failure
+    _write_json(out, out_path)
     _announce(out_path, quiet)
-    return 0
+    if failure is None:
+        return 0
+    print(f"compare: {failure['message']}", file=sys.stderr)
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -391,24 +391,28 @@ def pair_batch_rows(sys: SystemInstance) -> int:
 
 def batch_welfare(sys: SystemInstance, U) -> np.ndarray:
     """Social welfare sum_n U_n(x_n(t+1), u_n) + G(x(t+1)), w = 0, at each of
-    K joint actions: (K, N, d) -> (K,). Row k equals the scalar formula
-    sum(U_n.value(step(dyn_n, x_n, u_n), u_n)) + G.value(X) bit for bit:
-    every product is a stacked matmul of C-ordered arrays with the shapes of
-    the scalar one and every sum runs in the scalar order. Trusts finite
-    input (joint_action checks a single joint action)."""
+    K joint actions, (K, N, d) or flat (K, N*d) -> (K,), in pieces of
+    pair_batch_rows rows. Row k is the scalar formula sum(U_n.value(step(dyn_n,
+    x_n, u_n), u_n)) + G.value(X) bit for bit: every product is a stacked
+    matmul of C-ordered arrays with the shapes of the scalar one and every sum
+    runs in the scalar order. Trusts finite input (see joint_action)."""
     U = np.ascontiguousarray(U, dtype=float).reshape(-1, sys.N, sys.d)
-    X = _fleet_step(sys, U)
-    quadratic = sys._stacked[2]
-    if quadratic is not None:
-        Q, R, x0 = quadratic
-        E = X - x0
-        vals = (-((E[..., None, :] @ Q) @ E[..., :, None])
-                - ((U[..., None, :] @ R) @ U[..., :, None]))[..., 0, 0]
-    else:  # a SmoothUtility's value_fn is an arbitrary callable of one row
-        vals = np.array([[ut.value(x, u) for ut, x, u in zip(sys.utilities, Xk, Uk)]
-                         for Xk, Uk in zip(X, U)])
-    # the scalar sum starts from 0, so a row of zero utilities adds up to +0.0
-    return (_ordered_sum(vals, axis=1) + 0.0) + sys.coupling.values(X)
+    rows, quadratic = pair_batch_rows(sys), sys._stacked[2]
+    out = np.empty(len(U))
+    for k in range(0, len(U), rows):
+        Uk = U[k:k + rows]
+        X = _fleet_step(sys, Uk)
+        if quadratic is not None:
+            Q, R, x0 = quadratic
+            E = X - x0
+            vals = (-((E[..., None, :] @ Q) @ E[..., :, None])
+                    - ((Uk[..., None, :] @ R) @ Uk[..., :, None]))[..., 0, 0]
+        else:  # a SmoothUtility's value_fn is an arbitrary callable of one row
+            vals = np.array([[ut.value(x, u) for ut, x, u in zip(sys.utilities, Xk, Urow)]
+                             for Xk, Urow in zip(X, Uk)])
+        # the scalar sum starts from 0, so a row of zero utilities adds up to +0.0
+        out[k:k + rows] = (_ordered_sum(vals, axis=1) + 0.0) + sys.coupling.values(X)
+    return out
 
 
 def replace_states(sys: SystemInstance, states) -> SystemInstance:

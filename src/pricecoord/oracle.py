@@ -11,14 +11,13 @@ it, which is where the finite-difference field reaches its noise floor. It
 does not use numerics.newton_root, so the reference never runs the loop it
 checks.
 
-Every stencil is one batch of model.batch_welfare rows, each row equal to
-the scalar welfare bit for bit: a field is 2m points (m = N d), a Hessian
-1 + 2m^2, the closed-form probe m + 1 fields, and the grid scan one batch
-per value of the first coordinate (201^(m-1) points). A batch is one
-batch_welfare call of up to 2^18 / (N^2 d) rows (14,563 at N = 3, d = 2),
-so the pair differences of a call stay under 2 MB whatever the fleet size;
-the stencil points themselves take (1 + 2m^2) m floats for a Hessian.
-joint_welfare is the same welfare at one joint action.
+Every stencil is one model.batch_welfare call on its flat points, each row
+equal to the scalar welfare bit for bit: a field is 2m points (m = N d), a
+Hessian 1 + 2m^2, the closed-form probe m + 1 fields, and the grid scan one
+batch per value of the first coordinate (201^(m-1) points). batch_welfare
+splits a batch into its own pieces, so the pair differences stay under 2 MB
+whatever the fleet size; the stencil points themselves take (1 + 2m^2) m
+floats for a Hessian. joint_welfare is the same welfare at one joint action.
 
 Note on why oracle equivalence is a valid acceptance test at all: the test
 instances in this package are potential games by construction. The coupling G
@@ -33,10 +32,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .model import SystemInstance, batch_welfare, joint_action, pair_batch_rows
+from .model import SystemInstance, batch_welfare, joint_action
 from .numerics import fd_gradients
 
 
@@ -53,32 +53,28 @@ class OracleResult:
     method: str
 
 
-def _welfare_rows(sys: SystemInstance):
-    """Welfare at each row of a (K, N*d) array of flat joint actions, in
-    batch_welfare calls of at most 2^18 / (N^2 d) rows each."""
-    rows = pair_batch_rows(sys)
-
-    def f(P):
-        U = P.reshape(-1, sys.N, sys.d)
-        return np.concatenate([batch_welfare(sys, U[k:k + rows]) for k in range(0, len(U), rows)])
-
-    return f
-
-
 def _closed_form(sys: SystemInstance) -> np.ndarray | None:
+    """The Newton-polished solution of the probed stationarity system if it
+    is a verified welfare maximum, else None."""
     # Probe the welfare-gradient field at zero and at the unit vectors, all
     # m + 1 fields in one batch. For quadratic welfare central differences are
     # exact up to roundoff, so the probed system is the true linear
-    # stationarity system J u* = -f0.
+    # stationarity system J u* = -f0; on other welfare it is only a secant.
     m = sys.N * sys.d
-    fields = fd_gradients(_welfare_rows(sys), np.vstack([np.zeros(m), np.eye(m)]))
+    f = partial(batch_welfare, sys)
+    fields = fd_gradients(f, np.vstack([np.zeros(m), np.eye(m)]))
     f0 = fields[0]
     J = (fields[1:] - f0).T  # column i is F(e_i) - f0
     sym = 0.5 * (J + J.T)
     scale = max(np.max(np.abs(sym)), 1.0)
     if np.max(np.linalg.eigvalsh(sym)) > -1e-12 * scale:
         return None  # not negative definite, stationary point may not be a max
-    return np.linalg.solve(J, -f0)
+    u, g = _newton_polish(sys, np.linalg.solve(J, -f0))
+    # stationary is not enough: the secant probe can look negative definite
+    # on quartic welfare whose curvature at the solve point is positive
+    if np.max(np.abs(g)) > 1e-7 * (1.0 + np.max(np.abs(u))) or not _is_maximum(f, u):
+        return None
+    return u
 
 
 def _fd_hessian(f_rows, u: np.ndarray) -> np.ndarray:
@@ -99,15 +95,16 @@ def _fd_hessian(f_rows, u: np.ndarray) -> np.ndarray:
     return H
 
 
-def _newton_polish(sys: SystemInstance, u_flat: np.ndarray) -> np.ndarray:
-    """Damped Newton on the finite-difference welfare field F.
+def _newton_polish(sys: SystemInstance, u_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on the finite-difference welfare field F: (u, F(u)).
 
-    Stops when ||F||_inf < 1e-11, after 20 steps, or when backtracking to
-    alpha <= 1e-10 finds no step that reduces ||F||_inf: F has then reached
-    its finite-difference noise floor and further steps only cost
-    evaluations. The field at the accepted step is the next residual.
+    Stops when ||F||_inf < 1e-11, after 20 steps, or when backtracking finds
+    no step that reduces ||F||_inf before alpha <= 1e-10 or before u + alpha
+    delta rounds to u (every shorter step then does too): F has then reached
+    its noise floor and further steps only cost evaluations. The field at
+    the accepted step is the next residual.
     """
-    f = _welfare_rows(sys)
+    f = partial(batch_welfare, sys)
     u = u_flat.copy()
     g = fd_gradients(f, u)[0]
     for _ in range(20):
@@ -121,21 +118,23 @@ def _newton_polish(sys: SystemInstance, u_flat: np.ndarray) -> np.ndarray:
         alpha = 1.0
         while True:
             trial = u + alpha * delta
+            if np.array_equal(trial, u):
+                return u, g
             g_trial = fd_gradients(f, trial)[0]
             if np.max(np.abs(g_trial)) < gn:
                 break
             alpha *= 0.5
             if alpha <= 1e-10:
-                return u
+                return u, g
         u, g = trial, g_trial
-    return u
+    return u, g
 
 
 def _grid(sys: SystemInstance, box) -> np.ndarray:
     m = sys.N * sys.d
     if m > 3:
         raise ValueError(f"grid oracle supports N*d <= 3, got {m}")
-    f = _welfare_rows(sys)
+    f = partial(batch_welfare, sys)
     axes = [np.linspace(box[0], box[1], 201)] * m  # pitch width/200
     best_w = -np.inf
     best_u = None
@@ -152,7 +151,7 @@ def _grid(sys: SystemInstance, box) -> np.ndarray:
             best_u = points[k]
     if best_u is None:
         raise ValueError(f"no grid point on the box {tuple(box)!r} has a finite welfare")
-    return _newton_polish(sys, best_u)
+    return _newton_polish(sys, best_u)[0]
 
 
 def _is_maximum(f_rows, u: np.ndarray) -> bool:
@@ -170,13 +169,13 @@ def _multistart(sys: SystemInstance, box) -> np.ndarray:
     m = sys.N * sys.d
     lo, hi = box
     rng = np.random.default_rng(0)
-    f = _welfare_rows(sys)
+    f = partial(batch_welfare, sys)
     ends = []  # (welfare, start index, polished point) of each finite start
     for k in range(32):
         start = lo + (hi - lo) * rng.random(m) if k else np.full(m, 0.5 * (lo + hi))
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite welfare is skipped
             try:
-                u = _newton_polish(sys, start)
+                u = _newton_polish(sys, start)[0]
             except ValueError:  # the welfare is not finite near this start
                 continue
             w = f(u[None])[0]
@@ -194,58 +193,35 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
     """Reference joint welfare maximizer.
 
     method "closed_form" probes the stationarity system (quadratic welfare
-    only; falls back to multistart with a warning if the probed Hessian is not
-    negative definite), "grid" scans the box at pitch width/200 for N*d <= 3
+    only; falls back to multistart with a warning unless the polished solve
+    point is a verified maximum), "grid" scans the box at pitch width/200 for N*d <= 3
     and polishes with Newton, "newton_multistart" runs 32 damped Newton solves
     from the box centre and random box starts and keeps the one with the
     highest finite welfare whose finite-difference Hessian is negative
     definite (a start whose welfare overflows is skipped; ValueError naming
-    the box when no start ends at such a maximum).
+    the box when no start ends at such a maximum). Without a box, grid and
+    newton_multistart (the fallback too) raise "<method> requires a box".
 
     Every Newton solve works on welfare values only: the field is a central
     first difference and the Hessian a symmetric central second difference
     of the welfare, each evaluated as one batch of stencil points (as are
     the closed-form probe and each slice of the grid scan). A solve stops at
     ||field||_inf < 1e-11, after 20 steps, or as soon as backtracking to
-    alpha <= 1e-10 finds no reducing step.
-    The result's method names the one that produced u_star, so a
+    alpha <= 1e-10 (or to a step that rounds to no move) finds no reducing
+    step. The result's method names the one that produced u_star, so a
     closed_form request that fell back reports "newton_multistart".
     """
-    if method == "closed_form":
-        u = _closed_form(sys)
-        if u is not None:
-            # Newton-polish and verify: on genuinely quadratic welfare the
-            # polish stops at the noise floor within a step or two, on anything
-            # else the probed affine system was only a secant approximation
-            # and polish/fallback corrects it.
-            u = _newton_polish(sys, u)
-            f = _welfare_rows(sys)
-            if np.max(np.abs(fd_gradients(f, u))) > 1e-7 * (1.0 + np.max(np.abs(u))):
-                u = None
-            else:
-                # stationary is not enough: the unit-vector secant probe can
-                # look negative definite on quartic welfare whose true
-                # curvature at the solve point is positive, so check the local
-                # Hessian before trusting the point as a maximizer
-                if not _is_maximum(f, u):
-                    u = None
-        if u is None:
-            warnings.warn("closed_form: probed stationarity system unreliable "
-                          "(non-quadratic or indefinite welfare), falling back "
-                          "to newton_multistart")
-            if box is None:
-                raise ValueError("multistart fallback requires a box")
-            u = _multistart(sys, box)
-            method = "newton_multistart"
-    elif method == "grid":
-        if box is None:
-            raise ValueError("grid method requires a box")
-        u = _grid(sys, box)
-    elif method == "newton_multistart":
-        if box is None:
-            raise ValueError("newton_multistart requires a box")
-        u = _multistart(sys, box)
-    else:
+    if method not in ("closed_form", "grid", "newton_multistart"):
         raise ValueError(f"unknown oracle method: {method}")
+    u = _closed_form(sys) if method == "closed_form" else None
+    if method == "closed_form" and u is None:
+        warnings.warn("closed_form: probed stationarity system unreliable "
+                      "(non-quadratic or indefinite welfare), falling back "
+                      "to newton_multistart")
+        method = "newton_multistart"
+    if u is None:
+        if box is None:
+            raise ValueError(f"{method} requires a box")
+        u = (_grid if method == "grid" else _multistart)(sys, box)
     u_star = u.reshape(sys.N, sys.d)
     return OracleResult(u_star=u_star, welfare=joint_welfare(sys, u_star), method=method)

@@ -412,3 +412,42 @@ def test_simulate_on_a_stiff_consensus_ends_on_the_round_budget(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     failure = json.loads((out / "report.json").read_text())["failure"]
     assert failure["reason"] == "max_rounds" and failure["rounds"] == 200
+
+
+_UNREACHABLE_BOX = "no multistart start on the box (1e+300, 1.5e+300) ends at a finite welfare maximum"
+
+
+def test_simulate_reports_an_oracle_failure_after_its_last_stage(tmp_path, capsys):
+    # every stage converges on this box, but no multistart start on it ends
+    # at a finite welfare maximum
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=20,
+                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
+                       box=[1e300, 1.5e300], mode={"mode": "simultaneous", "max_rounds": 500})
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="falling back"):
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert _UNREACHABLE_BOX in capsys.readouterr().err
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 20 * 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert len(report["welfare_series"]) == 20 and report["final_welfare"] is not None
+    assert report["oracle_welfare"] is None and report["oracle_method"] is None
+    assert report["gap"] is None
+    assert report["failure"] == {"reason": "oracle", "stage": 19, "message": _UNREACHABLE_BOX}
+
+
+def test_compare_runs_every_mode_when_the_oracle_fails(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=1,
+                       coupling_strength=50.0, safety_radius=20.0, box=[1e300, 1.5e300])
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="falling back"):
+        rc = main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert _UNREACHABLE_BOX in capsys.readouterr().err
+    report = json.loads((out / "compare.json").read_text())
+    assert report["oracle_welfare"] is None and report["oracle_method"] is None
+    assert report["failure"] == {"reason": "oracle", "stage": 0, "message": _UNREACHABLE_BOX}
+    assert set(report["modes"]) == set(pc.PLAY_MODES)
+    played = [row for row in report["modes"].values() if "final_welfare" in row]
+    assert played and all(row["gap"] is None for row in played)

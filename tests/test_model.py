@@ -1,11 +1,13 @@
 """Dynamics, utilities, coupling terms, and their gradient consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pricecoord as pc
 from pricecoord.model import batch_welfare
-from conftest import make_two_agent_scalar, make_utility, random_spd
+from conftest import make_two_agent_scalar, make_utility, random_quadratic_instance, random_spd
 
 
 def test_linear_dynamics_validation():
@@ -175,6 +177,25 @@ def test_batch_welfare_matches_a_loop_over_rows(family, coupling, N, K):
     assert W.shape == (K,)
     np.testing.assert_array_equal(W, expected)
     assert pc.social_welfare(sys, U[0]) == pc.joint_welfare(sys, U[0]) == expected[0]
+
+
+def test_batch_welfare_caps_the_pair_rows_per_piece(rng):
+    # N = 30, d = 2: pieces of 2^18 / (N^2 d) = 145 joint actions, recorded
+    # where the pair terms see them
+    base = random_quadratic_instance(rng, N=30, d=2, coupling=0.3)
+    sizes = []
+
+    def recorded(sq):
+        sizes.append(len(sq))
+        return base.coupling.pair_value(sq)
+
+    sys = pc.SystemInstance(base.dynamics, base.utilities,
+                            dataclasses.replace(base.coupling, pair_value=recorded), base.states)
+    cap = 2 ** 18 // (30 * 30 * 2)
+    P = rng.normal(size=(2 * cap + 7, 60))
+    w = batch_welfare(sys, P)
+    assert sizes == [cap, cap, 7]
+    np.testing.assert_array_equal(w, [batch_welfare(base, p[None])[0] for p in P])
 
 
 def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):

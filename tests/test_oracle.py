@@ -1,10 +1,14 @@
 """Reference welfare maximizer and finite differences."""
 
+from contextlib import nullcontext
+from functools import partial
+
 import numpy as np
 import pytest
 
 import pricecoord as pc
 from pricecoord import oracle
+from pricecoord.model import batch_welfare
 from pricecoord.numerics import fd_gradients
 from conftest import make_two_agent_scalar, random_quadratic_instance
 
@@ -18,19 +22,24 @@ def readme_instance():
 @pytest.fixture
 def welfare_calls(monkeypatch):
     """Counts the oracle's welfare evaluations (the rows of its batched
-    welfare calls) and its Hessians."""
-    calls = {"welfare": 0, "hessian": 0}
-    batch_welfare, fd_hessian = oracle.batch_welfare, oracle._fd_hessian
+    welfare calls), its field stencils and its Hessians."""
+    calls = {"welfare": 0, "field": 0, "hessian": 0}
+    fd_hessian = oracle._fd_hessian
 
     def counted_welfare(sys, U):
         calls["welfare"] += len(U)
         return batch_welfare(sys, U)
+
+    def counted_field(*args, **kwargs):
+        calls["field"] += 1
+        return fd_gradients(*args, **kwargs)
 
     def counted_hessian(*args, **kwargs):
         calls["hessian"] += 1
         return fd_hessian(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "batch_welfare", counted_welfare)
+    monkeypatch.setattr(oracle, "fd_gradients", counted_field)
     monkeypatch.setattr(oracle, "_fd_hessian", counted_hessian)
     return calls
 
@@ -157,6 +166,17 @@ def test_grid_requires_box():
         pc.joint_welfare_opt(sys, method="grid")
 
 
+@pytest.mark.parametrize("make, method, named", [
+    (lambda: make_two_agent_scalar(0.1), "grid", "grid"),
+    (lambda: make_two_agent_scalar(0.1), "newton_multistart", "newton_multistart"),
+    (double_well_instance, "closed_form", "newton_multistart"),  # after the fallback
+])
+def test_a_box_method_without_a_box_names_the_method(make, method, named):
+    with pytest.warns(UserWarning) if method == "closed_form" else nullcontext():
+        with pytest.raises(ValueError, match=f"^{named} requires a box$"):
+            pc.joint_welfare_opt(make(), method=method)
+
+
 def test_closed_form_cost_on_quadratic_welfare(rng, welfare_calls):
     sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.3)
     res = pc.joint_welfare_opt(sys, method="closed_form")
@@ -164,17 +184,80 @@ def test_closed_form_cost_on_quadratic_welfare(rng, welfare_calls):
     assert welfare_calls["welfare"] <= 2000
 
 
+def test_closed_form_reads_its_stationarity_from_the_polish(rng, welfare_calls, monkeypatch):
+    # a successful closed_form evaluates the probe's m + 1 fields, the
+    # polish and one Hessian for the maximum check: the stationarity check
+    # reads the polish's last field instead of a fresh 2m-point stencil
+    sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.3)
+    m = sys.N * sys.d
+    polish, spent = oracle._newton_polish, {}
+
+    def recorded_polish(*args):
+        before = dict(welfare_calls)
+        out = polish(*args)
+        spent.update({k: welfare_calls[k] - before[k] for k in welfare_calls})
+        return out
+
+    monkeypatch.setattr(oracle, "_newton_polish", recorded_polish)
+    assert pc.joint_welfare_opt(sys).method == "closed_form"
+    assert welfare_calls["field"] == 1 + spent["field"]
+    assert welfare_calls["hessian"] == spent["hessian"] + 1
+    # the final joint_welfare is one more row
+    assert welfare_calls["welfare"] == ((m + 1) * 2 * m + spent["welfare"]
+                                        + (1 + 2 * m * m) + 1)
+
+
 def test_polish_at_the_optimum_stops_after_one_failed_line_search(rng, welfare_calls):
     sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.3)
     u_star = pc.joint_welfare_opt(sys, method="closed_form").u_star.ravel()
     welfare_calls.update(welfare=0, hessian=0)
-    u = oracle._newton_polish(sys, u_star)
+    u, g = oracle._newton_polish(sys, u_star)
     m = u_star.size
-    # one field at the start (2m values), one Hessian (1 + 2m^2) and 34
-    # halvings from alpha = 1 down to alpha <= 1e-10, none reducing ||F||
+    # one field at the start (2m values), one Hessian (1 + 2m^2) and 19
+    # trial fields from alpha = 1 down to the last alpha whose step does not
+    # round back to u_star, none reducing ||F||
     assert welfare_calls["hessian"] == 1
-    assert welfare_calls["welfare"] == 2 * m + (1 + 2 * m * m) + 34 * 2 * m
+    assert welfare_calls["welfare"] == 2 * m + (1 + 2 * m * m) + 19 * 2 * m
     np.testing.assert_array_equal(u, u_star)
+    np.testing.assert_array_equal(g, fd_gradients(partial(batch_welfare, sys), u_star)[0])
+
+
+def _reference_polish(sys, u):
+    """The polish loop without the stop on a step that rounds back to u:
+    it backtracks until alpha <= 1e-10."""
+    f = partial(batch_welfare, sys)
+    g = fd_gradients(f, u)[0]
+    for _ in range(20):
+        gn = np.max(np.abs(g))
+        if gn < 1e-11:
+            break
+        try:
+            delta = np.linalg.solve(oracle._fd_hessian(f, u), -g)
+        except np.linalg.LinAlgError:
+            break
+        alpha = 1.0
+        while True:
+            trial = u + alpha * delta
+            g_trial = fd_gradients(f, trial)[0]
+            if np.max(np.abs(g_trial)) < gn:
+                break
+            alpha *= 0.5
+            if alpha <= 1e-10:
+                return u
+        u, g = trial, g_trial
+    return u
+
+
+@pytest.mark.parametrize("make, box", [
+    (readme_instance, (-20.0, 20.0)),
+    (lambda: random_quadratic_instance(np.random.default_rng(3), N=3, d=2, coupling=0.3),
+     (-10.0, 10.0)),
+])
+def test_polish_stopping_on_a_rounded_step_changes_no_end_point(make, box):
+    sys = make()
+    starts = np.random.default_rng(5).uniform(*box, size=(32, sys.N * sys.d))
+    for start in starts:
+        assert np.array_equal(oracle._newton_polish(sys, start)[0], _reference_polish(sys, start))
 
 
 def test_fd_hessian_is_exact_on_quadratics(rng):
@@ -197,25 +280,8 @@ def test_batched_field_equals_fd_gradient_of_the_scalar_welfare(rng, make):
         return pc.joint_welfare(sys, v.reshape(sys.N, sys.d))
 
     points = 3.0 * rng.normal(size=(4, m))
-    fields = fd_gradients(oracle._welfare_rows(sys), points, h)
+    fields = fd_gradients(partial(batch_welfare, sys), points, h)
     for p, field in zip(points, fields):
         np.testing.assert_array_equal(field, pc.fd_gradient(scalar, p, h))
         np.testing.assert_array_equal(
             field, [(scalar(p + E[j]) - scalar(p - E[j])) / (2.0 * h) for j in range(m)])
-
-
-def test_welfare_rows_caps_the_rows_per_call(rng, monkeypatch):
-    sys = random_quadratic_instance(rng, N=30, d=2, coupling=0.3)
-    cap = 2 ** 18 // (30 * 30 * 2)
-    P = rng.normal(size=(2 * cap + 7, 60))
-    sizes = []
-    batch_welfare = oracle.batch_welfare
-
-    def recorded(sys, U):
-        sizes.append(len(U))
-        return batch_welfare(sys, U)
-
-    monkeypatch.setattr(oracle, "batch_welfare", recorded)
-    w = oracle._welfare_rows(sys)(P)
-    assert sizes == [cap, cap, 7]
-    np.testing.assert_array_equal(w, batch_welfare(sys, P.reshape(-1, 30, 2)))
