@@ -38,14 +38,8 @@ from .scenario import (
 def _json_default(obj):
     """json.dump's hook for the numpy values a report holds. np.float64 is a
     float subclass and never reaches it."""
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -55,9 +49,34 @@ def _write_json(data: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _announce(path: str, quiet: bool) -> None:
+def _load(config_path: str, seed) -> ScenarioConfig:
+    """The config at config_path, with the --seed override when given."""
+    cfg = load_config(config_path)
+    return cfg if seed is None else dataclasses.replace(cfg, seed=int(seed))
+
+
+def _oracle(inst, box, stage: int):
+    """(welfare, method, None) of the optimum on the box, or (None, None, the
+    stage's oracle failure) when the oracle finds no maximum."""
+    try:
+        res = joint_welfare_opt(inst, box=box)
+    except ValueError as exc:
+        return None, None, {"reason": "oracle", "stage": stage, "message": str(exc)}
+    return res.welfare, res.method, None
+
+
+def _finish(command: str, data: dict, path: str, quiet: bool, failure, code: int = 1) -> int:
+    """Writes data, with the failure if any, prints path unless quiet and
+    returns 0, or code after the failure's message on stderr."""
+    if failure is not None:
+        data["failure"] = failure
+    _write_json(data, path)
     if not quiet:
         print(path)
+    if failure is None:
+        return 0
+    print(f"{command}: {failure['message']}", file=sys.stderr)
+    return code
 
 
 def _stage_welfare(inst, st: StageTrace) -> float:
@@ -94,9 +113,7 @@ def _write_dynamics(cfg: ScenarioConfig, inst, path: str) -> None:
 def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
                  quiet: bool = False) -> int:
     t_start = time.perf_counter()
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed))
+    cfg = _load(config_path, seed)
     pcfg = polling_config(cfg, mode_override=mode)
     inst = generate(cfg)
     noise = noise_streams(cfg) if cfg.noise_std > 0 else None
@@ -129,8 +146,13 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
         prices.append(price_from_target(inst, u_star))
         new_states = joint_next_state(inst, u_star)
         if noise is not None:
-            new_states = new_states + cfg.noise_std * np.array([g.normal(size=cfg.d)
-                                                                for g in noise])
+            with np.errstate(over="ignore"):  # an overflow is a state failure below
+                new_states = new_states + cfg.noise_std * np.array([g.normal(size=cfg.d)
+                                                                    for g in noise])
+        if not np.all(np.isfinite(new_states)):
+            failure = {"reason": "state", "stage": t,
+                       "message": f"the states after stage {t} contain non-finite entries"}
+            break
         inst = replace_states(inst, new_states)
         u_warm = u_star
 
@@ -142,18 +164,9 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
                             p=np.reshape(prices, (-1, cfg.d))), trace_path)
 
     final_welfare = welfare_series[-1] if welfare_series else None
-    oracle_welfare = None
-    oracle_method = None
-    gap = None
-    if failure is None:
-        # oracle at the same states the final stage converged on
-        try:
-            res = joint_welfare_opt(stage_inst, box=pcfg.box)
-        except ValueError as exc:
-            failure = {"reason": "oracle", "stage": stages - 1, "message": str(exc)}
-        else:
-            oracle_welfare, oracle_method = res.welfare, res.method
-            gap = oracle_welfare - final_welfare
+    oracle_welfare = oracle_method = None
+    if failure is None:  # the oracle at the same states the final stage converged on
+        oracle_welfare, oracle_method, failure = _oracle(stage_inst, pcfg.box, stages - 1)
 
     report = {
         "config": cfg.to_dict(),
@@ -162,20 +175,13 @@ def cmd_simulate(config_path: str, out_dir: str, mode=None, seed=None,
         "final_welfare": final_welfare,
         "oracle_welfare": oracle_welfare,
         "oracle_method": oracle_method,
-        "gap": gap,
+        "gap": None if failure else oracle_welfare - final_welfare,
         "iterations": iterations,
         "converged": failure is None,
         "wall_time_ms": (time.perf_counter() - t_start) * 1000.0,
     }
-    if failure is not None:
-        report["failure"] = failure
-    _write_json(report, report_path)
-    _announce(report_path, quiet)
-
-    if failure is None:
-        return 0
-    print(f"simulate: {failure['message']}", file=sys.stderr)
-    return 2 if failure["reason"] == "oscillation" else 1
+    code = 2 if failure is not None and failure["reason"] == "oscillation" else 1
+    return _finish("simulate", report, report_path, quiet, failure, code)
 
 
 def _agent_array(path: str, i: int, entry: dict, key: str, shape: tuple) -> np.ndarray:
@@ -244,26 +250,17 @@ def cmd_identify(log_path: str, dynamics_path: str, out_dir: str,
                         "x0_check": m.x0_check, "b_condition": m.b_condition})
     out_path = os.path.join(out_dir, "models.json")
     _write_json({"agents": entries}, out_path)
-    _announce(out_path, quiet)
-    if deficient:
-        for n, exc in deficient:
-            print(f"identify: agent {n}: rank {exc.rank} < required {exc.required}",
-                  file=sys.stderr)
-        return 3
-    return 0
+    if not quiet:
+        print(out_path)
+    for n, exc in deficient:
+        print(f"identify: agent {n}: rank {exc.rank} < required {exc.required}", file=sys.stderr)
+    return 3 if deficient else 0
 
 
 def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) -> int:
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed))
+    cfg = _load(config_path, seed)
     inst = generate(cfg)
-    oracle_welfare = oracle_method = failure = None
-    try:
-        oracle = joint_welfare_opt(inst, box=polling_config(cfg).box)
-        oracle_welfare, oracle_method = oracle.welfare, oracle.method
-    except ValueError as exc:
-        failure = {"reason": "oracle", "stage": 0, "message": str(exc)}
+    oracle_welfare, oracle_method, failure = _oracle(inst, polling_config(cfg).box, 0)
 
     # the damped modes share inst, so run_stage estimates their default step once
     table = {}
@@ -285,14 +282,7 @@ def cmd_compare(config_path: str, out_dir: str, seed=None, quiet: bool = False) 
     out_path = os.path.join(out_dir, "compare.json")
     out = {"config": cfg.to_dict(), "oracle_welfare": oracle_welfare,
            "oracle_method": oracle_method, "modes": table}
-    if failure is not None:
-        out["failure"] = failure
-    _write_json(out, out_path)
-    _announce(out_path, quiet)
-    if failure is None:
-        return 0
-    print(f"compare: {failure['message']}", file=sys.stderr)
-    return 1
+    return _finish("compare", out, out_path, quiet, failure)
 
 
 def build_parser() -> argparse.ArgumentParser:

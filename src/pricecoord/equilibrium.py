@@ -102,12 +102,13 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
 # ---------------------------------------------------------------------------
 # the stacked reward field of a system instance
 
-def _utility_derivative(sys: SystemInstance, V, rows, hessian: bool = False) -> np.ndarray:
+def _utility_derivative(sys: SystemInstance, V, Y, rows, hessian: bool = False) -> np.ndarray:
     """Row i: the private utility gradient of agent n = rows[i] at the action
     V[..., i, :], (..., k, d), or with hessian its Hessian, (k, d, d) for V
-    of shape (k, d). Stacked from the instance's (Q, R, x0) arrays when every
-    utility is quadratic, each row bit for bit QuadraticUtility's; through
-    each utility's grad_u and hess_u otherwise."""
+    of shape (k, d). Y is the rows' next states, _fleet_step(sys, V, rows),
+    read only by the quadratic gradient. Stacked from the instance's (Q, R,
+    x0) arrays when every utility is quadratic, each row bit for bit
+    QuadraticUtility's; through each utility's grad_u and hess_u otherwise."""
     quadratic = sys._stacked[2]
     if quadratic is None:
         utility = [(sys.utilities[n], sys.dynamics[n], sys.states[n]) for n in rows]
@@ -120,24 +121,29 @@ def _utility_derivative(sys: SystemInstance, V, rows, hessian: bool = False) -> 
     Bt = sys._stacked[1][rows].swapaxes(1, 2)
     if hessian:
         return -2.0 * (Bt @ Q @ Bt.swapaxes(1, 2) + R)
-    e = _fleet_step(sys, V, rows) - x0
+    e = Y - x0
     return (((-2.0 * Bt) @ (Q @ e[..., None]))[..., 0]
             - 2.0 * (R @ V[..., None])[..., 0])
 
 
-def _coupling_derivative(sys: SystemInstance, V, X, rows, hessian: bool = False) -> np.ndarray:
-    """Row i: the shared coupling's gradient for agent n = rows[i] at the
-    action V[i], everyone else at the next states X, chain-ruled through
-    x_n = A x + B u_n: B^T grad_rows, (k, d), or with hessian
+def _coupling_derivative(sys: SystemInstance, Y, X, rows, hessian: bool = False) -> np.ndarray:
+    """Row i: the shared coupling's gradient for agent n = rows[i] at its
+    next state Y[i] = A x + B u_n, everyone else at the next states X,
+    chain-ruled through B: B^T grad_rows, (k, d), or with hessian
     B^T hess_rows B, (k, d, d). For the gradient, X None means every agent
-    at its own row of V, (..., N, d), with rows all agents in order:
+    at its own row of Y, (..., N, d), with rows all agents in order:
     B^T grad."""
     B = sys._stacked[1][rows]
-    Y = _fleet_step(sys, V, rows)
     if hessian:
         return B.swapaxes(1, 2) @ sys.coupling.hess_rows(Y, X, rows) @ B
     g = sys.coupling.grad(Y) if X is None else sys.coupling.grad_rows(Y, X, rows)
     return (B.swapaxes(1, 2) @ g[..., None])[..., 0]
+
+
+def _field_rows(sys: SystemInstance, V, X, rows) -> np.ndarray:
+    """Utility plus coupling gradient of the rows at V, from one fleet step."""
+    Y = _fleet_step(sys, V, rows)
+    return _utility_derivative(sys, V, Y, rows) + _coupling_derivative(sys, Y, X, rows)
 
 
 def reward_field(sys: SystemInstance):
@@ -153,9 +159,8 @@ def reward_field(sys: SystemInstance):
         U = np.ascontiguousarray(np.reshape(u, (-1, sys.N, sys.d)), dtype=float)
         if not np.all(np.isfinite(U)):
             raise ValueError("joint action contains non-finite entries")
-        out = np.concatenate([_utility_derivative(sys, Uk, rows)
-                              + _coupling_derivative(sys, Uk, None, rows)
-                              for Uk in (U[k:k + chunk] for k in range(0, len(U), chunk))])
+        out = np.concatenate([_field_rows(sys, U[k:k + chunk], None, rows)
+                              for k in range(0, len(U), chunk)])
         return out.reshape(np.shape(u))
 
     return F
@@ -214,15 +219,15 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
 
     def gradient(V, i):
         n = rows[i]
-        g = _utility_derivative(sys, V, n) + _coupling_derivative(sys, V, X_frozen, n)
+        g = _field_rows(sys, V, X_frozen, n)
         if c is not None:
             g -= 2.0 * c * (V - anchors[n])
         return g
 
     def hessian(V, i):
         n = rows[i]
-        H = (_utility_derivative(sys, V, n, hessian=True)
-             + _coupling_derivative(sys, V, X_frozen, n, hessian=True))
+        H = (_utility_derivative(sys, V, None, n, hessian=True)
+             + _coupling_derivative(sys, _fleet_step(sys, V, n), X_frozen, n, hessian=True))
         if c is not None:
             H -= 2.0 * c * np.eye(sys.d)
         return H
@@ -276,8 +281,9 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, lam:
     rows = np.arange(sys.N)
     X_frozen = joint_next_state(sys, frozen)
     resp = _jacobi_responses(sys, X_frozen, U, lam)
-    g_util = probe_utility_gradient(lam, resp, U, _coupling_derivative(sys, resp, X_frozen, rows))
-    g_coup = _coupling_derivative(sys, resp, None, rows)
+    Y = _fleet_step(sys, resp, rows)
+    g_util = probe_utility_gradient(lam, resp, U, _coupling_derivative(sys, Y, X_frozen, rows))
+    g_coup = _coupling_derivative(sys, Y, None, rows)
     return resp, U + gamma * (g_util + g_coup), g_util
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BestResponseError, ConfigError, NonConvergenceError
-from .model import SystemInstance, batch_welfare, joint_action
+from .model import SystemInstance, _fleet_step, batch_welfare, joint_action
 from .numerics import fd_jacobian
 from .equilibrium import (
     _utility_derivative,
@@ -52,7 +52,7 @@ def price_from_target(sys: SystemInstance, u_target) -> np.ndarray:
     game's unique best response.
     """
     U = np.ascontiguousarray(joint_action(sys, u_target))
-    return _utility_derivative(sys, U, np.arange(sys.N))
+    return _utility_derivative(sys, U, _fleet_step(sys, U), np.arange(sys.N))
 
 
 def message_space_dimension(N: int, d: int) -> int:

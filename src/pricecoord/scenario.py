@@ -190,15 +190,18 @@ def separation_barrier_coupling(beta: float, radius: float, N: int, d: int) -> C
         return zero_coupling(N, d)
     r2 = radius * radius
 
-    def curvature(sq):
-        # d/ds of 4 beta softplus(r^2 - s) sigma(r^2 - s), with sigma' = sigma (1 - sigma)
+    def pair_weight(sq):
         z = r2 - sq
-        sig = _sigmoid(z)
-        return -4.0 * beta * sig * (sig + np.logaddexp(0.0, z) * _sigmoid(-z))
+        return 4.0 * beta * np.logaddexp(0.0, z) * _sigmoid(z)
 
-    return CouplingFunction(
-        N, d, -beta, lambda sq: np.logaddexp(0.0, r2 - sq) ** 2,
-        lambda sq: 4.0 * beta * np.logaddexp(0.0, r2 - sq) * _sigmoid(r2 - sq), curvature)
+    def curvature(sq):
+        # d/ds of pair_weight: sigma' = sigma (1 - sigma), sigma(-z) = exp(-softplus(z))
+        z = r2 - sq
+        sig, softplus = _sigmoid(z), np.logaddexp(0.0, z)
+        return -4.0 * beta * sig * (sig + softplus * np.exp(-softplus))
+
+    return CouplingFunction(N, d, -beta, lambda sq: np.logaddexp(0.0, r2 - sq) ** 2,
+                            pair_weight, curvature)
 
 
 def _random_spd(rng, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline: simulate, identify, compare."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -144,6 +145,40 @@ def test_simulate_best_response_failure_leaves_valid_output(tmp_path, capsys):
     assert "not a local maximum" in failure["message"]
     assert failure["residual"] >= 0.0
     assert len(failure["last_iterate"]) == 2
+
+
+def test_simulate_reports_a_state_overflow_after_its_stage(tmp_path, capsys):
+    # the noise overflows every state after stage 0; that stage stays in the trace
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=3,
+                       coupling_strength=0.0, noise_std=1.7e308, mode={})
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 1
+    message = "the states after stage 0 contain non-finite entries"
+    assert f"simulate: {message}" in capsys.readouterr().err
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["failure"] == {"reason": "state", "stage": 0, "message": message}
+    assert report["converged"] is False and report["iterations"] == 2
+    assert len(report["welfare_series"]) == 1
+    assert report["oracle_welfare"] is None and report["gap"] is None
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the oracle's fallback notice
+def test_simulate_readme_trace_matches_the_golden_file(tmp_path):
+    # README config; tests/data/readme_trace.csv was written by an earlier
+    # version, so any drift of the documented output shows here
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=40,
+                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
+                       mode={"mode": "simultaneous", "max_rounds": 500})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    golden = pathlib.Path(__file__).parent / "data" / "readme_trace.csv"
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == golden.read_text().splitlines()[0]
+    np.testing.assert_allclose(np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1),
+                               np.loadtxt(golden, delimiter=",", skiprows=1),
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_simulate_tikhonov_rescues_strong_coupling(tmp_path):

@@ -164,6 +164,19 @@ def test_reward_field_answers_in_the_input_shape(rng, utility_spec):
     assert np.array_equal(F(U.ravel()), F(U).ravel())
 
 
+def test_one_reward_field_evaluation_steps_the_fleet_once(rng, monkeypatch):
+    # the utility and the coupling derivative share the rows' next states
+    sys = pc.generate(pc.config_from_dict({"N": 3, "d": 2, "seed": 13,
+                                           "coupling_strength": 50.0, "safety_radius": 6.0}))
+    F = pc.reward_field(sys)
+    calls = []
+    real = pc.equilibrium._fleet_step
+    monkeypatch.setattr(pc.equilibrium, "_fleet_step",
+                        lambda *args: calls.append(args) or real(*args))
+    F(rng.normal(size=(3, 2)))
+    assert len(calls) == 1
+
+
 _ROUND_INSTANCES = {
     "readme_barrier": {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
                        "safety_radius": 6.0},
