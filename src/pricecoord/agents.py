@@ -141,6 +141,5 @@ def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start) -> np.ndarray
         return BestResponseError(message, last_iterate=last, residual=residual)
 
     U, _ = newton_root(gradient, hessian, as_vector(u_start, dyn.d, "u_start")[None],
-                       1e-10, 100, error=error, jacobian_name="payoff Hessian",
-                       maximize=True)
+                       error=error, jacobian_name="payoff Hessian", maximize=True)
     return U[0]

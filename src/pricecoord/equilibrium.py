@@ -14,12 +14,9 @@ sequential play. Each row is bit for bit agents.best_response on that
 agent's game against its coupling_slices slice, the per-agent reference the
 tests compare the stacked rows against.
 
-Proximal bookkeeping: GameSpec's proximal term is -lam ||u - anchor||^2 with
-gradient -2 lam (u - anchor). The two-stage, single-stage, and Tikhonov plays
-pose lam / 2 so their stationarity condition carries the coefficient
-lam (u - anchor) exactly as the step-size analysis assumes; the gap bound
-||u_hat - u_prev|| <= N D / lam and the probe-identity extraction of the
-agent's private gradient both rely on this.
+Proximal bookkeeping: the two-stage, single-stage and Tikhonov plays pose
+the proximal gradient -lam (u - anchor), and the tests' per-agent GameSpec
+reference, whose proximal term is -c ||u - anchor||^2, poses c = lam / 2.
 """
 
 from __future__ import annotations
@@ -213,29 +210,26 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
     failure raises the lowest failing row's BestResponseError, naming its
     agent rows[i]."""
     rows = np.arange(sys.N) if rows is None else np.asarray(rows)
-    # GameSpec's proximal payoff is -c ||u - anchor||^2; posing c = lam/2
-    # makes the stationarity coefficient exactly lam (see module docstring).
-    c = None if lam is None else 0.5 * lam
 
     def gradient(V, i):
         n = rows[i]
         g = _field_rows(sys, V, X_frozen, n)
-        if c is not None:
-            g -= 2.0 * c * (V - anchors[n])
+        if lam is not None:
+            g -= lam * (V - anchors[n])
         return g
 
     def hessian(V, i):
         n = rows[i]
         H = (_utility_derivative(sys, V, None, n, hessian=True)
              + _coupling_derivative(sys, _fleet_step(sys, V, n), X_frozen, n, hessian=True))
-        if c is not None:
-            H -= 2.0 * c * np.eye(sys.d)
+        if lam is not None:
+            H -= lam * np.eye(sys.d)
         return H
 
     def error(message, last, residual, i):
         return BestResponseError(message, last, residual, int(rows[i]))
 
-    U, _ = newton_root(gradient, hessian, anchors[rows], 1e-10, 100, error=error,
+    U, _ = newton_root(gradient, hessian, anchors[rows], error=error,
                        jacobian_name="payoff Hessian", maximize=True)
     return U
 

@@ -124,11 +124,10 @@ class PollingConfig:
     def __post_init__(self):
         if self.mode not in PLAY_MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {PLAY_MODES}")
-        if not (0 < self.tol < math.inf) or isinstance(self.max_rounds, bool) \
-                or not isinstance(self.max_rounds, Integral) or self.max_rounds < 1:
-            raise ConfigError(f"tol must be finite and > 0 and max_rounds an integer >= 1 "
-                              f"(got tol={self.tol!r}, max_rounds={self.max_rounds!r})")
-        for name, value in (("lam", self.lam), ("gamma", self.gamma)):
+        if isinstance(self.max_rounds, bool) or not isinstance(self.max_rounds, Integral) \
+                or self.max_rounds < 1:
+            raise ConfigError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
+        for name, value in (("tol", self.tol), ("lam", self.lam), ("gamma", self.gamma)):
             if name == "gamma" and value is None:
                 continue  # run_stage estimates it from box
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:

@@ -74,8 +74,8 @@ def _rounding_floor(J: np.ndarray, x: np.ndarray) -> float:
     return 8.0 * np.finfo(float).eps * float(np.linalg.norm(J, 2)) * max(1.0, x_inf)
 
 
-def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
-                jacobian_name: str = "Jacobian", maximize: bool = False):
+def newton_root(F, jacobian, x0, *, error, jacobian_name: str = "Jacobian",
+                maximize: bool = False):
     """Damped Newton for F(x) = 0, F a gradient field, on every row of x0.
 
     x0 is (k, m): each row is its own problem, solved exactly as if alone,
@@ -86,18 +86,18 @@ def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
 
     Per row, each step solves J s = -F(x) and halves alpha = 1, 1/2, 1/4,
     ... while alpha > 1e-12 (40 trials) until ||F||_inf decreases. A row
-    stops at the first iterate with ||F||_inf <= tol, or where its line
-    search stalls with ||F||_inf at the rounding floor of F,
-    8 eps ||J||_2 max(1, ||x||_inf). With maximize a stopped row must also
-    have a negative definite Jacobian there, a local maximum of the function
-    F is the gradient of. Returns (X, residuals), the rows' last iterates
-    and their ||F||_inf.
+    stops at the first iterate with ||F||_inf <= 1e-10. A row that does not
+    move is decided in one place: a singular Jacobian fails, a line search
+    that stalls at the rounding floor of F, 8 eps ||J||_2 max(1, ||x||_inf),
+    stops, and one that stalls above it fails. With maximize a stopped row
+    must also have a negative definite Jacobian there, a local maximum of
+    the function F is the gradient of. Returns (X, residuals), the rows'
+    last iterates and their ||F||_inf.
 
-    A row fails on a singular Jacobian, a line search that stalls above that
-    floor, after max_iter steps, or under maximize at a point that is not a
-    maximum. The rows above a failed one stop iterating, and the lowest
-    failed row raises error(message, last iterate, its residual, row), so
-    each caller keeps its own exception type.
+    A row also fails after 100 steps, or under maximize at a point that is
+    not a maximum. The rows above a failed one stop iterating, and the
+    lowest failed row raises error(message, last iterate, its residual,
+    row), so each caller keeps its own exception type.
     """
     X = np.array(x0, dtype=float)
     residual = np.empty(len(X))
@@ -106,35 +106,31 @@ def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
     rows = np.arange(len(X))
     live, x = rows, X                # the rows still stepping, their iterates
     G = F(x, live)                   # and their fields
-    for _ in range(max_iter):
+    for _ in range(100):
         gnorm = _row_norms(G)
-        if len(live) == len(X) and gnorm.max() <= tol:
-            X, residual = x, gnorm
-            break
-        stop = gnorm <= tol
-        if np.count_nonzero(stop):
+        stop = gnorm <= 1e-10
+        stopped = np.count_nonzero(stop)
+        if stopped:
             X[live[stop]], residual[live[stop]] = x[stop], gnorm[stop]
+            if stopped == len(live):
+                break
             go = ~stop
             live, x, G, gnorm = live[go], x[go], G[go], gnorm[go]
-            if not live.size:
-                break
         J = jacobian(x, live)
         S, singular = _newton_steps(J, G)
-        x, G, stalled = _line_search(F, x, G, gnorm, S, live, singular)
-        if singular is None and stalled is None:
+        x, G, unmoved = _line_search(F, x, G, gnorm, S, live, singular)
+        if not unmoved.size:
             continue
-        stopped = np.zeros(len(live), dtype=bool) if singular is None else singular.copy()
-        if stalled is not None:
-            stopped[stalled] = True
-        for i in np.flatnonzero(stopped):
-            if singular is not None and singular[i]:
+        for i in unmoved:
+            if singular[i]:
                 failures.append((live[i], f"singular {jacobian_name}", x[i].copy(), gnorm[i]))
             elif gnorm[i] <= _rounding_floor(J[i], x[i]):
                 X[live[i]], residual[live[i]] = x[i], gnorm[i]
             else:
                 failures.append((live[i], "line search failed to reduce the gradient",
                                  x[i].copy(), gnorm[i]))
-        keep = ~stopped
+        keep = np.ones(len(live), dtype=bool)
+        keep[unmoved] = False
         if failures:
             solved = min(f[0] for f in failures)
             keep &= live < solved
@@ -142,7 +138,7 @@ def newton_root(F, jacobian, x0, tol: float, max_iter: int, *, error,
         if not live.size:
             break
     else:
-        failures.extend((r, f"no convergence after {max_iter} Newton iterations", xr, gn)
+        failures.extend((r, "no convergence after 100 Newton iterations", xr, gn)
                         for r, xr, gn in zip(live, x, _row_norms(G)))
         solved = min(f[0] for f in failures)
     if maximize and solved:
@@ -164,37 +160,37 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
 
 def _line_search(F, x, G, gnorm, S, live, singular):
     """The halving line search of newton_root on the rows of live whose
-    Jacobian is not singular (singular None: all of them): alpha = 1, 1/2,
-    ... while alpha > 1e-12, until a row's ||F||_inf drops below its gnorm.
-    Returns (x, G, stalled): the iterates and fields, with each row that
-    found its step moved to it, and the positions in live whose search
-    stalled, or None."""
-    todo = None if singular is None else np.flatnonzero(~singular)
+    Jacobian is not singular: alpha = 1, 1/2, ... while alpha > 1e-12, until
+    a row's ||F||_inf drops below its gnorm. Returns (x, G, unmoved): the
+    iterates and fields, with each row that found its step moved to it, and
+    the sorted positions in live that did not move (singular or stalled),
+    empty when every row moved."""
     alpha = 1.0
-    while alpha > 1e-12 and (todo is None or todo.size):
-        if todo is None:  # the first trial, on every row
-            x_try = x + alpha * S
-            G_try = F(x_try, live)
-            better = _row_norms(G_try) < gnorm
-            if np.count_nonzero(better) == len(x):
-                return x_try, G_try, None
-            todo = np.arange(len(x))
-        else:
-            x_try = x[todo] + alpha * S[todo]
-            G_try = F(x_try, live[todo])
-            better = _row_norms(G_try) < gnorm[todo]
+    if np.count_nonzero(singular):
+        todo = np.flatnonzero(~singular)
+    else:  # the first trial, on every row without gathers
+        x_try = x + S
+        G_try = F(x_try, live)
+        better = _row_norms(G_try) < gnorm
+        if np.count_nonzero(better) == len(x):
+            return x_try, G_try, live[:0]  # no position left unmoved
+        x[better], G[better] = x_try[better], G_try[better]
+        todo, alpha = np.flatnonzero(~better), 0.5
+    while alpha > 1e-12 and todo.size:
+        x_try = x[todo] + alpha * S[todo]
+        G_try = F(x_try, live[todo])
+        better = _row_norms(G_try) < gnorm[todo]
         x[todo[better]], G[todo[better]] = x_try[better], G_try[better]
         todo = todo[~better]
         alpha *= 0.5
-    return x, G, (todo if todo.size else None)
+    return x, G, np.sort(np.concatenate((np.flatnonzero(singular), todo)))
 
 
 def _newton_steps(J: np.ndarray, G: np.ndarray):
-    """(steps s solving J s = -g for each row, None), from one stacked solve;
-    or when some J is singular, (steps, mask of the singular rows) from one
-    solve per row."""
+    """(steps s solving J s = -g for each row, mask of the singular rows):
+    one stacked solve, or one solve per row when some J is singular."""
     try:
-        return np.linalg.solve(J, -G[..., None])[..., 0], None
+        return np.linalg.solve(J, -G[..., None])[..., 0], np.zeros(len(G), dtype=bool)
     except np.linalg.LinAlgError:
         pass
     S = np.zeros_like(G)

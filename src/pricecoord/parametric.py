@@ -105,19 +105,15 @@ def csv_header(d: int) -> str:
     return ",".join(cols)
 
 
-def write_csv(path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
-
-
 def save_log(log: ObservationLog, path) -> None:
     """Writes the log as CSV in the one observation schema: the header
     t,n,x_*,u_*,p_*, then one row per observation with integer t and n and
     17-significant-digit floats, so load_log reads back the same bits."""
-    write_csv(path, csv_header(log.d),
-              (",".join([str(int(log.t[i])), str(int(log.n[i]))]
-                        + [f"{v:.17g}" for arr in (log.x[i], log.u[i], log.p[i]) for v in arr])
-               for i in range(len(log))))
+    rows = (",".join([str(int(log.t[i])), str(int(log.n[i]))]
+                     + [f"{v:.17g}" for arr in (log.x[i], log.u[i], log.p[i]) for v in arr])
+            for i in range(len(log)))
+    with open(path, "w") as fh:
+        fh.write("\n".join([csv_header(log.d), *rows]) + "\n")
 
 
 def load_log(path) -> ObservationLog:
@@ -300,6 +296,6 @@ def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance
 
     u, _ = newton_root(lambda U, rows: field(U[0])[None],
                        lambda U, rows: fd_jacobian(field, U[0])[None], np.zeros((1, N * d)),
-                       tol=1e-10, max_iter=100, error=error)
+                       error=error)
 
     return [est_grad(n, u.reshape(N, d)) for n in range(N)]

@@ -71,7 +71,8 @@ def test_polling_config_validation():
                 dict(max_rounds=True), dict(max_rounds=0)):
         with pytest.raises(pc.ConfigError):
             pc.PollingConfig(**bad)
-    for name, values in (("lam", (0, -1, float("inf"), float("nan"), True)),
+    for name, values in (("tol", (0, -1, float("inf"), float("nan"), True, "1e-8", None)),
+                         ("lam", (0, -1, float("inf"), float("nan"), True)),
                          ("gamma", (0, -1, float("inf"), float("nan")))):
         for value in values:
             with pytest.raises(pc.ConfigError, match=name):

@@ -43,7 +43,7 @@ def test_newton_root_solves_an_affine_field_in_one_step(rng):
         calls.append(x.copy())
         return b - M @ x
 
-    x, resid = solve_one(F, lambda x: -M, np.zeros(2), tol=1e-10, max_iter=5, error=Failed)
+    x, resid = solve_one(F, lambda x: -M, np.zeros(2), error=Failed)
     np.testing.assert_allclose(x, np.linalg.solve(M, b), atol=1e-12)
     assert resid <= 1e-10
     assert len(calls) == 2  # the start and one full step
@@ -52,8 +52,7 @@ def test_newton_root_solves_an_affine_field_in_one_step(rng):
 def test_newton_root_reports_a_singular_jacobian():
     x0 = np.array([1.0, -2.0])
     with pytest.raises(Failed, match="^singular Jacobian$") as info:
-        solve_one(lambda x: -x, lambda x: np.zeros((2, 2)), x0, tol=1e-10, max_iter=5,
-                  error=Failed)
+        solve_one(lambda x: -x, lambda x: np.zeros((2, 2)), x0, error=Failed)
     np.testing.assert_array_equal(info.value.last_iterate, x0)
     assert info.value.residual == 2.0
 
@@ -62,19 +61,20 @@ def test_newton_root_reports_a_failed_line_search():
     # the Jacobian has the wrong sign, so every step points uphill in ||F||
     x0 = np.array([0.5, 1.0])
     with pytest.raises(Failed, match="^line search failed") as info:
-        solve_one(lambda x: -x, lambda x: np.eye(2), x0, tol=1e-10, max_iter=5,
-                  error=Failed)
+        solve_one(lambda x: -x, lambda x: np.eye(2), x0, error=Failed)
     np.testing.assert_array_equal(info.value.last_iterate, x0)
     assert info.value.residual == 1.0
 
 
 def test_newton_root_reports_the_iteration_cap():
-    # Newton on -x^3 contracts by exactly 2/3 per step
-    with pytest.raises(Failed, match="^no convergence after 2 Newton iterations$") as info:
-        solve_one(lambda x: -x ** 3, lambda x: np.diag(-3.0 * x ** 2), np.array([1.0]),
-                  tol=1e-10, max_iter=2, error=Failed)
-    np.testing.assert_allclose(info.value.last_iterate, [4.0 / 9.0], rtol=1e-15)
-    assert info.value.residual == pytest.approx((4.0 / 9.0) ** 3, rel=1e-14)
+    # Newton on -x^3 contracts by 2/3 per step, so from 1e30 the 100 steps
+    # end far from the root
+    with pytest.raises(Failed, match="^no convergence after 100 Newton iterations$") as info:
+        solve_one(lambda x: -x ** 3, lambda x: np.diag(-3.0 * x ** 2), np.array([1e30]),
+                  error=Failed)
+    last = 1e30 * (2.0 / 3.0) ** 100
+    np.testing.assert_allclose(info.value.last_iterate, [last], rtol=1e-13)
+    assert info.value.residual == pytest.approx(last ** 3, rel=1e-13)
 
 
 def test_best_response_iteration_cap_keeps_its_message_and_state():
@@ -95,26 +95,26 @@ def test_best_response_iteration_cap_keeps_its_message_and_state():
 
 
 @pytest.mark.parametrize("c, scale, x0, stops", [
-    (1e-14, 1.0, [0.0, 0.0], False),   # floor 8 eps = 1.8e-15
-    (1e-14, 10.0, [0.0, 0.0], True),   # floor scales with ||J||_2
-    (1e-14, 1.0, [10.0, -3.0], True),  # and with ||x||_inf above 1
-])
+    (1e-9, 1e5, [0.0, 0.0], False),     # floor 8 eps 1e5 = 1.8e-10
+    (1e-9, 1e7, [0.0, 0.0], True),      # floor scales with ||J||_2
+    (1e-9, 1e5, [100.0, -3.0], True),   # and with ||x||_inf above 1
+], ids=["fails", "J-scaled", "x-scaled"])
 def test_newton_root_accepts_a_stalled_line_search_at_the_rounding_floor(c, scale, x0, stops):
     # a constant field never decreases, so every line search stalls
     args = (lambda x: np.full(2, c), lambda x: -scale * np.eye(2), np.array(x0))
     if stops:
-        x, resid = solve_one(*args, tol=1e-20, max_iter=5, error=Failed)
+        x, resid = solve_one(*args, error=Failed)
         np.testing.assert_array_equal(x, x0)
         assert resid == c
     else:
         with pytest.raises(Failed, match="^line search failed"):
-            solve_one(*args, tol=1e-20, max_iter=5, error=Failed)
+            solve_one(*args, error=Failed)
 
 
 def test_newton_root_with_a_non_finite_jacobian_reports_its_line_search():
     with pytest.raises(Failed, match="^line search failed"):
-        solve_one(lambda x: np.full(2, 1e-20), lambda x: np.full((2, 2), np.nan),
-                  np.zeros(2), tol=1e-30, max_iter=5, error=Failed)
+        solve_one(lambda x: np.full(2, 1e-9), lambda x: np.full((2, 2), np.nan),
+                  np.zeros(2), error=Failed)
 
 
 def _cubic_rows(c):
@@ -128,10 +128,10 @@ def test_newton_root_rows_equal_one_row_solves(rng):
     c = rng.normal(size=(6, 2)) * 10.0 ** np.arange(-3, 3)[:, None]
     x0 = rng.normal(size=(6, 2))
     F, J = _cubic_rows(c)
-    X, resid = newton_root(F, J, x0, tol=1e-10, max_iter=100, error=Failed)
+    X, resid = newton_root(F, J, x0, error=Failed)
     for i in range(6):
         x, r = solve_one(lambda x: c[i] - x ** 3, lambda x: np.diag(-3.0 * x ** 2), x0[i],
-                         tol=1e-10, max_iter=100, error=Failed)
+                         error=Failed)
         assert np.array_equal(X[i], x) and resid[i] == r
 
 
@@ -142,13 +142,39 @@ def test_newton_root_raises_for_the_lowest_failing_row():
     x0 = np.array([[0.5], [0.0], [0.0], [1e30]])
     F, J = _cubic_rows(c)
     with pytest.raises(Failed, match="^singular Jacobian$") as info:
-        newton_root(F, J, x0, tol=1e-10, max_iter=100, error=Failed)
+        newton_root(F, J, x0, error=Failed)
     assert info.value.agent == 1
     np.testing.assert_array_equal(info.value.last_iterate, [0.0])
     assert info.value.residual == 1.0
     with pytest.raises(Failed, match="^no convergence after 100 Newton") as info:
-        newton_root(F, J, x0[[0, 3]], tol=1e-10, max_iter=100, error=Failed)
+        newton_root(F, J, x0[[0, 3]], error=Failed)
     assert info.value.agent == 1
+
+
+def test_newton_root_decides_every_outcome_in_one_stacked_call():
+    # row 0 stalls at its rounding floor (8 eps 1e7 = 1.8e-8) and stops, row 1
+    # converges, row 2 has a singular Jacobian, row 3's line search fails
+    fields = [lambda x: np.full_like(x, 1e-9), lambda x: 2.0 - x ** 3, lambda x: -x,
+              lambda x: -x]
+    slopes = [lambda x: np.full_like(x, -1e7), lambda x: -3.0 * x ** 2, np.zeros_like,
+              np.ones_like]
+
+    def F(X, rows):
+        return np.array([fields[r](x) for r, x in zip(rows, X)])
+
+    def J(X, rows):
+        return np.array([slopes[r](x) for r, x in zip(rows, X)])[:, :, None]
+
+    x0 = np.array([[0.5], [1.0], [0.5], [0.5]])
+    with pytest.raises(Failed, match="^singular Jacobian$") as info:
+        newton_root(F, J, x0, error=Failed)
+    assert info.value.agent == 2
+    np.testing.assert_array_equal(info.value.last_iterate, [0.5])
+    assert info.value.residual == 0.5
+    X, resid = newton_root(F, J, x0[:2], error=Failed)
+    assert X[0, 0] == 0.5 and resid[0] == 1e-9
+    np.testing.assert_allclose(X[1], [2.0 ** (1.0 / 3.0)], rtol=1e-15)
+    assert resid[1] <= 1e-10
 
 
 def test_newton_root_maximize_rejects_a_minimum_in_its_row():
@@ -160,11 +186,9 @@ def test_newton_root_maximize_rejects_a_minimum_in_its_row():
     def J(X, rows):
         return (np.where(rows[:, None] == 1, -1.0, 1.0) * -3.0 * X ** 2)[:, :, None]
 
-    X, _ = newton_root(F, J, np.array([[2.0], [2.0]])[:1], tol=1e-10, max_iter=100,
-                       error=Failed, maximize=True)
+    X, _ = newton_root(F, J, np.array([[2.0], [2.0]])[:1], error=Failed, maximize=True)
     np.testing.assert_allclose(X, [[1.0]], rtol=1e-12)
     with pytest.raises(Failed, match="^stationary point is not a local maximum$") as info:
-        newton_root(F, J, np.array([[2.0], [2.0]]), tol=1e-10, max_iter=100, error=Failed,
-                    maximize=True)
+        newton_root(F, J, np.array([[2.0], [2.0]]), error=Failed, maximize=True)
     assert info.value.agent == 1
     np.testing.assert_allclose(info.value.last_iterate, [1.0], rtol=1e-12)
