@@ -65,7 +65,7 @@ class TrajectorySample:
 
 
 def _lift(xi: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.zeros_like(xi), xi])
+    return np.concatenate([np.zeros_like(xi), xi], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -90,58 +90,47 @@ class ConnectionModel:
         return float(max(np.linalg.norm(g) for g in self.gammas))
 
 
-def _difference_rows(samples: Sequence[TrajectorySample]):
-    dz_rows, xi_rows, dxi_rows = [], [], []
-    for a, b in zip(samples[:-1], samples[1:]):
-        if a.segment != b.segment:
-            continue
-        dz_rows.append(b.z - a.z)
-        xi_rows.append(a.xi)
-        dxi_rows.append(b.xi - a.xi)
-    return dz_rows, xi_rows, dxi_rows
-
-
 def fit_connection(samples: Sequence[TrajectorySample]) -> ConnectionModel:
     """Least-squares fit of the transport coefficients from one window.
 
     Builds one difference row per consecutive same-segment pair, with
-    regressors (Dz, kron(Dz, xi_lift)) against delta xi, and solves each
-    component j by minimum-norm least squares. Requires at least
+    regressors (Dz, kron(Dz, xi_lift)) against delta xi, and solves all d
+    components in one minimum-norm least-squares solve. Requires at least
     2d + 4d^2 difference rows (the stacked unknown count per component) and
-    full rank on the identifiable columns; raises RankDeficiencyError with
+    full rank on the identifiable columns: that solve's rank at identify's
+    relative singular value cutoff 1e-10. Raises RankDeficiencyError with
     the achieved rank otherwise.
     """
     if len(samples) < 2:
         raise RankDeficiencyError("need at least two samples", rank=0, required=1)
     d = samples[0].xi.size
-    for s in samples:
-        if s.xi.size != d:
-            raise ValueError("samples disagree on dimension")
-    dz_rows, xi_rows, dxi_rows = _difference_rows(samples)
+    if any(s.xi.size != d for s in samples):
+        raise ValueError("samples disagree on dimension")
+    Z = np.array([s.z for s in samples])
+    Xi = np.array([s.xi for s in samples])
+    segment = np.array([s.segment for s in samples])
+    same = segment[1:] == segment[:-1]
+    dz = np.diff(Z, axis=0)[same]
+    xi = Xi[:-1][same]
+    target = np.diff(Xi, axis=0)[same]     # (rows, d)
     n_unknown = 2 * d + 4 * d * d           # stated stacking width per component
     n_ident = 2 * d + 2 * d * d             # identifiable after the lift gauge
-    if len(dz_rows) < n_unknown:
+    if len(dz) < n_unknown:
         raise RankDeficiencyError(
-            f"{len(dz_rows)} difference rows < {n_unknown} unknowns per component",
-            rank=len(dz_rows), required=n_unknown)
+            f"{len(dz)} difference rows < {n_unknown} unknowns per component",
+            rank=len(dz), required=n_unknown)
 
-    design = np.array([np.concatenate([dz, np.kron(dz, _lift(xi))])
-                       for dz, xi in zip(dz_rows, xi_rows)])
-    target = np.array(dxi_rows)             # (rows, d)
-
-    sv = np.linalg.svd(design, compute_uv=False)
-    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
+    design = np.hstack([dz, (dz[:, :, None] * _lift(xi)[:, None, :]).reshape(len(dz), -1)])
+    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=1e-10)  # (2d+4d^2, d)
+    rank = int(rank)
     if rank < n_ident:
         raise RankDeficiencyError(
             f"transport regressors are rank-deficient: rank {rank} < {n_ident} "
             "identifiable columns (vary the trajectory directions)",
             rank=rank, required=n_ident)
-
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=1e-10)  # (2d+4d^2, d)
-    d_mat = coeffs[:2 * d].T
-    gammas = np.array([coeffs[2 * d:, j].reshape(2 * d, 2 * d) for j in range(d)])
+    gammas = np.ascontiguousarray(coeffs[2 * d:].T).reshape(d, 2 * d, 2 * d)
     residual = float(np.sqrt(np.mean((design @ coeffs - target) ** 2)))
-    return ConnectionModel(d_mat=d_mat, gammas=gammas, residual=residual, rank=rank)
+    return ConnectionModel(d_mat=coeffs[:2 * d].T, gammas=gammas, residual=residual, rank=rank)
 
 
 def sliding_connection(samples: Sequence[TrajectorySample], window: int = 50,
@@ -158,11 +147,8 @@ def sliding_connection(samples: Sequence[TrajectorySample], window: int = 50,
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     out = []
     for start in range(0, max(len(samples) - window + 1, 1), stride):
-        chunk = samples[start:start + window]
-        if len(chunk) < 2:
-            break
         try:
-            out.append((start, fit_connection(chunk)))
+            out.append((start, fit_connection(samples[start:start + window])))
         except RankDeficiencyError:
             continue
     return out

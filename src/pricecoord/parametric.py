@@ -54,21 +54,22 @@ class ObservationLog:
     p: np.ndarray  # (M, d) prices
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=int)
-        n = np.asarray(self.n, dtype=int)
+        for name in ("t", "n"):
+            col = np.asarray(getattr(self, name))
+            if col.dtype.kind == "f" and not np.all((abs(col) < 2**63) & (col == np.round(col))):
+                raise ValueError(f"log column {name} must hold 64-bit integers")
+            object.__setattr__(self, name, col.astype(int))
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         u = np.atleast_2d(np.asarray(self.u, dtype=float))
         p = np.atleast_2d(np.asarray(self.p, dtype=float))
-        M = t.size
-        if not (n.size == M and x.shape[0] == M and u.shape[0] == M and p.shape[0] == M):
+        M = self.t.size
+        if not (self.n.size == M and x.shape[0] == M and u.shape[0] == M and p.shape[0] == M):
             raise ValueError("log columns disagree on the number of rows")
         if not (x.shape == u.shape == p.shape):
             raise ValueError("x, u, p must share the dimension d")
         for name, arr in (("x", x), ("u", u), ("p", p)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"log column {name} contains non-finite values")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "p", p)
@@ -192,8 +193,8 @@ def identify(log: ObservationLog, n: int, dyn: LinearDynamics, x0) -> EstimatedQ
     Needs at least 2d observations of the agent whose shifted regressors
     (x - A^{-1} x0, u) have full rank 2d; otherwise raises
     RankDeficiencyError (there are 2 d^2 scalar unknowns per agent, and each
-    observation contributes d equations). Rank uses a relative singular
-    value cutoff of 1e-10.
+    observation contributes d equations). The rank is that of the one
+    least-squares solve, under a relative singular value cutoff of 1e-10.
     """
     d = dyn.d
     x0 = as_vector(x0, d, "x0")
@@ -210,15 +211,14 @@ def identify(log: ObservationLog, n: int, dyn: LinearDynamics, x0) -> EstimatedQ
 
     if M == 0:
         raise RankDeficiencyError(f"no observations for agent {n}", rank=0, required=2 * d)
-    sv = np.linalg.svd(Z, compute_uv=False)
-    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
+    Et, _, rank, _ = np.linalg.lstsq(Z, Y, rcond=1e-10)
+    rank = int(rank)
     if rank < 2 * d:
         raise RankDeficiencyError(
             f"identification for agent {n} is under-determined: regressor rank {rank} < {2 * d} "
             f"({M} observations cover {M * d} of the {2 * d * d} scalar unknowns; "
             "supply more informative samples)", rank=rank, required=2 * d)
 
-    Et, *_ = np.linalg.lstsq(Z, Y, rcond=1e-10)
     E = Et.T                               # (d, 2d)
     C, D = E[:, :d].copy(), E[:, d:].copy()
     residual = float(np.sqrt(np.mean((Z @ Et - Y) ** 2)))

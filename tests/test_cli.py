@@ -181,6 +181,22 @@ def test_simulate_readme_trace_matches_the_golden_file(tmp_path):
                                rtol=1e-9, atol=1e-9)
 
 
+def test_identify_readme_trace_matches_the_golden_file(tmp_path):
+    # tests/data/readme_models.json was written by an earlier version from the
+    # README trace and dynamics, so any drift of the identification shows here
+    data = pathlib.Path(__file__).parent / "data"
+    assert main(["identify", "--log", str(data / "readme_trace.csv"),
+                 "--dynamics", str(data / "readme_dynamics.json"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    got = json.loads((tmp_path / "models.json").read_text())["agents"]
+    golden = json.loads((data / "readme_models.json").read_text())["agents"]
+    assert [sorted(a) for a in got] == [sorted(a) for a in golden]
+    for a, b in zip(got, golden):
+        assert a["agent"] == b["agent"] and a["rank"] == b["rank"]
+        for key in ("C", "D", "Q_hat", "R_hat", "residual", "x0_check", "b_condition"):
+            np.testing.assert_allclose(a[key], b[key], rtol=1e-9, atol=1e-9)
+
+
 def test_simulate_tikhonov_rescues_strong_coupling(tmp_path):
     cfg = write_config(tmp_path, "c.json", seed=11, horizon=2,
                        coupling_strength=1000.0,

@@ -141,6 +141,51 @@ def test_sliding_connection_windows(rng):
         pc.sliding_connection(samples, window=10.0)
 
 
+def _loop_connection(samples):
+    """The fit one difference row at a time, with a separate SVD for the rank,
+    the reference for the stacked fit with the rank of its own solve."""
+    d = samples[0].xi.size
+    rows, targets = [], []
+    for a, b in zip(samples[:-1], samples[1:]):
+        if a.segment == b.segment:
+            dz = b.z - a.z
+            rows.append(np.concatenate([dz, np.kron(dz, np.concatenate([np.zeros(d), a.xi]))]))
+            targets.append(b.xi - a.xi)
+    design, target = np.array(rows), np.array(targets)
+    sv = np.linalg.svd(design, compute_uv=False)
+    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
+    coeffs, *_ = np.linalg.lstsq(design, target, rcond=1e-10)
+    gammas = np.array([coeffs[2 * d:, j].reshape(2 * d, 2 * d) for j in range(d)])
+    residual = float(np.sqrt(np.mean((design @ coeffs - target) ** 2)))
+    return coeffs[:2 * d].T, gammas, residual, rank
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_connection_fit_equals_the_loop_over_rows(rng, d):
+    dyn = pc.LinearDynamics(A=rng.normal(size=(d, d)), B=rng.normal(size=(d, d)))
+    K = [0.5 * rng.normal(size=(d, d)) for _ in range(d)]
+    util = pc.cross_term_utility(np.eye(d), np.eye(d), rng.normal(size=d), K)
+    n = 2 * d + 4 * d * d + 10
+    samples = (gradient_trajectory(rng, dyn, util, n, segment=0)
+               + gradient_trajectory(rng, dyn, util, n, segment=1))
+    model = pc.fit_connection(samples)
+    d_mat, gammas, residual, rank = _loop_connection(samples)
+    assert np.array_equal(model.d_mat, d_mat) and np.array_equal(model.gammas, gammas)
+    assert model.residual == residual and model.rank == rank and type(model.rank) is int
+    # transport's last bits depend on the memory layout of the gammas
+    reference = pc.ConnectionModel(d_mat=d_mat, gammas=gammas, residual=residual, rank=rank)
+    for _ in range(8):
+        xi, dz = rng.normal(size=d), rng.normal(size=2 * d)
+        assert np.array_equal(pc.transport(model, xi, dz), pc.transport(reference, xi, dz))
+
+
+def test_sliding_connection_on_fewer_than_two_samples(rng):
+    dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
+    util = pc.QuadraticUtility(Q=np.eye(1), R=np.eye(1), x0=np.zeros(1))
+    assert pc.sliding_connection([], window=2) == []
+    assert pc.sliding_connection(gradient_trajectory(rng, dyn, util, 1), window=2) == []
+
+
 # ------------------------------------------------------------- kernel field
 
 def decomposable_samples(rng, dyn, m, scale=1.5):

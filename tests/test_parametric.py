@@ -243,3 +243,44 @@ def test_optimal_price_recovers_welfare_optimum(rng):
         u_resp[n] = pc.best_response(game, sys.states[n], sys.dynamics[n],
                                      np.zeros(1))
     assert abs(pc.joint_welfare(sys, u_resp) - oracle.welfare) < 1e-6
+
+
+@pytest.mark.parametrize("column, t, n", [
+    ("t", [1.5, 2.7], [0, 1]),
+    ("n", [1, 2], [0.9, 1]),
+    ("t", [np.nan, 2], [0, 1]),
+    ("n", [1, 2], [0, np.inf]),
+    ("t", [1e300, 2], [0, 1]),
+], ids=["fractional-t", "fractional-n", "nan-t", "inf-n", "huge-t"])
+def test_log_rejects_non_integer_round_and_agent_columns(column, t, n):
+    with pytest.raises(ValueError, match=f"log column {column} must hold 64-bit integers"):
+        pc.ObservationLog(t=t, n=n, x=np.zeros((2, 1)), u=np.zeros((2, 1)),
+                          p=np.zeros((2, 1)))
+
+
+def test_log_accepts_integral_floats_for_round_and_agent():
+    log = pc.ObservationLog(t=[2.0, 3.0], n=[0.0, 1.0], x=np.zeros((2, 1)),
+                            u=np.zeros((2, 1)), p=np.zeros((2, 1)))
+    np.testing.assert_array_equal(log.t, [2, 3])
+    np.testing.assert_array_equal(log.n, [0, 1])
+    assert log.t.dtype.kind == log.n.dtype.kind == "i"
+
+
+def test_optimal_price_newton_failure_reaches_the_caller():
+    # D = -1 makes each estimated utility convex in u: the estimated welfare's
+    # stationarity system has a singular Jacobian and the Newton solve fails
+    dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
+    sys = pc.SystemInstance(dynamics=(dyn, dyn), states=(np.zeros(1), np.zeros(1)),
+                            utilities=tuple(pc.QuadraticUtility(Q=np.eye(1), R=np.eye(1),
+                                                                x0=np.full(1, s))
+                                            for s in (1.0, -1.0)),
+                            coupling=pc.pairwise_quadratic_coupling(0.25, 2, 1))
+    models = [pc.EstimatedQuadraticModel(C=np.zeros((1, 1)), D=-np.eye(1), Q_hat=np.eye(1),
+                                         R_hat=np.eye(1), residual=0.0, rank=2,
+                                         x0=np.full(1, s), b_condition=1.0)
+              for s in (1.0, -1.0)]
+    with pytest.raises(pc.NonConvergenceError) as info:
+        pc.optimal_price(models, sys)
+    assert info.value.reason == "newton"
+    assert str(info.value).startswith("optimal-price Newton solve: ")
+    assert info.value.last.shape == (2, 1) and info.value.trace is None
