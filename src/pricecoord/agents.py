@@ -121,7 +121,8 @@ def payoff_hessian(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
 
 def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start) -> np.ndarray:
     """Maximize the posed payoff: damped Newton on payoff_gradient, with
-    payoff_hessian as its Jacobian, as the one-row case of newton_root.
+    payoff_hessian as its Jacobian (both evaluated at each iterate and
+    line-search trial), as the one-row case of newton_root.
 
     Starts at u_start, which implements the closest-root selection rule when
     payoffs have several stationary points. Stops at ||grad||_inf <= 1e-10,
@@ -131,15 +132,13 @@ def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start) -> np.ndarray
     above that floor, on convergence to a non-maximum (the Hessian at the
     result is not negative definite), or at the iteration cap.
     """
-    def gradient(U, rows):
-        return payoff_gradient(game, x, dyn, U[0])[None]
-
-    def hessian(U, rows):
-        return payoff_hessian(game, x, dyn, U[0])[None]
+    def derivatives(U, rows):
+        return (payoff_gradient(game, x, dyn, U[0])[None],
+                payoff_hessian(game, x, dyn, U[0])[None])
 
     def error(message, last, residual, row):
         return BestResponseError(message, last_iterate=last, residual=residual)
 
-    U, _ = newton_root(gradient, hessian, as_vector(u_start, dyn.d, "u_start")[None],
+    U, _ = newton_root(derivatives, as_vector(u_start, dyn.d, "u_start")[None],
                        error=error, jacobian_name="payoff Hessian", maximize=True)
     return U[0]

@@ -10,9 +10,10 @@ stacked fleet derivative (_utility_derivative, _coupling_derivative), and
 every play mode solves its best responses as one row-stacked Newton
 iteration (numerics.newton_root): all N agents in the simultaneous,
 two-stage, single-stage and Tikhonov plays, the one agent t mod N in
-sequential play. Each row is bit for bit agents.best_response on that
-agent's game against its coupling_slices slice, the per-agent reference the
-tests compare the stacked rows against.
+sequential play. A Newton evaluation reads its payoff gradients and
+Hessians off one fleet step. Each row is bit for bit agents.best_response on
+that agent's game against its coupling_slices slice, the per-agent reference
+the tests compare the stacked rows against.
 
 Proximal bookkeeping: the two-stage, single-stage and Tikhonov plays pose
 the proximal gradient -lam (u - anchor), and the tests' per-agent GameSpec
@@ -206,30 +207,27 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
     against opponents frozen at the next states X_frozen, solved as one
     row-stacked Newton iteration: row i is best_response on agent
     n = rows[i]'s game, bit for bit, and starts at anchors[n]. With lam the
-    game adds the proximal term anchored there. Returns (len(rows), d). A
-    failure raises the lowest failing row's BestResponseError, naming its
-    agent rows[i]."""
+    game adds the proximal term anchored there. Each evaluation gives
+    newton_root the rows' payoff gradients and Hessians from one fleet step.
+    Returns (len(rows), d). A failure raises the lowest failing row's
+    BestResponseError, naming its agent rows[i]."""
     rows = np.arange(sys.N) if rows is None else np.asarray(rows)
 
-    def gradient(V, i):
+    def derivatives(V, i):
         n = rows[i]
-        g = _field_rows(sys, V, X_frozen, n)
+        Y = _fleet_step(sys, V, n)
+        g = _utility_derivative(sys, V, Y, n) + _coupling_derivative(sys, Y, X_frozen, n)
+        H = (_utility_derivative(sys, V, Y, n, hessian=True)
+             + _coupling_derivative(sys, Y, X_frozen, n, hessian=True))
         if lam is not None:
             g -= lam * (V - anchors[n])
-        return g
-
-    def hessian(V, i):
-        n = rows[i]
-        H = (_utility_derivative(sys, V, None, n, hessian=True)
-             + _coupling_derivative(sys, _fleet_step(sys, V, n), X_frozen, n, hessian=True))
-        if lam is not None:
             H -= lam * np.eye(sys.d)
-        return H
+        return g, H
 
     def error(message, last, residual, i):
         return BestResponseError(message, last, residual, int(rows[i]))
 
-    U, _ = newton_root(gradient, hessian, anchors[rows], error=error,
+    U, _ = newton_root(derivatives, anchors[rows], error=error,
                        jacobian_name="payoff Hessian", maximize=True)
     return U
 

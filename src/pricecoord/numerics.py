@@ -5,14 +5,15 @@ difference from this module, and every Newton solve on a gradient field
 (an agent's best response, a Jacobi round's N best responses, the
 coordinator's welfare-optimal price) runs the one row-stacked loop below:
 newton_root solves k independent problems at once, each row with its own
-stopping test, line search and failure, and a single solve is its one-row
-case. fd_gradients evaluates the stencil of fd_gradient at many points in
-one call of a batched function; the oracle uses it on the welfare and keeps
-its own polish loop (see oracle), so the reference stays independent of the
-code it checks. fd_jacobian keeps its loop over columns: its callers (the
-welfare-optimal price's Newton steps, the weak-coupling diagnostic, the
-Hessian block of a utility given without one) difference small fields,
-where a stacked stencil costs more per call than the loop.
+stopping test, line search and failure, from one field-and-Jacobian call
+per iterate; a single solve is its one-row case. fd_gradients evaluates the
+stencil of fd_gradient at many points in one call of a batched function;
+the oracle uses it on the welfare and keeps its own polish loop (see
+oracle), so the reference stays independent of the code it checks.
+fd_jacobian keeps its loop over columns: its callers (the welfare-optimal
+price's Newton steps, the weak-coupling diagnostic, the Hessian block of a
+utility given without one) difference small fields, where a stacked stencil
+costs more per call than the loop.
 """
 
 from __future__ import annotations
@@ -74,25 +75,24 @@ def _rounding_floor(J: np.ndarray, x: np.ndarray) -> float:
     return 8.0 * np.finfo(float).eps * float(np.linalg.norm(J, 2)) * max(1.0, x_inf)
 
 
-def newton_root(F, jacobian, x0, *, error, jacobian_name: str = "Jacobian",
-                maximize: bool = False):
+def newton_root(F, x0, *, error, jacobian_name: str = "Jacobian", maximize: bool = False):
     """Damped Newton for F(x) = 0, F a gradient field, on every row of x0.
 
     x0 is (k, m): each row is its own problem, solved exactly as if alone,
-    and all rows step together, so one iteration makes one stacked call of
-    F(X, rows), one of jacobian(X, rows) and one np.linalg.solve. rows is
-    the index array of the rows evaluated, X their (len(rows), m) points;
-    F answers (len(rows), m) and jacobian (len(rows), m, m).
+    and all rows step together. Each iterate or line-search trial is one
+    call F(X, rows), answering the fields and Jacobians, (len(rows), m) and
+    (len(rows), m, m), of the rows of the index array rows at their points
+    X; each iteration makes one np.linalg.solve.
 
     Per row, each step solves J s = -F(x) and halves alpha = 1, 1/2, 1/4,
     ... while alpha > 1e-12 (40 trials) until ||F||_inf decreases. A row
     stops at the first iterate with ||F||_inf <= 1e-10. A row that does not
     move is decided in one place: a singular Jacobian fails, a line search
     that stalls at the rounding floor of F, 8 eps ||J||_2 max(1, ||x||_inf),
-    stops, and one that stalls above it fails. With maximize a stopped row
-    must also have a negative definite Jacobian there, a local maximum of
-    the function F is the gradient of. Returns (X, residuals), the rows'
-    last iterates and their ||F||_inf.
+    stops, and one that stalls above it fails. With maximize the Jacobian a
+    row stopped with must also be negative definite, a local maximum of the
+    function F is the gradient of; nothing is evaluated after the loop.
+    Returns (X, residuals), the rows' last iterates and their ||F||_inf.
 
     A row also fails after 100 steps, or under maximize at a point that is
     not a maximum. The rows above a failed one stop iterating, and the
@@ -103,29 +103,29 @@ def newton_root(F, jacobian, x0, *, error, jacobian_name: str = "Jacobian",
     residual = np.empty(len(X))
     failures = []                    # (row, message, last iterate, residual)
     solved = len(X)                  # rows 0 .. solved-1 are below every failure
-    rows = np.arange(len(X))
-    live, x = rows, X                # the rows still stepping, their iterates
-    G = F(x, live)                   # and their fields
+    live, x = np.arange(len(X)), X   # the rows still stepping, their iterates
+    G, J = F(x, live)                # and their fields and Jacobians
+    J_stop = np.empty_like(J)        # the Jacobian each row stopped with
     for _ in range(100):
         gnorm = _row_norms(G)
         stop = gnorm <= 1e-10
         stopped = np.count_nonzero(stop)
         if stopped:
             X[live[stop]], residual[live[stop]] = x[stop], gnorm[stop]
+            J_stop[live[stop]] = J[stop]
             if stopped == len(live):
                 break
             go = ~stop
-            live, x, G, gnorm = live[go], x[go], G[go], gnorm[go]
-        J = jacobian(x, live)
+            live, x, G, J, gnorm = live[go], x[go], G[go], J[go], gnorm[go]
         S, singular = _newton_steps(J, G)
-        x, G, unmoved = _line_search(F, x, G, gnorm, S, live, singular)
+        x, G, J, unmoved = _line_search(F, x, G, J, gnorm, S, live, singular)
         if not unmoved.size:
             continue
         for i in unmoved:
             if singular[i]:
                 failures.append((live[i], f"singular {jacobian_name}", x[i].copy(), gnorm[i]))
             elif gnorm[i] <= _rounding_floor(J[i], x[i]):
-                X[live[i]], residual[live[i]] = x[i], gnorm[i]
+                X[live[i]], residual[live[i]], J_stop[live[i]] = x[i], gnorm[i], J[i]
             else:
                 failures.append((live[i], "line search failed to reduce the gradient",
                                  x[i].copy(), gnorm[i]))
@@ -134,7 +134,7 @@ def newton_root(F, jacobian, x0, *, error, jacobian_name: str = "Jacobian",
         if failures:
             solved = min(f[0] for f in failures)
             keep &= live < solved
-        live, x, G = live[keep], x[keep], G[keep]
+        live, x, G, J = live[keep], x[keep], G[keep], J[keep]
         if not live.size:
             break
     else:
@@ -143,7 +143,7 @@ def newton_root(F, jacobian, x0, *, error, jacobian_name: str = "Jacobian",
         solved = min(f[0] for f in failures)
     if maximize and solved:
         # eigvalsh sorts ascending: the last eigenvalue is the largest
-        not_max = np.linalg.eigvalsh(jacobian(X[:solved], rows[:solved]))[:, -1] >= 0.0
+        not_max = np.linalg.eigvalsh(J_stop[:solved])[:, -1] >= 0.0
         if np.count_nonzero(not_max):
             r = np.argmax(not_max)
             failures.append((r, "stationary point is not a local maximum", X[r], residual[r]))
@@ -158,32 +158,33 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(G), axis=1)
 
 
-def _line_search(F, x, G, gnorm, S, live, singular):
+def _line_search(F, x, G, J, gnorm, S, live, singular):
     """The halving line search of newton_root on the rows of live whose
     Jacobian is not singular: alpha = 1, 1/2, ... while alpha > 1e-12, until
-    a row's ||F||_inf drops below its gnorm. Returns (x, G, unmoved): the
-    iterates and fields, with each row that found its step moved to it, and
-    the sorted positions in live that did not move (singular or stalled),
-    empty when every row moved."""
+    a row's ||F||_inf drops below its gnorm. Returns (x, G, J, unmoved): the
+    iterates, fields and Jacobians, with each row that found its step moved
+    to it, and the sorted positions in live that did not move (singular or
+    stalled), empty when every row moved."""
     alpha = 1.0
     if np.count_nonzero(singular):
         todo = np.flatnonzero(~singular)
     else:  # the first trial, on every row without gathers
         x_try = x + S
-        G_try = F(x_try, live)
+        G_try, J_try = F(x_try, live)
         better = _row_norms(G_try) < gnorm
         if np.count_nonzero(better) == len(x):
-            return x_try, G_try, live[:0]  # no position left unmoved
-        x[better], G[better] = x_try[better], G_try[better]
+            return x_try, G_try, J_try, live[:0]  # no position left unmoved
+        x[better], G[better], J[better] = x_try[better], G_try[better], J_try[better]
         todo, alpha = np.flatnonzero(~better), 0.5
     while alpha > 1e-12 and todo.size:
         x_try = x[todo] + alpha * S[todo]
-        G_try = F(x_try, live[todo])
+        G_try, J_try = F(x_try, live[todo])
         better = _row_norms(G_try) < gnorm[todo]
-        x[todo[better]], G[todo[better]] = x_try[better], G_try[better]
+        moved = todo[better]
+        x[moved], G[moved], J[moved] = x_try[better], G_try[better], J_try[better]
         todo = todo[~better]
         alpha *= 0.5
-    return x, G, np.sort(np.concatenate((np.flatnonzero(singular), todo)))
+    return x, G, J, np.sort(np.concatenate((np.flatnonzero(singular), todo)))
 
 
 def _newton_steps(J: np.ndarray, G: np.ndarray):

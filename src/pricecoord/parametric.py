@@ -294,8 +294,7 @@ def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance
         return NonConvergenceError(f"optimal-price Newton solve: {message}",
                                    reason="newton", last=last.reshape(N, d))
 
-    u, _ = newton_root(lambda U, rows: field(U[0])[None],
-                       lambda U, rows: fd_jacobian(field, U[0])[None], np.zeros((1, N * d)),
-                       error=error)
+    u, _ = newton_root(lambda U, rows: (field(U[0])[None], fd_jacobian(field, U[0])[None]),
+                       np.zeros((1, N * d)), error=error)
 
     return [est_grad(n, u.reshape(N, d)) for n in range(N)]

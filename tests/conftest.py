@@ -88,6 +88,14 @@ def make_utility(family: str, rng, d: int):
                                                                       + u @ u))
 
 
+def flat_utility():
+    """A scalar utility with gradient [1] and Hessian [[0]] everywhere: a
+    Newton step on it alone has a singular payoff Hessian."""
+    return pc.SmoothUtility(value_fn=lambda x_next, u: float(u[0]),
+                            gradient_u=lambda x_next, u, dyn: np.ones(1),
+                            hessian_u=lambda x_next, u, dyn: np.zeros((1, 1)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

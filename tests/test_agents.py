@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pricecoord as pc
-from conftest import make_two_agent_scalar, make_utility, random_spd
+from conftest import flat_utility, make_two_agent_scalar, make_utility, random_spd
 
 
 def _scalar_setup():
@@ -168,17 +168,10 @@ def test_best_response_stops_at_the_gradient_noise_floor():
     assert np.all(np.isfinite(U)) and np.max(np.abs(U)) > 100.0
 
 
-def _flat_utility():
-    """Gradient [1] and Hessian [[0]] everywhere: Newton has no step to take."""
-    return pc.SmoothUtility(value_fn=lambda x_next, u: float(u[0]),
-                            gradient_u=lambda x_next, u, dyn: np.ones(1),
-                            hessian_u=lambda x_next, u, dyn: np.zeros((1, 1)))
-
-
 def test_best_response_names_a_singular_payoff_hessian():
     dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
     with pytest.raises(pc.BestResponseError, match="^singular payoff Hessian$") as info:
-        pc.best_response(pc.GameSpec(utility=_flat_utility()), np.zeros(1), dyn, np.zeros(1))
+        pc.best_response(pc.GameSpec(utility=flat_utility()), np.zeros(1), dyn, np.zeros(1))
     np.testing.assert_array_equal(info.value.last_iterate, [0.0])
     assert info.value.residual == 1.0 and info.value.agent is None
 
@@ -188,7 +181,7 @@ def test_play_simultaneous_names_the_agent_with_a_singular_payoff_hessian():
     sys = pc.SystemInstance(dynamics=(dyn, dyn), states=(np.zeros(1), np.zeros(1)),
                             utilities=(pc.QuadraticUtility(Q=np.eye(1), R=np.eye(1),
                                                            x0=np.ones(1)),
-                                       _flat_utility()),
+                                       flat_utility()),
                             coupling=pc.pairwise_quadratic_coupling(0.0, 2, 1))
     with pytest.raises(pc.BestResponseError, match="^singular payoff Hessian$") as info:
         pc.play_simultaneous(sys, np.zeros((2, 1)))

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: simulate, identify, compare."""
 
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import pricecoord as pc
 from pricecoord.cli import _write_json, main
+from conftest import flat_utility
 
 
 def write_config(tmp_path, name, **over):
@@ -145,6 +147,46 @@ def test_simulate_best_response_failure_leaves_valid_output(tmp_path, capsys):
     assert "not a local maximum" in failure["message"]
     assert failure["residual"] >= 0.0
     assert len(failure["last_iterate"]) == 2
+
+
+def _with_flat_agent(monkeypatch, tmp_path):
+    """A two-agent scalar config whose generated instance gives agent 1 the
+    flat utility: its first best response has a singular payoff Hessian."""
+    generate = pc.cli.generate
+
+    def with_flat_agent(cfg):
+        inst = generate(cfg)
+        return dataclasses.replace(inst, utilities=(inst.utilities[0], flat_utility()))
+
+    monkeypatch.setattr(pc.cli, "generate", with_flat_agent)
+    return write_config(tmp_path, "c.json", mode={"mode": "simultaneous", "max_rounds": 20})
+
+
+def test_simulate_reports_a_singular_payoff_hessian(tmp_path, monkeypatch):
+    cfg = _with_flat_agent(monkeypatch, tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert (out / "trace.csv").read_text() == "t,n,x_0,u_0,p_0\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 0
+    failure = report["failure"]
+    assert failure["reason"] == "best_response" and failure["stage"] == 0
+    assert failure["agent"] == 1 and failure["round"] == 1
+    assert failure["residual"] == 1.0 and failure["last_iterate"] == [0.0]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the oracle's fallback notice
+def test_compare_records_a_singular_payoff_hessian(tmp_path, monkeypatch):
+    cfg = _with_flat_agent(monkeypatch, tmp_path)
+    out = tmp_path / "out"
+    main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"])
+    modes = json.loads((out / "compare.json").read_text())["modes"]
+    assert set(modes) == set(pc.PLAY_MODES)
+    for mode in ("simultaneous", "sequential"):
+        row = modes[mode]
+        assert row["converged"] is False and row["reason"] == "best_response"
+        assert row["agent"] == 1 and row["round"] == 1
+        assert row["residual"] == 1.0 and row["last_iterate"] == [0.0]
 
 
 def test_simulate_reports_a_state_overflow_after_its_stage(tmp_path, capsys):

@@ -10,14 +10,15 @@ from pricecoord.numerics import fd_jacobian, newton_root
 Failed = pc.BestResponseError
 
 
-def one_row(f):
-    """A field or Jacobian of one point as newton_root's row-stacked callable."""
-    return lambda X, rows: f(X[0])[None]
+def one_row(F, J):
+    """A field and its Jacobian at one point as newton_root's row-stacked
+    callable."""
+    return lambda X, rows: (F(X[0])[None], J(X[0])[None])
 
 
 def solve_one(F, J, x0, **kwargs):
     """newton_root on the single row x0: (root, residual)."""
-    x, resid = newton_root(one_row(F), one_row(J), np.array(x0, dtype=float)[None], **kwargs)
+    x, resid = newton_root(one_row(F, J), np.array(x0, dtype=float)[None], **kwargs)
     return x[0], resid[0]
 
 
@@ -43,10 +44,29 @@ def test_newton_root_solves_an_affine_field_in_one_step(rng):
         calls.append(x.copy())
         return b - M @ x
 
-    x, resid = solve_one(F, lambda x: -M, np.zeros(2), error=Failed)
+    x, resid = solve_one(F, lambda x: -M, np.zeros(2), error=Failed, maximize=True)
     np.testing.assert_allclose(x, np.linalg.solve(M, b), atol=1e-12)
     assert resid <= 1e-10
-    assert len(calls) == 2  # the start and one full step
+    # the start and one full step: the maximize test reads the Jacobian the
+    # step was evaluated with, and nothing is evaluated after the loop
+    assert len(calls) == 2
+
+
+def test_newton_root_rejects_a_minimum_without_another_call(rng):
+    # b + M x, M positive definite, reaches its root in one step, and the
+    # Jacobian evaluated there shows a minimum of the potential
+    M = np.array([[2.0, 0.5], [0.5, 1.0]])
+    b = rng.normal(size=2)
+    calls = []
+
+    def F(x):
+        calls.append(x.copy())
+        return b + M @ x
+
+    with pytest.raises(Failed, match="^stationary point is not a local maximum$") as info:
+        solve_one(F, lambda x: M, np.zeros(2), error=Failed, maximize=True)
+    np.testing.assert_allclose(info.value.last_iterate, np.linalg.solve(M, -b), atol=1e-12)
+    assert len(calls) == 2
 
 
 def test_newton_root_reports_a_singular_jacobian():
@@ -118,17 +138,16 @@ def test_newton_root_with_a_non_finite_jacobian_reports_its_line_search():
 
 
 def _cubic_rows(c):
-    """Rows of the field c - x^3 (elementwise), each with its own c."""
-    return (lambda X, rows: c[rows] - X ** 3,
-            lambda X, rows: -3.0 * X[:, :, None] ** 2 * np.eye(X.shape[1]))
+    """Rows of the field c - x^3 (elementwise), each with its own c, and
+    their Jacobians."""
+    return lambda X, rows: (c[rows] - X ** 3, -3.0 * X[:, :, None] ** 2 * np.eye(X.shape[1]))
 
 
 def test_newton_root_rows_equal_one_row_solves(rng):
     # rows that need different numbers of steps and line-search halvings
     c = rng.normal(size=(6, 2)) * 10.0 ** np.arange(-3, 3)[:, None]
     x0 = rng.normal(size=(6, 2))
-    F, J = _cubic_rows(c)
-    X, resid = newton_root(F, J, x0, error=Failed)
+    X, resid = newton_root(_cubic_rows(c), x0, error=Failed)
     for i in range(6):
         x, r = solve_one(lambda x: c[i] - x ** 3, lambda x: np.diag(-3.0 * x ** 2), x0[i],
                          error=Failed)
@@ -140,14 +159,14 @@ def test_newton_root_raises_for_the_lowest_failing_row():
     # row 3 never converges; row 1 is the one a loop over rows meets first
     c = np.array([[1.0], [1.0], [1.0], [1.0]])
     x0 = np.array([[0.5], [0.0], [0.0], [1e30]])
-    F, J = _cubic_rows(c)
+    F = _cubic_rows(c)
     with pytest.raises(Failed, match="^singular Jacobian$") as info:
-        newton_root(F, J, x0, error=Failed)
+        newton_root(F, x0, error=Failed)
     assert info.value.agent == 1
     np.testing.assert_array_equal(info.value.last_iterate, [0.0])
     assert info.value.residual == 1.0
     with pytest.raises(Failed, match="^no convergence after 100 Newton") as info:
-        newton_root(F, J, x0[[0, 3]], error=Failed)
+        newton_root(F, x0[[0, 3]], error=Failed)
     assert info.value.agent == 1
 
 
@@ -160,18 +179,16 @@ def test_newton_root_decides_every_outcome_in_one_stacked_call():
               np.ones_like]
 
     def F(X, rows):
-        return np.array([fields[r](x) for r, x in zip(rows, X)])
-
-    def J(X, rows):
-        return np.array([slopes[r](x) for r, x in zip(rows, X)])[:, :, None]
+        return (np.array([fields[r](x) for r, x in zip(rows, X)]),
+                np.array([slopes[r](x) for r, x in zip(rows, X)])[:, :, None])
 
     x0 = np.array([[0.5], [1.0], [0.5], [0.5]])
     with pytest.raises(Failed, match="^singular Jacobian$") as info:
-        newton_root(F, J, x0, error=Failed)
+        newton_root(F, x0, error=Failed)
     assert info.value.agent == 2
     np.testing.assert_array_equal(info.value.last_iterate, [0.5])
     assert info.value.residual == 0.5
-    X, resid = newton_root(F, J, x0[:2], error=Failed)
+    X, resid = newton_root(F, x0[:2], error=Failed)
     assert X[0, 0] == 0.5 and resid[0] == 1e-9
     np.testing.assert_allclose(X[1], [2.0 ** (1.0 / 3.0)], rtol=1e-15)
     assert resid[1] <= 1e-10
@@ -181,14 +198,12 @@ def test_newton_root_maximize_rejects_a_minimum_in_its_row():
     # c - x^3 is the gradient of c x - x^4 / 4: its root is a maximum, while
     # the root of x^3 - c is a minimum of the negated function
     def F(X, rows):
-        return np.where(rows[:, None] == 1, -1.0, 1.0) * (1.0 - X ** 3)
+        sign = np.where(rows[:, None] == 1, -1.0, 1.0)
+        return sign * (1.0 - X ** 3), (sign * -3.0 * X ** 2)[:, :, None]
 
-    def J(X, rows):
-        return (np.where(rows[:, None] == 1, -1.0, 1.0) * -3.0 * X ** 2)[:, :, None]
-
-    X, _ = newton_root(F, J, np.array([[2.0], [2.0]])[:1], error=Failed, maximize=True)
+    X, _ = newton_root(F, np.array([[2.0], [2.0]])[:1], error=Failed, maximize=True)
     np.testing.assert_allclose(X, [[1.0]], rtol=1e-12)
     with pytest.raises(Failed, match="^stationary point is not a local maximum$") as info:
-        newton_root(F, J, np.array([[2.0], [2.0]]), error=Failed, maximize=True)
+        newton_root(F, np.array([[2.0], [2.0]]), error=Failed, maximize=True)
     assert info.value.agent == 1
     np.testing.assert_allclose(info.value.last_iterate, [1.0], rtol=1e-12)
