@@ -8,8 +8,10 @@ newton_root solves k independent problems at once, each row with its own
 stopping test, line search and failure, from one field-and-Jacobian call
 per iterate; a single solve is its one-row case. fd_gradients evaluates the
 stencil of fd_gradient at many points in one call of a batched function;
-the oracle uses it on the welfare and keeps its own polish loop (see
-oracle), so the reference stays independent of the code it checks.
+the oracle uses it on the welfare for the fields of its own polish loop,
+which polishes a stack of starts in lockstep and runs closed_form's and
+grid's point as its one-row case (see oracle), so the reference stays
+independent of the code it checks.
 fd_jacobian keeps its loop over columns: its callers (the welfare-optimal
 price's Newton steps, the weak-coupling diagnostic, the Hessian block of a
 utility given without one) difference small fields, where a stacked stencil

@@ -223,6 +223,21 @@ def test_simulate_readme_trace_matches_the_golden_file(tmp_path):
                                rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the oracle's fallback notice
+def test_simulate_readme_report_matches_the_golden_file(tmp_path):
+    # tests/data/readme_report.json is the README run's report.json without its
+    # wall_time_ms line, written by an earlier version: it pins oracle_welfare,
+    # oracle_method and gap bit for bit
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=40,
+                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
+                       mode={"mode": "simultaneous", "max_rounds": 500})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    golden = pathlib.Path(__file__).parent / "data" / "readme_report.json"
+    lines = (out / "report.json").read_text().splitlines(keepends=True)
+    assert "".join(line for line in lines if '"wall_time_ms"' not in line) == golden.read_text()
+
+
 def test_identify_readme_trace_matches_the_golden_file(tmp_path):
     # tests/data/readme_models.json was written by an earlier version from the
     # README trace and dynamics, so any drift of the identification shows here

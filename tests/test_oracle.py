@@ -22,12 +22,13 @@ def readme_instance():
 @pytest.fixture
 def welfare_calls(monkeypatch):
     """Counts the oracle's welfare evaluations (the rows of its batched
-    welfare calls), its field stencils and its Hessians."""
-    calls = {"welfare": 0, "field": 0, "hessian": 0}
+    welfare calls), those calls, its field stencils and its Hessians."""
+    calls = {"welfare": 0, "batch": 0, "field": 0, "hessian": 0}
     fd_hessian = oracle._fd_hessian
 
     def counted_welfare(sys, U):
         calls["welfare"] += len(U)
+        calls["batch"] += 1
         return batch_welfare(sys, U)
 
     def counted_field(*args, **kwargs):
@@ -232,7 +233,7 @@ def _reference_polish(sys, u):
         if gn < 1e-11:
             break
         try:
-            delta = np.linalg.solve(oracle._fd_hessian(f, u), -g)
+            delta = np.linalg.solve(oracle._fd_hessian(f, u)[0], -g)
         except np.linalg.LinAlgError:
             break
         alpha = 1.0
@@ -260,10 +261,75 @@ def test_polish_stopping_on_a_rounded_step_changes_no_end_point(make, box):
         assert np.array_equal(oracle._newton_polish(sys, start)[0], _reference_polish(sys, start))
 
 
+def _assert_rows_equal_one_row_polishes(sys, starts):
+    """Polishes starts as one stack and asserts that each row's (u, F(u))
+    equals its one-row polish bit for bit, or that both drop the row with
+    the same ValueError; returns the stack's (U, G, errors)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing starts are dropped
+        U, G, errors = oracle._newton_polish_rows(sys, starts)
+        for k, start in enumerate(starts):
+            if k in errors:
+                with pytest.raises(ValueError) as alone:
+                    oracle._newton_polish(sys, start)
+                assert str(alone.value) == str(errors[k])
+                continue
+            u, g = oracle._newton_polish(sys, start)
+            assert np.array_equal(U[k], u) and np.array_equal(G[k], g)
+    return U, G, errors
+
+
+def test_stacked_rows_equal_one_row_and_reference_polishes():
+    sys = readme_instance()
+    starts = np.random.default_rng(5).uniform(-20.0, 20.0, size=(32, sys.N * sys.d))
+    U, G, errors = _assert_rows_equal_one_row_polishes(sys, starts)
+    assert not errors
+    for start, u, g in zip(starts, U, G):
+        assert np.array_equal(u, _reference_polish(sys, start))
+        assert np.array_equal(g, fd_gradients(partial(batch_welfare, sys), u)[0])
+
+
+def test_a_stack_drops_the_starts_whose_welfare_overflows():
+    # the multistart's starts on the box +-1e300: every random start's field
+    # overflows, the centre polishes to the optimum +-5/6
+    starts = np.vstack([np.zeros(2), -1e300 + 2e300 * np.random.default_rng(0).random((31, 2))])
+    U, _, errors = _assert_rows_equal_one_row_polishes(make_two_agent_scalar(0.1), starts)
+    assert sorted(errors) == list(range(1, 32))
+    np.testing.assert_allclose(U[0], [5.0 / 6.0, -5.0 / 6.0], atol=1e-9)
+
+
+def test_singular_hessians_end_only_their_rows():
+    # welfare -max(u_0 - 1, 0)^2 - (u_1 - 2)^2 is flat in u_0 below 1: a
+    # start there has a singular Hessian and a nonzero field, so it ends
+    # where it starts, while the other rows step to the kink at (1, 2)
+    dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
+    utils = (pc.SmoothUtility(value_fn=lambda x_next, u: -max(u[0] - 1.0, 0.0) ** 2),
+             pc.SmoothUtility(value_fn=lambda x_next, u: -(u[0] - 2.0) ** 2))
+    sys = pc.SystemInstance(dynamics=(dyn, dyn), utilities=utils,
+                            coupling=pc.zero_coupling(2, 1), states=np.zeros((2, 1)))
+    starts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(32, 2))
+    U, G, errors = _assert_rows_equal_one_row_polishes(sys, starts)
+    assert not errors
+    flat = starts[:, 0] < 1.0
+    assert 0 < np.count_nonzero(flat) < 32
+    np.testing.assert_array_equal(U[flat], starts[flat])
+    assert np.all(np.max(np.abs(G[flat]), axis=1) >= 1e-11)
+    np.testing.assert_allclose(U[~flat], np.tile([1.0, 2.0], (np.count_nonzero(~flat), 1)),
+                               atol=1e-4)
+
+
+def test_multistart_polishes_its_starts_as_one_stack(welfare_calls):
+    # the same welfare rows as 32 polishes one after another, which took
+    # 1,001 batch_welfare calls
+    res = pc.joint_welfare_opt(readme_instance(), box=(-20.0, 20.0), method="newton_multistart")
+    assert res.method == "newton_multistart"
+    assert welfare_calls["welfare"] == 20067
+    assert welfare_calls["batch"] <= 200
+
+
 def test_fd_hessian_is_exact_on_quadratics(rng):
     A = rng.normal(size=(4, 4))
     b = rng.normal(size=4)
-    H = oracle._fd_hessian(lambda P: np.sum((P @ A) * P, axis=1) + P @ b, rng.normal(size=4))
+    H = oracle._fd_hessian(lambda P: np.sum((P @ A) * P, axis=1) + P @ b, rng.normal(size=4))[0]
     np.testing.assert_allclose(H, A + A.T, atol=1e-6)
     np.testing.assert_array_equal(H, H.T)
 
