@@ -10,10 +10,14 @@ stacked fleet derivative (_utility_derivative, _coupling_derivative), and
 every play mode solves its best responses as one row-stacked Newton
 iteration (numerics.newton_root): all N agents in the simultaneous,
 two-stage, single-stage and Tikhonov plays, the one agent t mod N in
-sequential play. A Newton evaluation reads its payoff gradients and
-Hessians off one fleet step. Each row is bit for bit agents.best_response on
-that agent's game against its coupling_slices slice, the per-agent reference
-the tests compare the stacked rows against.
+sequential play. A Newton evaluation (_payoff_derivatives) takes its payoff
+gradients and Hessians from one fleet step and one coupling pair pass
+(CouplingFunction._grad_hess_rows). Simultaneous, two-stage and Tikhonov
+rounds start at the anchors against opponents frozen there, from the
+derivatives mechanism.run_stage computed there for its convergence test.
+Each row is bit for bit agents.best_response on that agent's game against
+its coupling_slices slice, the per-agent reference the tests compare the
+stacked rows against.
 
 Proximal bookkeeping: the two-stage, single-stage and Tikhonov plays pose
 the proximal gradient -lam (u - anchor), and the tests' per-agent GameSpec
@@ -106,7 +110,8 @@ def _utility_derivative(sys: SystemInstance, V, Y, rows, hessian: bool = False) 
     of shape (k, d). Y is the rows' next states, _fleet_step(sys, V, rows),
     read only by the quadratic gradient. Stacked from the instance's (Q, R,
     x0) arrays when every utility is quadratic, each row bit for bit
-    QuadraticUtility's; through each utility's grad_u and hess_u otherwise."""
+    QuadraticUtility's, the Hessians gathered from the instance's constant
+    ones; through each utility's grad_u and hess_u otherwise."""
     quadratic = sys._stacked[2]
     if quadratic is None:
         utility = [(sys.utilities[n], sys.dynamics[n], sys.states[n]) for n in rows]
@@ -115,27 +120,37 @@ def _utility_derivative(sys: SystemInstance, V, Y, rows, hessian: bool = False) 
         out = [[ut.grad_u(dyn, x, v) for (ut, dyn, x), v in zip(utility, Vb)]
                for Vb in V.reshape(-1, len(rows), sys.d)]
         return np.reshape(out, np.shape(V))
+    if hessian:
+        return sys._quadratic_hessians[rows]
     Q, R, x0 = (a[rows] for a in quadratic)
     Bt = sys._stacked[1][rows].swapaxes(1, 2)
-    if hessian:
-        return -2.0 * (Bt @ Q @ Bt.swapaxes(1, 2) + R)
     e = Y - x0
     return (((-2.0 * Bt) @ (Q @ e[..., None]))[..., 0]
             - 2.0 * (R @ V[..., None])[..., 0])
 
 
-def _coupling_derivative(sys: SystemInstance, Y, X, rows, hessian: bool = False) -> np.ndarray:
+def _coupling_derivative(sys: SystemInstance, Y, X, rows) -> np.ndarray:
     """Row i: the shared coupling's gradient for agent n = rows[i] at its
     next state Y[i] = A x + B u_n, everyone else at the next states X,
-    chain-ruled through B: B^T grad_rows, (k, d), or with hessian
-    B^T hess_rows B, (k, d, d). For the gradient, X None means every agent
+    chain-ruled through B: B^T grad_rows, (k, d). X None means every agent
     at its own row of Y, (..., N, d), with rows all agents in order:
     B^T grad."""
-    B = sys._stacked[1][rows]
-    if hessian:
-        return B.swapaxes(1, 2) @ sys.coupling.hess_rows(Y, X, rows) @ B
     g = sys.coupling.grad(Y) if X is None else sys.coupling.grad_rows(Y, X, rows)
-    return (B.swapaxes(1, 2) @ g[..., None])[..., 0]
+    return (sys._stacked[1][rows].swapaxes(1, 2) @ g[..., None])[..., 0]
+
+
+def _payoff_derivatives(sys: SystemInstance, V, X, rows):
+    """(g, H): the payoff gradients and Hessians, (k, d) and (k, d, d), of
+    the agents rows[i] at their actions V, (k, d), against opponents frozen
+    at the next states X. Utility plus coupling from one fleet step, the
+    coupling's B^T grad_rows and B^T hess_rows B from one pair pass
+    (CouplingFunction._grad_hess_rows); no proximal term."""
+    Y = _fleet_step(sys, V, rows)
+    g, H = sys.coupling._grad_hess_rows(Y, X, rows)
+    B = sys._stacked[1][rows]
+    Bt = B.swapaxes(1, 2)
+    return (_utility_derivative(sys, V, Y, rows) + (Bt @ g[..., None])[..., 0],
+            _utility_derivative(sys, V, Y, rows, hessian=True) + Bt @ H @ B)
 
 
 def _field_rows(sys: SystemInstance, V, X, rows) -> np.ndarray:
@@ -202,40 +217,46 @@ def _coupling_slice(sys: SystemInstance, X_frozen: np.ndarray, n: int) -> Coupli
 # play modes (one iteration each; the loop lives in mechanism.run_stage)
 
 def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.ndarray,
-                      lam: float | None = None, rows=None) -> np.ndarray:
+                      lam: float | None = None, rows=None, start=None) -> np.ndarray:
     """The best responses of the agents in rows (default all N, in order)
     against opponents frozen at the next states X_frozen, solved as one
     row-stacked Newton iteration: row i is best_response on agent
     n = rows[i]'s game, bit for bit, and starts at anchors[n]. With lam the
     game adds the proximal term anchored there. Each evaluation gives
-    newton_root the rows' payoff gradients and Hessians from one fleet step.
+    newton_root the rows' payoff gradients and Hessians from one fleet step
+    and one pair pass (_payoff_derivatives). start, when given, is
+    _payoff_derivatives at that start, so the first Newton point is not
+    evaluated again; the proximal term is added to it as to every point.
     Returns (len(rows), d). A failure raises the lowest failing row's
     BestResponseError, naming its agent rows[i]."""
     rows = np.arange(sys.N) if rows is None else np.asarray(rows)
 
-    def derivatives(V, i):
-        n = rows[i]
-        Y = _fleet_step(sys, V, n)
-        g = _utility_derivative(sys, V, Y, n) + _coupling_derivative(sys, Y, X_frozen, n)
-        H = (_utility_derivative(sys, V, Y, n, hessian=True)
-             + _coupling_derivative(sys, Y, X_frozen, n, hessian=True))
+    def proximal(V, n, g, H):
         if lam is not None:
-            g -= lam * (V - anchors[n])
-            H -= lam * np.eye(sys.d)
+            g = g - lam * (V - anchors[n])
+            H = H - lam * np.eye(sys.d)
         return g, H
+
+    def derivatives(V, i):
+        return proximal(V, rows[i], *_payoff_derivatives(sys, V, X_frozen, rows[i]))
 
     def error(message, last, residual, i):
         return BestResponseError(message, last, residual, int(rows[i]))
 
+    if start is not None:
+        start = proximal(anchors[rows], rows, *start)
     U, _ = newton_root(derivatives, anchors[rows], error=error,
-                       jacobian_name="payoff Hessian", maximize=True)
+                       jacobian_name="payoff Hessian", maximize=True, start=start)
     return U
 
 
-def play_simultaneous(sys: SystemInstance, u_prev) -> np.ndarray:
-    """All agents best-respond in parallel against u_prev."""
+def play_simultaneous(sys: SystemInstance, u_prev, *, _start=None) -> np.ndarray:
+    """All agents best-respond in parallel against u_prev. _start, when
+    given, is _payoff_derivatives of all agents at u_prev against its own
+    next states, the round's first Newton point (mechanism.run_stage hands
+    over the one its convergence test computed)."""
     U = joint_action(sys, u_prev)
-    return _jacobi_responses(sys, joint_next_state(sys, U), U)
+    return _jacobi_responses(sys, joint_next_state(sys, U), U, start=_start)
 
 
 def play_sequential(sys: SystemInstance, u_prev, t: int) -> np.ndarray:
@@ -267,12 +288,13 @@ def stage2_probe_target(anchor, gamma: float, utility_grad, coupling_grad) -> np
 
 
 def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, lam: float,
-                    gamma: float):
+                    gamma: float, start=None):
     """(responses, net update, extracted grad U): proximal responses anchored
-    at U against `frozen` opponents, and U + gamma (grad U_n + grad_n G)."""
+    at U against `frozen` opponents, and U + gamma (grad U_n + grad_n G).
+    start is _jacobi_responses' first Newton point, when already known."""
     rows = np.arange(sys.N)
     X_frozen = joint_next_state(sys, frozen)
-    resp = _jacobi_responses(sys, X_frozen, U, lam)
+    resp = _jacobi_responses(sys, X_frozen, U, lam, start=start)
     Y = _fleet_step(sys, resp, rows)
     g_util = probe_utility_gradient(lam, resp, U, _coupling_derivative(sys, Y, X_frozen, rows))
     g_coup = _coupling_derivative(sys, Y, None, rows)
@@ -285,17 +307,19 @@ class TwoStageUpdate(NamedTuple):
     utility_grads: np.ndarray  # extracted grad U_n(u_hat_n), coordinator-side
 
 
-def two_stage_update(sys: SystemInstance, u_prev, lam: float, gamma: float) -> TwoStageUpdate:
+def two_stage_update(sys: SystemInstance, u_prev, lam: float, gamma: float, *,
+                     _start=None) -> TwoStageUpdate:
     """One round of two-stage play, exposing the probe internals.
 
     Stage 1: each agent solves grad U_n(u_hat) + grad_n G(u_hat, u_prev_{-n})
     - lam (u_hat - u_prev_n) = 0. Stage 2 is applied as the derived net
     update u^k = u^{k-1} + gamma (grad U_n(u_hat_n) + grad_n G(u_hat)),
     with grad U extracted via probe_utility_gradient; the equivalent posed
-    probe game is available through stage2_probe_target.
+    probe game is available through stage2_probe_target. _start is stage 1's
+    first Newton point, as for play_simultaneous.
     """
     U = joint_action(sys, u_prev)
-    u_hat, u_next, g_util = _proximal_round(sys, U, U, lam, gamma)
+    u_hat, u_next, g_util = _proximal_round(sys, U, U, lam, gamma, _start)
     return TwoStageUpdate(u=u_next, u_hat=u_hat, utility_grads=g_util)
 
 
@@ -321,12 +345,13 @@ def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, lam: float,
     return SingleStageUpdate(u=resp, u_tilde=u_tilde, utility_grads=g_util)
 
 
-def play_tikhonov(sys: SystemInstance, u_prev, lam: float) -> np.ndarray:
+def play_tikhonov(sys: SystemInstance, u_prev, lam: float, *, _start=None) -> np.ndarray:
     """Proximally regularized full step: each agent maximizes its reward plus
     the Tikhonov anchor term; the responses are the next iterate directly
-    (a perturbed projection step with effective step 1/lam)."""
+    (a perturbed projection step with effective step 1/lam). _start is the
+    round's first Newton point, as for play_simultaneous."""
     U = joint_action(sys, u_prev)
-    return _jacobi_responses(sys, joint_next_state(sys, U), U, lam)
+    return _jacobi_responses(sys, joint_next_state(sys, U), U, lam, start=_start)
 
 
 def grid_gradient_bound(sys: SystemInstance, box) -> float:

@@ -19,9 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BestResponseError, ConfigError, NonConvergenceError
-from .model import SystemInstance, _fleet_step, batch_welfare, joint_action
+from .model import SystemInstance, _fleet_step, batch_welfare, joint_action, joint_next_state
 from .numerics import fd_jacobian
 from .equilibrium import (
+    _payoff_derivatives,
     _utility_derivative,
     default_schedule,
     play_sequential,
@@ -34,6 +35,9 @@ from .equilibrium import (
 
 PLAY_MODES = ("simultaneous", "sequential", "two_stage", "single_stage", "tikhonov")
 DAMPED_MODES = ("two_stage", "single_stage")  # the modes that take a step gamma
+# the modes whose round starts every agent's Newton solve at the current joint
+# action U against opponents frozen at its next states
+_STARTS_AT_U = ("simultaneous", "two_stage", "tikhonov")
 
 
 def social_welfare(sys: SystemInstance, u) -> float:
@@ -206,11 +210,25 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     is a full sweep of all N agents. A BestResponseError leaves with the
     1-based round it happened in; a damped mode takes its step from
     stage_step and raises its ConfigError when the step cannot be estimated.
+
+    In simultaneous, two_stage and tikhonov play a round's Newton solve
+    starts at U against opponents frozen at U's next states, where the
+    reward field is the agents' payoff gradient: the residual is read off
+    _payoff_derivatives there, and the next round starts from the same
+    gradients and Hessians. The other modes take it from reward_field.
     """
     U = joint_action(sys, u0).copy()
     gamma = stage_step(sys, cfg)
     F = reward_field(sys)
     tol = cfg.tol
+    rows = np.arange(sys.N)
+
+    def residual_at(U):
+        """(||F(U)||_inf, the next round's Newton start or None)."""
+        if cfg.mode in _STARTS_AT_U:
+            start = _payoff_derivatives(sys, U, joint_next_state(sys, U), rows)
+            return float(np.max(np.abs(start[0]))), start
+        return float(np.max(np.abs(F(U)))), None
 
     actions, residual, delta_log = [], [], []
 
@@ -222,7 +240,8 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
                           delta=np.asarray(delta_log, dtype=float),
                           converged=converged)
 
-    if float(np.max(np.abs(F(U)))) <= tol:
+    f_inf, start = residual_at(U)
+    if f_inf <= tol:
         return trace(True)
 
     streak = 0          # consecutive alternating rounds
@@ -232,24 +251,24 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     for k in range(1, cfg.max_rounds + 1):
         try:
             if cfg.mode == "simultaneous":
-                u_new = play_simultaneous(sys, U)
+                u_new = play_simultaneous(sys, U, _start=start)
             elif cfg.mode == "sequential":
                 u_new = U
                 for n in range(sys.N):
                     u_new = play_sequential(sys, u_new, n)
             elif cfg.mode == "two_stage":
-                u_new = two_stage_update(sys, U, cfg.lam, gamma).u
+                u_new = two_stage_update(sys, U, cfg.lam, gamma, _start=start).u
             elif cfg.mode == "single_stage":
                 upd = single_stage_update(sys, U, u_tilde, cfg.lam, gamma)
                 u_new, u_tilde = upd.u, upd.u_tilde
             else:
-                u_new = play_tikhonov(sys, U, cfg.lam)
+                u_new = play_tikhonov(sys, U, cfg.lam, _start=start)
         except BestResponseError as exc:
             exc.round = k
             raise
 
         d_inf = float(np.max(np.abs(u_new - U)))
-        f_inf = float(np.max(np.abs(F(u_new))))
+        f_inf, start = residual_at(u_new)
         actions.append(u_new.copy())
         residual.append(f_inf)
         delta_log.append(d_inf)

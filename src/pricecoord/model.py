@@ -240,10 +240,13 @@ class CouplingFunction:
     grad_rows(X, X, arange(N)), the whole gradient at each (N, d) joint
     state of X. hess_rows(Y, X, rows) gives the (d, d) blocks for one joint
     state X, (N, d), and Y of shape (k, d): (k, d, d), with the
-    self pair masked (its D is zero, but its pair_weight is not). values(Xs)
-    is value at each (N, d) row of a (K, N, d) array, bit for bit. A coupling
-    with scale 0 is identically zero, pair_weight and pair_curvature
-    included, so it returns zeros without touching its pair functions."""
+    self pair masked (its D is zero, but its pair_weight is not).
+    _grad_hess_rows(Y, X, rows) returns both for those shapes from one pair
+    pass, bit for bit (grad_rows(Y, X, rows), hess_rows(Y, X, rows)).
+    values(Xs) is value at each (N, d) row of a (K, N, d) array, bit for
+    bit. A coupling with scale 0 is identically zero, pair_weight and
+    pair_curvature included, so it returns zeros without touching its pair
+    functions."""
 
     N: int
     d: int
@@ -260,8 +263,13 @@ class CouplingFunction:
         if self.scale == 0.0:
             return np.zeros(len(Xs))
         sq = _squared_norms(Xs[..., :, None, :] - Xs[..., None, :, :])
-        pairs = np.triu(self.pair_value(sq), 1).reshape(len(Xs), -1)
+        pairs = np.where(self._upper, self.pair_value(sq), 0.0).reshape(len(Xs), -1)
         return self.scale * _ordered_sum(pairs, axis=1)
+
+    @cached_property
+    def _upper(self) -> np.ndarray:
+        """The pairs n < m of values' sum: np.triu(., 1)'s mask, built once."""
+        return np.triu(np.ones((self.N, self.N), dtype=bool), 1)
 
     def grad(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -285,6 +293,25 @@ class CouplingFunction:
         sq = _squared_norms(D)
         return (self.pair_weight(sq).sum(axis=-1)[:, None, None] * np.eye(self.d)
                 + 2.0 * (D.transpose(0, 2, 1) * self.pair_curvature(sq)[:, None, :]) @ D)
+
+    def _grad_hess_rows(self, Y, X, rows):
+        """(grad_rows(Y, X, rows), hess_rows(Y, X, rows)) for Y of shape
+        (k, d) from one pair pass: one D, one squared norm and one
+        pair_weight per pair, the Hessian gathering its N-1 others from
+        them. Each sum keeps its own order, bit for bit."""
+        k = len(rows)
+        if self.scale == 0.0:
+            return np.zeros(np.shape(Y)), np.zeros((k, self.d, self.d))
+        D = Y[:, None, :] - X
+        D[np.arange(k), rows, :] = 0.0
+        sq = _squared_norms(D)
+        w = self.pair_weight(sq)
+        others = np.arange(self.N) != np.asarray(rows)[:, None]
+        D_o = D[others].reshape(k, self.N - 1, self.d)
+        sq_o, w_o = sq[others].reshape(k, self.N - 1), w[others].reshape(k, self.N - 1)
+        return (_ordered_sum(w[..., None] * D, axis=-2),
+                w_o.sum(axis=-1)[:, None, None] * np.eye(self.d)
+                + 2.0 * (D_o.transpose(0, 2, 1) * self.pair_curvature(sq_o)[:, None, :]) @ D_o)
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
@@ -348,6 +375,15 @@ class SystemInstance:
             quadratic = tuple(np.array([getattr(ut, k) for ut in self.utilities])
                               for k in ("Q", "R", "x0"))
         return Ax, B, quadratic
+
+    @cached_property
+    def _quadratic_hessians(self) -> np.ndarray:
+        """Every agent's payoff Hessian -2 (B^T Q B + R) when every utility
+        is quadratic, (N, d, d): it depends on neither action nor state, so
+        it is built once, on first use."""
+        Q, R, _ = self._stacked[2]
+        Bt = self._stacked[1].swapaxes(1, 2)
+        return -2.0 * (Bt @ Q @ Bt.swapaxes(1, 2) + R)
 
     @cached_property
     def _default_steps(self) -> dict:

@@ -6,7 +6,11 @@ difference from this module, and every Newton solve on a gradient field
 coordinator's welfare-optimal price) runs the one row-stacked loop below:
 newton_root solves k independent problems at once, each row with its own
 stopping test, line search and failure, from one field-and-Jacobian call
-per iterate; a single solve is its one-row case. fd_gradients evaluates the
+per iterate; a single solve is its one-row case. A caller that holds the
+fields and Jacobians at x0 passes them as start: a stage's simultaneous,
+two-stage or Tikhonov round starts from the payoff derivatives its
+convergence test computed (mechanism.run_stage), the coupling's gradient and
+Hessian from one pair pass. fd_gradients evaluates the
 stencil of fd_gradient at many points in one call of a batched function;
 the oracle uses it on the welfare for the fields of its own polish loop,
 which polishes a stack of starts in lockstep and runs closed_form's and
@@ -77,14 +81,17 @@ def _rounding_floor(J: np.ndarray, x: np.ndarray) -> float:
     return 8.0 * np.finfo(float).eps * float(np.linalg.norm(J, 2)) * max(1.0, x_inf)
 
 
-def newton_root(F, x0, *, error, jacobian_name: str = "Jacobian", maximize: bool = False):
+def newton_root(F, x0, *, error, jacobian_name: str = "Jacobian", maximize: bool = False,
+                start=None):
     """Damped Newton for F(x) = 0, F a gradient field, on every row of x0.
 
     x0 is (k, m): each row is its own problem, solved exactly as if alone,
     and all rows step together. Each iterate or line-search trial is one
     call F(X, rows), answering the fields and Jacobians, (len(rows), m) and
     (len(rows), m, m), of the rows of the index array rows at their points
-    X; each iteration makes one np.linalg.solve.
+    X; each iteration makes one np.linalg.solve. start, when given, is
+    F(x0, arange(k)) already evaluated by the caller, and the loop takes it
+    (and may overwrite it) in place of its first call.
 
     Per row, each step solves J s = -F(x) and halves alpha = 1, 1/2, 1/4,
     ... while alpha > 1e-12 (40 trials) until ||F||_inf decreases. A row
@@ -106,7 +113,7 @@ def newton_root(F, x0, *, error, jacobian_name: str = "Jacobian", maximize: bool
     failures = []                    # (row, message, last iterate, residual)
     solved = len(X)                  # rows 0 .. solved-1 are below every failure
     live, x = np.arange(len(X)), X   # the rows still stepping, their iterates
-    G, J = F(x, live)                # and their fields and Jacobians
+    G, J = F(x, live) if start is None else start  # and their fields and Jacobians
     J_stop = np.empty_like(J)        # the Jacobian each row stopped with
     for _ in range(100):
         gnorm = _row_norms(G)

@@ -238,6 +238,19 @@ def test_simulate_readme_report_matches_the_golden_file(tmp_path):
     assert "".join(line for line in lines if '"wall_time_ms"' not in line) == golden.read_text()
 
 
+def test_compare_consensus_matches_the_golden_file(tmp_path):
+    # tests/data/consensus_compare.json was written by an earlier version; it
+    # pins all five modes, the 500-round tikhonov and single_stage and the
+    # 70-round two_stage included
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
+                               "coupling_strength": 0.5, "utility_spec": "quadratic_random"}))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    golden = pathlib.Path(__file__).parent / "data" / "consensus_compare.json"
+    assert (out / "compare.json").read_text() == golden.read_text()
+
+
 def test_identify_readme_trace_matches_the_golden_file(tmp_path):
     # tests/data/readme_models.json was written by an earlier version from the
     # README trace and dynamics, so any drift of the identification shows here

@@ -1,5 +1,7 @@
 """Coordinator loop: welfare, prices, diagnostics, stage runs, detectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,55 @@ def test_stage_trace_rows_and_fields():
     # residual and delta series are recorded and end below tolerance
     assert trace.residual[-1] <= 10 * 1e-8
     assert trace.delta[-1] <= 1e-8
+
+
+@pytest.mark.parametrize("mode", ["simultaneous", "tikhonov", "two_stage"])
+def test_a_round_starts_from_the_residual_it_was_tested_with(mode, monkeypatch):
+    # README config, stage 0: the residual at U and the next round's first
+    # Newton point are one _payoff_derivatives evaluation, and reward_field
+    # is not evaluated at all
+    cfg = pc.config_from_dict({"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
+                               "safety_radius": 6.0, "noise_std": 0.01})
+    sys = pc.generate(cfg)
+    pcfg = dataclasses.replace(pc.polling_config(cfg, mode), max_rounds=30)
+    pc.mechanism.stage_step(sys, pcfg)  # two_stage's default step, estimated once
+    counts = {"field": 0, "derivatives": 0, "newton": 0, "started": 0}
+    real_field, real_derivatives = pc.mechanism.reward_field, pc.equilibrium._payoff_derivatives
+    real_newton = pc.equilibrium.newton_root
+
+    def reward_field(sys_):
+        F = real_field(sys_)
+
+        def counted(u):
+            counts["field"] += 1
+            return F(u)
+        return counted
+
+    def derivatives(*args):
+        counts["derivatives"] += 1
+        return real_derivatives(*args)
+
+    def newton_root(F, x0, **kwargs):
+        def counted(X, rows):
+            counts["newton"] += 1
+            return F(X, rows)
+        counts["started"] += kwargs["start"] is not None
+        return real_newton(counted, x0, **kwargs)
+
+    monkeypatch.setattr(pc.mechanism, "reward_field", reward_field)
+    monkeypatch.setattr(pc.mechanism, "_payoff_derivatives", derivatives)
+    monkeypatch.setattr(pc.equilibrium, "_payoff_derivatives", derivatives)
+    monkeypatch.setattr(pc.equilibrium, "newton_root", newton_root)
+    try:
+        trace = pc.run_stage(sys, np.zeros((3, 2)), pcfg)
+    except pc.NonConvergenceError as exc:
+        trace = exc.trace
+    rounds = trace.iterations
+    assert rounds > 1
+    assert counts["field"] == 0 and counts["started"] == rounds
+    # one evaluation per Newton point: each round's start (the residual before
+    # it) and the points newton_root asks for, plus the residual after the last
+    assert counts["derivatives"] == rounds + 1 + counts["newton"]
+    # the residual is the reward field's, bit for bit
+    F = pc.reward_field(sys)
+    assert trace.residual.tolist() == [float(np.max(np.abs(F(u)))) for u in trace.actions]

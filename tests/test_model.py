@@ -207,6 +207,7 @@ def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):
     for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)),
                        (G.grad_rows(X[1:], X, [1, 2]), (2, 2)),
                        (G.hess_rows(X[1:], X, [1, 2]), (2, 2, 2)),
+                       *zip(G._grad_hess_rows(X[1:], X, [1, 2]), ((2, 2), (2, 2, 2))),
                        (G.values(rng.normal(size=(5, 3, 2))), (5,))):
         assert np.shape(out) == shape
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
@@ -236,6 +237,26 @@ def test_hess_row_matches_fd_of_grad_row(kind):
                 fd = pc.numerics.fd_jacobian(row, X[n])
                 np.testing.assert_allclose(H[n], fd, rtol=1e-6,
                                            atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
+
+
+@pytest.mark.parametrize("rows", ["all", "subset", "one"])
+@pytest.mark.parametrize("N", [2, 3, 10, 30])
+@pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])
+def test_one_pair_pass_gives_grad_rows_and_hess_rows_bit_for_bit(kind, N, rows):
+    # N = 30 sums 29 pair weights per Hessian row, where np.sum reassociates
+    rng = np.random.default_rng(N)
+    d = 2
+    G = _couplings(N, d)[kind]
+    X = 3.0 * rng.normal(size=(N, d))
+    X[1] = X[0]  # a coincident pair that is not the self pair
+    idx = {"all": np.arange(N), "subset": np.array([N - 1, 0, N // 2][:max(2, N - 1)]),
+           "one": np.array([N // 2])}[rows]
+    Y = X[idx] + 0.5 * rng.normal(size=(len(idx), d))
+    g, H = G._grad_hess_rows(Y, X, idx)
+    assert np.array_equal(g, G.grad_rows(Y, X, idx))
+    assert np.array_equal(H, G.hess_rows(Y, X, idx))
+    if kind != "zero":
+        assert np.any(H != 0.0)
 
 
 def test_hess_row_of_well_separated_barrier_agents_is_zero():

@@ -51,6 +51,16 @@ def test_newton_root_solves_an_affine_field_in_one_step(rng):
     # step was evaluated with, and nothing is evaluated after the loop
     assert len(calls) == 2
 
+    # a start the caller has evaluated already saves the first call, and
+    # nothing else changes
+    G = one_row(F, lambda x: -M)
+    x0 = np.zeros((1, 2))
+    start = G(x0, np.arange(1))
+    calls.clear()
+    X, R = newton_root(G, x0, error=Failed, maximize=True, start=start)
+    assert X[0].tobytes() == x.tobytes() and R[0].tobytes() == resid.tobytes()
+    assert len(calls) == 1
+
 
 def test_newton_root_rejects_a_minimum_without_another_call(rng):
     # b + M x, M positive definite, reaches its root in one step, and the
