@@ -13,8 +13,9 @@ two-stage, single-stage and Tikhonov plays, the one agent t mod N in
 sequential play. A Newton evaluation (_payoff_derivatives) takes its payoff
 gradients and Hessians from one fleet step and one coupling pair pass
 (CouplingFunction._grad_hess_rows). Simultaneous, two-stage and Tikhonov
-rounds start at the anchors against opponents frozen there, from the
-derivatives mechanism.run_stage computed there for its convergence test.
+rounds start at the anchors against opponents frozen at their next states,
+from the next states and derivatives mechanism.run_stage computed there for
+its convergence test, so a round steps no fleet at its anchors.
 Each row is bit for bit agents.best_response on that agent's game against
 its coupling_slices slice, the per-agent reference the tests compare the
 stacked rows against.
@@ -109,9 +110,9 @@ def _utility_derivative(sys: SystemInstance, V, Y, rows, hessian: bool = False) 
     V[..., i, :], (..., k, d), or with hessian its Hessian, (k, d, d) for V
     of shape (k, d). Y is the rows' next states, _fleet_step(sys, V, rows),
     read only by the quadratic gradient. Stacked from the instance's (Q, R,
-    x0) arrays when every utility is quadratic, each row bit for bit
-    QuadraticUtility's, the Hessians gathered from the instance's constant
-    ones; through each utility's grad_u and hess_u otherwise."""
+    x0) arrays when every utility is quadratic (_quadratic_gradient), the
+    Hessians gathered from the instance's constant ones; through each
+    utility's grad_u and hess_u otherwise."""
     quadratic = sys._stacked[2]
     if quadratic is None:
         utility = [(sys.utilities[n], sys.dynamics[n], sys.states[n]) for n in rows]
@@ -122,8 +123,15 @@ def _utility_derivative(sys: SystemInstance, V, Y, rows, hessian: bool = False) 
         return np.reshape(out, np.shape(V))
     if hessian:
         return sys._quadratic_hessians[rows]
-    Q, R, x0 = (a[rows] for a in quadratic)
-    Bt = sys._stacked[1][rows].swapaxes(1, 2)
+    return _quadratic_gradient([a[rows] for a in quadratic],
+                               sys._stacked[1][rows].swapaxes(1, 2), V, Y)
+
+
+def _quadratic_gradient(quadratic, Bt, V, Y) -> np.ndarray:
+    """Row i: QuadraticUtility.grad_u bit for bit, for the rows whose (Q, R,
+    x0) and B^T are already gathered in quadratic and Bt, at the actions V
+    with next states Y."""
+    Q, R, x0 = quadratic
     e = Y - x0
     return (((-2.0 * Bt) @ (Q @ e[..., None]))[..., 0]
             - 2.0 * (R @ V[..., None])[..., 0])
@@ -139,17 +147,24 @@ def _coupling_derivative(sys: SystemInstance, Y, X, rows) -> np.ndarray:
     return (sys._stacked[1][rows].swapaxes(1, 2) @ g[..., None])[..., 0]
 
 
-def _payoff_derivatives(sys: SystemInstance, V, X, rows):
+def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     """(g, H): the payoff gradients and Hessians, (k, d) and (k, d, d), of
     the agents rows[i] at their actions V, (k, d), against opponents frozen
-    at the next states X. Utility plus coupling from one fleet step, the
-    coupling's B^T grad_rows and B^T hess_rows B from one pair pass
-    (CouplingFunction._grad_hess_rows); no proximal term."""
-    Y = _fleet_step(sys, V, rows)
-    g, H = sys.coupling._grad_hess_rows(Y, X, rows)
-    B = sys._stacked[1][rows]
+    at the next states X; Y is the rows' own next states when the caller has
+    them, else one fleet step makes them. Each of the rows' model arrays is
+    gathered once, and the coupling's B^T grad_rows and B^T hess_rows B come
+    from one pair pass (CouplingFunction._grad_hess_rows); no proximal term."""
+    Ax, B, quadratic = sys._stacked
+    B = B[rows]
+    if Y is None:
+        Y = Ax[rows] + (B @ V[..., None])[..., 0]  # _fleet_step(sys, V, rows)
     Bt = B.swapaxes(1, 2)
-    return (_utility_derivative(sys, V, Y, rows) + (Bt @ g[..., None])[..., 0],
+    g, H = sys.coupling._grad_hess_rows(Y, X, rows)
+    if quadratic is None:
+        g_u = _utility_derivative(sys, V, Y, rows)
+    else:
+        g_u = _quadratic_gradient([a[rows] for a in quadratic], Bt, V, Y)
+    return (g_u + (Bt @ g[..., None])[..., 0],
             _utility_derivative(sys, V, Y, rows, hessian=True) + Bt @ H @ B)
 
 
@@ -250,13 +265,22 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
     return U
 
 
+def _frozen(sys: SystemInstance, U: np.ndarray, start):
+    """(X, first Newton point): the round's _start (X(U) and the payoff
+    derivatives of all agents at U against it), or X(U) from one fleet step
+    and no start."""
+    return (joint_next_state(sys, U), None) if start is None else start
+
+
 def play_simultaneous(sys: SystemInstance, u_prev, *, _start=None) -> np.ndarray:
     """All agents best-respond in parallel against u_prev. _start, when
-    given, is _payoff_derivatives of all agents at u_prev against its own
-    next states, the round's first Newton point (mechanism.run_stage hands
-    over the one its convergence test computed)."""
+    given, is (X, derivatives): the joint next state X at u_prev and
+    _payoff_derivatives of all agents at u_prev against it, the round's
+    first Newton point (mechanism.run_stage hands over the pair its
+    convergence test computed), so the round steps no fleet at u_prev."""
     U = joint_action(sys, u_prev)
-    return _jacobi_responses(sys, joint_next_state(sys, U), U, start=_start)
+    X, start = _frozen(sys, U, _start)
+    return _jacobi_responses(sys, X, U, start=start)
 
 
 def play_sequential(sys: SystemInstance, u_prev, t: int) -> np.ndarray:
@@ -287,13 +311,13 @@ def stage2_probe_target(anchor, gamma: float, utility_grad, coupling_grad) -> np
         np.asarray(utility_grad, float) + np.asarray(coupling_grad, float))
 
 
-def _proximal_round(sys: SystemInstance, U: np.ndarray, frozen: np.ndarray, lam: float,
+def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, lam: float,
                     gamma: float, start=None):
     """(responses, net update, extracted grad U): proximal responses anchored
-    at U against `frozen` opponents, and U + gamma (grad U_n + grad_n G).
-    start is _jacobi_responses' first Newton point, when already known."""
+    at U against opponents frozen at the next states X_frozen, and
+    U + gamma (grad U_n + grad_n G). start is _jacobi_responses' first
+    Newton point, when already known."""
     rows = np.arange(sys.N)
-    X_frozen = joint_next_state(sys, frozen)
     resp = _jacobi_responses(sys, X_frozen, U, lam, start=start)
     Y = _fleet_step(sys, resp, rows)
     g_util = probe_utility_gradient(lam, resp, U, _coupling_derivative(sys, Y, X_frozen, rows))
@@ -315,11 +339,12 @@ def two_stage_update(sys: SystemInstance, u_prev, lam: float, gamma: float, *,
     - lam (u_hat - u_prev_n) = 0. Stage 2 is applied as the derived net
     update u^k = u^{k-1} + gamma (grad U_n(u_hat_n) + grad_n G(u_hat)),
     with grad U extracted via probe_utility_gradient; the equivalent posed
-    probe game is available through stage2_probe_target. _start is stage 1's
-    first Newton point, as for play_simultaneous.
+    probe game is available through stage2_probe_target. _start is X(u_prev)
+    and stage 1's first Newton point, as for play_simultaneous.
     """
     U = joint_action(sys, u_prev)
-    u_hat, u_next, g_util = _proximal_round(sys, U, U, lam, gamma, _start)
+    X, start = _frozen(sys, U, _start)
+    u_hat, u_next, g_util = _proximal_round(sys, U, X, lam, gamma, start)
     return TwoStageUpdate(u=u_next, u_hat=u_hat, utility_grads=g_util)
 
 
@@ -340,7 +365,7 @@ def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, lam: float,
     known quantities (grad U extracted via the probe identity).
     """
     U = joint_action(sys, u_prev)
-    resp, u_tilde, g_util = _proximal_round(sys, U, joint_action(sys, u_tilde_prev),
+    resp, u_tilde, g_util = _proximal_round(sys, U, joint_next_state(sys, u_tilde_prev),
                                             lam, gamma)
     return SingleStageUpdate(u=resp, u_tilde=u_tilde, utility_grads=g_util)
 
@@ -348,10 +373,11 @@ def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, lam: float,
 def play_tikhonov(sys: SystemInstance, u_prev, lam: float, *, _start=None) -> np.ndarray:
     """Proximally regularized full step: each agent maximizes its reward plus
     the Tikhonov anchor term; the responses are the next iterate directly
-    (a perturbed projection step with effective step 1/lam). _start is the
-    round's first Newton point, as for play_simultaneous."""
+    (a perturbed projection step with effective step 1/lam). _start is X(u_prev)
+    and the round's first Newton point, as for play_simultaneous."""
     U = joint_action(sys, u_prev)
-    return _jacobi_responses(sys, joint_next_state(sys, U), U, lam, start=_start)
+    X, start = _frozen(sys, U, _start)
+    return _jacobi_responses(sys, X, U, lam, start=start)
 
 
 def grid_gradient_bound(sys: SystemInstance, box) -> float:

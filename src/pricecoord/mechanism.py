@@ -214,8 +214,9 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     In simultaneous, two_stage and tikhonov play a round's Newton solve
     starts at U against opponents frozen at U's next states, where the
     reward field is the agents' payoff gradient: the residual is read off
-    _payoff_derivatives there, and the next round starts from the same
-    gradients and Hessians. The other modes take it from reward_field.
+    _payoff_derivatives there, with one fleet step for U's next states, and
+    the next round starts from the same next states, gradients and
+    Hessians. The other modes take it from reward_field.
     """
     U = joint_action(sys, u0).copy()
     gamma = stage_step(sys, cfg)
@@ -226,8 +227,9 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     def residual_at(U):
         """(||F(U)||_inf, the next round's Newton start or None)."""
         if cfg.mode in _STARTS_AT_U:
-            start = _payoff_derivatives(sys, U, joint_next_state(sys, U), rows)
-            return float(np.max(np.abs(start[0]))), start
+            X = joint_next_state(sys, U)  # also the rows' own next states
+            start = _payoff_derivatives(sys, U, X, rows, X)
+            return float(np.max(np.abs(start[0]))), (X, start)
         return float(np.max(np.abs(F(U)))), None
 
     actions, residual, delta_log = [], [], []

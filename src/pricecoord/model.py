@@ -230,22 +230,23 @@ class CouplingFunction:
     ADDED to welfare and to every agent's reward (penalties enter with a
     minus sign). G is a sum of radial pair terms: with s = ||x_n - x_m||^2,
     G = scale * sum_{n<m} pair_value(s) and dG/dx_n = sum_m pair_weight(s)
-    (x_n - x_m), so pair_weight = 2 * scale * pair_value'. pair_curvature is
-    d pair_weight / ds, which gives agent n's Hessian block
-    d^2G/dx_n^2 = sum_{m != n} [pair_weight(s) I + 2 pair_curvature(s) D D^T]
-    with D = x_n - x_m. grad_rows(Y, X, rows) is that pair sum for a stack
-    of agents against a joint state X, (..., N, d): row i is dG/dx_n for
+    (x_n - x_m), so pair_weight = 2 * scale * pair_value'. pair_terms(s) is
+    (pair_weight(s), w'(s)) from one pass over the pairs, its first part
+    pair_weight's bit for bit, and w' = d pair_weight / ds gives agent n's
+    Hessian block d^2G/dx_n^2 = sum_{m != n} [w(s) I + 2 w'(s) D D^T] with
+    D = x_n - x_m. grad_rows(Y, X, rows) is that pair sum for a stack of
+    agents against a joint state X, (..., N, d): row i is dG/dx_n for
     n = rows[i] with x_n replaced by Y[..., i, :], from agent n's pairs only
     (the self pair set to zero), (..., k, d). grad(X) is its all-rows case
     grad_rows(X, X, arange(N)), the whole gradient at each (N, d) joint
     state of X. hess_rows(Y, X, rows) gives the (d, d) blocks for one joint
-    state X, (N, d), and Y of shape (k, d): (k, d, d), with the
-    self pair masked (its D is zero, but its pair_weight is not).
-    _grad_hess_rows(Y, X, rows) returns both for those shapes from one pair
-    pass, bit for bit (grad_rows(Y, X, rows), hess_rows(Y, X, rows)).
-    values(Xs) is value at each (N, d) row of a (K, N, d) array, bit for
-    bit. A coupling with scale 0 is identically zero, pair_weight and
-    pair_curvature included, so it returns zeros without touching its pair
+    state X, (N, d), and Y of shape (k, d): (k, d, d), over the N - 1
+    pairs that are not the self pair (its D is zero, but its pair_weight is
+    not). _grad_hess_rows(Y, X, rows) returns both for those shapes from one
+    pair_terms pass, bit for bit (grad_rows(Y, X, rows), hess_rows(Y, X,
+    rows)). values(Xs) is value at each (N, d) row of a (K, N, d) array, bit
+    for bit. A coupling with scale 0 is identically zero, pair_weight and
+    pair_terms included, so it returns zeros without touching its pair
     functions."""
 
     N: int
@@ -253,7 +254,7 @@ class CouplingFunction:
     scale: float
     pair_value: Callable[[np.ndarray], np.ndarray]
     pair_weight: Callable[[np.ndarray], np.ndarray]
-    pair_curvature: Callable[[np.ndarray], np.ndarray]
+    pair_terms: Callable[[np.ndarray], tuple]
 
     def value(self, X) -> float:
         return float(self.values(np.reshape(X, (1, self.N, self.d)))[0])
@@ -284,38 +285,50 @@ class CouplingFunction:
         D[..., np.arange(len(rows)), rows, :] = 0.0
         return _ordered_sum(self.pair_weight(_squared_norms(D))[..., None] * D, axis=-2)
 
+    @cached_property
+    def _others(self) -> np.ndarray:
+        """Row n: the indices m != n in order, (N, N - 1), built once."""
+        m = np.arange(self.N - 1)
+        return m + (m >= np.arange(self.N)[:, None])
+
+    def _gather_others(self, rows):
+        """The flat index of each agent rows[i]'s N - 1 other pairs in a
+        (k, N, ...) pair array, (k, N - 1)."""
+        return self._others[rows] + self.N * np.arange(len(rows))[:, None]
+
+    def _hessian(self, D_o, w_o, c_o) -> np.ndarray:
+        # sum over the N - 1 other pairs of w I + 2 w' D D^T
+        return (w_o.sum(axis=-1)[:, None, None] * np.eye(self.d)
+                + 2.0 * (D_o.transpose(0, 2, 1) * c_o[:, None, :]) @ D_o)
+
     def hess_rows(self, Y, X, rows) -> np.ndarray:
         k = len(rows)
         if self.scale == 0.0:
             return np.zeros((k, self.d, self.d))
-        others = np.arange(self.N) != np.asarray(rows)[:, None]
-        D = (Y[:, None, :] - X)[others].reshape(k, self.N - 1, self.d)
-        sq = _squared_norms(D)
-        return (self.pair_weight(sq).sum(axis=-1)[:, None, None] * np.eye(self.d)
-                + 2.0 * (D.transpose(0, 2, 1) * self.pair_curvature(sq)[:, None, :]) @ D)
+        D_o = (Y[:, None, :] - X).reshape(-1, self.d).take(self._gather_others(rows), axis=0)
+        return self._hessian(D_o, *self.pair_terms(_squared_norms(D_o)))
 
     def _grad_hess_rows(self, Y, X, rows):
         """(grad_rows(Y, X, rows), hess_rows(Y, X, rows)) for Y of shape
-        (k, d) from one pair pass: one D, one squared norm and one
-        pair_weight per pair, the Hessian gathering its N-1 others from
-        them. Each sum keeps its own order, bit for bit."""
+        (k, d) from one pair pass: one D, one squared norm and one pair_terms
+        per pair, the Hessian gathering its N-1 others from them (elementwise
+        terms, so the same bits as hess_rows' own). Each sum keeps its own
+        order, bit for bit."""
         k = len(rows)
         if self.scale == 0.0:
             return np.zeros(np.shape(Y)), np.zeros((k, self.d, self.d))
         D = Y[:, None, :] - X
         D[np.arange(k), rows, :] = 0.0
-        sq = _squared_norms(D)
-        w = self.pair_weight(sq)
-        others = np.arange(self.N) != np.asarray(rows)[:, None]
-        D_o = D[others].reshape(k, self.N - 1, self.d)
-        sq_o, w_o = sq[others].reshape(k, self.N - 1), w[others].reshape(k, self.N - 1)
+        w, c = self.pair_terms(_squared_norms(D))
+        others = self._gather_others(rows)
         return (_ordered_sum(w[..., None] * D, axis=-2),
-                w_o.sum(axis=-1)[:, None, None] * np.eye(self.d)
-                + 2.0 * (D_o.transpose(0, 2, 1) * self.pair_curvature(sq_o)[:, None, :]) @ D_o)
+                self._hessian(D.reshape(-1, self.d).take(others, axis=0),
+                              w.take(others), c.take(others)))
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
-    return CouplingFunction(N, d, 0.0, np.zeros_like, np.zeros_like, np.zeros_like)
+    return CouplingFunction(N, d, 0.0, np.zeros_like, np.zeros_like,
+                            lambda sq: (np.zeros_like(sq),) * 2)
 
 
 def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunction:
@@ -324,8 +337,11 @@ def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunc
     With strength = eps, N = 2, d = 1 this is the canonical weak/strong test
     coupling -eps (x_1 - x_2)^2.
     """
-    return CouplingFunction(N, d, -strength, lambda sq: sq,
-                            lambda sq: np.full_like(sq, -2.0 * strength), np.zeros_like)
+    def pair_weight(sq):
+        return np.full_like(sq, -2.0 * strength)
+
+    return CouplingFunction(N, d, -strength, lambda sq: sq, pair_weight,
+                            lambda sq: (pair_weight(sq), np.zeros_like(sq)))
 
 
 @dataclass(frozen=True)

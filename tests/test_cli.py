@@ -238,6 +238,23 @@ def test_simulate_readme_report_matches_the_golden_file(tmp_path):
     assert "".join(line for line in lines if '"wall_time_ms"' not in line) == golden.read_text()
 
 
+@pytest.mark.parametrize("mode, rc", [("two_stage", 0), ("tikhonov", 1)])
+def test_simulate_readme_damped_modes_match_the_golden_files(tmp_path, mode, rc):
+    # the README config at horizon 5, written by an earlier version: two_stage
+    # converges in 291 rounds, tikhonov ends stage 0 on max_rounds
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=5,
+                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
+                       mode={"mode": "simultaneous", "max_rounds": 500})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--mode", mode, "--out", str(out),
+                 "--quiet"]) == rc
+    data = pathlib.Path(__file__).parent / "data"
+    assert (out / "trace.csv").read_bytes() == (data / f"readme_{mode}_trace.csv").read_bytes()
+    lines = (out / "report.json").read_text().splitlines(keepends=True)
+    assert ("".join(line for line in lines if '"wall_time_ms"' not in line)
+            == (data / f"readme_{mode}_report.json").read_text())
+
+
 def test_compare_consensus_matches_the_golden_file(tmp_path):
     # tests/data/consensus_compare.json was written by an earlier version; it
     # pins all five modes, the 500-round tikhonov and single_stage and the

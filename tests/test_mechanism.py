@@ -1,6 +1,7 @@
 """Coordinator loop: welfare, prices, diagnostics, stage runs, detectors."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -251,3 +252,62 @@ def test_a_round_starts_from_the_residual_it_was_tested_with(mode, monkeypatch):
     # the residual is the reward field's, bit for bit
     F = pc.reward_field(sys)
     assert trace.residual.tolist() == [float(np.max(np.abs(F(u)))) for u in trace.actions]
+
+
+@pytest.mark.parametrize("mode", ["simultaneous", "tikhonov", "two_stage"])
+def test_a_round_steps_the_fleet_at_its_start_once(mode, monkeypatch):
+    # README config, stage 0: the residual's X(U) is the round's frozen next
+    # state, so each residual steps the fleet once and no round steps it again
+    cfg = pc.config_from_dict({"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
+                               "safety_radius": 6.0, "noise_std": 0.01})
+    sys = pc.generate(cfg)
+    pcfg = dataclasses.replace(pc.polling_config(cfg, mode), max_rounds=30)
+    pc.mechanism.stage_step(sys, pcfg)  # two_stage's default step, estimated once
+    calls = []
+    real = pc.model.joint_next_state
+
+    def joint_next_state(sys_, u):
+        calls.append(1)
+        return real(sys_, u)
+
+    monkeypatch.setattr(pc.mechanism, "joint_next_state", joint_next_state)
+    monkeypatch.setattr(pc.equilibrium, "joint_next_state", joint_next_state)
+    try:
+        trace = pc.run_stage(sys, np.zeros((3, 2)), pcfg)
+    except pc.NonConvergenceError as exc:
+        trace = exc.trace
+    assert trace.iterations > 1
+    assert len(calls) == trace.iterations + 1
+
+
+def _fleet_n30_log(horizon):
+    # perfbench's fleet_n30 stage loop: N = 30 on the barrier 1 / 0.5 circle,
+    # each stage's states, converged actions and prices, noise stepped per agent
+    cfg = pc.config_from_dict({"N": 30, "d": 2, "seed": 13, "horizon": horizon,
+                               "coupling_strength": 1.0, "safety_radius": 0.5,
+                               "noise_std": 0.01,
+                               "mode": {"mode": "simultaneous", "max_rounds": 500}})
+    pcfg, inst, noise = pc.polling_config(cfg), pc.generate(cfg), pc.noise_streams(cfg)
+    u = np.zeros((cfg.N, cfg.d))
+    states, actions, prices = [], [], []
+    for _ in range(cfg.horizon):
+        u = pc.run_stage(inst, u, pcfg).u_final
+        states.append(np.array(inst.states))
+        actions.append(u.copy())
+        prices.append(pc.price_from_target(inst, u))
+        inst = pc.replace_states(inst, [
+            pc.step(inst.dynamics[n], inst.states[n], u[n],
+                    cfg.noise_std * noise[n].normal(size=cfg.d)) for n in range(cfg.N)])
+    return pc.ObservationLog(t=np.repeat(np.arange(horizon), cfg.N),
+                             n=np.tile(np.arange(cfg.N), horizon),
+                             x=np.reshape(states, (-1, cfg.d)),
+                             u=np.reshape(actions, (-1, cfg.d)),
+                             p=np.reshape(prices, (-1, cfg.d)))
+
+
+def test_fleet_n30_trace_matches_the_golden_file(tmp_path):
+    # tests/data/fleet_n30_trace.csv was written by an earlier version: it pins
+    # the N = 30 barrier trajectory, where every pair pass runs on 29 others
+    pc.save_log(_fleet_n30_log(10), tmp_path / "trace.csv")
+    golden = pathlib.Path(__file__).parent / "data" / "fleet_n30_trace.csv"
+    assert (tmp_path / "trace.csv").read_bytes() == golden.read_bytes()

@@ -269,10 +269,19 @@ def test_hess_row_of_well_separated_barrier_agents_is_zero():
 
 
 @pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])
+def test_pair_terms_weight_is_pair_weight_bit_for_bit(kind):
+    # grad_rows reads pair_weight and _grad_hess_rows pair_terms: one gradient
+    G = _couplings(3, 2)[kind]
+    s = np.linspace(0.0, 100.0, 2001)  # from s = 0, the self pair
+    w, _ = G.pair_terms(s)
+    assert np.array_equal(w, G.pair_weight(s))
+
+
+@pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])
 def test_pair_curvature_is_the_derivative_of_pair_weight(kind):
     G = _couplings(3, 2)[kind]
     s = np.linspace(0.0, 100.0, 201)
     h = 1e-6 * np.maximum(1.0, s)
     fd = (G.pair_weight(s + h) - G.pair_weight(s - h)) / (2.0 * h)
-    np.testing.assert_allclose(G.pair_curvature(s), fd, rtol=1e-6,
+    np.testing.assert_allclose(G.pair_terms(s)[1], fd, rtol=1e-6,
                                atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
