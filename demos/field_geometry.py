@@ -10,8 +10,13 @@ utilities U(x, u) = U^x(x) + U^u(u) a kernel fit learns the two component
 fields from samples, up to the gauge shift that moves constants between
 them without changing anything observable.
 
+Each verdict is computed from the fit, with the bounds of acceptance
+criteria 8 and 9; the script exits non-zero when one comes out wrong.
+
 Usage: python3 demos/field_geometry.py
 """
+
+import sys
 
 import numpy as np
 
@@ -33,7 +38,20 @@ def spd(rng, d):
     return M @ M.T / d + 0.5 * np.eye(d)
 
 
+FLAT_BELOW, BENT_ABOVE = 1e-6, 1e-3   # criterion 8, on max |Gamma_j|_F
+HELD_OUT_BOUND = 1e-2                 # criterion 9, relative error
+
+
+def curvature_verdict(gamma_norm):
+    if gamma_norm < FLAT_BELOW:
+        return "flat"
+    if gamma_norm > BENT_ABOVE:
+        return "bent"
+    return "undecided"
+
+
 def main():
+    failures = []
     rng = np.random.default_rng(2)
     d = 2
 
@@ -41,7 +59,10 @@ def main():
     quad = pc.QuadraticUtility(Q=spd(rng, d), R=spd(rng, d), x0=rng.normal(size=d))
     flat = pc.fit_connection(walk_samples(rng, dyn, quad, 40))
     print("quadratic utility:")
-    print(f"  max |Gamma_j|_F = {flat.gamma_frobenius():.2e}  (flat)")
+    verdict = curvature_verdict(flat.gamma_frobenius())
+    if verdict != "flat":
+        failures.append(f"quadratic utility judged {verdict}")
+    print(f"  max |Gamma_j|_F = {flat.gamma_frobenius():.2e}  ({verdict})")
     print(f"  transport residual {flat.residual:.2e}")
 
     K = [0.5 * rng.normal(size=(d, d)) for _ in range(d)]
@@ -49,7 +70,10 @@ def main():
     dyn_id = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
     bent = pc.fit_connection(walk_samples(rng, dyn_id, bent_util, 80))
     print("cross-term utility:")
-    print(f"  max |Gamma_j|_F = {bent.gamma_frobenius():.2e}  (bent)")
+    verdict = curvature_verdict(bent.gamma_frobenius())
+    if verdict != "bent":
+        failures.append(f"cross-term utility judged {verdict}")
+    print(f"  max |Gamma_j|_F = {bent.gamma_frobenius():.2e}  ({verdict})")
 
     # decomposable field: B g(x) + h(u) with g = h = -2 id
     dyn_k = pc.LinearDynamics(A=np.eye(d), B=0.5 * np.eye(d) + 0.1)
@@ -62,6 +86,8 @@ def main():
     Ph = (-2.0 * Xh) @ dyn_k.B.T + (-2.0 * Uh)
     pred = pc.predict_field(model, dyn_k, Xh, Uh)
     rel = np.linalg.norm(pred - Ph) / np.linalg.norm(Ph)
+    if not rel < HELD_OUT_BOUND:
+        failures.append(f"held-out relative error {rel:.2e} >= {HELD_OUT_BOUND:.0e}")
     print("decomposable kernel fit:")
     print(f"  held-out relative error {rel:.2e} from 150 samples")
 
@@ -72,6 +98,10 @@ def main():
     drift = np.max(np.abs(pc.predict_field(m_shift, dyn_k, Xh, Uh) - pred))
     print(f"  gauge-shifted data predicts the same field to {drift:.2e}")
 
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -194,23 +194,49 @@ class KernelFieldModel:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
 
-def gaussian_kernel(A, B_pts, sigma: float) -> np.ndarray:
-    """k(a, b) = exp(-||a - b||^2 / (2 sigma^2)) for all pairs; (len A, len B)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B_pts = np.atleast_2d(np.asarray(B_pts, dtype=float))
-    sq = np.sum((A[:, None, :] - B_pts[None, :, :]) ** 2, axis=2)
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """||a - b||^2 for all pairs of rows of the 2-D arrays A and B; (len A,
+    len B). The coordinates are summed in index order, one (len A, len B)
+    pass each, which gives the same bits as a pairwise-summed reduction
+    over d < 8 coordinates (NumPy reassociates only 8 or more terms)."""
+    sq = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        sq += (A[:, j, None] - B[None, :, j]) ** 2
+    return sq
+
+
+def _median_distance(sq: np.ndarray) -> float:
+    """Median of the positive distances over pairs n < m of one point set,
+    read from its square matrix of squared distances; 1.0 when there are
+    none."""
+    vals = np.sqrt(sq[np.triu_indices(sq.shape[0], k=1)])
+    vals = vals[vals > 0]
+    return float(np.median(vals)) if vals.size else 1.0
+
+
+def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
+def gaussian_kernel(A, B_pts, sigma: float) -> np.ndarray:
+    """k(a, b) = exp(-||a - b||^2 / (2 sigma^2)) for all pairs; (len A, len B).
+    Raises ValueError when the two point sets differ in dimension."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B_pts = np.atleast_2d(np.asarray(B_pts, dtype=float))
+    if A.shape[1] != B_pts.shape[1]:
+        raise ValueError(f"points have dimension {A.shape[1]}, "
+                         f"centres have {B_pts.shape[1]}")
+    return _gaussian(_squared_distances(A, B_pts), sigma)
+
+
 def median_pairwise(points) -> float:
+    """Median distance over distinct pairs of the rows of points, ignoring
+    zero distances (duplicates); 1.0 for fewer than two points or when
+    every pair coincides. The default kernel width heuristic."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 2:
         return 1.0
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dists = np.sqrt(np.sum(diffs ** 2, axis=2))
-    vals = dists[np.triu_indices(pts.shape[0], k=1)]
-    vals = vals[vals > 0]
-    return float(np.median(vals)) if vals.size else 1.0
+    return _median_distance(_squared_distances(pts, pts))
 
 
 def _as_xup(samples):
@@ -219,6 +245,9 @@ def _as_xup(samples):
     X, U, P = (np.atleast_2d(np.asarray(a, dtype=float)) for a in samples)
     if not (X.shape == U.shape == P.shape):
         raise ValueError("x, u, p samples must share one shape")
+    for name, arr in (("x", X), ("u", U), ("p", P)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} samples contain non-finite values")
     return X, U, P
 
 
@@ -231,27 +260,38 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
     kernel coefficients c of g and h jointly, in dual form: the minimizer is
     c_x = kron(Kx, B^T) a, c_u = kron(Ku, I) a with a the solution of the
     md x md system (kron(Kx^2, B B^T) + kron(Ku^2, I) + ridge I) a = p.
-    sigma defaults to the median pairwise distance over the pooled x and u
-    centers; ridge defaults to 1e-8 times the Gram trace. ridge = 0 gives
+    sigma defaults to the median of median_pairwise over the x centers and
+    over the u centers, read from the same squared distances as the two
+    kernels; ridge defaults to 1e-8 times the Gram trace. ridge = 0 gives
     the minimum-norm interpolant while that system is nonsingular; duplicate
-    samples make it singular and raise np.linalg.LinAlgError.
+    samples make it singular and raise np.linalg.LinAlgError. Non-finite
+    samples raise ValueError naming the array.
     """
     X, U, P = _as_xup(samples)
     m, d = X.shape
     if m < 2:
         raise ValueError("need at least 2 samples")
+    sq_x = _squared_distances(X, X)
+    sq_u = _squared_distances(U, U)
     if sigma is None:
-        sigma = float(np.median([median_pairwise(X), median_pairwise(U)]))
+        sigma = float(np.median([_median_distance(sq_x), _median_distance(sq_u)]))
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    Kx = gaussian_kernel(X, X, sigma)
-    Ku = gaussian_kernel(U, U, sigma)
+    Kx = _gaussian(sq_x, sigma)
+    Ku = _gaussian(sq_u, sigma)
     if ridge is None:
         ridge = 1e-8 * float(np.trace(Kx) + np.trace(Ku))
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
 
-    gram = np.kron(Kx @ Kx, dyn.B @ dyn.B.T) + np.kron(Ku @ Ku, np.eye(d))
+    # gram = kron(Kx^2, B B^T) + kron(Ku^2, I), filled block by block with
+    # kron's own products and sum: block (k, l) of the (m, d, m, d) view
+    KK, UU, BB, eye = Kx @ Kx, Ku @ Ku, dyn.B @ dyn.B.T, np.eye(d)
+    gram = np.empty((m * d, m * d))
+    blocks = gram.reshape(m, d, m, d)
+    for k in range(d):
+        for l in range(d):
+            blocks[:, k, :, l] = KK * BB[k, l] + UU * eye[k, l]
     gram[np.diag_indices_from(gram)] += ridge
     A = np.linalg.solve(gram, P.ravel()).reshape(m, d)
     return KernelFieldModel(centers_x=X.copy(), coeff_x=Kx @ A @ dyn.B,

@@ -320,3 +320,142 @@ def test_kernel_fit_input_validation(rng):
     P2 = np.vstack([P, P[:1]])
     with pytest.raises(np.linalg.LinAlgError):
         pc.fit_decomposable((X2, U2, P2), dyn, ridge=0.0)
+
+
+def test_kernel_rejects_mismatched_dimensions(rng):
+    with pytest.raises(ValueError, match="dimension"):
+        pc.gaussian_kernel(np.zeros((3, 1)), np.ones((4, 2)), 1.0)
+    d = 2
+    dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
+    model = pc.fit_decomposable(decomposable_samples(rng, dyn, 10), dyn)
+    with pytest.raises(ValueError, match="dimension"):
+        pc.predict_field(model, dyn, np.zeros((3, 1)), np.zeros((3, d)))
+    with pytest.raises(ValueError, match="dimension"):
+        pc.predict_field(model, dyn, np.zeros((3, d)), np.zeros(3))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_fit_rejects_non_finite_samples(rng, which, bad):
+    d = 2
+    dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
+    samples = [a.copy() for a in decomposable_samples(rng, dyn, 10)]
+    samples[which][3, 1] = bad
+    name = "xup"[which]
+    with pytest.raises(ValueError, match=f"{name} samples contain non-finite"):
+        pc.fit_decomposable(tuple(samples), dyn)
+    with pytest.raises(ValueError, match=f"{name} samples contain non-finite"):
+        pc.fit_decomposable(tuple(samples), dyn, sigma=1.0)
+
+
+# The kernel formulas as they read before the squared distances were summed
+# one coordinate at a time and the Gram was filled block by block. For
+# d < 8 the new code must reproduce them bit for bit.
+
+def reference_kernel(A, B_pts, sigma):
+    sq = np.sum((A[:, None, :] - B_pts[None, :, :]) ** 2, axis=2)
+    return np.exp(-sq / (2.0 * sigma * sigma))
+
+
+def reference_median(pts):
+    if pts.shape[0] < 2:
+        return 1.0
+    dists = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
+    vals = dists[np.triu_indices(pts.shape[0], k=1)]
+    vals = vals[vals > 0]
+    return float(np.median(vals)) if vals.size else 1.0
+
+
+def reference_gram(Kx, Ku, B, ridge):
+    gram = np.kron(Kx @ Kx, B @ B.T) + np.kron(Ku @ Ku, np.eye(B.shape[0]))
+    gram[np.diag_indices_from(gram)] += ridge
+    return gram
+
+
+def reference_fit(X, U, P, B, sigma, ridge):
+    m, d = X.shape
+    if sigma is None:
+        sigma = float(np.median([reference_median(X), reference_median(U)]))
+    Kx = reference_kernel(X, X, sigma)
+    Ku = reference_kernel(U, U, sigma)
+    if ridge is None:
+        ridge = 1e-8 * float(np.trace(Kx) + np.trace(Ku))
+    gram = reference_gram(Kx, Ku, B, ridge)
+    A = np.linalg.solve(gram, P.ravel()).reshape(m, d)
+    return gram, dict(centers_x=X, coeff_x=Kx @ A @ B, centers_u=U, coeff_u=Ku @ A,
+                      sigma=sigma, ridge=ridge)
+
+
+def bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+KERNEL_CASES = [  # (m, duplicate, random B, sigma, ridge)
+    (2, False, False, None, None),
+    (2, False, True, 0.7, 1e-3),
+    (40, True, True, None, None),
+    (40, False, False, 0.9, None),
+    (40, False, True, None, 1e-6),
+]
+
+
+@pytest.mark.parametrize(
+    "d, m, duplicate, random_b, sigma, ridge",
+    [(d, *case) for d in range(1, 8) for case in KERNEL_CASES]
+    # the (m d)^2 Gram at m = 300 is kept to d <= 3 for the suite's time
+    + [(d, 300, False, True, None, None) for d in range(1, 4)])
+def test_kernel_outputs_match_the_reference_bit_for_bit(monkeypatch, d, m, duplicate,
+                                                        random_b, sigma, ridge):
+    rng = np.random.default_rng(100 * d + m)
+    B = rng.normal(size=(d, d)) if random_b else 0.1 * np.eye(d)
+    dyn = pc.LinearDynamics(A=np.eye(d), B=B)
+    X, U, P = decomposable_samples(rng, dyn, m)
+    if duplicate:
+        X[-1], U[-1], P[-1] = X[0], U[0], P[0]
+
+    for pts in (X, U, np.vstack([X, U])):
+        assert pc.median_pairwise(pts) == reference_median(pts)
+    assert bit_equal(pc.gaussian_kernel(X, U, 0.8), reference_kernel(X, U, 0.8))
+
+    grams = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        grams.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    model = pc.fit_decomposable((X, U, P), dyn, sigma=sigma, ridge=ridge)
+    monkeypatch.undo()
+    ref_gram, ref = reference_fit(X, U, P, B, sigma, ridge)
+    assert bit_equal(grams[0], ref_gram)
+    for field, value in ref.items():
+        assert bit_equal(getattr(model, field), value), field
+
+    Xh, Uh, _ = decomposable_samples(rng, dyn, 7)
+    ref_pred = (reference_kernel(Xh, X, ref["sigma"]) @ ref["coeff_x"] @ B.T
+                + reference_kernel(Uh, U, ref["sigma"]) @ ref["coeff_u"])
+    assert bit_equal(pc.predict_field(model, dyn, Xh, Uh), ref_pred)
+
+
+def test_one_distance_pass_per_sample_set(monkeypatch, rng):
+    calls = []
+    squared_distances = pc.geometry._squared_distances
+
+    def counting(A, B_pts):
+        calls.append((A.shape, B_pts.shape))
+        return squared_distances(A, B_pts)
+
+    monkeypatch.setattr(pc.geometry, "_squared_distances", counting)
+    d = 2
+    dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
+    samples = decomposable_samples(rng, dyn, 30)
+    model = pc.fit_decomposable(samples, dyn)
+    assert calls == [((30, d), (30, d))] * 2
+    calls.clear()
+    pc.fit_decomposable(samples, dyn, sigma=1.0)
+    assert len(calls) == 2
+    calls.clear()
+    pc.predict_field(model, dyn, samples[0][:5], samples[1][:5])
+    assert calls == [((5, d), (30, d))] * 2
