@@ -12,10 +12,14 @@ iteration (numerics.newton_root): all N agents in the simultaneous,
 two-stage, single-stage and Tikhonov plays, the one agent t mod N in
 sequential play. A Newton evaluation (_payoff_derivatives) takes its payoff
 gradients and Hessians from one fleet step and one coupling pair pass
-(CouplingFunction._grad_hess_rows). Simultaneous, two-stage and Tikhonov
-rounds start at the anchors against opponents frozen at their next states,
-from the next states and derivatives mechanism.run_stage computed there for
-its convergence test, so a round steps no fleet at its anchors.
+(CouplingFunction._grad_hess_rows), and reads everything it needs by agent
+(A x, B, B^T, -2 B^T, the quadratic (Q, R, x0) and utility Hessians, the
+pair indices, the identity) from the instance's model.RowTable for its
+rows, built once per row set and instance, so it gathers nothing.
+Simultaneous, two-stage and Tikhonov rounds start at the anchors against
+opponents frozen at their next states, from the next states and
+derivatives mechanism.run_stage computed there for its convergence test,
+so a round steps no fleet at its anchors.
 Each row is bit for bit agents.best_response on that agent's game against
 its coupling_slices slice, the per-agent reference the tests compare the
 stacked rows against.
@@ -33,7 +37,8 @@ import numpy as np
 
 from .agents import CouplingSlice
 from .errors import BestResponseError, NonConvergenceError
-from .model import SystemInstance, _fleet_step, joint_action, joint_next_state, pair_batch_rows
+from .model import (RowTable, SystemInstance, _fleet_step, joint_action, joint_next_state,
+                    pair_batch_rows)
 from .numerics import newton_root
 
 
@@ -78,8 +83,13 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
     called once on all 2 n_pairs sampled points.
     c_hat = min over pairs of <-(F(x) - F(y)), x - y> / ||F(x) - F(y)||^2,
     the pairs drawn uniformly from the box with seed 0; the orientation
-    treats F as a reward gradient, so F(u) = b - u gives c_hat = 1 and
-    F(u) = b - M u gives 1/lambda_max(M) for SPD M. Pairs with
+    treats F as a reward gradient, so F(u) = b - u gives c_hat = 1. For
+    F(u) = b - M u with SPD M the true constant is 1/lambda_max(M), but a
+    pair's ratio reaches it only when x - y lies along M's top
+    eigenvector; every other pair gives more. So the sampled minimum can
+    only overstate the true constant, and does so in many dimensions
+    (0.319 against 1/lambda_max = 0.249 on the local model of an N = 30
+    barrier fleet, m = 60). Pairs with
     ||F(x) - F(y)|| < 1e-12 are skipped; c_hat <= 0 flags the field as
     non-co-coercive. Raises ValueError when every pair is skipped, or when a
     ratio's terms are not finite (they overflow on a box too large).
@@ -105,73 +115,60 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
 # ---------------------------------------------------------------------------
 # the stacked reward field of a system instance
 
-def _utility_derivative(sys: SystemInstance, V, Y, rows, hessian: bool = False) -> np.ndarray:
-    """Row i: the private utility gradient of agent n = rows[i] at the action
-    V[..., i, :], (..., k, d), or with hessian its Hessian, (k, d, d) for V
-    of shape (k, d). Y is the rows' next states, _fleet_step(sys, V, rows),
-    read only by the quadratic gradient. Stacked from the instance's (Q, R,
-    x0) arrays when every utility is quadratic (_quadratic_gradient), the
-    Hessians gathered from the instance's constant ones; through each
-    utility's grad_u and hess_u otherwise."""
-    quadratic = sys._stacked[2]
-    if quadratic is None:
-        utility = [(sys.utilities[n], sys.dynamics[n], sys.states[n]) for n in rows]
+def _utility_derivative(table: RowTable, V, Y, hessian: bool = False) -> np.ndarray:
+    """Row i: the private utility gradient of agent n = rows[i] of the row
+    table at the action V[..., i, :], (..., k, d), or with hessian its
+    Hessian, (k, d, d) for V of shape (k, d). Y is the rows' next states,
+    _fleet_step(sys, V, table), read only by the quadratic gradient. Stacked
+    from the table's (Q, R, x0) and -2 B^T when every utility is quadratic,
+    the Hessians the table's constant ones; through each row's grad_u and
+    hess_u otherwise."""
+    if table.quadratic is None:
         if hessian:
-            return np.array([ut.hess_u(dyn, x, v) for (ut, dyn, x), v in zip(utility, V)])
-        out = [[ut.grad_u(dyn, x, v) for (ut, dyn, x), v in zip(utility, Vb)]
-               for Vb in V.reshape(-1, len(rows), sys.d)]
+            return np.array([ut.hess_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, V)])
+        out = [[ut.grad_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, Vb)]
+               for Vb in V.reshape(-1, len(table.agents), V.shape[-1])]
         return np.reshape(out, np.shape(V))
     if hessian:
-        return sys._quadratic_hessians[rows]
-    return _quadratic_gradient([a[rows] for a in quadratic],
-                               sys._stacked[1][rows].swapaxes(1, 2), V, Y)
-
-
-def _quadratic_gradient(quadratic, Bt, V, Y) -> np.ndarray:
-    """Row i: QuadraticUtility.grad_u bit for bit, for the rows whose (Q, R,
-    x0) and B^T are already gathered in quadratic and Bt, at the actions V
-    with next states Y."""
-    Q, R, x0 = quadratic
+        return table.hessians
+    # QuadraticUtility.grad_u bit for bit
+    Q, R, x0 = table.quadratic
     e = Y - x0
-    return (((-2.0 * Bt) @ (Q @ e[..., None]))[..., 0]
+    return ((table.minus_2Bt @ (Q @ e[..., None]))[..., 0]
             - 2.0 * (R @ V[..., None])[..., 0])
 
 
-def _coupling_derivative(sys: SystemInstance, Y, X, rows) -> np.ndarray:
-    """Row i: the shared coupling's gradient for agent n = rows[i] at its
-    next state Y[i] = A x + B u_n, everyone else at the next states X,
-    chain-ruled through B: B^T grad_rows, (k, d). X None means every agent
-    at its own row of Y, (..., N, d), with rows all agents in order:
-    B^T grad."""
-    g = sys.coupling.grad(Y) if X is None else sys.coupling.grad_rows(Y, X, rows)
-    return (sys._stacked[1][rows].swapaxes(1, 2) @ g[..., None])[..., 0]
+def _coupling_derivative(sys: SystemInstance, table: RowTable, Y, X) -> np.ndarray:
+    """Row i: the shared coupling's gradient for agent n = rows[i] of the row
+    table at its next state Y[i] = A x + B u_n, everyone else at the next
+    states X, chain-ruled through B: B^T grad_rows, (k, d). X None means
+    every agent at its own row of Y, (..., N, d), with the table's rows all
+    agents in order: B^T grad."""
+    g = sys.coupling.grad(Y) if X is None else sys.coupling.grad_rows(Y, X, table.rows)
+    return (table.Bt @ g[..., None])[..., 0]
 
 
 def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     """(g, H): the payoff gradients and Hessians, (k, d) and (k, d, d), of
     the agents rows[i] at their actions V, (k, d), against opponents frozen
     at the next states X; Y is the rows' own next states when the caller has
-    them, else one fleet step makes them. Each of the rows' model arrays is
-    gathered once, and the coupling's B^T grad_rows and B^T hess_rows B come
-    from one pair pass (CouplingFunction._grad_hess_rows); no proximal term."""
-    Ax, B, quadratic = sys._stacked
-    B = B[rows]
+    them, else one fleet step makes them. Everything read by agent comes
+    from the instance's RowTable for rows, which gathers it once per stage,
+    and the coupling's B^T grad_rows and B^T hess_rows B come from one pair
+    pass (CouplingFunction._grad_hess_rows); no proximal term."""
+    table = sys._row_table(rows)
     if Y is None:
-        Y = Ax[rows] + (B @ V[..., None])[..., 0]  # _fleet_step(sys, V, rows)
-    Bt = B.swapaxes(1, 2)
-    g, H = sys.coupling._grad_hess_rows(Y, X, rows)
-    if quadratic is None:
-        g_u = _utility_derivative(sys, V, Y, rows)
-    else:
-        g_u = _quadratic_gradient([a[rows] for a in quadratic], Bt, V, Y)
-    return (g_u + (Bt @ g[..., None])[..., 0],
-            _utility_derivative(sys, V, Y, rows, hessian=True) + Bt @ H @ B)
+        Y = _fleet_step(sys, V, table)
+    g, H = sys.coupling._grad_hess_rows(Y, X, table.pairs)
+    return (_utility_derivative(table, V, Y) + (table.Bt @ g[..., None])[..., 0],
+            _utility_derivative(table, V, Y, hessian=True) + table.Bt @ H @ table.B)
 
 
 def _field_rows(sys: SystemInstance, V, X, rows) -> np.ndarray:
     """Utility plus coupling gradient of the rows at V, from one fleet step."""
-    Y = _fleet_step(sys, V, rows)
-    return _utility_derivative(sys, V, Y, rows) + _coupling_derivative(sys, Y, X, rows)
+    table = sys._row_table(rows)
+    Y = _fleet_step(sys, V, table)
+    return _utility_derivative(table, V, Y) + _coupling_derivative(sys, table, Y, X)
 
 
 def reward_field(sys: SystemInstance):
@@ -196,8 +193,10 @@ def reward_field(sys: SystemInstance):
 
 def default_schedule(sys: SystemInstance, box) -> float:
     """The default step gamma = min(0.9 * 2 * c_hat, 1), with c_hat estimated
-    for the instance's reward field over the box (lo, hi)^{N d}: a 0.9 margin
-    under the 2c bound of the convergence theory."""
+    for the instance's reward field over the box (lo, hi)^{N d}: 0.9 times
+    the 2 c_hat bound of the convergence theory. c_hat can overstate the
+    true constant c (see estimate_cocoercivity), so gamma is not sure to be
+    below 2c: on the N = 30 barrier fleet it exceeds it."""
     c_hat = estimate_cocoercivity(reward_field(sys), box, sys.N * sys.d)
     if not c_hat > 0:
         raise ValueError(f"reward field not co-coercive on the box (c_hat={c_hat:.3e}); "
@@ -244,12 +243,14 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
     evaluated again; the proximal term is added to it as to every point.
     Returns (len(rows), d). A failure raises the lowest failing row's
     BestResponseError, naming its agent rows[i]."""
-    rows = np.arange(sys.N) if rows is None else np.asarray(rows)
+    rows = np.arange(sys.N) if rows is None else np.asarray(rows, dtype=np.intp)
+    if lam is not None:
+        lam_eye = lam * sys._row_table(rows).pairs.eye
 
     def proximal(V, n, g, H):
         if lam is not None:
             g = g - lam * (V - anchors[n])
-            H = H - lam * np.eye(sys.d)
+            H = H - lam_eye
         return g, H
 
     def derivatives(V, i):
@@ -317,11 +318,11 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, la
     at U against opponents frozen at the next states X_frozen, and
     U + gamma (grad U_n + grad_n G). start is _jacobi_responses' first
     Newton point, when already known."""
-    rows = np.arange(sys.N)
+    table = sys._row_table(np.arange(sys.N))
     resp = _jacobi_responses(sys, X_frozen, U, lam, start=start)
-    Y = _fleet_step(sys, resp, rows)
-    g_util = probe_utility_gradient(lam, resp, U, _coupling_derivative(sys, Y, X_frozen, rows))
-    g_coup = _coupling_derivative(sys, Y, None, rows)
+    Y = _fleet_step(sys, resp, table)
+    g_util = probe_utility_gradient(lam, resp, U, _coupling_derivative(sys, table, Y, X_frozen))
+    g_coup = _coupling_derivative(sys, table, Y, None)
     return resp, U + gamma * (g_util + g_coup), g_util
 
 
@@ -410,7 +411,9 @@ def tracking_error_bound(lambda_B: float, u_m: float, h_F: float, E: Sequence[fl
         + 2 E_n u_m.
 
     At n = 1 the two drift terms cancel exactly, leaving 2 E_1 u_m; with
-    lambda_B = 0 the bound is 2 u_m min_n E_n.
+    lambda_B = 0 the bound is 2 u_m min_n E_n. Raises ValueError naming the
+    argument when lambda_B is not in [0, 1), when E is empty, or when u_m,
+    h_F or an entry of E is not finite and >= 0.
     """
     if not 0.0 <= lambda_B:
         raise ValueError("lambda_B must be >= 0")
@@ -419,6 +422,9 @@ def tracking_error_bound(lambda_B: float, u_m: float, h_F: float, E: Sequence[fl
     E = np.asarray(E, dtype=float)
     if E.size == 0:
         raise ValueError("E must be non-empty")
+    for name, value in (("u_m", u_m), ("h_F", h_F), ("E", E)):
+        if not np.all((0.0 <= value) & (value < np.inf)):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     n = np.arange(1, E.size + 1, dtype=float)
     drift = (h_F * lambda_B * n * u_m / (1.0 - lambda_B)
              - h_F * lambda_B * (1.0 - lambda_B ** n) * u_m / (1.0 - lambda_B) ** 2)

@@ -188,8 +188,7 @@ class KernelFieldModel:
         if not (len(self.centers_x) == len(self.coeff_x)
                 and len(self.centers_u) == len(self.coeff_u)):
             raise ValueError("centers and coefficients disagree in length")
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        _check_width(self.sigma)
         if not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
@@ -214,13 +213,20 @@ def _median_distance(sq: np.ndarray) -> float:
     return float(np.median(vals)) if vals.size else 1.0
 
 
+def _check_width(sigma) -> None:
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+
+
 def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
 def gaussian_kernel(A, B_pts, sigma: float) -> np.ndarray:
     """k(a, b) = exp(-||a - b||^2 / (2 sigma^2)) for all pairs; (len A, len B).
-    Raises ValueError when the two point sets differ in dimension."""
+    Raises ValueError when the width sigma is not finite and > 0, or when
+    the two point sets differ in dimension."""
+    _check_width(sigma)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B_pts = np.atleast_2d(np.asarray(B_pts, dtype=float))
     if A.shape[1] != B_pts.shape[1]:
@@ -275,8 +281,7 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
     sq_u = _squared_distances(U, U)
     if sigma is None:
         sigma = float(np.median([_median_distance(sq_x), _median_distance(sq_u)]))
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    _check_width(sigma)
     Kx = _gaussian(sq_x, sigma)
     Ku = _gaussian(sq_u, sigma)
     if ridge is None:

@@ -56,7 +56,7 @@ def price_from_target(sys: SystemInstance, u_target) -> np.ndarray:
     game's unique best response.
     """
     U = np.ascontiguousarray(joint_action(sys, u_target))
-    return _utility_derivative(sys, U, _fleet_step(sys, U), np.arange(sys.N))
+    return _utility_derivative(sys._row_table(np.arange(sys.N)), U, _fleet_step(sys, U))
 
 
 def message_space_dimension(N: int, d: int) -> int:

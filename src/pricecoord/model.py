@@ -7,7 +7,8 @@ joint_action, GameSpec, the best_response start, utility_gradient_error and
 the CSV and JSON loaders. step, the utility methods and agents.payoff_* trust
 1-D length-d float arrays. Everything here is immutable after construction and
 pure, so instances can be shared freely across solver threads (a
-SystemInstance caches its stacked model arrays on first use).
+SystemInstance caches its stacked model arrays on first use, and one
+read-only RowTable per set of agent rows a derivative pass asks for).
 
 batch_welfare evaluates the social welfare at K joint actions in one call,
 each row bit for bit the scalar formula. as_vector and as_matrix return
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,6 +225,24 @@ def _ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.cumsum(terms, axis=axis).take(-1, axis=axis)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class PairTable(NamedTuple):
+    """What CouplingFunction._grad_hess_rows reads by row for the agents
+    rows[i], built once per row set (CouplingFunction._pair_table): in the
+    rows' (k, N, d) pair array flattened to (k N, d), the index
+    i N + rows[i] of each row's self pair, (k,), and the indices of its
+    N - 1 other pairs in order, (k, N - 1); and the d x d identity of the
+    Hessian's w I term. Read-only."""
+
+    self_pairs: np.ndarray
+    others: np.ndarray
+    eye: np.ndarray
+
+
 @dataclass(frozen=True)
 class CouplingFunction:
     """Shared regulation term G over the joint next-state X, an (N, d) array,
@@ -242,10 +261,11 @@ class CouplingFunction:
     state of X. hess_rows(Y, X, rows) gives the (d, d) blocks for one joint
     state X, (N, d), and Y of shape (k, d): (k, d, d), over the N - 1
     pairs that are not the self pair (its D is zero, but its pair_weight is
-    not). _grad_hess_rows(Y, X, rows) returns both for those shapes from one
+    not). _grad_hess_rows(Y, X, pairs) returns both for those shapes from one
     pair_terms pass, bit for bit (grad_rows(Y, X, rows), hess_rows(Y, X,
-    rows)). values(Xs) is value at each (N, d) row of a (K, N, d) array, bit
-    for bit. A coupling with scale 0 is identically zero, pair_weight and
+    rows)), reading the rows' pair indices from pairs = _pair_table(rows).
+    values(Xs) is value at each (N, d) row of a (K, N, d) array, bit for
+    bit. A coupling with scale 0 is identically zero, pair_weight and
     pair_terms included, so it returns zeros without touching its pair
     functions."""
 
@@ -291,39 +311,44 @@ class CouplingFunction:
         m = np.arange(self.N - 1)
         return m + (m >= np.arange(self.N)[:, None])
 
-    def _gather_others(self, rows):
-        """The flat index of each agent rows[i]'s N - 1 other pairs in a
-        (k, N, ...) pair array, (k, N - 1)."""
-        return self._others[rows] + self.N * np.arange(len(rows))[:, None]
+    def _pair_table(self, rows) -> PairTable:
+        """The pair indices of the agents rows[i] in a (k, N, ...) pair
+        array, flat, and the d x d identity (see PairTable)."""
+        offset = self.N * np.arange(len(rows))
+        return PairTable(_read_only(offset + rows),
+                         _read_only(self._others[rows] + offset[:, None]),
+                         _read_only(np.eye(self.d)))
 
-    def _hessian(self, D_o, w_o, c_o) -> np.ndarray:
+    @staticmethod
+    def _hessian(D_o, w_o, c_o, eye) -> np.ndarray:
         # sum over the N - 1 other pairs of w I + 2 w' D D^T
-        return (w_o.sum(axis=-1)[:, None, None] * np.eye(self.d)
+        return (w_o.sum(axis=-1)[:, None, None] * eye
                 + 2.0 * (D_o.transpose(0, 2, 1) * c_o[:, None, :]) @ D_o)
 
     def hess_rows(self, Y, X, rows) -> np.ndarray:
         k = len(rows)
         if self.scale == 0.0:
             return np.zeros((k, self.d, self.d))
-        D_o = (Y[:, None, :] - X).reshape(-1, self.d).take(self._gather_others(rows), axis=0)
-        return self._hessian(D_o, *self.pair_terms(_squared_norms(D_o)))
+        pairs = self._pair_table(rows)
+        D_o = (Y[:, None, :] - X).reshape(-1, self.d).take(pairs.others, axis=0)
+        return self._hessian(D_o, *self.pair_terms(_squared_norms(D_o)), pairs.eye)
 
-    def _grad_hess_rows(self, Y, X, rows):
+    def _grad_hess_rows(self, Y, X, pairs: PairTable):
         """(grad_rows(Y, X, rows), hess_rows(Y, X, rows)) for Y of shape
-        (k, d) from one pair pass: one D, one squared norm and one pair_terms
-        per pair, the Hessian gathering its N-1 others from them (elementwise
-        terms, so the same bits as hess_rows' own). Each sum keeps its own
-        order, bit for bit."""
-        k = len(rows)
+        (k, d) from one pair pass, with pairs = _pair_table(rows): one D,
+        one squared norm and one pair_terms per pair, the Hessian gathering
+        its N-1 others from them (elementwise terms, so the same bits as
+        hess_rows' own). Each sum keeps its own order, bit for bit."""
         if self.scale == 0.0:
+            k = len(Y)
             return np.zeros(np.shape(Y)), np.zeros((k, self.d, self.d))
-        D = Y[:, None, :] - X
-        D[np.arange(k), rows, :] = 0.0
+        flat = (Y[:, None, :] - X).reshape(-1, self.d)
+        flat[pairs.self_pairs] = 0.0
+        D = flat.reshape(len(Y), self.N, self.d)  # a view of flat, whatever X's order
         w, c = self.pair_terms(_squared_norms(D))
-        others = self._gather_others(rows)
         return (_ordered_sum(w[..., None] * D, axis=-2),
-                self._hessian(D.reshape(-1, self.d).take(others, axis=0),
-                              w.take(others), c.take(others)))
+                self._hessian(flat.take(pairs.others, axis=0), w.take(pairs.others),
+                              c.take(pairs.others), pairs.eye))
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
@@ -393,13 +418,19 @@ class SystemInstance:
         return Ax, B, quadratic
 
     @cached_property
-    def _quadratic_hessians(self) -> np.ndarray:
-        """Every agent's payoff Hessian -2 (B^T Q B + R) when every utility
-        is quadratic, (N, d, d): it depends on neither action nor state, so
-        it is built once, on first use."""
-        Q, R, _ = self._stacked[2]
-        Bt = self._stacked[1].swapaxes(1, 2)
-        return -2.0 * (Bt @ Q @ Bt.swapaxes(1, 2) + R)
+    def _row_tables(self) -> dict:
+        """_row_table's tables, keyed by the bytes of their row array."""
+        return {}
+
+    def _row_table(self, rows: np.ndarray) -> RowTable:
+        """The RowTable of the agents rows, an intp array, built on first
+        use and kept on the instance, which is immutable: a stage's tables
+        go when its instance does."""
+        key = rows.tobytes()
+        table = self._row_tables.get(key)
+        if table is None:
+            table = self._row_tables[key] = _build_row_table(self, rows)
+        return table
 
     @cached_property
     def _default_steps(self) -> dict:
@@ -409,6 +440,42 @@ class SystemInstance:
     @property
     def d(self) -> int:
         return self.dynamics[0].d
+
+
+class RowTable(NamedTuple):
+    """Everything a derivative pass reads by agent for the agents rows[i] of
+    one instance, (k, ...) arrays gathered once from its stacked model
+    arrays, each the gather or product a pass would make: the rows
+    themselves, A x and B, B^T and -2 B^T; when every utility is quadratic
+    (Q, R, x0) and the utility Hessians -2 (B^T Q B + R), else None and
+    each row's (utility, dynamics, state); and the coupling's PairTable.
+    Read-only."""
+
+    rows: np.ndarray
+    Ax: np.ndarray
+    B: np.ndarray
+    Bt: np.ndarray
+    minus_2Bt: np.ndarray
+    quadratic: tuple | None
+    hessians: np.ndarray | None
+    agents: tuple | None
+    pairs: PairTable
+
+
+def _build_row_table(sys: SystemInstance, rows: np.ndarray) -> RowTable:
+    if rows.dtype != np.intp:
+        raise TypeError(f"rows must be an intp array, got {rows.dtype}")
+    Ax, B, quadratic = sys._stacked
+    B = B[rows]
+    Bt = B.swapaxes(1, 2)
+    if quadratic is None:
+        hessians = None
+        agents = tuple((sys.utilities[n], sys.dynamics[n], sys.states[n]) for n in rows)
+    else:
+        Q, R, _ = quadratic = tuple(_read_only(a[rows]) for a in quadratic)
+        hessians, agents = _read_only(-2.0 * (Bt @ Q @ B + R)), None
+    return RowTable(*map(_read_only, (rows.copy(), Ax[rows], B, Bt, -2.0 * Bt)),
+                    quadratic, hessians, agents, sys.coupling._pair_table(rows))
 
 
 def joint_action(sys: SystemInstance, u) -> np.ndarray:
@@ -424,13 +491,11 @@ def joint_next_state(sys: SystemInstance, u) -> np.ndarray:
     return _fleet_step(sys, np.ascontiguousarray(joint_action(sys, u)))
 
 
-def _fleet_step(sys: SystemInstance, U: np.ndarray, rows=None) -> np.ndarray:
+def _fleet_step(sys: SystemInstance, U: np.ndarray, table: RowTable | None = None) -> np.ndarray:
     """A_n x_n + B_n u_n for every agent at each joint action of a C-ordered
-    (..., N, d) array, or with rows for agent rows[i] at U[..., i, :], as one
-    stacked matmul: each row is step(dyn_n, x_n, u_n) bit for bit."""
-    Ax, B, _ = sys._stacked
-    if rows is not None:
-        Ax, B = Ax[rows], B[rows]
+    (..., N, d) array, or with a row table for agent rows[i] at U[..., i, :],
+    as one stacked matmul: each row is step(dyn_n, x_n, u_n) bit for bit."""
+    Ax, B = sys._stacked[:2] if table is None else (table.Ax, table.B)
     return Ax + (B @ U[..., None])[..., 0]
 
 

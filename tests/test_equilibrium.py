@@ -474,3 +474,17 @@ def test_tracking_error_bound_hand_values():
         pc.tracking_error_bound(-0.1, 1.0, 1.0, [0.1])
     with pytest.raises(ValueError):
         pc.tracking_error_bound(0.5, 1.0, 1.0, [])
+
+
+@pytest.mark.parametrize("args, name", [
+    ((0.5, 1.0, np.nan, [0.1]), "h_F"),
+    ((0.5, 1.0, 1.0, [np.nan]), "E"),
+    ((0.5, np.nan, 1.0, [0.1]), "u_m"),
+    ((0.5, np.inf, 1.0, [0.1]), "u_m"),
+    ((0.5, 1.0, -1.0, [0.1]), "h_F"),
+    ((0.5, 1.0, 1.0, [0.1, np.inf]), "E"),
+    ((0.5, 1.0, 1.0, [0.1, -0.2]), "E"),
+])
+def test_tracking_error_bound_rejects_a_non_finite_or_negative_input(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        pc.tracking_error_bound(*args)

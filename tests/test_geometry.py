@@ -322,6 +322,15 @@ def test_kernel_fit_input_validation(rng):
         pc.fit_decomposable((X2, U2, P2), dyn, ridge=0.0)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_gaussian_kernel_rejects_a_bad_width(sigma):
+    # 0 divides by zero, -1 squares to a valid-looking width, nan gives a nan
+    # kernel and inf a kernel of ones: each raises as fit_decomposable does
+    pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        pc.gaussian_kernel(pts, pts, sigma)
+
+
 def test_kernel_rejects_mismatched_dimensions(rng):
     with pytest.raises(ValueError, match="dimension"):
         pc.gaussian_kernel(np.zeros((3, 1)), np.ones((4, 2)), 1.0)

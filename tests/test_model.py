@@ -207,7 +207,8 @@ def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):
     for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)),
                        (G.grad_rows(X[1:], X, [1, 2]), (2, 2)),
                        (G.hess_rows(X[1:], X, [1, 2]), (2, 2, 2)),
-                       *zip(G._grad_hess_rows(X[1:], X, [1, 2]), ((2, 2), (2, 2, 2))),
+                       *zip(G._grad_hess_rows(X[1:], X, G._pair_table(np.array([1, 2]))),
+                            ((2, 2), (2, 2, 2))),
                        (G.values(rng.normal(size=(5, 3, 2))), (5,))):
         assert np.shape(out) == shape
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
@@ -252,7 +253,7 @@ def test_one_pair_pass_gives_grad_rows_and_hess_rows_bit_for_bit(kind, N, rows):
     idx = {"all": np.arange(N), "subset": np.array([N - 1, 0, N // 2][:max(2, N - 1)]),
            "one": np.array([N // 2])}[rows]
     Y = X[idx] + 0.5 * rng.normal(size=(len(idx), d))
-    g, H = G._grad_hess_rows(Y, X, idx)
+    g, H = G._grad_hess_rows(Y, X, G._pair_table(idx))
     assert np.array_equal(g, G.grad_rows(Y, X, idx))
     assert np.array_equal(H, G.hess_rows(Y, X, idx))
     if kind != "zero":
