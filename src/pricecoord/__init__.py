@@ -1,13 +1,15 @@
 """Price-based coordination of selfish linear-dynamics agents.
 
-A coordinator poses small games (prices, frozen coupling slices, proximal
-probes) to N agents that each maximize a private utility, learns what it
-needs from their responses, and steers the joint action to the social
-optimum. See model for the world model and sign conventions, agents for
-best responses, equilibrium and mechanism for the play modes and polling
-loop, parametric and geometry for the two learning paths, numerics for the
-finite differences and the Newton root finder the solvers share, oracle for
-independent reference optimizers, and cli for the end-to-end driver.
+A coordinator poses small games (prices, the shared coupling with the
+other agents frozen, proximal probes) to N agents that each maximize a
+private utility, learns what it needs from their responses, and steers the
+joint action to the social optimum. See model for the world model and sign
+conventions, agents for the priced best response, equilibrium and mechanism
+for the play modes (whose stacked rounds solve every agent's best response)
+and polling loop, parametric and geometry for the two learning paths,
+numerics for the finite differences and the Newton root finder the solvers
+share, oracle for independent reference optimizers, and cli for the
+end-to-end driver.
 """
 
 from .errors import (
@@ -34,13 +36,12 @@ from .model import (
     utility_gradient_error,
     zero_coupling,
 )
-from .agents import CouplingSlice, GameSpec, best_response
+from .agents import GameSpec, best_response
 from .numerics import fd_gradient
 from .oracle import OracleResult, joint_welfare, joint_welfare_opt
 from .equilibrium import (
     SingleStageUpdate,
     TwoStageUpdate,
-    coupling_slices,
     default_schedule,
     estimate_cocoercivity,
     grid_gradient_bound,
@@ -104,4 +105,6 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules (of type(model)) the imports bind
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], type(model))]

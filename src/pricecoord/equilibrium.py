@@ -20,13 +20,10 @@ Simultaneous, two-stage and Tikhonov rounds start at the anchors against
 opponents frozen at their next states, from the next states and
 derivatives mechanism.run_stage computed there for its convergence test,
 so a round steps no fleet at its anchors.
-Each row is bit for bit agents.best_response on that agent's game against
-its coupling_slices slice, the per-agent reference the tests compare the
-stacked rows against.
-
-Proximal bookkeeping: the two-stage, single-stage and Tikhonov plays pose
-the proximal gradient -lam (u - anchor), and the tests' per-agent GameSpec
-reference, whose proximal term is -c ||u - anchor||^2, poses c = lam / 2.
+Each row is bit for bit a one-row newton_root solve of that agent's game
+alone, as agents.best_response solves a priced game: its utility, the
+shared coupling with everyone else frozen, and in the proximal plays the
+term whose gradient is -lam (u - anchor).
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .agents import CouplingSlice
 from .errors import BestResponseError, NonConvergenceError
 from .model import (RowTable, SystemInstance, _fleet_step, joint_action, joint_next_state,
                     pair_batch_rows)
@@ -154,8 +150,8 @@ def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     at the next states X; Y is the rows' own next states when the caller has
     them, else one fleet step makes them. Everything read by agent comes
     from the instance's RowTable for rows, which gathers it once per stage,
-    and the coupling's B^T grad_rows and B^T hess_rows B come from one pair
-    pass (CouplingFunction._grad_hess_rows); no proximal term."""
+    and the coupling's B^T grad_rows and B^T H B, H its Hessian rows, come
+    from one pair pass (CouplingFunction._grad_hess_rows); no proximal term."""
     table = sys._row_table(rows)
     if Y is None:
         Y = _fleet_step(sys, V, table)
@@ -204,29 +200,6 @@ def default_schedule(sys: SystemInstance, box) -> float:
     return min(0.9 * 2.0 * c_hat, 1.0)
 
 
-def coupling_slices(sys: SystemInstance, u_frozen) -> list[CouplingSlice]:
-    """The shared coupling as seen by each agent n with opponents frozen at
-    u_frozen, chain-ruled through agent n's next state x_n = A x + B u_n:
-    gradient B^T grad_rows, Hessian B^T hess_rows B, on the one row n. The
-    frozen joint next state is computed once for all N slices."""
-    X_frozen = joint_next_state(sys, u_frozen)
-    return [_coupling_slice(sys, X_frozen, n) for n in range(sys.N)]
-
-
-def _coupling_slice(sys: SystemInstance, X_frozen: np.ndarray, n: int) -> CouplingSlice:
-    G, Ax, B, row = sys.coupling, sys._stacked[0][n], sys.dynamics[n].B, np.array([n])
-
-    def states_with(un):
-        X = X_frozen.copy()
-        X[n] = Ax + B @ un
-        return X
-
-    return CouplingSlice(
-        value=lambda un: G.value(states_with(un)),
-        grad=lambda un: B.T @ G.grad_rows((Ax + B @ un)[None], X_frozen, row)[0],
-        hess=lambda un: B.T @ G.hess_rows((Ax + B @ un)[None], X_frozen, row)[0] @ B)
-
-
 # ---------------------------------------------------------------------------
 # play modes (one iteration each; the loop lives in mechanism.run_stage)
 
@@ -234,8 +207,8 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
                       lam: float | None = None, rows=None, start=None) -> np.ndarray:
     """The best responses of the agents in rows (default all N, in order)
     against opponents frozen at the next states X_frozen, solved as one
-    row-stacked Newton iteration: row i is best_response on agent
-    n = rows[i]'s game, bit for bit, and starts at anchors[n]. With lam the
+    row-stacked Newton iteration: row i is bit for bit the one-row solve
+    of agent n = rows[i]'s game alone, and starts at anchors[n]. With lam the
     game adds the proximal term anchored there. Each evaluation gives
     newton_root the rows' payoff gradients and Hessians from one fleet step
     and one pair pass (_payoff_derivatives). start, when given, is

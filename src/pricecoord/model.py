@@ -3,12 +3,13 @@ the shared coupling term.
 
 States and actions are plain float ndarrays of length d. Inputs are checked
 where data enters the package: the constructors (so replace_states too),
-joint_action, GameSpec, the best_response start, utility_gradient_error and
-the CSV and JSON loaders. step, the utility methods and agents.payoff_* trust
-1-D length-d float arrays. Everything here is immutable after construction and
-pure, so instances can be shared freely across solver threads (a
-SystemInstance caches its stacked model arrays on first use, and one
-read-only RowTable per set of agent rows a derivative pass asks for).
+joint_action, GameSpec, the best_response start and price length,
+utility_gradient_error and the CSV and JSON loaders. step, the utility
+methods and agents.payoff_* trust 1-D length-d float arrays. Everything
+here is immutable after construction and pure, so instances can be shared
+freely across solver threads (a SystemInstance caches its stacked model
+arrays on first use, and one read-only RowTable per set of agent rows a
+derivative pass asks for).
 
 batch_welfare evaluates the social welfare at K joint actions in one call,
 each row bit for bit the scalar formula. as_vector and as_matrix return
@@ -258,12 +259,12 @@ class CouplingFunction:
     n = rows[i] with x_n replaced by Y[..., i, :], from agent n's pairs only
     (the self pair set to zero), (..., k, d). grad(X) is its all-rows case
     grad_rows(X, X, arange(N)), the whole gradient at each (N, d) joint
-    state of X. hess_rows(Y, X, rows) gives the (d, d) blocks for one joint
-    state X, (N, d), and Y of shape (k, d): (k, d, d), over the N - 1
-    pairs that are not the self pair (its D is zero, but its pair_weight is
-    not). _grad_hess_rows(Y, X, pairs) returns both for those shapes from one
-    pair_terms pass, bit for bit (grad_rows(Y, X, rows), hess_rows(Y, X,
-    rows)), reading the rows' pair indices from pairs = _pair_table(rows).
+    state of X. _grad_hess_rows(Y, X, pairs) gives, for one joint state X,
+    (N, d), and Y of shape (k, d), grad_rows(Y, X, rows) bit for bit and the
+    (d, d) Hessian blocks, (k, d, d), over the N - 1 pairs that are not the
+    self pair (its D is zero, but its pair_weight is not), from one
+    pair_terms pass, reading the rows' pair indices from
+    pairs = _pair_table(rows).
     values(Xs) is value at each (N, d) row of a (K, N, d) array, bit for
     bit. A coupling with scale 0 is identically zero, pair_weight and
     pair_terms included, so it returns zeros without touching its pair
@@ -319,26 +320,11 @@ class CouplingFunction:
                          _read_only(self._others[rows] + offset[:, None]),
                          _read_only(np.eye(self.d)))
 
-    @staticmethod
-    def _hessian(D_o, w_o, c_o, eye) -> np.ndarray:
-        # sum over the N - 1 other pairs of w I + 2 w' D D^T
-        return (w_o.sum(axis=-1)[:, None, None] * eye
-                + 2.0 * (D_o.transpose(0, 2, 1) * c_o[:, None, :]) @ D_o)
-
-    def hess_rows(self, Y, X, rows) -> np.ndarray:
-        k = len(rows)
-        if self.scale == 0.0:
-            return np.zeros((k, self.d, self.d))
-        pairs = self._pair_table(rows)
-        D_o = (Y[:, None, :] - X).reshape(-1, self.d).take(pairs.others, axis=0)
-        return self._hessian(D_o, *self.pair_terms(_squared_norms(D_o)), pairs.eye)
-
     def _grad_hess_rows(self, Y, X, pairs: PairTable):
-        """(grad_rows(Y, X, rows), hess_rows(Y, X, rows)) for Y of shape
-        (k, d) from one pair pass, with pairs = _pair_table(rows): one D,
-        one squared norm and one pair_terms per pair, the Hessian gathering
-        its N-1 others from them (elementwise terms, so the same bits as
-        hess_rows' own). Each sum keeps its own order, bit for bit."""
+        """(grad_rows(Y, X, rows), the Hessian rows) for Y of shape (k, d)
+        from one pair pass, with pairs = _pair_table(rows): one D, one
+        squared norm and one pair_terms per pair, the Hessian gathering its
+        N-1 others from them. Each sum keeps its own order, bit for bit."""
         if self.scale == 0.0:
             k = len(Y)
             return np.zeros(np.shape(Y)), np.zeros((k, self.d, self.d))
@@ -346,9 +332,11 @@ class CouplingFunction:
         flat[pairs.self_pairs] = 0.0
         D = flat.reshape(len(Y), self.N, self.d)  # a view of flat, whatever X's order
         w, c = self.pair_terms(_squared_norms(D))
+        D_o, w_o, c_o = flat.take(pairs.others, axis=0), w.take(pairs.others), c.take(pairs.others)
+        # sum over the N - 1 other pairs of w I + 2 w' D D^T
         return (_ordered_sum(w[..., None] * D, axis=-2),
-                self._hessian(flat.take(pairs.others, axis=0), w.take(pairs.others),
-                              c.take(pairs.others), pairs.eye))
+                w_o.sum(axis=-1)[:, None, None] * pairs.eye
+                + 2.0 * (D_o.transpose(0, 2, 1) * c_o[:, None, :]) @ D_o)
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pricecoord as pc
+from pricecoord.equilibrium import _payoff_derivatives
 from conftest import flat_utility, make_two_agent_scalar, make_utility, random_spd
 
 
@@ -16,21 +17,14 @@ def _scalar_setup():
 def test_game_spec_requires_a_term():
     with pytest.raises(ValueError):
         pc.GameSpec()
-    with pytest.raises(ValueError):
-        pc.GameSpec(price=np.zeros(1), proximal=(0.0, np.zeros(1)))
 
 
 def test_payoff_value_sums_terms():
     dyn, util = _scalar_setup()
     x = np.zeros(1)
     u = np.array([0.5])
-    game = pc.GameSpec(utility=util, price=np.array([0.3]),
-                       proximal=(2.0, np.array([1.0])),
-                       linear_probe=np.array([-1.0]))
-    expected = (util.value(pc.step(dyn, x, u), u)
-                - 0.3 * 0.5
-                - 2.0 * (0.5 - 1.0) ** 2
-                - (0.5 - (-1.0)) ** 2)
+    game = pc.GameSpec(utility=util, price=np.array([0.3]))
+    expected = util.value(pc.step(dyn, x, u), u) - 0.3 * 0.5
     assert np.isclose(pc.agents.payoff_value(game, x, dyn, u), expected)
 
 
@@ -39,12 +33,7 @@ def test_payoff_gradient_matches_fd(rng):
     dyn = pc.LinearDynamics(A=rng.normal(size=(d, d)), B=rng.normal(size=(d, d)))
     util = pc.QuadraticUtility(Q=random_spd(rng, d), R=random_spd(rng, d),
                                x0=rng.normal(size=d))
-    slc = pc.CouplingSlice(value=lambda u: -float(np.sum(u ** 2) + np.sum(u ** 4)),
-                           grad=lambda u: -(2.0 * u + 4.0 * u ** 3),
-                           hess=lambda u: -np.diag(2.0 + 12.0 * u ** 2))
-    game = pc.GameSpec(utility=util, price=rng.normal(size=d), coupling=slc,
-                       proximal=(0.7, rng.normal(size=d)),
-                       linear_probe=rng.normal(size=d))
+    game = pc.GameSpec(utility=util, price=rng.normal(size=d))
     x = rng.normal(size=d)
     for _ in range(10):
         u = rng.normal(size=d)
@@ -75,23 +64,16 @@ def test_best_response_price_shifts_stationarity(rng):
 
 
 def test_best_response_strong_proximal_pins_anchor():
-    # stationarity gives |u - anchor| = |grad U(u)| / (2 lam) <= D / (2 lam)
+    # a Tikhonov round poses the proximal gradient -lam (u - anchor):
+    # stationarity gives |u - anchor| = |grad U(u)| / lam <= D / lam
     dyn, util = _scalar_setup()
-    anchor = np.array([0.25])
-    lam = 1e4
-    game = pc.GameSpec(utility=util, proximal=(lam, anchor))
-    u = pc.best_response(game, np.zeros(1), dyn, np.zeros(1))
-    grad_bound = abs(util.grad_u(dyn, np.zeros(1), anchor)[0]) + 1.0
-    assert abs(u[0] - anchor[0]) <= grad_bound / (2.0 * lam)
+    sys = pc.SystemInstance((dyn,), (util,), pc.zero_coupling(1, 1), (np.zeros(1),))
+    anchor = np.array([[0.25]])
+    lam = 2e4
+    u = pc.play_tikhonov(sys, anchor, lam)[0]
+    grad_bound = abs(util.grad_u(dyn, np.zeros(1), anchor[0])[0]) + 1.0
+    assert abs(u[0] - anchor[0, 0]) <= grad_bound / lam
     assert abs(u[0] - 1.0) > 0.5  # far from the unconstrained utility optimum
-
-
-def test_best_response_linear_probe_returns_target(rng):
-    # -||u - v||^2 alone has BR exactly v
-    dyn = pc.LinearDynamics(A=np.eye(3), B=np.eye(3))
-    v = rng.normal(size=3)
-    u = pc.best_response(pc.GameSpec(linear_probe=v), np.zeros(3), dyn, np.zeros(3))
-    np.testing.assert_allclose(u, v, atol=1e-10)
 
 
 def test_best_response_rejects_convex_payoff():
@@ -101,34 +83,57 @@ def test_best_response_rejects_convex_payoff():
         pc.best_response(pc.GameSpec(utility=util), np.zeros(1), dyn, np.ones(1))
 
 
-_TERMS = ("utility", "price", "coupling", "proximal", "linear_probe")
+_TERMS = ("utility", "price")
 
 
-@pytest.mark.parametrize("terms", [(t,) for t in _TERMS] + [_TERMS])
-@pytest.mark.parametrize("family", ["quadratic", "cross_term", "decomposable", "smooth"])
-def test_payoff_hessian_matches_fd_of_payoff_gradient(family, terms):
+def _fd_instance(family):
+    """(rng, a 3-agent instance in d = 3 with general A and B, the family's
+    utilities and a barrier whose 2.5 radius reaches the sampled states)."""
     rng = np.random.default_rng(3)
     N, d = 3, 3
-    sys = pc.SystemInstance(
+    return rng, pc.SystemInstance(
         dynamics=tuple(pc.LinearDynamics(A=np.eye(d) + 0.3 * rng.normal(size=(d, d)),
                                          B=np.eye(d) + 0.3 * rng.normal(size=(d, d)))
                        for _ in range(N)),
         utilities=tuple(make_utility(family, rng, d) for _ in range(N)),
         coupling=pc.separation_barrier_coupling(3.0, 2.5, N, d),
         states=rng.normal(size=(N, d)))
+
+
+def _assert_symmetrized_fd(H, fd):
+    fd = 0.5 * (fd + fd.T)
+    np.testing.assert_allclose(H, fd, rtol=1e-6, atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
+
+
+@pytest.mark.parametrize("terms", [(t,) for t in _TERMS] + [_TERMS])
+@pytest.mark.parametrize("family", ["quadratic", "cross_term", "decomposable", "smooth"])
+def test_payoff_hessian_matches_fd_of_payoff_gradient(family, terms):
+    rng, sys = _fd_instance(family)
     n = 1
     dyn, x = sys.dynamics[n], sys.states[n]
-    available = {"utility": sys.utilities[n], "price": rng.normal(size=d),
-                 "coupling": pc.coupling_slices(sys, 0.5 * rng.normal(size=(N, d)))[n],
-                 "proximal": (0.7, rng.normal(size=d)), "linear_probe": rng.normal(size=d)}
+    available = {"utility": sys.utilities[n], "price": rng.normal(size=sys.d)}
     game = pc.GameSpec(**{t: available[t] for t in terms})
     for _ in range(5):
-        u = 0.5 * rng.normal(size=d)
+        u = 0.5 * rng.normal(size=sys.d)
         H = pc.agents.payoff_hessian(game, x, dyn, u)
         fd = pc.numerics.fd_jacobian(lambda v: pc.agents.payoff_gradient(game, x, dyn, v), u)
-        fd = 0.5 * (fd + fd.T)
-        np.testing.assert_allclose(H, fd, rtol=1e-6,
-                                   atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
+        _assert_symmetrized_fd(H, fd)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "cross_term", "decomposable", "smooth"])
+def test_stacked_payoff_hessian_matches_fd_of_its_gradient(family):
+    # the play modes' payoff rows: utility plus the coupling chain-ruled
+    # through B, B^T grad_rows and B^T H B, against opponents frozen at X
+    rng, sys = _fd_instance(family)
+    X = pc.joint_next_state(sys, 0.5 * rng.normal(size=(sys.N, sys.d)))
+    rows = np.arange(sys.N)
+    for _ in range(5):
+        V = 0.5 * rng.normal(size=(sys.N, sys.d))
+        H = _payoff_derivatives(sys, V, X, rows)[1]
+        for n in rows:
+            fd = pc.numerics.fd_jacobian(
+                lambda v: _payoff_derivatives(sys, v[None], X, rows[n:n + 1])[0][0], V[n])
+            _assert_symmetrized_fd(H[n], fd)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -148,10 +153,9 @@ def test_closed_form_best_responses_take_no_finite_differences(cfg, monkeypatch)
     U = np.zeros((sys.N, sys.d))
     for _ in range(3):
         U = pc.play_simultaneous(sys, U)
-    slices = pc.coupling_slices(sys, U)
     p = np.ones(sys.d)
     for n in range(sys.N):
-        game = pc.GameSpec(utility=sys.utilities[n], price=p, coupling=slices[n])
+        game = pc.GameSpec(utility=sys.utilities[n], price=p)
         x, dyn = sys.states[n], sys.dynamics[n]
         u = pc.best_response(game, x, dyn, U[n])
         assert np.max(np.abs(pc.agents.payoff_gradient(game, x, dyn, u))) <= 1e-9

@@ -255,6 +255,22 @@ def test_simulate_readme_damped_modes_match_the_golden_files(tmp_path, mode, rc)
             == (data / f"readme_{mode}_report.json").read_text())
 
 
+def test_simulate_readme_sequential_play_matches_the_golden_files(tmp_path):
+    # the README config at horizon 10 in sequential play, one agent's
+    # one-row Newton solve per round, written by an earlier version
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=10,
+                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
+                       mode={"mode": "simultaneous", "max_rounds": 500})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--mode", "sequential", "--out", str(out),
+                 "--quiet"]) == 0
+    data = pathlib.Path(__file__).parent / "data"
+    assert (out / "trace.csv").read_bytes() == (data / "readme_sequential_trace.csv").read_bytes()
+    lines = (out / "report.json").read_text().splitlines(keepends=True)
+    assert ("".join(line for line in lines if '"wall_time_ms"' not in line)
+            == (data / "readme_sequential_report.json").read_text())
+
+
 @pytest.mark.parametrize("spec", ["cross_term", "decomposable_smooth"])
 def test_simulate_non_quadratic_utilities_match_the_golden_files(tmp_path, spec):
     # the README config at horizon 10 with a closed-form (cross_term) or a

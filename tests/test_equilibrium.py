@@ -7,6 +7,7 @@ import pytest
 
 import pricecoord as pc
 from conftest import make_two_agent_scalar, random_quadratic_instance, scalar_nash
+from per_agent import coupling_slice, response
 
 
 # ------------------------------------------------------------- VI iteration
@@ -224,12 +225,12 @@ def test_fleet_derivative_equals_the_loop_over_agents(instance, rng):
 def test_coupling_slice_freezes_opponents(rng):
     sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.7)
     u_frozen = rng.normal(size=(3, 2))
-    slc = pc.coupling_slices(sys, u_frozen)[1]
+    value, grad, _ = coupling_slice(sys, pc.joint_next_state(sys, u_frozen), 1)
     u1 = rng.normal(size=2)
     X = pc.joint_next_state(sys, u_frozen)
     X[1] = pc.step(sys.dynamics[1], sys.states[1], u1)
-    assert np.isclose(slc.value(u1), sys.coupling.value(X))
-    np.testing.assert_allclose(slc.grad(u1),
+    assert np.isclose(value(u1), sys.coupling.value(X))
+    np.testing.assert_allclose(grad(u1),
                                sys.dynamics[1].B.T @ sys.coupling.grad(X)[1],
                                atol=1e-12)
 
@@ -280,8 +281,8 @@ def test_two_stage_update_probe_identities():
         np.testing.assert_allclose(upd.utility_grads[n], g_true, atol=1e-6)
         # stage-1 stationarity (opponents frozen at the anchor):
         # grad U + slice grad = lam (u_hat - anchor)
-        slc = pc.coupling_slices(sys, u_prev)[n]
-        resid = g_true + slc.grad(upd.u_hat[n]) - lam * (upd.u_hat[n] - u_prev[n])
+        slice_grad = coupling_slice(sys, pc.joint_next_state(sys, u_prev), n)[1]
+        resid = g_true + slice_grad(upd.u_hat[n]) - lam * (upd.u_hat[n] - u_prev[n])
         np.testing.assert_allclose(resid, 0.0, atol=1e-6)
         # stage-2 probe lands on anchor + gamma * estimated welfare gradient,
         # with the coupling part re-evaluated at the stage-1 responses
@@ -308,10 +309,10 @@ def test_single_stage_freezes_slice_at_auxiliary_sequence():
     for n in range(2):
         # responses (.u) anchor at u_prev but see opponents frozen at the
         # coordinator sequence u_tilde_prev
-        slc = pc.coupling_slices(sys, u_tilde_prev)[n]
+        slice_grad = coupling_slice(sys, pc.joint_next_state(sys, u_tilde_prev), n)[1]
         x_next = pc.step(sys.dynamics[n], sys.states[n], upd.u[n])
         g = sys.utilities[n].gradient_u(x_next, upd.u[n], sys.dynamics[n])
-        resid = g + slc.grad(upd.u[n]) - lam * (upd.u[n] - u_prev[n])
+        resid = g + slice_grad(upd.u[n]) - lam * (upd.u[n] - u_prev[n])
         np.testing.assert_allclose(resid, 0.0, atol=1e-6)
 
 
@@ -326,26 +327,14 @@ def test_tikhonov_play_fixes_nash():
 
 # ------------------------------------------- stacked rounds vs a loop over agents
 
-def _loop_response(sys, slices, anchors, n, lam=None):
-    """best_response on agent n's game against its coupling slice, starting
-    at its anchor; a failure names the agent."""
-    game = pc.GameSpec(utility=sys.utilities[n], coupling=slices[n],
-                       proximal=None if lam is None else (0.5 * lam, anchors[n]))
-    try:
-        return pc.best_response(game, sys.states[n], sys.dynamics[n], anchors[n])
-    except pc.BestResponseError as exc:
-        exc.agent = n
-        raise
-
-
 def _loop_responses(sys, frozen, anchors, lam=None):
     """The per-agent loop the stacked Jacobi round replaces: every agent
-    against opponents frozen at `frozen`."""
-    slices = pc.coupling_slices(sys, frozen)
+    against opponents frozen at `frozen`, and the frozen next states."""
+    X = pc.joint_next_state(sys, frozen)
     out = anchors.copy()
     for n in range(sys.N):
-        out[n] = _loop_response(sys, slices, anchors, n, lam)
-    return out, slices
+        out[n] = response(sys, X, anchors, n, lam)
+    return out, X
 
 
 def _loop_sweep(sys, U):
@@ -353,14 +342,15 @@ def _loop_sweep(sys, U):
     n = 0, 1, ... best-responds to everyone's latest action, from its own."""
     U = U.copy()
     for n in range(sys.N):
-        U[n] = _loop_response(sys, pc.coupling_slices(sys, U), U, n)
+        U[n] = response(sys, pc.joint_next_state(sys, U), U, n)
     return U
 
 
 def _loop_proximal_round(sys, U, frozen, lam, gamma):
-    resp, slices = _loop_responses(sys, frozen, U, lam)
+    resp, X = _loop_responses(sys, frozen, U, lam)
     G = sys.coupling.grad(pc.joint_next_state(sys, resp))
-    g_util = lam * (resp - U) - np.array([s.grad(r) for s, r in zip(slices, resp)])
+    g_util = lam * (resp - U) - np.array([coupling_slice(sys, X, n)[1](r)
+                                          for n, r in enumerate(resp)])
     g_coup = np.array([dyn.B.T @ g for dyn, g in zip(sys.dynamics, G)])
     return resp, U + gamma * (g_util + g_coup), g_util
 

@@ -8,6 +8,7 @@ import pytest
 import pricecoord as pc
 from pricecoord.model import batch_welfare
 from conftest import make_two_agent_scalar, make_utility, random_quadratic_instance, random_spd
+from test_row_tables import reference_grad_hess_rows
 
 
 def test_linear_dynamics_validation():
@@ -118,15 +119,46 @@ def test_system_instance_shape_validation():
                                  sys.dynamics[0], [np.nan]),
     lambda sys: pc.best_response(pc.GameSpec(utility=sys.utilities[0]), sys.states[0],
                                  sys.dynamics[0], [0.0, 0.0]),
+    lambda sys: pc.best_response(
+        pc.GameSpec(utility=pc.QuadraticUtility(np.eye(2), np.eye(2), np.ones(2)), price=[0.3]),
+        np.zeros(2), pc.LinearDynamics(A=np.eye(2), B=np.eye(2)), np.zeros(2)),
     lambda sys: pc.GameSpec(price=[np.nan]),
-    lambda sys: pc.GameSpec(proximal=(1.0, [np.nan])),
-    lambda sys: pc.GameSpec(linear_probe=[np.nan]),
 ], ids=["replace_states", "social_welfare", "reward_field", "best_response_nan_start",
-        "best_response_short_start", "game_price", "game_proximal_anchor", "game_linear_probe"])
+        "best_response_short_start", "best_response_short_price", "game_price"])
 def test_entry_points_reject_bad_input(call):
     # the inner arithmetic trusts its arrays; these are the checks in front of it
     with pytest.raises(ValueError):
         call(make_two_agent_scalar(0.1))
+
+
+def test_the_public_names_are_pinned():
+    # a name added to or removed from the package shows up here; the
+    # submodules stay importable as attributes but are not exported
+    assert sorted(pc.__all__) == [
+        "BestResponseError", "COUPLING_SPECS", "ConfigError", "ConnectionModel",
+        "CoordinationError", "CouplingFunction", "EstimatedQuadraticModel", "GameSpec",
+        "KernelFieldModel", "LinearDynamics", "NonConvergenceError", "ObservationLog",
+        "OracleResult", "PLAY_MODES", "PollingConfig", "QuadraticUtility",
+        "RankDeficiencyError", "ScenarioConfig", "SingleStageUpdate", "SmoothUtility",
+        "StageTrace", "SystemInstance", "TrajectorySample", "TwoStageUpdate", "UTILITY_SPECS",
+        "WeakCouplingReport", "best_response", "config_from_dict", "coupling_gradient_error",
+        "cross_term_utility", "decomposable_utility", "default_schedule",
+        "estimate_cocoercivity", "estimated_gradient", "fd_gradient", "fit_connection",
+        "fit_decomposable", "gaussian_kernel", "generate", "grid_gradient_bound", "identify",
+        "joint_action", "joint_next_state", "joint_welfare", "joint_welfare_opt",
+        "kernel_fit_residual", "load_config", "load_log", "median_pairwise",
+        "message_space_dimension", "noise_streams", "optimal_price",
+        "pairwise_quadratic_coupling", "play_sequential", "play_simultaneous", "play_tikhonov",
+        "polling_config", "predict_field", "price_from_target", "price_to_action_map",
+        "probe_utility_gradient", "replace_states", "reward_field", "run_stage", "save_config",
+        "save_log", "separation_barrier_coupling", "single_stage_update", "sliding_connection",
+        "social_welfare", "stage2_probe_target", "step", "tracking_error_bound", "transport",
+        "two_stage_update", "utility_gradient_error", "vi_project_iterate",
+        "weak_coupling_diagnostic", "zero_coupling"]
+    namespace = {}
+    exec("from pricecoord import *", namespace)
+    assert "agents" not in namespace and "model" not in namespace
+    assert pc.agents.best_response is pc.best_response
 
 
 def test_replace_states_is_nonmutating():
@@ -206,7 +238,6 @@ def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):
     X = rng.normal(size=(3, 2))
     for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)),
                        (G.grad_rows(X[1:], X, [1, 2]), (2, 2)),
-                       (G.hess_rows(X[1:], X, [1, 2]), (2, 2, 2)),
                        *zip(G._grad_hess_rows(X[1:], X, G._pair_table(np.array([1, 2]))),
                             ((2, 2), (2, 2, 2))),
                        (G.values(rng.normal(size=(5, 3, 2))), (5,))):
@@ -229,7 +260,7 @@ def test_hess_row_matches_fd_of_grad_row(kind):
             X = 3.0 * rng.normal(size=(N, d))
             if N > 2:
                 X[2] = X[1]  # a coincident pair that is not the self pair
-            H = G.hess_rows(X, X, np.arange(N))
+            H = G._grad_hess_rows(X, X, G._pair_table(np.arange(N)))[1]
             assert H.shape == (N, d, d)
             for n in range(N):
                 def row(v, n=n):
@@ -255,7 +286,7 @@ def test_one_pair_pass_gives_grad_rows_and_hess_rows_bit_for_bit(kind, N, rows):
     Y = X[idx] + 0.5 * rng.normal(size=(len(idx), d))
     g, H = G._grad_hess_rows(Y, X, G._pair_table(idx))
     assert np.array_equal(g, G.grad_rows(Y, X, idx))
-    assert np.array_equal(H, G.hess_rows(Y, X, idx))
+    assert np.array_equal(H, reference_grad_hess_rows(G, Y, X, idx)[1])
     if kind != "zero":
         assert np.any(H != 0.0)
 
@@ -266,7 +297,7 @@ def test_hess_row_of_well_separated_barrier_agents_is_zero():
     G = pc.separation_barrier_coupling(50.0, 6.0, 4, 2)
     X = 30.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     assert G.pair_weight(np.zeros(1))[0] == pytest.approx(7200.0)
-    assert np.max(np.abs(G.hess_rows(X, X, np.arange(4)))) < 1e-12
+    assert np.max(np.abs(G._grad_hess_rows(X, X, G._pair_table(np.arange(4)))[1])) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])

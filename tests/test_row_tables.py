@@ -15,7 +15,8 @@ from pricecoord.model import _ordered_sum, _squared_norms
 def reference_grad_hess_rows(G, Y, X, rows):
     """CouplingFunction._grad_hess_rows as it was before row tables: the
     self-pair index, the other-pair index and the identity rebuilt on every
-    call."""
+    call. Also the coupling Hessian of the per-agent reference
+    (per_agent.py)."""
     k = len(rows)
     if G.scale == 0.0:
         return np.zeros(np.shape(Y)), np.zeros((k, G.d, G.d))
