@@ -11,7 +11,8 @@ fields from samples, up to the gauge shift that moves constants between
 them without changing anything observable.
 
 Each verdict is computed from the fit, with the bounds of acceptance
-criteria 8 and 9; the script exits non-zero when one comes out wrong.
+criteria 8 and 9 and a bound of 1e-6 on the gauge-shifted drift; the script
+exits non-zero when one comes out wrong.
 
 Usage: python3 demos/field_geometry.py
 """
@@ -40,6 +41,7 @@ def spd(rng, d):
 
 FLAT_BELOW, BENT_ABOVE = 1e-6, 1e-3   # criterion 8, on max |Gamma_j|_F
 HELD_OUT_BOUND = 1e-2                 # criterion 9, relative error
+GAUGE_BOUND = 1e-6                    # gauge-shifted prediction drift
 
 
 def curvature_verdict(gamma_norm):
@@ -96,6 +98,8 @@ def main():
     P_shift = (-2.0 * X - c) @ dyn_k.B.T + (-2.0 * U + (dyn_k.B @ c))
     m_shift = pc.fit_decomposable((X, U, P_shift), dyn_k)
     drift = np.max(np.abs(pc.predict_field(m_shift, dyn_k, Xh, Uh) - pred))
+    if not drift <= GAUGE_BOUND:
+        failures.append(f"gauge-shifted prediction drift {drift:.2e} > {GAUGE_BOUND:.0e}")
     print(f"  gauge-shifted data predicts the same field to {drift:.2e}")
 
     for failure in failures:

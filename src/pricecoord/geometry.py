@@ -25,9 +25,12 @@ grad_u U(x, u) = B^T-free form B g(x) + h(u) with g = grad U^x, h = grad U^u
 represented in a scalar Gaussian kernel times identity and fitted jointly by
 ridge least squares against observed prices. Only the sum B g(x) + h(u) is
 identified: shifting g by a constant v and h by -B v changes nothing. The
-fit is therefore solved in its dual (representer) form, one md x md system
-for the m observed prices, whose Gram matrix is that of the identified sum;
-no gauge is imposed and none is needed.
+fit is therefore solved in its dual (representer) form, whose Gram matrix is
+that of the identified sum; no gauge is imposed and none is needed. That
+Gram, kron(Kx^2, B B^T) + kron(Ku^2, I), is a sum of separable terms whose
+output factors B B^T and I share an eigenbasis, so in that basis the
+md x md dual system splits into d independent m x m systems, one per
+eigenvalue of B B^T.
 """
 
 from __future__ import annotations
@@ -222,13 +225,23 @@ def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
+def _finite_points(points, name: str) -> np.ndarray:
+    """points as a 2-D float array; ValueError naming them when an entry is
+    not finite."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{name} contain non-finite values")
+    return pts
+
+
 def gaussian_kernel(A, B_pts, sigma: float) -> np.ndarray:
     """k(a, b) = exp(-||a - b||^2 / (2 sigma^2)) for all pairs; (len A, len B).
-    Raises ValueError when the width sigma is not finite and > 0, or when
-    the two point sets differ in dimension."""
+    Raises ValueError when the width sigma is not finite and > 0, when
+    either point set has a non-finite entry, or when the two differ in
+    dimension."""
     _check_width(sigma)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B_pts = np.atleast_2d(np.asarray(B_pts, dtype=float))
+    A = _finite_points(A, "points A")
+    B_pts = _finite_points(B_pts, "centres B_pts")
     if A.shape[1] != B_pts.shape[1]:
         raise ValueError(f"points have dimension {A.shape[1]}, "
                          f"centres have {B_pts.shape[1]}")
@@ -238,8 +251,9 @@ def gaussian_kernel(A, B_pts, sigma: float) -> np.ndarray:
 def median_pairwise(points) -> float:
     """Median distance over distinct pairs of the rows of points, ignoring
     zero distances (duplicates); 1.0 for fewer than two points or when
-    every pair coincides. The default kernel width heuristic."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    every pair coincides. The default kernel width heuristic. Raises
+    ValueError when a point has a non-finite coordinate."""
+    pts = _finite_points(points, "points")
     if pts.shape[0] < 2:
         return 1.0
     return _median_distance(_squared_distances(pts, pts))
@@ -248,12 +262,9 @@ def median_pairwise(points) -> float:
 def _as_xup(samples):
     if not (isinstance(samples, tuple) and len(samples) == 3):
         raise ValueError("samples must be an (X, U, P) tuple of (m, d) arrays")
-    X, U, P = (np.atleast_2d(np.asarray(a, dtype=float)) for a in samples)
+    X, U, P = (_finite_points(a, f"{name} samples") for a, name in zip(samples, "xup"))
     if not (X.shape == U.shape == P.shape):
         raise ValueError("x, u, p samples must share one shape")
-    for name, arr in (("x", X), ("u", U), ("p", P)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} samples contain non-finite values")
     return X, U, P
 
 
@@ -264,19 +275,26 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
 
     Minimizes sum_i ||B g(x_i) + h(u_i) - p_i||^2 + ridge ||c||^2 over the
     kernel coefficients c of g and h jointly, in dual form: the minimizer is
-    c_x = kron(Kx, B^T) a, c_u = kron(Ku, I) a with a the solution of the
-    md x md system (kron(Kx^2, B B^T) + kron(Ku^2, I) + ridge I) a = p.
+    c_x = Kx A B, c_u = Ku A with the (m, d) matrix A the solution of
+    Kx^2 A B B^T + Ku^2 A + ridge A = P, the md x md system
+    (kron(Kx^2, B B^T) + kron(Ku^2, I) + ridge I) A.ravel() = P.ravel(). With
+    B B^T = V diag(lam) V^T that system is d stacked m x m systems
+    (lam_k Kx^2 + Ku^2 + ridge I) b_k = (P V)[:, k], and A = b V^T; the fit
+    solves those, never forming the md x md Gram.
     sigma defaults to the median of median_pairwise over the x centers and
     over the u centers, read from the same squared distances as the two
-    kernels; ridge defaults to 1e-8 times the Gram trace. ridge = 0 gives
-    the minimum-norm interpolant while that system is nonsingular; duplicate
-    samples make it singular and raise np.linalg.LinAlgError. Non-finite
-    samples raise ValueError naming the array.
+    kernels; ridge defaults to 1e-8 (tr Kx + tr Ku) = 2m 1e-8. ridge = 0
+    gives the minimum-norm interpolant while those systems are nonsingular;
+    duplicate samples make them singular and raise np.linalg.LinAlgError.
+    Non-finite samples raise ValueError naming the array, and samples whose
+    dimension is not the dynamics' raise ValueError naming both.
     """
     X, U, P = _as_xup(samples)
     m, d = X.shape
     if m < 2:
         raise ValueError("need at least 2 samples")
+    if d != dyn.d:
+        raise ValueError(f"sample dimension {d} does not match dynamics dimension {dyn.d}")
     sq_x = _squared_distances(X, X)
     sq_u = _squared_distances(U, U)
     if sigma is None:
@@ -289,25 +307,26 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
 
-    # gram = kron(Kx^2, B B^T) + kron(Ku^2, I), filled block by block with
-    # kron's own products and sum: block (k, l) of the (m, d, m, d) view
-    KK, UU, BB, eye = Kx @ Kx, Ku @ Ku, dyn.B @ dyn.B.T, np.eye(d)
-    gram = np.empty((m * d, m * d))
-    blocks = gram.reshape(m, d, m, d)
-    for k in range(d):
-        for l in range(d):
-            blocks[:, k, :, l] = KK * BB[k, l] + UU * eye[k, l]
-    gram[np.diag_indices_from(gram)] += ridge
-    A = np.linalg.solve(gram, P.ravel()).reshape(m, d)
+    # B B^T = V diag(lam) V^T splits the dual into d stacked m x m systems
+    lam, V = np.linalg.eigh(dyn.B @ dyn.B.T)
+    grams = lam[:, None, None] * (Kx @ Kx) + Ku @ Ku
+    grams[:, np.arange(m), np.arange(m)] += ridge
+    b = np.linalg.solve(grams, (P @ V).T[:, :, None])
+    A = b[:, :, 0].T @ V.T
     return KernelFieldModel(centers_x=X.copy(), coeff_x=Kx @ A @ dyn.B,
                             centers_u=U.copy(), coeff_u=Ku @ A,
                             sigma=float(sigma), ridge=float(ridge))
 
 
 def predict_field(model: KernelFieldModel, dyn: LinearDynamics, x, u) -> np.ndarray:
-    """B g(x) + h(u) under the fitted model."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    """B g(x) + h(u) under the fitted model. Raises ValueError when the
+    model's dimension is not the dynamics', or when x or u has a non-finite
+    entry."""
+    if model.coeff_x.shape[1] != dyn.d:
+        raise ValueError(f"model dimension {model.coeff_x.shape[1]} does not match "
+                         f"dynamics dimension {dyn.d}")
+    x = _finite_points(x, "x points")
+    u = _finite_points(u, "u points")
     gx = gaussian_kernel(x, model.centers_x, model.sigma) @ model.coeff_x
     hu = gaussian_kernel(u, model.centers_u, model.sigma) @ model.coeff_u
     out = gx @ dyn.B.T + hu

@@ -310,7 +310,8 @@ def test_c08_flat_space_detection():
 def test_c09_decomposable_kernel_generalization():
     """The kernel fit of the field of U = -|x|^2 - |u|^2 predicts held-out
     points inside the sampled box to 1e-2 relative error, and two
-    gauge-equivalent data sets give predictions equal to 1e-10."""
+    gauge-equivalent data sets give predictions equal to 1e-10 at d = 1 and
+    to 1e-7 of the largest prediction at d = 2, 3 with a non-diagonal B."""
     rng = fresh_rng()
     d = 2
     dyn = pc.LinearDynamics(A=np.eye(d), B=0.5 * np.eye(d) + 0.1)
@@ -338,6 +339,21 @@ def test_c09_decomposable_kernel_generalization():
     np.testing.assert_allclose(pc.predict_field(m1, dyn, probe_x, probe_u),
                                pc.predict_field(m2, dyn, probe_x, probe_u),
                                atol=1e-10)
+
+    for d in (2, 3):
+        rng = fresh_rng(d)
+        dyn = pc.LinearDynamics(A=np.eye(d), B=rng.normal(size=(d, d)))
+        X = rng.normal(size=(30, d))
+        U = rng.normal(size=(30, d))
+        c = rng.normal(size=d)
+        P1 = (-2.0 * X) @ dyn.B.T + (-2.0 * U)
+        P2 = (-2.0 * X - c) @ dyn.B.T + (-2.0 * U + dyn.B @ c)
+        m1 = pc.fit_decomposable((X, U, P1), dyn)
+        m2 = pc.fit_decomposable((X, U, P2), dyn)
+        probe_x, probe_u = rng.normal(size=(5, d)), rng.normal(size=(5, d))
+        pred1 = pc.predict_field(m1, dyn, probe_x, probe_u)
+        pred2 = pc.predict_field(m2, dyn, probe_x, probe_u)
+        assert np.max(np.abs(pred1 - pred2)) <= 1e-7 * np.max(np.abs(pred1))
 
 
 # -------------------------------------------------------------- criterion 10

@@ -263,6 +263,23 @@ def test_kernel_gauge_only_the_sum_is_identified(rng):
                                atol=1e-10)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_gauge_holds_with_a_non_diagonal_b(rng, d):
+    # at d = 1 the eigenbasis of B B^T is trivial; here it mixes components
+    dyn = pc.LinearDynamics(A=np.eye(d), B=rng.normal(size=(d, d)))
+    X = rng.normal(size=(30, d))
+    U = rng.normal(size=(30, d))
+    c = rng.normal(size=d)
+    P1 = (-2.0 * X) @ dyn.B.T + (-2.0 * U)
+    P2 = (-2.0 * X - c) @ dyn.B.T + (-2.0 * U + dyn.B @ c)
+    m1 = pc.fit_decomposable((X, U, P1), dyn)
+    m2 = pc.fit_decomposable((X, U, P2), dyn)
+    probe_x, probe_u = rng.normal(size=(5, d)), rng.normal(size=(5, d))
+    pred1 = pc.predict_field(m1, dyn, probe_x, probe_u)
+    pred2 = pc.predict_field(m2, dyn, probe_x, probe_u)
+    assert np.max(np.abs(pred1 - pred2)) <= 1e-7 * np.max(np.abs(pred1))
+
+
 def test_kernel_fit_matches_the_primal_ridge_solution(rng):
     # the dual solve and ridge least squares over all 2md coefficients have
     # one minimizer
@@ -343,6 +360,48 @@ def test_kernel_rejects_mismatched_dimensions(rng):
         pc.predict_field(model, dyn, np.zeros((3, d)), np.zeros(3))
 
 
+@pytest.mark.parametrize("d_dyn", [1, 3])
+def test_kernel_entry_points_reject_dynamics_of_another_dimension(monkeypatch, rng, d_dyn):
+    d = 2
+    dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
+    samples = decomposable_samples(rng, dyn, 10)
+    model = pc.fit_decomposable(samples, dyn)
+    other = pc.LinearDynamics(A=np.eye(d_dyn), B=np.eye(d_dyn))
+
+    def no_solve(a, b):
+        raise AssertionError("solved before checking the dimensions")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    with pytest.raises(ValueError, match=f"sample dimension 2 does not match "
+                                         f"dynamics dimension {d_dyn}"):
+        pc.fit_decomposable(samples, other)
+    with pytest.raises(ValueError, match=f"model dimension 2 does not match "
+                                         f"dynamics dimension {d_dyn}"):
+        pc.predict_field(model, other, samples[0], samples[1])
+    with pytest.raises(ValueError, match=f"model dimension 2 does not match "
+                                         f"dynamics dimension {d_dyn}"):
+        pc.kernel_fit_residual(model, other, samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_helpers_reject_non_finite_points(bad):
+    # unchecked, a NaN row drops out of the median silently, and an inf one
+    # makes the median inf and the kernel rows NaN
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 0.0], [3.0, 0.0]])
+    with pytest.raises(ValueError, match="points contain non-finite"):
+        pc.median_pairwise(pts)
+    with pytest.raises(ValueError, match="points A contain non-finite"):
+        pc.gaussian_kernel(pts, pts[:2], 1.0)
+    with pytest.raises(ValueError, match="centres B_pts contain non-finite"):
+        pc.gaussian_kernel(pts[:2], pts, 1.0)
+    dyn = pc.LinearDynamics(A=np.eye(2), B=np.eye(2))
+    model = pc.fit_decomposable((pts[:2], pts[:2], pts[:2]), dyn)
+    with pytest.raises(ValueError, match="x points contain non-finite"):
+        pc.predict_field(model, dyn, pts, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="u points contain non-finite"):
+        pc.predict_field(model, dyn, np.zeros((4, 2)), pts)
+
+
 @pytest.mark.parametrize("which", [0, 1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kernel_fit_rejects_non_finite_samples(rng, which, bad):
@@ -358,8 +417,11 @@ def test_kernel_fit_rejects_non_finite_samples(rng, which, bad):
 
 
 # The kernel formulas as they read before the squared distances were summed
-# one coordinate at a time and the Gram was filled block by block. For
-# d < 8 the new code must reproduce them bit for bit.
+# one coordinate at a time, and the fit as one md x md Gram solve. For d < 8
+# the kernels, sigma, ridge and centres must reproduce them bit for bit. The
+# fit solves d stacked m x m systems in the eigenbasis of B B^T instead: at d = 1
+# that basis is [[1]] and the fit is bit-equal too; from d = 2 it agrees with
+# the Gram solve to that Gram's condition number.
 
 def reference_kernel(A, B_pts, sigma):
     sq = np.sum((A[:, None, :] - B_pts[None, :, :]) ** 2, axis=2)
@@ -400,7 +462,7 @@ def bit_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-KERNEL_CASES = [  # (m, duplicate, random B, sigma, ridge)
+KERNEL_CASES = [  # (m, duplicate, B, sigma, ridge); B: False 0.1 I, True normal
     (2, False, False, None, None),
     (2, False, True, 0.7, 1e-3),
     (40, True, True, None, None),
@@ -412,12 +474,17 @@ KERNEL_CASES = [  # (m, duplicate, random B, sigma, ridge)
 @pytest.mark.parametrize(
     "d, m, duplicate, random_b, sigma, ridge",
     [(d, *case) for d in range(1, 8) for case in KERNEL_CASES]
-    # the (m d)^2 Gram at m = 300 is kept to d <= 3 for the suite's time
-    + [(d, 300, False, True, None, None) for d in range(1, 4)])
+    # the (m d)^2 reference Gram at m = 300 is kept to d <= 3 for the suite's time
+    + [(d, 300, False, True, None, None) for d in range(1, 4)]
+    # "singular": normal with its last column a copy of the first, so that
+    # B B^T has a zero eigenvalue
+    + [(d, 40, False, "singular", None, None) for d in (2, 3)])
 def test_kernel_outputs_match_the_reference_bit_for_bit(monkeypatch, d, m, duplicate,
                                                         random_b, sigma, ridge):
     rng = np.random.default_rng(100 * d + m)
     B = rng.normal(size=(d, d)) if random_b else 0.1 * np.eye(d)
+    if random_b == "singular":
+        B[:, -1] = B[:, 0]
     dyn = pc.LinearDynamics(A=np.eye(d), B=B)
     X, U, P = decomposable_samples(rng, dyn, m)
     if duplicate:
@@ -427,25 +494,45 @@ def test_kernel_outputs_match_the_reference_bit_for_bit(monkeypatch, d, m, dupli
         assert pc.median_pairwise(pts) == reference_median(pts)
     assert bit_equal(pc.gaussian_kernel(X, U, 0.8), reference_kernel(X, U, 0.8))
 
-    grams = []
+    calls = []
     solve = np.linalg.solve
 
     def spy(a, b):
-        grams.append(a.copy())
+        calls.append((a.copy(), b.shape))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
     model = pc.fit_decomposable((X, U, P), dyn, sigma=sigma, ridge=ridge)
     monkeypatch.undo()
     ref_gram, ref = reference_fit(X, U, P, B, sigma, ridge)
-    assert bit_equal(grams[0], ref_gram)
-    for field, value in ref.items():
-        assert bit_equal(getattr(model, field), value), field
+    for field in ("centers_x", "centers_u", "sigma", "ridge"):
+        assert bit_equal(getattr(model, field), ref[field]), field
+
+    # one stacked solve of the d systems lam_k Kx^2 + Ku^2 + ridge I
+    assert len(calls) == 1
+    grams, rhs_shape = calls[0]
+    assert grams.shape == (d, m, m) and rhs_shape == (d, m, 1)
+    Kx = reference_kernel(X, X, ref["sigma"])
+    Ku = reference_kernel(U, U, ref["sigma"])
+    lam = np.linalg.eigh(B @ B.T)[0]
+    for k in range(d):
+        assert bit_equal(grams[k], lam[k] * (Kx @ Kx) + Ku @ Ku + ref["ridge"] * np.eye(m))
 
     Xh, Uh, _ = decomposable_samples(rng, dyn, 7)
     ref_pred = (reference_kernel(Xh, X, ref["sigma"]) @ ref["coeff_x"] @ B.T
                 + reference_kernel(Uh, U, ref["sigma"]) @ ref["coeff_u"])
-    assert bit_equal(pc.predict_field(model, dyn, Xh, Uh), ref_pred)
+    pred = pc.predict_field(model, dyn, Xh, Uh)
+    if d == 1:
+        for field in ("coeff_x", "coeff_u"):
+            assert bit_equal(getattr(model, field), ref[field]), field
+        assert bit_equal(pred, ref_pred)
+        return
+    # the two solves round differently; both are backward stable, so they
+    # differ by at most a modest multiple of cond(Gram) eps
+    tol = 10 * np.linalg.cond(ref_gram) * np.finfo(float).eps
+    for got, want in ((model.coeff_x, ref["coeff_x"]), (model.coeff_u, ref["coeff_u"]),
+                      (pred, ref_pred)):
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 def test_one_distance_pass_per_sample_set(monkeypatch, rng):
