@@ -6,9 +6,11 @@ each agent's reward gradient (private utility plus the shared coupling,
 chain-ruled through that agent's next state). Nash stationarity is F(u*) = 0,
 equivalently the VI: (y - u*)^T F(u*) >= 0 rewritten for the ascent
 orientation used here. F and every agent's payoff derivatives come from one
-stacked fleet derivative (_utility_derivative, _coupling_derivative), and
-every play mode solves its best responses as one row-stacked Newton
-iteration (numerics.newton_root): all N agents in the simultaneous,
+stacked utility derivative (_utility_derivative) and the coupling's one
+pair pass (CouplingFunction._grad_hess_rows, whose all-rows gradient is
+grad), chain-ruled through each row's B^T, and every play mode solves
+its best responses as one row-stacked Newton iteration
+(numerics.newton_root): all N agents in the simultaneous,
 two-stage, single-stage and Tikhonov plays, the one agent t mod N in
 sequential play. A Newton evaluation (_payoff_derivatives) takes its payoff
 gradients and Hessians from one fleet step and one coupling pair pass
@@ -134,24 +136,15 @@ def _utility_derivative(table: RowTable, V, Y, hessian: bool = False) -> np.ndar
             - 2.0 * (R @ V[..., None])[..., 0])
 
 
-def _coupling_derivative(sys: SystemInstance, table: RowTable, Y, X) -> np.ndarray:
-    """Row i: the shared coupling's gradient for agent n = rows[i] of the row
-    table at its next state Y[i] = A x + B u_n, everyone else at the next
-    states X, chain-ruled through B: B^T grad_rows, (k, d). X None means
-    every agent at its own row of Y, (..., N, d), with the table's rows all
-    agents in order: B^T grad."""
-    g = sys.coupling.grad(Y) if X is None else sys.coupling.grad_rows(Y, X, table.rows)
-    return (table.Bt @ g[..., None])[..., 0]
-
-
 def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     """(g, H): the payoff gradients and Hessians, (k, d) and (k, d, d), of
     the agents rows[i] at their actions V, (k, d), against opponents frozen
     at the next states X; Y is the rows' own next states when the caller has
     them, else one fleet step makes them. Everything read by agent comes
     from the instance's RowTable for rows, which gathers it once per stage,
-    and the coupling's B^T grad_rows and B^T H B, H its Hessian rows, come
-    from one pair pass (CouplingFunction._grad_hess_rows); no proximal term."""
+    and the coupling's B^T g and B^T H B, g and H its gradient and Hessian
+    rows, come from one pair pass (CouplingFunction._grad_hess_rows); no
+    proximal term."""
     table = sys._row_table(rows)
     if Y is None:
         Y = _fleet_step(sys, V, table)
@@ -160,28 +153,25 @@ def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
             _utility_derivative(table, V, Y, hessian=True) + table.Bt @ H @ table.B)
 
 
-def _field_rows(sys: SystemInstance, V, X, rows) -> np.ndarray:
-    """Utility plus coupling gradient of the rows at V, from one fleet step."""
-    table = sys._row_table(rows)
-    Y = _fleet_step(sys, V, table)
-    return _utility_derivative(table, V, Y) + _coupling_derivative(sys, table, Y, X)
-
-
 def reward_field(sys: SystemInstance):
     """F(u) stacking the per-agent reward gradients, in the shape of the joint
     actions it is given: (..., N, d) -> (..., N, d), or flat (..., N*d) ->
     (..., N*d). Each row is agent n's utility gradient plus B_n^T times
-    row n of the coupling gradient; a batch is taken in pieces of
-    model.pair_batch_rows joint actions."""
-    rows = np.arange(sys.N)
+    row n of the coupling gradient, from one fleet step; a batch is taken
+    in pieces of model.pair_batch_rows joint actions."""
+    table = sys._row_table(np.arange(sys.N))
     chunk = pair_batch_rows(sys)
+
+    def field(V):
+        Y = _fleet_step(sys, V, table)
+        return (_utility_derivative(table, V, Y)
+                + (table.Bt @ sys.coupling.grad(Y)[..., None])[..., 0])
 
     def F(u):
         U = np.ascontiguousarray(np.reshape(u, (-1, sys.N, sys.d)), dtype=float)
         if not np.all(np.isfinite(U)):
             raise ValueError("joint action contains non-finite entries")
-        out = np.concatenate([_field_rows(sys, U[k:k + chunk], None, rows)
-                              for k in range(0, len(U), chunk)])
+        out = np.concatenate([field(U[k:k + chunk]) for k in range(0, len(U), chunk)])
         return out.reshape(np.shape(u))
 
     return F
@@ -294,8 +284,10 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, la
     table = sys._row_table(np.arange(sys.N))
     resp = _jacobi_responses(sys, X_frozen, U, lam, start=start)
     Y = _fleet_step(sys, resp, table)
-    g_util = probe_utility_gradient(lam, resp, U, _coupling_derivative(sys, table, Y, X_frozen))
-    g_coup = _coupling_derivative(sys, table, Y, None)
+    # the coupling gradient against the frozen opponents, then at Y itself
+    g_frozen = sys.coupling._grad_hess_rows(Y, X_frozen, table.pairs, hessian=False)
+    g_util = probe_utility_gradient(lam, resp, U, (table.Bt @ g_frozen[..., None])[..., 0])
+    g_coup = (table.Bt @ sys.coupling.grad(Y)[..., None])[..., 0]
     return resp, U + gamma * (g_util + g_coup), g_util
 
 

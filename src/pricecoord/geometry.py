@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .model import LinearDynamics
+from .model import LinearDynamics, as_matrix
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,9 @@ def transport(model: ConnectionModel, xi, dz) -> np.ndarray:
 class KernelFieldModel:
     """Gaussian-kernel representation of the decomposed gradient field:
     g(x) = sum_i k(x, centers_x[i]) coeff_x[i] and likewise h(u); the
-    identified object is B g(x) + h(u) (see module docstring on gauge)."""
+    identified object is B g(x) + h(u) (see module docstring on gauge).
+    Centres and coefficients must be finite 2-D arrays of one width, which
+    is checked here, so predict_field does not check them again."""
 
     centers_x: np.ndarray
     coeff_x: np.ndarray
@@ -188,6 +190,12 @@ class KernelFieldModel:
     ridge: float
 
     def __post_init__(self):
+        for name in ("centers_x", "coeff_x", "centers_u", "coeff_u"):
+            arr = as_matrix(getattr(self, name), name=name)
+            object.__setattr__(self, name, arr)
+            if arr.shape[1] != self.centers_x.shape[1]:
+                raise ValueError(f"{name} has {arr.shape[1]} columns, "
+                                 f"centers_x has {self.centers_x.shape[1]}")
         if not (len(self.centers_x) == len(self.coeff_x)
                 and len(self.centers_u) == len(self.coeff_u)):
             raise ValueError("centers and coefficients disagree in length")
@@ -321,14 +329,18 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
 def predict_field(model: KernelFieldModel, dyn: LinearDynamics, x, u) -> np.ndarray:
     """B g(x) + h(u) under the fitted model. Raises ValueError when the
     model's dimension is not the dynamics', or when x or u has a non-finite
-    entry."""
-    if model.coeff_x.shape[1] != dyn.d:
-        raise ValueError(f"model dimension {model.coeff_x.shape[1]} does not match "
-                         f"dynamics dimension {dyn.d}")
+    entry or another dimension. The model's centres and width were checked
+    when it was built."""
+    d = model.coeff_x.shape[1]
+    if d != dyn.d:
+        raise ValueError(f"model dimension {d} does not match dynamics dimension {dyn.d}")
     x = _finite_points(x, "x points")
     u = _finite_points(u, "u points")
-    gx = gaussian_kernel(x, model.centers_x, model.sigma) @ model.coeff_x
-    hu = gaussian_kernel(u, model.centers_u, model.sigma) @ model.coeff_u
+    for name, pts in (("x", x), ("u", u)):
+        if pts.shape[1] != d:
+            raise ValueError(f"{name} points have dimension {pts.shape[1]}, the model has {d}")
+    gx = _gaussian(_squared_distances(x, model.centers_x), model.sigma) @ model.coeff_x
+    hu = _gaussian(_squared_distances(u, model.centers_u), model.sigma) @ model.coeff_u
     out = gx @ dyn.B.T + hu
     return out[0] if out.shape[0] == 1 else out
 

@@ -249,32 +249,28 @@ class CouplingFunction:
     """Shared regulation term G over the joint next-state X, an (N, d) array,
     ADDED to welfare and to every agent's reward (penalties enter with a
     minus sign). G is a sum of radial pair terms: with s = ||x_n - x_m||^2,
-    G = scale * sum_{n<m} pair_value(s) and dG/dx_n = sum_m pair_weight(s)
-    (x_n - x_m), so pair_weight = 2 * scale * pair_value'. pair_terms(s) is
-    (pair_weight(s), w'(s)) from one pass over the pairs, its first part
-    pair_weight's bit for bit, and w' = d pair_weight / ds gives agent n's
-    Hessian block d^2G/dx_n^2 = sum_{m != n} [w(s) I + 2 w'(s) D D^T] with
-    D = x_n - x_m. grad_rows(Y, X, rows) is that pair sum for a stack of
-    agents against a joint state X, (..., N, d): row i is dG/dx_n for
-    n = rows[i] with x_n replaced by Y[..., i, :], from agent n's pairs only
-    (the self pair set to zero), (..., k, d). grad(X) is its all-rows case
-    grad_rows(X, X, arange(N)), the whole gradient at each (N, d) joint
-    state of X. _grad_hess_rows(Y, X, pairs) gives, for one joint state X,
-    (N, d), and Y of shape (k, d), grad_rows(Y, X, rows) bit for bit and the
-    (d, d) Hessian blocks, (k, d, d), over the N - 1 pairs that are not the
-    self pair (its D is zero, but its pair_weight is not), from one
-    pair_terms pass, reading the rows' pair indices from
-    pairs = _pair_table(rows).
-    values(Xs) is value at each (N, d) row of a (K, N, d) array, bit for
-    bit. A coupling with scale 0 is identically zero, pair_weight and
-    pair_terms included, so it returns zeros without touching its pair
-    functions."""
+    G = scale * sum_{n<m} pair_value(s). pair_terms(s) is (w(s), w'(s)),
+    w = 2 * scale * pair_value' the pair weight of the gradient
+    dG/dx_n = sum_m w(s) (x_n - x_m) and w' = dw/ds its curvature, which
+    gives agent n's Hessian block d^2G/dx_n^2 = sum_{m != n} [w(s) I
+    + 2 w'(s) D D^T] with D = x_n - x_m.
+
+    _grad_hess_rows(Y, X, pairs) is the one pass that sums these pair
+    derivatives, for the agents rows[i] with pairs = _pair_table(rows): row
+    i is dG/dx_n for n = rows[i] with x_n replaced by Y[..., i, :] against
+    the joint states X, (..., N, d), from agent n's pairs only (the self
+    pair set to zero), (..., k, d); and, for one joint state (Y of shape
+    (k, d)), its Hessian block, (k, d, d), over the N - 1 pairs that are
+    not the self pair (its D is zero, but its w is not). grad(X) is the
+    pass's all-rows gradient at each (N, d) joint state of X. values(Xs) is
+    value at each (N, d) row of a (K, N, d) array, bit for bit. A coupling
+    with scale 0 is identically zero, so it returns zeros without touching
+    its pair functions."""
 
     N: int
     d: int
     scale: float
     pair_value: Callable[[np.ndarray], np.ndarray]
-    pair_weight: Callable[[np.ndarray], np.ndarray]
     pair_terms: Callable[[np.ndarray], tuple]
 
     def value(self, X) -> float:
@@ -296,15 +292,12 @@ class CouplingFunction:
     def grad(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         X = X.reshape(X.shape[:-2] + (self.N, self.d))
-        return self.grad_rows(X, X, np.arange(self.N))
+        return self._grad_hess_rows(X, X, self._all_pairs, hessian=False)
 
-    def grad_rows(self, Y, X, rows) -> np.ndarray:
-        if self.scale == 0.0:
-            return np.zeros(np.shape(Y))
-        # sum_m pair_weight(s) (y_i - x_m) over agent rows[i]'s pairs, in index order
-        D = Y[..., :, None, :] - X[..., None, :, :]
-        D[..., np.arange(len(rows)), rows, :] = 0.0
-        return _ordered_sum(self.pair_weight(_squared_norms(D))[..., None] * D, axis=-2)
+    @cached_property
+    def _all_pairs(self) -> PairTable:
+        """grad's PairTable, of every agent in order, built once."""
+        return self._pair_table(np.arange(self.N))
 
     @cached_property
     def _others(self) -> np.ndarray:
@@ -320,28 +313,31 @@ class CouplingFunction:
                          _read_only(self._others[rows] + offset[:, None]),
                          _read_only(np.eye(self.d)))
 
-    def _grad_hess_rows(self, Y, X, pairs: PairTable):
-        """(grad_rows(Y, X, rows), the Hessian rows) for Y of shape (k, d)
-        from one pair pass, with pairs = _pair_table(rows): one D, one
+    def _grad_hess_rows(self, Y, X, pairs: PairTable, hessian: bool = True):
+        """(gradient rows, Hessian rows) for Y of shape (k, d), or with
+        hessian False the gradient rows alone for Y of shape (..., k, d),
+        from one pair pass with pairs = _pair_table(rows): one D, one
         squared norm and one pair_terms per pair, the Hessian gathering its
         N-1 others from them. Each sum keeps its own order, bit for bit."""
         if self.scale == 0.0:
-            k = len(Y)
-            return np.zeros(np.shape(Y)), np.zeros((k, self.d, self.d))
-        flat = (Y[:, None, :] - X).reshape(-1, self.d)
-        flat[pairs.self_pairs] = 0.0
-        D = flat.reshape(len(Y), self.N, self.d)  # a view of flat, whatever X's order
+            g = np.zeros(np.shape(Y))
+            return (g, np.zeros((len(Y), self.d, self.d))) if hessian else g
+        # C-ordered whatever X's order, so the flat self-pair index writes into D
+        D = np.ascontiguousarray(Y[..., :, None, :] - X[..., None, :, :])
+        D.reshape(-1, Y.shape[-2] * self.N, self.d)[:, pairs.self_pairs] = 0.0
         w, c = self.pair_terms(_squared_norms(D))
-        D_o, w_o, c_o = flat.take(pairs.others, axis=0), w.take(pairs.others), c.take(pairs.others)
+        g = _ordered_sum(w[..., None] * D, axis=-2)
+        if not hessian:
+            return g
+        D_o = D.reshape(-1, self.d).take(pairs.others, axis=0)
+        w_o, c_o = w.take(pairs.others), c.take(pairs.others)
         # sum over the N - 1 other pairs of w I + 2 w' D D^T
-        return (_ordered_sum(w[..., None] * D, axis=-2),
-                w_o.sum(axis=-1)[:, None, None] * pairs.eye
-                + 2.0 * (D_o.transpose(0, 2, 1) * c_o[:, None, :]) @ D_o)
+        return g, (w_o.sum(axis=-1)[:, None, None] * pairs.eye
+                   + 2.0 * (D_o.transpose(0, 2, 1) * c_o[:, None, :]) @ D_o)
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
-    return CouplingFunction(N, d, 0.0, np.zeros_like, np.zeros_like,
-                            lambda sq: (np.zeros_like(sq),) * 2)
+    return CouplingFunction(N, d, 0.0, np.zeros_like, lambda sq: (np.zeros_like(sq),) * 2)
 
 
 def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunction:
@@ -350,11 +346,8 @@ def pairwise_quadratic_coupling(strength: float, N: int, d: int) -> CouplingFunc
     With strength = eps, N = 2, d = 1 this is the canonical weak/strong test
     coupling -eps (x_1 - x_2)^2.
     """
-    def pair_weight(sq):
-        return np.full_like(sq, -2.0 * strength)
-
-    return CouplingFunction(N, d, -strength, lambda sq: sq, pair_weight,
-                            lambda sq: (pair_weight(sq), np.zeros_like(sq)))
+    return CouplingFunction(N, d, -strength, lambda sq: sq,
+                            lambda sq: (np.full(sq.shape, -2.0 * strength), np.zeros(sq.shape)))
 
 
 @dataclass(frozen=True)
@@ -433,13 +426,11 @@ class SystemInstance:
 class RowTable(NamedTuple):
     """Everything a derivative pass reads by agent for the agents rows[i] of
     one instance, (k, ...) arrays gathered once from its stacked model
-    arrays, each the gather or product a pass would make: the rows
-    themselves, A x and B, B^T and -2 B^T; when every utility is quadratic
-    (Q, R, x0) and the utility Hessians -2 (B^T Q B + R), else None and
-    each row's (utility, dynamics, state); and the coupling's PairTable.
-    Read-only."""
+    arrays, each the gather or product a pass would make: A x and B, B^T
+    and -2 B^T; when every utility is quadratic (Q, R, x0) and the utility
+    Hessians -2 (B^T Q B + R), else None and each row's (utility,
+    dynamics, state); and the coupling's PairTable. Read-only."""
 
-    rows: np.ndarray
     Ax: np.ndarray
     B: np.ndarray
     Bt: np.ndarray
@@ -462,7 +453,7 @@ def _build_row_table(sys: SystemInstance, rows: np.ndarray) -> RowTable:
     else:
         Q, R, _ = quadratic = tuple(_read_only(a[rows]) for a in quadratic)
         hessians, agents = _read_only(-2.0 * (Bt @ Q @ B + R)), None
-    return RowTable(*map(_read_only, (rows.copy(), Ax[rows], B, Bt, -2.0 * Bt)),
+    return RowTable(*map(_read_only, (Ax[rows], B, Bt, -2.0 * Bt)),
                     quadratic, hessians, agents, sys.coupling._pair_table(rows))
 
 

@@ -12,7 +12,8 @@ when its field's sup-norm drops below 1e-11 or when no backtracking step
 down to alpha = 1e-10 reduces it, which is where the finite-difference field
 reaches its noise floor; it takes exactly the steps it would take alone. The
 loop does not use numerics.newton_root, so the reference never runs the
-loop it checks.
+loop it checks; it shares only the stacked linear solve of a Newton step
+(numerics._newton_steps).
 
 Every stencil is one model.batch_welfare call on its flat points, each row
 equal to the scalar welfare bit for bit: the fields of all rows still in a
@@ -43,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from .model import SystemInstance, batch_welfare, joint_action
-from .numerics import fd_gradients
+from .numerics import _newton_steps, fd_gradients
 
 
 def joint_welfare(sys: SystemInstance, u) -> float:
@@ -135,22 +136,6 @@ def _fields(f_rows, X: np.ndarray, rows: np.ndarray, errors: dict):
         except ValueError as exc:
             errors[rows[i]], finite[i] = exc, False
     return G, finite
-
-
-def _newton_steps(H: np.ndarray, G: np.ndarray):
-    """(steps solving H s = -g for each row, mask of the singular rows): one
-    stacked solve, or one solve per row when some H is singular."""
-    try:
-        return np.linalg.solve(H, -G[..., None])[..., 0], np.zeros(len(G), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    S, singular = np.zeros_like(G), np.zeros(len(G), dtype=bool)
-    for i in range(len(G)):
-        try:
-            S[i] = np.linalg.solve(H[i], -G[i])
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return S, singular
 
 
 def _newton_polish_rows(sys: SystemInstance, starts) -> tuple[np.ndarray, np.ndarray, dict]:

@@ -190,20 +190,16 @@ def separation_barrier_coupling(beta: float, radius: float, N: int, d: int) -> C
         return zero_coupling(N, d)
     r2 = radius * radius
 
-    def pair_weight(sq):
-        z = r2 - sq
-        return 4.0 * beta * np.logaddexp(0.0, z) * _sigmoid(z)
-
     def pair_terms(sq):
-        # pair_weight and its d/ds from one softplus and one sigmoid per pair:
+        # the pair weight 4 beta softplus(z) sigma(z), z = r^2 - s, and its
+        # d/ds from one softplus and one sigmoid per pair:
         # sigma' = sigma (1 - sigma), sigma(-z) = exp(-softplus(z))
         z = r2 - sq
         softplus, sig = np.logaddexp(0.0, z), _sigmoid(z)
         return (4.0 * beta * softplus * sig,
                 -4.0 * beta * sig * (sig + softplus * np.exp(-softplus)))
 
-    return CouplingFunction(N, d, -beta, lambda sq: np.logaddexp(0.0, r2 - sq) ** 2,
-                            pair_weight, pair_terms)
+    return CouplingFunction(N, d, -beta, lambda sq: np.logaddexp(0.0, r2 - sq) ** 2, pair_terms)
 
 
 def _random_spd(rng, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:

@@ -21,7 +21,7 @@ def coupling_slice(sys, X, n):
         return G.value(Xu)
 
     def grad(u):
-        return B.T @ G.grad_rows((Ax + B @ u)[None], X, row)[0]
+        return B.T @ reference_grad_hess_rows(G, (Ax + B @ u)[None], X, row)[0][0]
 
     def hess(u):
         return B.T @ reference_grad_hess_rows(G, (Ax + B @ u)[None], X, row)[1][0] @ B

@@ -123,7 +123,7 @@ def test_payoff_hessian_matches_fd_of_payoff_gradient(family, terms):
 @pytest.mark.parametrize("family", ["quadratic", "cross_term", "decomposable", "smooth"])
 def test_stacked_payoff_hessian_matches_fd_of_its_gradient(family):
     # the play modes' payoff rows: utility plus the coupling chain-ruled
-    # through B, B^T grad_rows and B^T H B, against opponents frozen at X
+    # through B, B^T g and B^T H B, against opponents frozen at X
     rng, sys = _fd_instance(family)
     X = pc.joint_next_state(sys, 0.5 * rng.normal(size=(sys.N, sys.d)))
     rows = np.arange(sys.N)

@@ -288,6 +288,20 @@ def test_simulate_non_quadratic_utilities_match_the_golden_files(tmp_path, spec)
             == (data / f"{spec}_report.json").read_text())
 
 
+@pytest.mark.parametrize("spec", ["cross_term", "decomposable_smooth"])
+def test_compare_non_quadratic_utilities_match_the_golden_files(tmp_path, spec):
+    # the same configs through compare, written by an earlier version: pins
+    # the bits of the stacked proximal rounds (two_stage, single_stage,
+    # tikhonov) on rows whose utility is not quadratic
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=10,
+                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
+                       utility_spec=spec, mode={})
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    golden = pathlib.Path(__file__).parent / "data" / f"{spec}_compare.json"
+    assert (out / "compare.json").read_text() == golden.read_text()
+
+
 def test_compare_consensus_matches_the_golden_file(tmp_path):
     # tests/data/consensus_compare.json was written by an earlier version; it
     # pins all five modes, the 500-round tikhonov and single_stage and the

@@ -360,6 +360,22 @@ def test_kernel_rejects_mismatched_dimensions(rng):
         pc.predict_field(model, dyn, np.zeros((3, d)), np.zeros(3))
 
 
+def test_kernel_model_checks_its_centres_and_coefficients_when_built():
+    # unchecked, a 3-column coeff_u next to 2-column centres and NaN centres
+    # are accepted here and fail later in predict_field
+    good = np.zeros((4, 2))
+    parts = dict(centers_x=good, coeff_x=good, centers_u=good, coeff_u=good,
+                 sigma=1.0, ridge=0.0)
+    for name, bad, message in (("coeff_u", np.zeros((4, 3)), "coeff_u has 3 columns"),
+                               ("centers_x", np.zeros((4, 3)), "coeff_x has 2 columns"),
+                               ("centers_u", np.full((4, 2), np.nan), "centers_u contains non"),
+                               ("coeff_x", np.zeros(4), "coeff_x must be 2-D")):
+        with pytest.raises(ValueError, match=message):
+            pc.KernelFieldModel(**{**parts, name: bad})
+    model = pc.KernelFieldModel(**{**parts, "coeff_u": [[1.0, 2.0]] * 4})
+    assert model.coeff_u.dtype == float and model.coeff_u.shape == (4, 2)
+
+
 @pytest.mark.parametrize("d_dyn", [1, 3])
 def test_kernel_entry_points_reject_dynamics_of_another_dimension(monkeypatch, rng, d_dyn):
     d = 2

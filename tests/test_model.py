@@ -234,12 +234,13 @@ def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):
     def unreachable(sq):
         raise AssertionError("pair term evaluated")
 
-    G = pc.CouplingFunction(3, 2, 0.0, unreachable, unreachable, unreachable)
+    G = pc.CouplingFunction(3, 2, 0.0, unreachable, unreachable)
     X = rng.normal(size=(3, 2))
+    pairs = G._pair_table(np.array([1, 2]))
     for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)),
-                       (G.grad_rows(X[1:], X, [1, 2]), (2, 2)),
-                       *zip(G._grad_hess_rows(X[1:], X, G._pair_table(np.array([1, 2]))),
-                            ((2, 2), (2, 2, 2))),
+                       (G.grad(rng.normal(size=(4, 3, 2))), (4, 3, 2)),
+                       (G._grad_hess_rows(X[1:], X, pairs, hessian=False), (2, 2)),
+                       *zip(G._grad_hess_rows(X[1:], X, pairs), ((2, 2), (2, 2, 2))),
                        (G.values(rng.normal(size=(5, 3, 2))), (5,))):
         assert np.shape(out) == shape
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
@@ -263,8 +264,8 @@ def test_hess_row_matches_fd_of_grad_row(kind):
             H = G._grad_hess_rows(X, X, G._pair_table(np.arange(N)))[1]
             assert H.shape == (N, d, d)
             for n in range(N):
-                def row(v, n=n):
-                    return G.grad_rows(v[None], X, [n])[0]
+                def row(v, pairs=G._pair_table(np.array([n]))):
+                    return G._grad_hess_rows(v[None], X, pairs, hessian=False)[0]
 
                 fd = pc.numerics.fd_jacobian(row, X[n])
                 np.testing.assert_allclose(H[n], fd, rtol=1e-6,
@@ -284,29 +285,23 @@ def test_one_pair_pass_gives_grad_rows_and_hess_rows_bit_for_bit(kind, N, rows):
     idx = {"all": np.arange(N), "subset": np.array([N - 1, 0, N // 2][:max(2, N - 1)]),
            "one": np.array([N // 2])}[rows]
     Y = X[idx] + 0.5 * rng.normal(size=(len(idx), d))
-    g, H = G._grad_hess_rows(Y, X, G._pair_table(idx))
-    assert np.array_equal(g, G.grad_rows(Y, X, idx))
-    assert np.array_equal(H, reference_grad_hess_rows(G, Y, X, idx)[1])
+    pairs = G._pair_table(idx)
+    g_ref, H_ref = reference_grad_hess_rows(G, Y, X, idx)
+    g, H = G._grad_hess_rows(Y, X, pairs)
+    assert np.array_equal(g, g_ref) and np.array_equal(H, H_ref)
+    assert np.array_equal(G._grad_hess_rows(Y, X, pairs, hessian=False), g_ref)
+    assert np.array_equal(G.grad(X), reference_grad_hess_rows(G, X, X, np.arange(N))[0])
     if kind != "zero":
-        assert np.any(H != 0.0)
+        assert np.any(g != 0.0) and np.any(H != 0.0)
 
 
 def test_hess_row_of_well_separated_barrier_agents_is_zero():
-    # the self pair has D = 0 but pair_weight(0) = 4 beta softplus(r^2) sigma(r^2)
+    # the self pair has D = 0 but its pair weight w(0) = 4 beta softplus(r^2) sigma(r^2)
     # = 7,200 here, so a Hessian that kept it would read 7,200 I
     G = pc.separation_barrier_coupling(50.0, 6.0, 4, 2)
     X = 30.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert G.pair_weight(np.zeros(1))[0] == pytest.approx(7200.0)
+    assert G.pair_terms(np.zeros(1))[0][0] == pytest.approx(7200.0)
     assert np.max(np.abs(G._grad_hess_rows(X, X, G._pair_table(np.arange(4)))[1])) < 1e-12
-
-
-@pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])
-def test_pair_terms_weight_is_pair_weight_bit_for_bit(kind):
-    # grad_rows reads pair_weight and _grad_hess_rows pair_terms: one gradient
-    G = _couplings(3, 2)[kind]
-    s = np.linspace(0.0, 100.0, 2001)  # from s = 0, the self pair
-    w, _ = G.pair_terms(s)
-    assert np.array_equal(w, G.pair_weight(s))
 
 
 @pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])
@@ -314,6 +309,30 @@ def test_pair_curvature_is_the_derivative_of_pair_weight(kind):
     G = _couplings(3, 2)[kind]
     s = np.linspace(0.0, 100.0, 201)
     h = 1e-6 * np.maximum(1.0, s)
-    fd = (G.pair_weight(s + h) - G.pair_weight(s - h)) / (2.0 * h)
+    fd = (G.pair_terms(s + h)[0] - G.pair_terms(s - h)[0]) / (2.0 * h)
     np.testing.assert_allclose(G.pair_terms(s)[1], fd, rtol=1e-6,
                                atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
+
+
+def test_a_coupling_declared_by_its_five_fields_differentiates_its_pair_value():
+    # a pair function no scenario uses: pair_value(s) = s^2, so the pair
+    # weight is w = 2 scale pair_value' = 4 scale s and w' = 4 scale
+    N, d, scale = 4, 3, -0.3
+    G = pc.CouplingFunction(N, d, scale, lambda s: s * s,
+                            lambda s: (4.0 * scale * s, np.full_like(s, 4.0 * scale)))
+    rng = np.random.default_rng(11)
+    Xs = rng.normal(size=(6, N, d))
+    assert pc.coupling_gradient_error(G, Xs) < 1e-7
+    for X in Xs:
+        H = G._grad_hess_rows(X, X, G._pair_table(np.arange(N)))[1]
+        for n in range(N):
+            def row(v, pairs=G._pair_table(np.array([n]))):
+                return G._grad_hess_rows(v[None], X, pairs, hessian=False)[0]
+
+            fd = pc.numerics.fd_jacobian(row, X[n])
+            np.testing.assert_allclose(H[n], fd, rtol=1e-6,
+                                       atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
+    batch = G.grad(Xs)
+    assert batch.shape == (6, N, d)
+    for X, g in zip(Xs, batch):
+        assert np.array_equal(g, G.grad(X))

@@ -134,7 +134,7 @@ def test_a_pass_on_replaced_states_reads_the_new_instance():
 def test_a_row_table_is_read_only(utility):
     sys = _instance("barrier", utility, 4, 2)
     table = sys._row_table(np.array([0, 2]))
-    arrays = [getattr(table, f) for f in ("rows", "Ax", "B", "Bt", "minus_2Bt")]
+    arrays = [getattr(table, f) for f in ("Ax", "B", "Bt", "minus_2Bt")]
     arrays += list(table.pairs)
     if table.quadratic is not None:
         arrays += [*table.quadratic, table.hessians]
