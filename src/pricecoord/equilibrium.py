@@ -21,7 +21,11 @@ rows, built once per row set and instance, so it gathers nothing.
 Simultaneous, two-stage and Tikhonov rounds start at the anchors against
 opponents frozen at their next states, from the next states and
 derivatives mechanism.run_stage computed there for its convergence test,
-so a round steps no fleet at its anchors.
+so a round steps no fleet at its anchors. A two-stage or single-stage
+round takes both coupling gradients at its responses (against the frozen
+opponents, and at the responses' own next states) from one stacked pair
+pass, and a single-stage round hands run_stage the reward field at its
+responses from that pass, so its convergence test evaluates nothing.
 Each row is bit for bit a one-row newton_root solve of that agent's game
 alone, as agents.best_response solves a priced game: its utility, the
 shared coupling with everyone else frozen, and in the proximal plays the
@@ -276,19 +280,25 @@ def stage2_probe_target(anchor, gamma: float, utility_grad, coupling_grad) -> np
 
 
 def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, lam: float,
-                    gamma: float, start=None):
-    """(responses, net update, extracted grad U): proximal responses anchored
-    at U against opponents frozen at the next states X_frozen, and
-    U + gamma (grad U_n + grad_n G). start is _jacobi_responses' first
-    Newton point, when already known."""
+                    gamma: float, start=None, field: bool = False):
+    """(responses, net update, extracted grad U, F at the responses or None):
+    proximal responses anchored at U against opponents frozen at the next
+    states X_frozen, and U + gamma (grad U_n + grad_n G). Both coupling
+    gradients, against X_frozen and at the responses' own next states Y,
+    come from one stacked pair pass. With field, the fourth entry is the
+    reward field at the responses, reward_field's bits, from the same Y and
+    B^T grad G(Y). start is _jacobi_responses' first Newton point, when
+    already known."""
     table = sys._row_table(np.arange(sys.N))
     resp = _jacobi_responses(sys, X_frozen, U, lam, start=start)
     Y = _fleet_step(sys, resp, table)
-    # the coupling gradient against the frozen opponents, then at Y itself
-    g_frozen = sys.coupling._grad_hess_rows(Y, X_frozen, table.pairs, hessian=False)
-    g_util = probe_utility_gradient(lam, resp, U, (table.Bt @ g_frozen[..., None])[..., 0])
-    g_coup = (table.Bt @ sys.coupling.grad(Y)[..., None])[..., 0]
-    return resp, U + gamma * (g_util + g_coup), g_util
+    # one pass: the coupling gradient against the frozen opponents, and at Y itself
+    G = sys.coupling._grad_hess_rows(np.stack((Y, Y)), np.stack((X_frozen, Y)), table.pairs,
+                                     hessian=False)
+    g_frozen, g_own = (table.Bt @ G[..., None])[..., 0]
+    g_util = probe_utility_gradient(lam, resp, U, g_frozen)
+    F = _utility_derivative(table, resp, Y) + g_own if field else None
+    return resp, U + gamma * (g_util + g_own), g_util, F
 
 
 class TwoStageUpdate(NamedTuple):
@@ -310,7 +320,7 @@ def two_stage_update(sys: SystemInstance, u_prev, lam: float, gamma: float, *,
     """
     U = joint_action(sys, u_prev)
     X, start = _frozen(sys, U, _start)
-    u_hat, u_next, g_util = _proximal_round(sys, U, X, lam, gamma, start)
+    u_hat, u_next, g_util, _ = _proximal_round(sys, U, X, lam, gamma, start)
     return TwoStageUpdate(u=u_next, u_hat=u_hat, utility_grads=g_util)
 
 
@@ -318,6 +328,7 @@ class SingleStageUpdate(NamedTuple):
     u: np.ndarray              # agent responses u^k
     u_tilde: np.ndarray        # coordinator sequence u_tilde^k
     utility_grads: np.ndarray  # extracted grad U_n(u_n^k)
+    field: np.ndarray          # reward field F(u^k), bit for bit reward_field's
 
 
 def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, lam: float,
@@ -328,12 +339,15 @@ def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, lam: float,
     response, with opponents frozen at the coordinator sequence
     u_tilde^{k-1}; the coordinator then advances
     u_tilde^k = u^{k-1} + gamma (grad U_n(u_n^k) + grad_n G(u^k)) using only
-    known quantities (grad U extracted via the probe identity).
+    known quantities (grad U extracted via the probe identity). The round
+    also returns the reward field at the responses, from the next states
+    and coupling gradient the update already formed, so the coordinator's
+    convergence test evaluates no point again.
     """
     U = joint_action(sys, u_prev)
-    resp, u_tilde, g_util = _proximal_round(sys, U, joint_next_state(sys, u_tilde_prev),
-                                            lam, gamma)
-    return SingleStageUpdate(u=resp, u_tilde=u_tilde, utility_grads=g_util)
+    resp, u_tilde, g_util, F = _proximal_round(sys, U, joint_next_state(sys, u_tilde_prev),
+                                               lam, gamma, field=True)
+    return SingleStageUpdate(u=resp, u_tilde=u_tilde, utility_grads=g_util, field=F)
 
 
 def play_tikhonov(sys: SystemInstance, u_prev, lam: float, *, _start=None) -> np.ndarray:

@@ -293,7 +293,8 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
     over the u centers, read from the same squared distances as the two
     kernels; ridge defaults to 1e-8 (tr Kx + tr Ku) = 2m 1e-8. ridge = 0
     gives the minimum-norm interpolant while those systems are nonsingular;
-    duplicate samples make them singular and raise np.linalg.LinAlgError.
+    two samples with equal x and equal u (equal kernel rows) make them
+    singular and raise np.linalg.LinAlgError, found before the solve.
     Non-finite samples raise ValueError naming the array, and samples whose
     dimension is not the dynamics' raise ValueError naming both.
     """
@@ -314,6 +315,13 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
         ridge = 1e-8 * float(np.trace(Kx) + np.trace(Ku))
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
+    if ridge == 0:
+        same = (sq_x == 0) & (sq_u == 0)
+        np.fill_diagonal(same, False)
+        if same.any():
+            i, j = np.argwhere(same)[0]
+            raise np.linalg.LinAlgError(f"samples {i} and {j} have equal x and u: the "
+                                        "ridge-free dual is singular; use ridge > 0")
 
     # B B^T = V diag(lam) V^T splits the dual into d stacked m x m systems
     lam, V = np.linalg.eigh(dyn.B @ dyn.B.T)

@@ -216,7 +216,10 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     reward field is the agents' payoff gradient: the residual is read off
     _payoff_derivatives there, with one fleet step for U's next states, and
     the next round starts from the same next states, gradients and
-    Hessians. The other modes take it from reward_field.
+    Hessians. A single_stage round returns the reward field at its
+    responses, formed from the next states and coupling gradient its update
+    used, and the residual is read off it. Sequential play, and every mode's
+    residual at u0, take it from reward_field.
     """
     U = joint_action(sys, u0).copy()
     gamma = stage_step(sys, cfg)
@@ -224,13 +227,14 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     tol = cfg.tol
     rows = np.arange(sys.N)
 
-    def residual_at(U):
-        """(||F(U)||_inf, the next round's Newton start or None)."""
+    def residual_at(U, field=None):
+        """(||F(U)||_inf, the next round's Newton start or None); field is
+        F(U) when the round already formed it."""
         if cfg.mode in _STARTS_AT_U:
             X = joint_next_state(sys, U)  # also the rows' own next states
             start = _payoff_derivatives(sys, U, X, rows, X)
             return float(np.max(np.abs(start[0]))), (X, start)
-        return float(np.max(np.abs(F(U)))), None
+        return float(np.max(np.abs(F(U) if field is None else field))), None
 
     actions, residual, delta_log = [], [], []
 
@@ -251,6 +255,7 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     u_tilde = U.copy()  # single_stage coordinator sequence
 
     for k in range(1, cfg.max_rounds + 1):
+        field = None
         try:
             if cfg.mode == "simultaneous":
                 u_new = play_simultaneous(sys, U, _start=start)
@@ -262,7 +267,7 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
                 u_new = two_stage_update(sys, U, cfg.lam, gamma, _start=start).u
             elif cfg.mode == "single_stage":
                 upd = single_stage_update(sys, U, u_tilde, cfg.lam, gamma)
-                u_new, u_tilde = upd.u, upd.u_tilde
+                u_new, u_tilde, field = upd.u, upd.u_tilde, upd.field
             else:
                 u_new = play_tikhonov(sys, U, cfg.lam, _start=start)
         except BestResponseError as exc:
@@ -270,7 +275,7 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
             raise
 
         d_inf = float(np.max(np.abs(u_new - U)))
-        f_inf, start = residual_at(u_new)
+        f_inf, start = residual_at(u_new, field)
         actions.append(u_new.copy())
         residual.append(f_inf)
         delta_log.append(d_inf)

@@ -76,7 +76,8 @@ class ScenarioConfig:
     proximal weight lam, default 100, and the step gamma, estimated from the
     box when absent); box is a global (lo, hi) pair applied per action coordinate. d is free
     to be 1 for scalar diagnostics even though the vehicle story suggests 2
-    or 3.
+    or 3. A separation_barrier whose pair value at zero separation is not
+    finite is refused.
     """
 
     N: int
@@ -116,6 +117,16 @@ class ScenarioConfig:
         if self.coupling_spec not in COUPLING_SPECS:
             raise ConfigError(f"unknown coupling_spec {self.coupling_spec!r}; "
                               f"expected one of {COUPLING_SPECS}")
+        if self.coupling_spec == "separation_barrier" and self.coupling_strength > 0:
+            # the barrier's pair value at zero separation, its largest
+            r = float(self.safety_radius)
+            softplus = float(np.logaddexp(0.0, r * r))
+            if not self.coupling_strength * (softplus * softplus) < np.inf:
+                raise ConfigError(
+                    "separation_barrier pair value coupling_strength * "
+                    "softplus(safety_radius^2)^2 at zero separation is not finite "
+                    f"(coupling_strength={self.coupling_strength!r}, "
+                    f"safety_radius={self.safety_radius!r})")
         box = tuple(float(v) for v in self.box)
         if len(box) != 2 or not box[0] < box[1]:
             raise ConfigError("box must be (lo, hi) with lo < hi")

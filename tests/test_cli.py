@@ -255,6 +255,23 @@ def test_simulate_readme_damped_modes_match_the_golden_files(tmp_path, mode, rc)
             == (data / f"readme_{mode}_report.json").read_text())
 
 
+def test_simulate_readme_single_stage_matches_the_golden_files(tmp_path):
+    # the README config in single_stage play, written by an earlier version:
+    # stage 0 ends on max_rounds at a residual of 1.239e-04, so the report's
+    # recent_residuals pin the residuals read off each round's own field
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=40,
+                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
+                       mode={"mode": "simultaneous", "max_rounds": 500})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--mode", "single_stage", "--out", str(out),
+                 "--quiet"]) == 1
+    data = pathlib.Path(__file__).parent / "data"
+    assert (out / "trace.csv").read_bytes() == (data / "readme_single_stage_trace.csv").read_bytes()
+    lines = (out / "report.json").read_text().splitlines(keepends=True)
+    assert ("".join(line for line in lines if '"wall_time_ms"' not in line)
+            == (data / "readme_single_stage_report.json").read_text())
+
+
 def test_simulate_readme_sequential_play_matches_the_golden_files(tmp_path):
     # the README config at horizon 10 in sequential play, one agent's
     # one-row Newton solve per round, written by an earlier version
@@ -533,6 +550,20 @@ def test_bad_step_size_writes_nothing_and_names_its_field(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     rc = main(["compare", "--config", str(path), "--out", str(out), "--quiet"])
     assert rc == 1
+    assert not out.exists()
+
+
+def test_a_barrier_that_overflows_at_zero_separation_writes_nothing(tmp_path, capsys):
+    # its pair value beta softplus(r^2)^2 is not finite: refused as a config
+    # error before anything is written
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"N": 2, "d": 1, "seed": 13, "horizon": 1,
+                                "coupling_strength": 1.0, "safety_radius": 1e154}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pricecoord: ") and "Traceback" not in err
+    assert "coupling_strength" in err and "safety_radius" in err
     assert not out.exists()
 
 

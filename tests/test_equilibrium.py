@@ -368,7 +368,7 @@ def _loop_round(sys, mode, U, U_tilde, lam, gamma):
         u_hat, u, g_util = _loop_proximal_round(sys, U, U, lam, gamma)
         return u, U_tilde, (u_hat, g_util)
     resp, u_tilde, g_util = _loop_proximal_round(sys, U, U_tilde, lam, gamma)
-    return resp, u_tilde, (g_util,)
+    return resp, u_tilde, (g_util, pc.reward_field(sys)(resp))
 
 
 def _stacked_round(sys, mode, U, U_tilde, lam, gamma):
@@ -384,7 +384,7 @@ def _stacked_round(sys, mode, U, U_tilde, lam, gamma):
         upd = pc.two_stage_update(sys, U, lam, gamma)
         return upd.u, U_tilde, (upd.u_hat, upd.utility_grads)
     upd = pc.single_stage_update(sys, U, U_tilde, lam, gamma)
-    return upd.u, upd.u_tilde, (upd.utility_grads,)
+    return upd.u, upd.u_tilde, (upd.utility_grads, upd.field)
 
 
 @pytest.mark.parametrize("mode", ["simultaneous", "two_stage", "single_stage", "tikhonov",

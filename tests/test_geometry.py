@@ -1,5 +1,10 @@
 """Transport-coefficient fits and decomposable kernel field learning."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -335,8 +340,32 @@ def test_kernel_fit_input_validation(rng):
     X2 = np.vstack([X, X[:1]])
     U2 = np.vstack([U, U[:1]])
     P2 = np.vstack([P, P[:1]])
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match="samples 0 and 10 have equal x and u"):
         pc.fit_decomposable((X2, U2, P2), dyn, ridge=0.0)
+
+
+_DUPLICATE_FIT = """
+import numpy as np
+import pricecoord as pc
+dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
+rng = np.random.default_rng(0)
+X, U = 1.5 * rng.normal(size=(10, 1)), 1.5 * rng.normal(size=(10, 1))
+X, U = np.vstack([X, X[:1]]), np.vstack([U, U[:1]])
+try:
+    pc.fit_decomposable((X, U, -2.0 * X - 2.0 * U), dyn, ridge=0.0)
+except np.linalg.LinAlgError as exc:
+    print(exc)
+"""
+
+
+def test_a_ridge_free_fit_refuses_a_duplicate_sample_on_another_blas_kernel():
+    # OpenBLAS's Haswell LU meets no exact zero pivot on this singular dual
+    # and returns finite coefficients: the duplicate is found before the solve
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=str(pathlib.Path(pc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _DUPLICATE_FIT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.startswith("samples 0 and 10 have equal x and u")
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])

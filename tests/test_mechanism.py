@@ -280,6 +280,63 @@ def test_a_round_steps_the_fleet_at_its_start_once(mode, monkeypatch):
     assert len(calls) == trace.iterations + 1
 
 
+_SINGLE_STAGE_CONFIGS = {
+    "consensus": {"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
+                  "coupling_strength": 0.5},
+    "readme_barrier": {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
+                       "safety_radius": 6.0, "noise_std": 0.01},
+    "cross_term": {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
+                   "safety_radius": 6.0, "noise_std": 0.01, "utility_spec": "cross_term"},
+}
+
+
+def _single_stage(name, max_rounds):
+    """(instance, polling config) of single_stage play on one of
+    _SINGLE_STAGE_CONFIGS, its default step estimated."""
+    cfg = pc.config_from_dict(_SINGLE_STAGE_CONFIGS[name])
+    sys = pc.generate(cfg)
+    pcfg = dataclasses.replace(pc.polling_config(cfg, "single_stage"), max_rounds=max_rounds)
+    pc.mechanism.stage_step(sys, pcfg)
+    return sys, pcfg
+
+
+def _stage_trace(sys, pcfg):
+    try:
+        return pc.run_stage(sys, np.zeros((sys.N, sys.d)), pcfg)
+    except pc.NonConvergenceError as exc:
+        return exc.trace
+
+
+@pytest.mark.parametrize("name", list(_SINGLE_STAGE_CONFIGS))
+def test_a_single_stage_residual_is_the_reward_field_of_its_round(name):
+    # the residual after each round is read off the field the round formed
+    # (cross_term: the per-row utility gradients), bit for bit reward_field's
+    sys, pcfg = _single_stage(name, 60)
+    trace = _stage_trace(sys, pcfg)
+    assert trace.iterations > 1
+    F = pc.reward_field(sys)
+    assert trace.residual.tolist() == [float(np.max(np.abs(F(u)))) for u in trace.actions]
+
+
+def test_a_single_stage_round_and_its_residual_make_three_pair_passes(monkeypatch):
+    # consensus instance: two Newton points per response, then one stacked
+    # pass for the coupling gradients against the frozen opponents and at
+    # the responses, which the residual reuses; the stage's first residual
+    # is one reward_field pass
+    sys, pcfg = _single_stage("consensus", 5)
+    calls = []
+    real = pc.CouplingFunction._grad_hess_rows
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pc.CouplingFunction, "_grad_hess_rows", counted)
+    trace = _stage_trace(sys, pcfg)
+    assert trace.iterations == 5
+    assert len(calls) == 1 + 3 * trace.iterations
+
+
 def _fleet_n30_log(horizon):
     # perfbench's fleet_n30 stage loop: N = 30 on the barrier 1 / 0.5 circle,
     # each stage's states, converged actions and prices, noise stepped per agent

@@ -45,6 +45,17 @@ def test_config_validation():
         base_config(mode={"tau": 0.5})
 
 
+def test_a_barrier_whose_pair_value_overflows_is_refused():
+    # beta softplus(r^2)^2, the pair value at zero separation, overflows from
+    # r ~ 1.2e77 at beta = 1
+    for strength, radius in ((1.0, 1e154), (1.0, 1.2e77), (1.0, 1e200), (1e300, 1e5)):
+        with pytest.raises(pc.ConfigError, match="coupling_strength.*safety_radius"):
+            base_config(coupling_strength=strength, safety_radius=radius)
+    base_config(coupling_strength=1.0, safety_radius=1e77)
+    base_config(coupling_strength=0.0, safety_radius=1e154)  # no coupling
+    base_config(coupling_spec="consensus_quadratic", safety_radius=1e154)  # no radius
+
+
 def test_config_dict_round_trip():
     cfg = base_config(horizon=4, noise_std=0.05,
                       mode={"mode": "tikhonov", "lam": 20.0})
