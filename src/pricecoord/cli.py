@@ -35,17 +35,31 @@ from .scenario import (
 )
 
 
-def _json_default(obj):
-    """json.dump's hook for the numpy values a report holds. np.float64 is a
-    float subclass and never reaches it."""
+def _strict(obj, path: str, nonfinite: list):
+    """obj with numpy values as Python ones and each non-finite float as
+    None, its dotted path (keys and list indices) appended to nonfinite in
+    the written file's order."""
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _strict(v, f"{path}{k}.", nonfinite) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v, f"{path}{i}.", nonfinite) for i, v in enumerate(obj)]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        nonfinite.append(path[:-1])
+        return None
+    return obj
 
 
 def _write_json(data: dict, path: str) -> None:
+    """data as strict JSON: a non-finite float is written as null and named
+    in a top-level "nonfinite" list, which is there only when not empty."""
+    nonfinite = []
+    data = _strict(data, "", nonfinite)
+    if nonfinite:
+        data["nonfinite"] = nonfinite
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -103,10 +117,8 @@ def _failure(exc: CoordinationError) -> dict:
 
 
 def _write_dynamics(cfg: ScenarioConfig, inst, path: str) -> None:
-    agents = []
-    for n in range(cfg.N):
-        agents.append({"A": inst.dynamics[n].A, "B": inst.dynamics[n].B,
-                       "x0": _waypoint(n, cfg.N, cfg.d)})
+    agents = [{"A": dyn.A, "B": dyn.B, "x0": _waypoint(n, cfg.N, cfg.d)}
+              for n, dyn in enumerate(inst.dynamics)]
     _write_json({"N": cfg.N, "d": cfg.d, "agents": agents}, path)
 
 
@@ -248,10 +260,7 @@ def cmd_identify(log_path: str, dynamics_path: str, out_dir: str,
         entries.append({"agent": n, "C": m.C, "D": m.D, "Q_hat": m.Q_hat,
                         "R_hat": m.R_hat, "residual": m.residual, "rank": m.rank,
                         "x0_check": m.x0_check, "b_condition": m.b_condition})
-    out_path = os.path.join(out_dir, "models.json")
-    _write_json({"agents": entries}, out_path)
-    if not quiet:
-        print(out_path)
+    _finish("identify", {"agents": entries}, os.path.join(out_dir, "models.json"), quiet, None)
     for n, exc in deficient:
         print(f"identify: agent {n}: rank {exc.rank} < required {exc.required}", file=sys.stderr)
     return 3 if deficient else 0

@@ -233,13 +233,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 class PairTable(NamedTuple):
     """What CouplingFunction._grad_hess_rows reads by row for the agents
-    rows[i], built once per row set (CouplingFunction._pair_table): in the
-    rows' (k, N, d) pair array flattened to (k N, d), the index
-    i N + rows[i] of each row's self pair, (k,), and the indices of its
-    N - 1 other pairs in order, (k, N - 1); and the d x d identity of the
-    Hessian's w I term. Read-only."""
+    rows[i], built once per row set (CouplingFunction._pair_table): the
+    indices of each row's N - 1 other agents in order, (k, N - 1), and the
+    d x d identity of the Hessian's w I term. Read-only."""
 
-    self_pairs: np.ndarray
     others: np.ndarray
     eye: np.ndarray
 
@@ -251,21 +248,21 @@ class CouplingFunction:
     minus sign). G is a sum of radial pair terms: with s = ||x_n - x_m||^2,
     G = scale * sum_{n<m} pair_value(s). pair_terms(s) is (w(s), w'(s)),
     w = 2 * scale * pair_value' the pair weight of the gradient
-    dG/dx_n = sum_m w(s) (x_n - x_m) and w' = dw/ds its curvature, which
-    gives agent n's Hessian block d^2G/dx_n^2 = sum_{m != n} [w(s) I
+    dG/dx_n = sum_{m != n} w(s) (x_n - x_m) and w' = dw/ds its curvature,
+    which gives agent n's Hessian block d^2G/dx_n^2 = sum_{m != n} [w(s) I
     + 2 w'(s) D D^T] with D = x_n - x_m.
 
     _grad_hess_rows(Y, X, pairs) is the one pass that sums these pair
     derivatives, for the agents rows[i] with pairs = _pair_table(rows): row
     i is dG/dx_n for n = rows[i] with x_n replaced by Y[..., i, :] against
-    the joint states X, (..., N, d), from agent n's pairs only (the self
-    pair set to zero), (..., k, d); and, for one joint state (Y of shape
-    (k, d)), its Hessian block, (k, d, d), over the N - 1 pairs that are
-    not the self pair (its D is zero, but its w is not). grad(X) is the
-    pass's all-rows gradient at each (N, d) joint state of X. values(Xs) is
-    value at each (N, d) row of a (K, N, d) array, bit for bit. A coupling
-    with scale 0 is identically zero, so it returns zeros without touching
-    its pair functions."""
+    the joint states X, (..., N, d), over agent n's N - 1 other agents,
+    (..., k, d); and, for one joint state (Y of shape (k, d)), its Hessian
+    block, (k, d, d). grad(X) is the pass's all-rows gradient at each
+    (N, d) joint state of X. values(Xs) is value at each (N, d) row of a
+    (K, N, d) array, bit for bit. Neither pass nor sum forms a self pair,
+    so the pair functions only ever see pairs of two agents. A coupling
+    with scale 0 is identically zero, and one with N = 1 has no pairs: both
+    return zeros without touching their pair functions."""
 
     N: int
     d: int
@@ -280,14 +277,17 @@ class CouplingFunction:
         Xs = np.asarray(Xs, dtype=float).reshape(-1, self.N, self.d)
         if self.scale == 0.0:
             return np.zeros(len(Xs))
-        sq = _squared_norms(Xs[..., :, None, :] - Xs[..., None, :, :])
-        pairs = np.where(self._upper, self.pair_value(sq), 0.0).reshape(len(Xs), -1)
-        return self.scale * _ordered_sum(pairs, axis=1)
+        if self.N == 1:
+            return self.scale * np.zeros(len(Xs))
+        n, m = self._upper
+        sq = _squared_norms(Xs[:, n] - Xs[:, m])
+        return self.scale * _ordered_sum(self.pair_value(sq), axis=1)
 
     @cached_property
-    def _upper(self) -> np.ndarray:
-        """The pairs n < m of values' sum: np.triu(., 1)'s mask, built once."""
-        return np.triu(np.ones((self.N, self.N), dtype=bool), 1)
+    def _upper(self) -> tuple:
+        """values' pairs n < m in row-major order, np.triu_indices(N, 1),
+        built once."""
+        return np.triu_indices(self.N, 1)
 
     def grad(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -306,34 +306,27 @@ class CouplingFunction:
         return m + (m >= np.arange(self.N)[:, None])
 
     def _pair_table(self, rows) -> PairTable:
-        """The pair indices of the agents rows[i] in a (k, N, ...) pair
-        array, flat, and the d x d identity (see PairTable)."""
-        offset = self.N * np.arange(len(rows))
-        return PairTable(_read_only(offset + rows),
-                         _read_only(self._others[rows] + offset[:, None]),
-                         _read_only(np.eye(self.d)))
+        """The other agents of the agents rows[i] and the d x d identity
+        (see PairTable)."""
+        return PairTable(_read_only(self._others[rows]), _read_only(np.eye(self.d)))
 
     def _grad_hess_rows(self, Y, X, pairs: PairTable, hessian: bool = True):
         """(gradient rows, Hessian rows) for Y of shape (k, d), or with
         hessian False the gradient rows alone for Y of shape (..., k, d),
-        from one pair pass with pairs = _pair_table(rows): one D, one
-        squared norm and one pair_terms per pair, the Hessian gathering its
-        N-1 others from them. Each sum keeps its own order, bit for bit."""
-        if self.scale == 0.0:
+        from one pass over each row's N - 1 other agents with
+        pairs = _pair_table(rows): one D, one squared norm and one
+        pair_terms per pair. Each sum keeps its own order, bit for bit."""
+        if self.scale == 0.0 or self.N == 1:
             g = np.zeros(np.shape(Y))
             return (g, np.zeros((len(Y), self.d, self.d))) if hessian else g
-        # C-ordered whatever X's order, so the flat self-pair index writes into D
-        D = np.ascontiguousarray(Y[..., :, None, :] - X[..., None, :, :])
-        D.reshape(-1, Y.shape[-2] * self.N, self.d)[:, pairs.self_pairs] = 0.0
+        D = Y[..., :, None, :] - X[..., pairs.others, :]
         w, c = self.pair_terms(_squared_norms(D))
         g = _ordered_sum(w[..., None] * D, axis=-2)
         if not hessian:
             return g
-        D_o = D.reshape(-1, self.d).take(pairs.others, axis=0)
-        w_o, c_o = w.take(pairs.others), c.take(pairs.others)
         # sum over the N - 1 other pairs of w I + 2 w' D D^T
-        return g, (w_o.sum(axis=-1)[:, None, None] * pairs.eye
-                   + 2.0 * (D_o.transpose(0, 2, 1) * c_o[:, None, :]) @ D_o)
+        return g, (w.sum(axis=-1)[:, None, None] * pairs.eye
+                   + 2.0 * (D.transpose(0, 2, 1) * c[:, None, :]) @ D)
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
@@ -480,8 +473,9 @@ def _fleet_step(sys: SystemInstance, U: np.ndarray, table: RowTable | None = Non
 
 def pair_batch_rows(sys: SystemInstance) -> int:
     """How many joint actions one call of a batched pair computation takes:
-    at most 2^18 / (N^2 d), so that the (K, N, N, d) pair differences of a
-    call stay below 2 MB whatever the fleet size."""
+    at most 2^18 / (N^2 d), so that the (K, N(N - 1)/2, d) pair differences
+    of a batch_welfare call and the (K, k, N - 1, d) ones of a batched
+    derivative pass stay below 2 MB whatever the fleet size."""
     return max(1, 2 ** 18 // (sys.N * sys.N * sys.d))
 
 

@@ -305,14 +305,18 @@ def test_simulate_non_quadratic_utilities_match_the_golden_files(tmp_path, spec)
             == (data / f"{spec}_report.json").read_text())
 
 
-@pytest.mark.parametrize("spec", ["cross_term", "decomposable_smooth"])
+@pytest.mark.parametrize("spec", ["cross_term", "decomposable_smooth", "readme"])
 def test_compare_non_quadratic_utilities_match_the_golden_files(tmp_path, spec):
     # the same configs through compare, written by an earlier version: pins
     # the bits of the stacked proximal rounds (two_stage, single_stage,
-    # tikhonov) on rows whose utility is not quadratic
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=10,
-                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
-                       utility_spec=spec, mode={})
+    # tikhonov) on rows whose utility is not quadratic; and, with the
+    # README's quadratic utilities, every mode's README gap, which reads the
+    # barrier welfare through the oracle's stencils
+    over = ({"horizon": 40, "utility_spec": "quadratic_random",
+             "mode": {"mode": "simultaneous", "max_rounds": 500}} if spec == "readme"
+            else {"horizon": 10, "utility_spec": spec, "mode": {}})
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, coupling_strength=50.0,
+                       safety_radius=6.0, noise_std=0.01, **over)
     out = tmp_path / "out"
     assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     golden = pathlib.Path(__file__).parent / "data" / f"{spec}_compare.json"
@@ -330,6 +334,30 @@ def test_compare_consensus_matches_the_golden_file(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     golden = pathlib.Path(__file__).parent / "data" / "consensus_compare.json"
     assert (out / "compare.json").read_text() == golden.read_text()
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_compare_writes_a_diverged_residual_as_null_and_names_it(tmp_path):
+    # a consensus of strength 1e150 with step 1e3: both damped modes diverge
+    # to a residual that is NaN, and the oracle finds no maximum
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
+                               "coupling_strength": 1e150, "utility_spec": "quadratic_random",
+                               "mode": {"gamma": 1000.0, "max_rounds": 50}}))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    report = _strict_json(out / "compare.json")
+    assert report["nonfinite"] == ["modes.single_stage.residual", "modes.two_stage.residual"]
+    for mode in ("single_stage", "two_stage"):
+        assert report["modes"][mode]["reason"] == "best_response"
+        assert report["modes"][mode]["residual"] is None
 
 
 def test_identify_readme_trace_matches_the_golden_file(tmp_path):
@@ -398,11 +426,13 @@ def test_write_json_text_is_pinned(tmp_path):
                  "array": np.array([[1.5, -0.0], [np.nan, 2.0]]), "tuple": (1, np.float64(2.5)),
                  "nan": float("nan"), "neg_zero": -0.0, "f32": np.float32(0.1),
                  "f64": np.float64(1 / 3), "none": None}, str(path))
+    # a non-finite float is written as null and named in the nonfinite list
     assert path.read_text() == (
-        '{\n  "array": [\n    [\n      1.5,\n      -0.0\n    ],\n    [\n      NaN,\n'
+        '{\n  "array": [\n    [\n      1.5,\n      -0.0\n    ],\n    [\n      null,\n'
         '      2.0\n    ]\n  ],\n  "bool": true,\n  "f32": 0.10000000149011612,\n'
-        '  "f64": 0.3333333333333333,\n  "int": 3,\n  "nan": NaN,\n  "neg_zero": -0.0,\n'
-        '  "none": null,\n  "np_bool": false,\n  "np_int": -4,\n  "tuple": [\n    1,\n'
+        '  "f64": 0.3333333333333333,\n  "int": 3,\n  "nan": null,\n  "neg_zero": -0.0,\n'
+        '  "none": null,\n  "nonfinite": [\n    "array.1.0",\n    "nan"\n  ],\n'
+        '  "np_bool": false,\n  "np_int": -4,\n  "tuple": [\n    1,\n'
         '    2.5\n  ]\n}\n')
     with pytest.raises(TypeError, match="set"):
         _write_json({"bad": {1}}, str(path))

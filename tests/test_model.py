@@ -295,6 +295,26 @@ def test_one_pair_pass_gives_grad_rows_and_hess_rows_bit_for_bit(kind, N, rows):
         assert np.any(g != 0.0) and np.any(H != 0.0)
 
 
+def test_a_pair_weight_infinite_at_zero_separation_never_sees_a_self_pair():
+    # pair_value(s) = 1/s has w and w' infinite at s = 0, where a self pair
+    # would put them: its w(0) * (0 - 0) = inf * 0 would be NaN in every
+    # gradient row
+    scale, seen = 0.5, []
+
+    def pair_terms(s):
+        seen.append(np.array(s))
+        return 2.0 * scale * (-1.0 / s**2), 2.0 * scale * (2.0 / s**3)
+
+    G = pc.CouplingFunction(3, 2, scale, lambda s: 1.0 / s, pair_terms)
+    X = np.array([[0.0, 0.0], [1.5, 0.0], [0.3, 2.0]])
+    pairs = G._pair_table(np.array([2, 0]))
+    g, H = G._grad_hess_rows(X[[2, 0]], X, pairs)
+    for out in (G.grad(X), g, H, G._grad_hess_rows(X[[2, 0]], X, pairs, hessian=False)):
+        assert np.all(np.isfinite(out))
+    assert pc.coupling_gradient_error(G, [X]) < 1e-6
+    assert seen and all(np.all(s > 0.0) for s in seen)
+
+
 def test_hess_row_of_well_separated_barrier_agents_is_zero():
     # the self pair has D = 0 but its pair weight w(0) = 4 beta softplus(r^2) sigma(r^2)
     # = 7,200 here, so a Hessian that kept it would read 7,200 I

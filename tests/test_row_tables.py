@@ -9,7 +9,8 @@ import pytest
 
 import pricecoord as pc
 from pricecoord.equilibrium import _payoff_derivatives
-from pricecoord.model import _ordered_sum, _squared_norms
+from pricecoord.model import _ordered_sum, _squared_norms, pair_batch_rows
+from test_geometry import bit_equal
 
 
 def reference_grad_hess_rows(G, Y, X, rows):
@@ -28,6 +29,19 @@ def reference_grad_hess_rows(G, Y, X, rows):
     return (_ordered_sum(w[..., None] * D, axis=-2),
             w_o.sum(axis=-1)[:, None, None] * np.eye(G.d)
             + 2.0 * (D_o.transpose(0, 2, 1) * c_o[:, None, :]) @ D_o)
+
+
+def reference_values(G, Xs):
+    """CouplingFunction.values as it was before it summed only its pairs:
+    every ordered pair of the (K, N, N) difference array, those with n >= m
+    masked to +0.0, summed in row-major order."""
+    Xs = np.asarray(Xs, dtype=float).reshape(-1, G.N, G.d)
+    if G.scale == 0.0:
+        return np.zeros(len(Xs))
+    sq = _squared_norms(Xs[..., :, None, :] - Xs[..., None, :, :])
+    upper = np.triu(np.ones((G.N, G.N), dtype=bool), 1)
+    pairs = np.where(upper, G.pair_value(sq), 0.0).reshape(len(Xs), -1)
+    return G.scale * _ordered_sum(pairs, axis=1)
 
 
 def reference_payoff_derivatives(sys, V, X, rows, Y=None):
@@ -102,8 +116,8 @@ def test_a_table_pass_equals_the_gathering_reference_bit_for_bit(coupling, utili
 
 
 def test_the_pair_pass_zeroes_the_self_pairs_whatever_the_order_of_x():
-    # Y[:, None, :] - X is not C-ordered for a Fortran-ordered X, so the
-    # flat self-pair index must not write into a reshaped copy
+    # the pass gathers each row's N - 1 other agents from X, so it forms no
+    # self pair to zero; a Fortran-ordered X still gives the C-ordered bits
     G = _instance("barrier", "quadratic_random", 7, 3).coupling
     rng = np.random.default_rng(3)
     X = 3.0 * rng.normal(size=(7, 3))
@@ -113,6 +127,25 @@ def test_the_pair_pass_zeroes_the_self_pairs_whatever_the_order_of_x():
     for a, b in zip(G._grad_hess_rows(Y, np.asfortranarray(X), pairs),
                     G._grad_hess_rows(Y, X, pairs)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("coupling", ["barrier", "consensus", "zero"])
+def test_values_sum_only_their_pairs_with_the_masked_sums_bits(coupling):
+    # sign of zero included: no sum here has only -0.0 terms
+    for N in (1, 2, 3, 7, 30):
+        for d in (1, 2, 3):
+            G = {"barrier": pc.separation_barrier_coupling(50.0, 30.0, N, d),
+                 "consensus": pc.pairwise_quadratic_coupling(0.7, N, d),
+                 "zero": pc.zero_coupling(N, d)}[coupling]
+            rng = np.random.default_rng(10 * N + d)
+            Xs = 3.0 * rng.normal(size=(5, N, d))
+            if N > 1:
+                Xs[:, 1] = Xs[:, 0]  # a coincident pair
+            assert bit_equal(G.values(Xs), reference_values(G, Xs)), (N, d)
+            assert bit_equal(G.value(Xs[0]), reference_values(G, Xs[0])[0]), (N, d)
+    sys = _instance(coupling, "quadratic_random", 30, 2)
+    Xs = 3.0 * np.random.default_rng(7).normal(size=(pair_batch_rows(sys) + 3, 30, 2))
+    assert bit_equal(sys.coupling.values(Xs), reference_values(sys.coupling, Xs))
 
 
 def test_a_pass_on_replaced_states_reads_the_new_instance():
