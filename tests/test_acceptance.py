@@ -12,6 +12,7 @@ import pytest
 import pricecoord as pc
 from pricecoord.cli import main as cli_main
 from conftest import make_two_agent_scalar, random_spd
+from goldens import golden_bytes
 
 
 def fresh_rng(seed=0):
@@ -428,7 +429,8 @@ def test_c10_tracking_error_bound_holds():
 # -------------------------------------------------------------- criterion 11
 
 def test_c11_byte_identical_reruns(tmp_path):
-    """The same config and seed produce byte-identical trace files."""
+    """The same config and seed produce byte-identical trace files, and
+    reports that differ only in their wall_time_ms line."""
     cfg = {"N": 3, "d": 2, "seed": 9, "horizon": 3, "coupling_strength": 50.0,
            "safety_radius": 3.0, "noise_std": 0.01,
            "mode": {"mode": "simultaneous", "max_rounds": 500}}
@@ -440,3 +442,4 @@ def test_c11_byte_identical_reruns(tmp_path):
     assert cli_main(["simulate", "--config", str(path), "--out", str(out_b),
                      "--quiet"]) == 0
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
+    assert golden_bytes(out_a / "report.json") == golden_bytes(out_b / "report.json")

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import pathlib
 import subprocess
 import sys
 
@@ -12,6 +11,7 @@ import pytest
 import pricecoord as pc
 from pricecoord.cli import _write_json, main
 from conftest import flat_utility
+from goldens import DATA, GOLDENS, golden_bytes, run as run_golden
 
 
 def write_config(tmp_path, name, **over):
@@ -206,141 +206,30 @@ def test_simulate_reports_a_state_overflow_after_its_stage(tmp_path, capsys):
     assert report["oracle_welfare"] is None and report["gap"] is None
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # the oracle's fallback notice
-def test_simulate_readme_trace_matches_the_golden_file(tmp_path):
-    # README config; tests/data/readme_trace.csv was written by an earlier
-    # version, so any drift of the documented output shows here
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=40,
-                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
-                       mode={"mode": "simultaneous", "max_rounds": 500})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    golden = pathlib.Path(__file__).parent / "data" / "readme_trace.csv"
-    lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == golden.read_text().splitlines()[0]
-    np.testing.assert_allclose(np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1),
-                               np.loadtxt(golden, delimiter=",", skiprows=1),
-                               rtol=1e-9, atol=1e-9)
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")  # the oracle's fallback notice
-def test_simulate_readme_report_matches_the_golden_file(tmp_path):
-    # tests/data/readme_report.json is the README run's report.json without its
-    # wall_time_ms line, written by an earlier version: it pins oracle_welfare,
-    # oracle_method and gap bit for bit
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=40,
-                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
-                       mode={"mode": "simultaneous", "max_rounds": 500})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    golden = pathlib.Path(__file__).parent / "data" / "readme_report.json"
-    lines = (out / "report.json").read_text().splitlines(keepends=True)
-    assert "".join(line for line in lines if '"wall_time_ms"' not in line) == golden.read_text()
-
-
-@pytest.mark.parametrize("mode, rc", [("two_stage", 0), ("tikhonov", 1)])
-def test_simulate_readme_damped_modes_match_the_golden_files(tmp_path, mode, rc):
-    # the README config at horizon 5, written by an earlier version: two_stage
-    # converges in 291 rounds, tikhonov ends stage 0 on max_rounds
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=5,
-                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
-                       mode={"mode": "simultaneous", "max_rounds": 500})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--mode", mode, "--out", str(out),
-                 "--quiet"]) == rc
-    data = pathlib.Path(__file__).parent / "data"
-    assert (out / "trace.csv").read_bytes() == (data / f"readme_{mode}_trace.csv").read_bytes()
-    lines = (out / "report.json").read_text().splitlines(keepends=True)
-    assert ("".join(line for line in lines if '"wall_time_ms"' not in line)
-            == (data / f"readme_{mode}_report.json").read_text())
-
-
-def test_simulate_readme_single_stage_matches_the_golden_files(tmp_path):
-    # the README config in single_stage play, written by an earlier version:
-    # stage 0 ends on max_rounds at a residual of 1.239e-04, so the report's
-    # recent_residuals pin the residuals read off each round's own field
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=40,
-                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
-                       mode={"mode": "simultaneous", "max_rounds": 500})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--mode", "single_stage", "--out", str(out),
-                 "--quiet"]) == 1
-    data = pathlib.Path(__file__).parent / "data"
-    assert (out / "trace.csv").read_bytes() == (data / "readme_single_stage_trace.csv").read_bytes()
-    lines = (out / "report.json").read_text().splitlines(keepends=True)
-    assert ("".join(line for line in lines if '"wall_time_ms"' not in line)
-            == (data / "readme_single_stage_report.json").read_text())
-
-
-def test_simulate_readme_sequential_play_matches_the_golden_files(tmp_path):
-    # the README config at horizon 10 in sequential play, one agent's
-    # one-row Newton solve per round, written by an earlier version
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=10,
-                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
-                       mode={"mode": "simultaneous", "max_rounds": 500})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--mode", "sequential", "--out", str(out),
-                 "--quiet"]) == 0
-    data = pathlib.Path(__file__).parent / "data"
-    assert (out / "trace.csv").read_bytes() == (data / "readme_sequential_trace.csv").read_bytes()
-    lines = (out / "report.json").read_text().splitlines(keepends=True)
-    assert ("".join(line for line in lines if '"wall_time_ms"' not in line)
-            == (data / "readme_sequential_report.json").read_text())
-
-
-@pytest.mark.parametrize("spec", ["cross_term", "decomposable_smooth"])
-def test_simulate_non_quadratic_utilities_match_the_golden_files(tmp_path, spec):
-    # the README config at horizon 10 with a closed-form (cross_term) or a
-    # finite-difference (decomposable_smooth) utility Hessian, written by an
-    # earlier version: pins the bits of the per-row SmoothUtility path
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=10,
-                       coupling_strength=50.0, safety_radius=6.0, noise_std=0.01,
-                       utility_spec=spec, mode={})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    data = pathlib.Path(__file__).parent / "data"
-    assert (out / "trace.csv").read_bytes() == (data / f"{spec}_trace.csv").read_bytes()
-    lines = (out / "report.json").read_text().splitlines(keepends=True)
-    assert ("".join(line for line in lines if '"wall_time_ms"' not in line)
-            == (data / f"{spec}_report.json").read_text())
-
-
-@pytest.mark.parametrize("spec", ["cross_term", "decomposable_smooth", "readme"])
-def test_compare_non_quadratic_utilities_match_the_golden_files(tmp_path, spec):
-    # the same configs through compare, written by an earlier version: pins
-    # the bits of the stacked proximal rounds (two_stage, single_stage,
-    # tikhonov) on rows whose utility is not quadratic; and, with the
-    # README's quadratic utilities, every mode's README gap, which reads the
-    # barrier welfare through the oracle's stencils
-    over = ({"horizon": 40, "utility_spec": "quadratic_random",
-             "mode": {"mode": "simultaneous", "max_rounds": 500}} if spec == "readme"
-            else {"horizon": 10, "utility_spec": spec, "mode": {}})
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, coupling_strength=50.0,
-                       safety_radius=6.0, noise_std=0.01, **over)
-    out = tmp_path / "out"
-    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    golden = pathlib.Path(__file__).parent / "data" / f"{spec}_compare.json"
-    assert (out / "compare.json").read_text() == golden.read_text()
-
-
-def test_compare_consensus_matches_the_golden_file(tmp_path):
-    # tests/data/consensus_compare.json was written by an earlier version; it
-    # pins all five modes, the 500-round tikhonov and single_stage and the
-    # 70-round two_stage included
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
-                               "coupling_strength": 0.5, "utility_spec": "quadratic_random"}))
-    out = tmp_path / "out"
-    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    golden = pathlib.Path(__file__).parent / "data" / "consensus_compare.json"
-    assert (out / "compare.json").read_text() == golden.read_text()
-
-
 def _strict_json(path):
     def refuse(name):
         raise ValueError(f"non-strict JSON constant {name}")
 
     return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the oracle's fallback notice
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda g: f"{g.command}-{g.name}")
+def test_golden_run_reproduces_its_files_byte_for_byte(tmp_path, golden):
+    code, out = run_golden(golden, main, tmp_path)
+    assert code == golden.exit_code
+    assert [output for output in golden.outputs
+            if golden_bytes(out / output) != (DATA / golden.file(output)).read_bytes()] == []
+
+
+def test_every_golden_file_is_written_by_exactly_one_run():
+    # fleet_n30_trace.csv is a Python stage loop's, checked in test_mechanism.py
+    files = [golden.file(output) for golden in GOLDENS for output in golden.outputs]
+    assert len(files) == len(set(files))
+    assert set(files) == {path.name for path in DATA.iterdir()} - {"fleet_n30_trace.csv"}
+    for name in files:
+        if name.endswith(".json"):
+            _strict_json(DATA / name)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
@@ -358,22 +247,6 @@ def test_compare_writes_a_diverged_residual_as_null_and_names_it(tmp_path):
     for mode in ("single_stage", "two_stage"):
         assert report["modes"][mode]["reason"] == "best_response"
         assert report["modes"][mode]["residual"] is None
-
-
-def test_identify_readme_trace_matches_the_golden_file(tmp_path):
-    # tests/data/readme_models.json was written by an earlier version from the
-    # README trace and dynamics, so any drift of the identification shows here
-    data = pathlib.Path(__file__).parent / "data"
-    assert main(["identify", "--log", str(data / "readme_trace.csv"),
-                 "--dynamics", str(data / "readme_dynamics.json"),
-                 "--out", str(tmp_path), "--quiet"]) == 0
-    got = json.loads((tmp_path / "models.json").read_text())["agents"]
-    golden = json.loads((data / "readme_models.json").read_text())["agents"]
-    assert [sorted(a) for a in got] == [sorted(a) for a in golden]
-    for a, b in zip(got, golden):
-        assert a["agent"] == b["agent"] and a["rank"] == b["rank"]
-        for key in ("C", "D", "Q_hat", "R_hat", "residual", "x0_check", "b_condition"):
-            np.testing.assert_allclose(a[key], b[key], rtol=1e-9, atol=1e-9)
 
 
 def test_simulate_tikhonov_rescues_strong_coupling(tmp_path):
@@ -436,22 +309,6 @@ def test_write_json_text_is_pinned(tmp_path):
         '    2.5\n  ]\n}\n')
     with pytest.raises(TypeError, match="set"):
         _write_json({"bad": {1}}, str(path))
-
-
-def test_simulate_is_byte_deterministic(tmp_path):
-    cfg = write_config(tmp_path, "c.json", N=3, d=2, horizon=3,
-                       coupling_strength=50.0, safety_radius=3.0,
-                       noise_std=0.01, seed=9,
-                       mode={"mode": "simultaneous", "max_rounds": 500})
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out_a), "--quiet"]) == 0
-    assert main(["simulate", "--config", str(cfg), "--out", str(out_b), "--quiet"]) == 0
-    assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
-    rep_a = json.loads((out_a / "report.json").read_text())
-    rep_b = json.loads((out_b / "report.json").read_text())
-    rep_a.pop("wall_time_ms")
-    rep_b.pop("wall_time_ms")
-    assert rep_a == rep_b
 
 
 def test_compare_runs_all_modes(tmp_path):
