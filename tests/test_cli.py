@@ -213,13 +213,66 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """golden -> (exit code, output directory), each entry run once per module."""
+    runs = {}
+
+    def get(golden):
+        key = (golden.command, golden.name)
+        if key not in runs:
+            runs[key] = run_golden(golden, main, tmp_path_factory.mktemp("golden"))
+        return runs[key]
+
+    return get
+
+
+README_SIMULATE = next(g for g in GOLDENS if (g.command, g.name) == ("simulate", "readme"))
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the oracle's fallback notice
 @pytest.mark.parametrize("golden", GOLDENS, ids=lambda g: f"{g.command}-{g.name}")
-def test_golden_run_reproduces_its_files_byte_for_byte(tmp_path, golden):
-    code, out = run_golden(golden, main, tmp_path)
+def test_golden_run_reproduces_its_files_byte_for_byte(golden_run, golden):
+    code, out = golden_run(golden)
     assert code == golden.exit_code
     assert [output for output in golden.outputs
             if golden_bytes(out / output) != (DATA / golden.file(output)).read_bytes()] == []
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_simulate_readme_trace_matches_the_golden_file(golden_run):
+    # the README run shared with its manifest case, read back as numbers: a
+    # header and one row per stage and agent
+    code, out = golden_run(README_SIMULATE)
+    assert code == 0
+    golden = DATA / README_SIMULATE.file("trace.csv")
+    assert (out / "trace.csv").read_text().splitlines()[0] == golden.read_text().splitlines()[0]
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == README_SIMULATE.config["horizon"] * README_SIMULATE.config["N"]
+    np.testing.assert_array_equal(rows, np.loadtxt(golden, delimiter=",", skiprows=1))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_simulate_readme_report_matches_the_golden_file(golden_run):
+    # the report pins oracle_welfare, oracle_method and gap bit for bit; its
+    # wall_time_ms is the one field a golden leaves out
+    code, out = golden_run(README_SIMULATE)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["wall_time_ms"] >= 0
+    report.pop("wall_time_ms")
+    assert report == _strict_json(DATA / README_SIMULATE.file("report.json"))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_simulate_is_byte_deterministic(tmp_path, golden_run):
+    # a rerun of the README run in the same process, after the module's other
+    # runs have filled every cache, writes the same bytes as its first run
+    first = golden_run(README_SIMULATE)[1]
+    code, again = run_golden(README_SIMULATE, main, tmp_path)
+    assert code == 0
+    assert [output for output in README_SIMULATE.outputs
+            if golden_bytes(again / output) != golden_bytes(first / output)] == []
 
 
 def test_every_golden_file_is_written_by_exactly_one_run():
