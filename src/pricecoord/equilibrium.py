@@ -16,8 +16,8 @@ sequential play. A Newton evaluation (_payoff_derivatives) takes its payoff
 gradients and Hessians from one fleet step and one coupling pair pass
 (CouplingFunction._grad_hess_rows), and reads everything it needs by agent
 (A x, B, B^T, -2 B^T, the quadratic (Q, R, x0) and utility Hessians, the
-pair indices, the identity) from the instance's model.RowTable for its
-rows, built once per row set and instance, so it gathers nothing.
+pair indices) from the instance's model.RowTable for its rows, built once
+per row set and instance, so it gathers nothing.
 Simultaneous, two-stage and Tikhonov rounds start at the anchors against
 opponents frozen at their next states, from the next states and
 derivatives mechanism.run_stage computed there for its convergence test,
@@ -152,7 +152,7 @@ def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     table = sys._row_table(rows)
     if Y is None:
         Y = _fleet_step(sys, V, table)
-    g, H = sys.coupling._grad_hess_rows(Y, X, table.pairs)
+    g, H = sys.coupling._grad_hess_rows(Y, X, table.others)
     return (_utility_derivative(table, V, Y) + (table.Bt @ g[..., None])[..., 0],
             _utility_derivative(table, V, Y, hessian=True) + table.Bt @ H @ table.B)
 
@@ -212,7 +212,7 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
     BestResponseError, naming its agent rows[i]."""
     rows = np.arange(sys.N) if rows is None else np.asarray(rows, dtype=np.intp)
     if lam is not None:
-        lam_eye = lam * sys._row_table(rows).pairs.eye
+        lam_eye = lam * sys.coupling._eye
 
     def proximal(V, n, g, H):
         if lam is not None:
@@ -293,7 +293,7 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, la
     resp = _jacobi_responses(sys, X_frozen, U, lam, start=start)
     Y = _fleet_step(sys, resp, table)
     # one pass: the coupling gradient against the frozen opponents, and at Y itself
-    G = sys.coupling._grad_hess_rows(np.stack((Y, Y)), np.stack((X_frozen, Y)), table.pairs,
+    G = sys.coupling._grad_hess_rows(np.stack((Y, Y)), np.stack((X_frozen, Y)), table.others,
                                      hessian=False)
     g_frozen, g_own = (table.Bt @ G[..., None])[..., 0]
     g_util = probe_utility_gradient(lam, resp, U, g_frozen)

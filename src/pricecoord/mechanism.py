@@ -113,9 +113,10 @@ class PollingConfig:
     mode is one of PLAY_MODES. lam is the proximal weight of two_stage,
     single_stage and tikhonov; gamma is the step of two_stage and
     single_stage, which estimate it from box (then required) when it is
-    None. box is the (lo, hi) pair that bounds every action coordinate;
-    run_stage uses it only for that estimate and never clamps a response
-    to it. The stopping and oscillation rules are fixed (see run_stage).
+    None. box is None or the (lo, hi) pair, finite with lo < hi, that
+    bounds every action coordinate, kept as a tuple of floats; run_stage
+    uses it only for that estimate and never clamps a response to it.
+    The stopping and oscillation rules are fixed (see run_stage).
     """
 
     mode: str = "simultaneous"
@@ -137,6 +138,16 @@ class PollingConfig:
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
                 raise ConfigError(f"polling field {name!r} must be a finite number > 0, "
                                   f"got {value!r}")
+        if self.box is not None:
+            try:
+                lo, hi = self.box
+            except (TypeError, ValueError):
+                lo = hi = None
+            if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (lo, hi)) \
+                    or not -math.inf < lo < hi < math.inf:
+                raise ConfigError("polling field 'box' must be (lo, hi) with finite lo < hi, "
+                                  f"got {self.box!r}")
+            object.__setattr__(self, "box", (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)
@@ -172,13 +183,12 @@ def stage_step(sys: SystemInstance, cfg: PollingConfig) -> Optional[float]:
     if cfg.box is None:
         raise ConfigError(f"mode {cfg.mode!r} needs a step size (gamma) or a box to "
                           "estimate one from")
-    box = tuple(cfg.box)
-    if box not in sys._default_steps:
+    if cfg.box not in sys._default_steps:
         try:
-            sys._default_steps[box] = default_schedule(sys, box)
+            sys._default_steps[cfg.box] = default_schedule(sys, cfg.box)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    return sys._default_steps[box]
+    return sys._default_steps[cfg.box]
 
 
 # Strong symmetric coupling drives parallel best responses into an

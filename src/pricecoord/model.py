@@ -231,16 +231,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class PairTable(NamedTuple):
-    """What CouplingFunction._grad_hess_rows reads by row for the agents
-    rows[i], built once per row set (CouplingFunction._pair_table): the
-    indices of each row's N - 1 other agents in order, (k, N - 1), and the
-    d x d identity of the Hessian's w I term. Read-only."""
-
-    others: np.ndarray
-    eye: np.ndarray
-
-
 @dataclass(frozen=True)
 class CouplingFunction:
     """Shared regulation term G over the joint next-state X, an (N, d) array,
@@ -252,8 +242,8 @@ class CouplingFunction:
     which gives agent n's Hessian block d^2G/dx_n^2 = sum_{m != n} [w(s) I
     + 2 w'(s) D D^T] with D = x_n - x_m.
 
-    _grad_hess_rows(Y, X, pairs) is the one pass that sums these pair
-    derivatives, for the agents rows[i] with pairs = _pair_table(rows): row
+    _grad_hess_rows(Y, X, others) is the one pass that sums these pair
+    derivatives, for the agents rows[i] with others = _others[rows]: row
     i is dG/dx_n for n = rows[i] with x_n replaced by Y[..., i, :] against
     the joint states X, (..., N, d), over agent n's N - 1 other agents,
     (..., k, d); and, for one joint state (Y of shape (k, d)), its Hessian
@@ -292,40 +282,35 @@ class CouplingFunction:
     def grad(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         X = X.reshape(X.shape[:-2] + (self.N, self.d))
-        return self._grad_hess_rows(X, X, self._all_pairs, hessian=False)
-
-    @cached_property
-    def _all_pairs(self) -> PairTable:
-        """grad's PairTable, of every agent in order, built once."""
-        return self._pair_table(np.arange(self.N))
+        return self._grad_hess_rows(X, X, self._others, hessian=False)
 
     @cached_property
     def _others(self) -> np.ndarray:
-        """Row n: the indices m != n in order, (N, N - 1), built once."""
+        """Row n: the indices m != n in order, (N, N - 1), built once, read-only."""
         m = np.arange(self.N - 1)
-        return m + (m >= np.arange(self.N)[:, None])
+        return _read_only(m + (m >= np.arange(self.N)[:, None]))
 
-    def _pair_table(self, rows) -> PairTable:
-        """The other agents of the agents rows[i] and the d x d identity
-        (see PairTable)."""
-        return PairTable(_read_only(self._others[rows]), _read_only(np.eye(self.d)))
+    @cached_property
+    def _eye(self) -> np.ndarray:
+        """The d x d identity of the Hessian's w I term, built once, read-only."""
+        return _read_only(np.eye(self.d))
 
-    def _grad_hess_rows(self, Y, X, pairs: PairTable, hessian: bool = True):
+    def _grad_hess_rows(self, Y, X, others: np.ndarray, hessian: bool = True):
         """(gradient rows, Hessian rows) for Y of shape (k, d), or with
         hessian False the gradient rows alone for Y of shape (..., k, d),
         from one pass over each row's N - 1 other agents with
-        pairs = _pair_table(rows): one D, one squared norm and one
+        others = _others[rows]: one D, one squared norm and one
         pair_terms per pair. Each sum keeps its own order, bit for bit."""
         if self.scale == 0.0 or self.N == 1:
             g = np.zeros(np.shape(Y))
             return (g, np.zeros((len(Y), self.d, self.d))) if hessian else g
-        D = Y[..., :, None, :] - X[..., pairs.others, :]
+        D = Y[..., :, None, :] - X[..., others, :]
         w, c = self.pair_terms(_squared_norms(D))
         g = _ordered_sum(w[..., None] * D, axis=-2)
         if not hessian:
             return g
         # sum over the N - 1 other pairs of w I + 2 w' D D^T
-        return g, (w.sum(axis=-1)[:, None, None] * pairs.eye
+        return g, (w.sum(axis=-1)[:, None, None] * self._eye
                    + 2.0 * (D.transpose(0, 2, 1) * c[:, None, :]) @ D)
 
 
@@ -422,7 +407,8 @@ class RowTable(NamedTuple):
     arrays, each the gather or product a pass would make: A x and B, B^T
     and -2 B^T; when every utility is quadratic (Q, R, x0) and the utility
     Hessians -2 (B^T Q B + R), else None and each row's (utility,
-    dynamics, state); and the coupling's PairTable. Read-only."""
+    dynamics, state); and the indices of each row's N - 1 other agents in
+    order, the coupling's _others[rows]. Read-only."""
 
     Ax: np.ndarray
     B: np.ndarray
@@ -431,7 +417,7 @@ class RowTable(NamedTuple):
     quadratic: tuple | None
     hessians: np.ndarray | None
     agents: tuple | None
-    pairs: PairTable
+    others: np.ndarray
 
 
 def _build_row_table(sys: SystemInstance, rows: np.ndarray) -> RowTable:
@@ -447,7 +433,7 @@ def _build_row_table(sys: SystemInstance, rows: np.ndarray) -> RowTable:
         Q, R, _ = quadratic = tuple(_read_only(a[rows]) for a in quadratic)
         hessians, agents = _read_only(-2.0 * (Bt @ Q @ B + R)), None
     return RowTable(*map(_read_only, (Ax[rows], B, Bt, -2.0 * Bt)),
-                    quadratic, hessians, agents, sys.coupling._pair_table(rows))
+                    quadratic, hessians, agents, _read_only(sys.coupling._others[rows]))
 
 
 def joint_action(sys: SystemInstance, u) -> np.ndarray:

@@ -87,8 +87,8 @@ def test_identify_reports_rank_deficiency(tmp_path, capsys):
     rc = main(["identify", "--log", str(out / "short.csv"),
                "--dynamics", str(out / "dynamics.json"), "--out", str(out)])
     assert rc == 3
-    err = capsys.readouterr().err
-    assert "rank" in err
+    assert capsys.readouterr().err.splitlines() == [
+        f"identify: agent {n}: rank 1 < required 2" for n in range(2)]
     models = json.loads((out / "models.json").read_text())
     assert all("error" in entry for entry in models["agents"])
     assert models["agents"][0]["required"] == 2
@@ -125,15 +125,20 @@ def test_simulate_flags_oscillation_with_exit_two(tmp_path):
     assert np.all(steps[:-1] * steps[1:] < 0)  # alternating tail
 
 
-def test_simulate_best_response_failure_leaves_valid_output(tmp_path, capsys):
-    # 20 vehicles on the default 10 m waypoint circle with a 6 m safety
-    # radius: the first best response settles on a non-maximum
-    cfg = write_config(tmp_path, "c.json", N=20, d=2, seed=13, horizon=3,
-                       coupling_strength=50.0, safety_radius=6.0)
+# dense fleets on the default 10 m waypoint circle with a 6 m safety radius:
+# agent 0's first best response fails in each of newton_root's three ways
+@pytest.mark.parametrize("N, mode, message", [
+    (20, "simultaneous", "stationary point is not a local maximum"),
+    (20, "tikhonov", "line search failed to reduce the gradient"),
+    (30, "simultaneous", "no convergence after 100 Newton iterations"),
+], ids=["N20-not_a_maximum", "N20-tikhonov-line_search", "N30-no_convergence"])
+def test_simulate_best_response_failure_leaves_valid_output(tmp_path, capsys, N, mode, message):
+    cfg = write_config(tmp_path, "c.json", N=N, d=2, seed=13, horizon=3,
+                       coupling_strength=50.0, safety_radius=6.0, mode={"mode": mode})
     out = tmp_path / "out"
     rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert rc == 1
-    assert "not a local maximum" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines == ["t,n,x_0,x_1,u_0,u_1,p_0,p_1"]
     report = json.loads((out / "report.json").read_text())
@@ -144,7 +149,7 @@ def test_simulate_best_response_failure_leaves_valid_output(tmp_path, capsys):
     assert failure["stage"] == 0
     assert failure["agent"] == 0
     assert failure["round"] == 1
-    assert "not a local maximum" in failure["message"]
+    assert failure["message"] == message
     assert failure["residual"] >= 0.0
     assert len(failure["last_iterate"]) == 2
 
@@ -273,6 +278,19 @@ def test_simulate_is_byte_deterministic(tmp_path, golden_run):
     assert code == 0
     assert [output for output in README_SIMULATE.outputs
             if golden_bytes(again / output) != golden_bytes(first / output)] == []
+
+
+def test_simulate_on_an_asymmetric_box_is_byte_deterministic(tmp_path):
+    # the two-stage default step is estimated on a box not centred at zero
+    cfg = write_config(tmp_path, "c.json", N=3, d=2, seed=13, horizon=3,
+                       coupling_spec="consensus_quadratic", coupling_strength=0.5,
+                       utility_spec="quadratic_random", box=[-3.0, 7.5],
+                       mode={"mode": "two_stage"})
+    traces = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_every_golden_file_is_written_by_exactly_one_run():

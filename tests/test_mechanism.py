@@ -81,6 +81,14 @@ def test_polling_config_validation():
             with pytest.raises(pc.ConfigError, match=name):
                 pc.PollingConfig(**{name: value})
     assert pc.PollingConfig(gamma=None).gamma is None
+    assert pc.PollingConfig(box=[-1, 2]).box == (-1.0, 2.0)
+
+
+@pytest.mark.parametrize("box", [(2.0, -2.0), ("a", "b"), (float("nan"), 1.0), (0.0,)],
+                         ids=["reversed", "text", "nan", "one_value"])
+def test_polling_config_rejects_a_bad_box(box):
+    with pytest.raises(pc.ConfigError, match="'box'"):
+        pc.PollingConfig(mode="two_stage", box=box)
 
 
 # ---------------------------------------------------------------- run_stage

@@ -236,11 +236,11 @@ def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):
 
     G = pc.CouplingFunction(3, 2, 0.0, unreachable, unreachable)
     X = rng.normal(size=(3, 2))
-    pairs = G._pair_table(np.array([1, 2]))
+    others = G._others[np.array([1, 2])]
     for out, shape in ((G.value(X), ()), (G.grad(X), (3, 2)),
                        (G.grad(rng.normal(size=(4, 3, 2))), (4, 3, 2)),
-                       (G._grad_hess_rows(X[1:], X, pairs, hessian=False), (2, 2)),
-                       *zip(G._grad_hess_rows(X[1:], X, pairs), ((2, 2), (2, 2, 2))),
+                       (G._grad_hess_rows(X[1:], X, others, hessian=False), (2, 2)),
+                       *zip(G._grad_hess_rows(X[1:], X, others), ((2, 2), (2, 2, 2))),
                        (G.values(rng.normal(size=(5, 3, 2))), (5,))):
         assert np.shape(out) == shape
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
@@ -261,11 +261,11 @@ def test_hess_row_matches_fd_of_grad_row(kind):
             X = 3.0 * rng.normal(size=(N, d))
             if N > 2:
                 X[2] = X[1]  # a coincident pair that is not the self pair
-            H = G._grad_hess_rows(X, X, G._pair_table(np.arange(N)))[1]
+            H = G._grad_hess_rows(X, X, G._others[np.arange(N)])[1]
             assert H.shape == (N, d, d)
             for n in range(N):
-                def row(v, pairs=G._pair_table(np.array([n]))):
-                    return G._grad_hess_rows(v[None], X, pairs, hessian=False)[0]
+                def row(v, others=G._others[np.array([n])]):
+                    return G._grad_hess_rows(v[None], X, others, hessian=False)[0]
 
                 fd = pc.numerics.fd_jacobian(row, X[n])
                 np.testing.assert_allclose(H[n], fd, rtol=1e-6,
@@ -285,11 +285,11 @@ def test_one_pair_pass_gives_grad_rows_and_hess_rows_bit_for_bit(kind, N, rows):
     idx = {"all": np.arange(N), "subset": np.array([N - 1, 0, N // 2][:max(2, N - 1)]),
            "one": np.array([N // 2])}[rows]
     Y = X[idx] + 0.5 * rng.normal(size=(len(idx), d))
-    pairs = G._pair_table(idx)
+    others = G._others[idx]
     g_ref, H_ref = reference_grad_hess_rows(G, Y, X, idx)
-    g, H = G._grad_hess_rows(Y, X, pairs)
+    g, H = G._grad_hess_rows(Y, X, others)
     assert np.array_equal(g, g_ref) and np.array_equal(H, H_ref)
-    assert np.array_equal(G._grad_hess_rows(Y, X, pairs, hessian=False), g_ref)
+    assert np.array_equal(G._grad_hess_rows(Y, X, others, hessian=False), g_ref)
     assert np.array_equal(G.grad(X), reference_grad_hess_rows(G, X, X, np.arange(N))[0])
     if kind != "zero":
         assert np.any(g != 0.0) and np.any(H != 0.0)
@@ -307,9 +307,9 @@ def test_a_pair_weight_infinite_at_zero_separation_never_sees_a_self_pair():
 
     G = pc.CouplingFunction(3, 2, scale, lambda s: 1.0 / s, pair_terms)
     X = np.array([[0.0, 0.0], [1.5, 0.0], [0.3, 2.0]])
-    pairs = G._pair_table(np.array([2, 0]))
-    g, H = G._grad_hess_rows(X[[2, 0]], X, pairs)
-    for out in (G.grad(X), g, H, G._grad_hess_rows(X[[2, 0]], X, pairs, hessian=False)):
+    others = G._others[np.array([2, 0])]
+    g, H = G._grad_hess_rows(X[[2, 0]], X, others)
+    for out in (G.grad(X), g, H, G._grad_hess_rows(X[[2, 0]], X, others, hessian=False)):
         assert np.all(np.isfinite(out))
     assert pc.coupling_gradient_error(G, [X]) < 1e-6
     assert seen and all(np.all(s > 0.0) for s in seen)
@@ -321,7 +321,7 @@ def test_hess_row_of_well_separated_barrier_agents_is_zero():
     G = pc.separation_barrier_coupling(50.0, 6.0, 4, 2)
     X = 30.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     assert G.pair_terms(np.zeros(1))[0][0] == pytest.approx(7200.0)
-    assert np.max(np.abs(G._grad_hess_rows(X, X, G._pair_table(np.arange(4)))[1])) < 1e-12
+    assert np.max(np.abs(G._grad_hess_rows(X, X, G._others[np.arange(4)])[1])) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["zero", "quadratic", "barrier"])
@@ -344,10 +344,10 @@ def test_a_coupling_declared_by_its_five_fields_differentiates_its_pair_value():
     Xs = rng.normal(size=(6, N, d))
     assert pc.coupling_gradient_error(G, Xs) < 1e-7
     for X in Xs:
-        H = G._grad_hess_rows(X, X, G._pair_table(np.arange(N)))[1]
+        H = G._grad_hess_rows(X, X, G._others[np.arange(N)])[1]
         for n in range(N):
-            def row(v, pairs=G._pair_table(np.array([n]))):
-                return G._grad_hess_rows(v[None], X, pairs, hessian=False)[0]
+            def row(v, others=G._others[np.array([n])]):
+                return G._grad_hess_rows(v[None], X, others, hessian=False)[0]
 
             fd = pc.numerics.fd_jacobian(row, X[n])
             np.testing.assert_allclose(H[n], fd, rtol=1e-6,

@@ -108,7 +108,7 @@ def test_a_table_pass_equals_the_gathering_reference_bit_for_bit(coupling, utili
                     assert np.array_equal(g, g_ref), (N, d, name)
                     assert np.array_equal(H, H_ref), (N, d, name)
                 G = sys.coupling
-                got = G._grad_hess_rows(Y, X, G._pair_table(rows))
+                got = G._grad_hess_rows(Y, X, G._others[rows])
                 for a, b in zip(got, reference_grad_hess_rows(G, Y, X, rows)):
                     assert np.array_equal(a, b), (N, d, name)
                 if coupling != "zero" and N > 1:
@@ -123,9 +123,9 @@ def test_the_pair_pass_zeroes_the_self_pairs_whatever_the_order_of_x():
     X = 3.0 * rng.normal(size=(7, 3))
     rows = np.array([1, 4, 6])
     Y = X[rows] + 0.5 * rng.normal(size=(3, 3))
-    pairs = G._pair_table(rows)
-    for a, b in zip(G._grad_hess_rows(Y, np.asfortranarray(X), pairs),
-                    G._grad_hess_rows(Y, X, pairs)):
+    others = G._others[rows]
+    for a, b in zip(G._grad_hess_rows(Y, np.asfortranarray(X), others),
+                    G._grad_hess_rows(Y, X, others)):
         assert np.array_equal(a, b)
 
 
@@ -168,7 +168,7 @@ def test_a_row_table_is_read_only(utility):
     sys = _instance("barrier", utility, 4, 2)
     table = sys._row_table(np.array([0, 2]))
     arrays = [getattr(table, f) for f in ("Ax", "B", "Bt", "minus_2Bt")]
-    arrays += list(table.pairs)
+    arrays += [table.others, sys.coupling._others, sys.coupling._eye]
     if table.quadratic is not None:
         arrays += [*table.quadratic, table.hessians]
     for a in arrays:

@@ -166,7 +166,7 @@ def test_vectorized_couplings_match_a_loop_over_pairs(kind, case):
         np.testing.assert_allclose(G.value(X), value, rtol=1e-12)
         np.testing.assert_allclose(G.grad(X), grad, rtol=1e-12, atol=1e-12)
         for n in range(N):
-            row = G._grad_hess_rows(X[n][None], X, G._pair_table(np.array([n])), hessian=False)
+            row = G._grad_hess_rows(X[n][None], X, G._others[np.array([n])], hessian=False)
             assert np.array_equal(row[0], G.grad(X)[n])
 
 
