@@ -5,8 +5,8 @@ The stacked operator F(u) = (grad_{u_1} R_1, ..., grad_{u_N} R_N) collects
 each agent's reward gradient (private utility plus the shared coupling,
 chain-ruled through that agent's next state). Nash stationarity is F(u*) = 0,
 equivalently the VI: (y - u*)^T F(u*) >= 0 rewritten for the ascent
-orientation used here. F and every agent's payoff derivatives come from one
-stacked utility derivative (_utility_derivative) and the coupling's one
+orientation used here. F and every agent's payoff gradients come from one
+stacked utility gradient (_utility_derivative) and the coupling's one
 pair pass (CouplingFunction._grad_hess_rows, whose all-rows gradient is
 grad), chain-ruled through each row's B^T, and every play mode solves
 its best responses as one row-stacked Newton iteration
@@ -17,7 +17,8 @@ gradients and Hessians from one fleet step and one coupling pair pass
 (CouplingFunction._grad_hess_rows), and reads everything it needs by agent
 (A x, B, B^T, -2 B^T, the quadratic (Q, R, x0) and utility Hessians, the
 pair indices) from the instance's model.RowTable for its rows, built once
-per row set and instance, so it gathers nothing.
+per row set and instance, so it gathers nothing; a utility that is not
+quadratic gives its Hessian through hess_u.
 Simultaneous, two-stage and Tikhonov rounds start at the anchors against
 opponents frozen at their next states, from the next states and
 derivatives mechanism.run_stage computed there for its convergence test,
@@ -117,22 +118,16 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
 # ---------------------------------------------------------------------------
 # the stacked reward field of a system instance
 
-def _utility_derivative(table: RowTable, V, Y, hessian: bool = False) -> np.ndarray:
+def _utility_derivative(table: RowTable, V, Y) -> np.ndarray:
     """Row i: the private utility gradient of agent n = rows[i] of the row
-    table at the action V[..., i, :], (..., k, d), or with hessian its
-    Hessian, (k, d, d) for V of shape (k, d). Y is the rows' next states,
-    _fleet_step(sys, V, table), read only by the quadratic gradient. Stacked
-    from the table's (Q, R, x0) and -2 B^T when every utility is quadratic,
-    the Hessians the table's constant ones; through each row's grad_u and
-    hess_u otherwise."""
+    table at the action V[..., i, :], (..., k, d). Y is the rows' next
+    states, _fleet_step(sys, V, table), read only by the quadratic
+    gradient. Stacked from the table's (Q, R, x0) and -2 B^T when every
+    utility is quadratic; through each row's grad_u otherwise."""
     if table.quadratic is None:
-        if hessian:
-            return np.array([ut.hess_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, V)])
         out = [[ut.grad_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, Vb)]
                for Vb in V.reshape(-1, len(table.agents), V.shape[-1])]
         return np.reshape(out, np.shape(V))
-    if hessian:
-        return table.hessians
     # QuadraticUtility.grad_u bit for bit
     Q, R, x0 = table.quadratic
     e = Y - x0
@@ -153,8 +148,11 @@ def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     if Y is None:
         Y = _fleet_step(sys, V, table)
     g, H = sys.coupling._grad_hess_rows(Y, X, table.others)
+    H_u = table.hessians  # the quadratic utilities' constant Hessians
+    if H_u is None:
+        H_u = np.array([ut.hess_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, V)])
     return (_utility_derivative(table, V, Y) + (table.Bt @ g[..., None])[..., 0],
-            _utility_derivative(table, V, Y, hessian=True) + table.Bt @ H @ table.B)
+            H_u + table.Bt @ H @ table.B)
 
 
 def reward_field(sys: SystemInstance):
@@ -211,24 +209,27 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
     Returns (len(rows), d). A failure raises the lowest failing row's
     BestResponseError, naming its agent rows[i]."""
     rows = np.arange(sys.N) if rows is None else np.asarray(rows, dtype=np.intp)
-    if lam is not None:
+    x0 = anchors[rows]
+    if lam is None:
+        def derivatives(V, i):
+            return _payoff_derivatives(sys, V, X_frozen, rows[i])
+    else:
         lam_eye = lam * sys.coupling._eye
 
-    def proximal(V, n, g, H):
-        if lam is not None:
-            g = g - lam * (V - anchors[n])
-            H = H - lam_eye
-        return g, H
+        def proximal(V, n, g, H):
+            return g - lam * (V - anchors[n]), H - lam_eye
 
-    def derivatives(V, i):
-        return proximal(V, rows[i], *_payoff_derivatives(sys, V, X_frozen, rows[i]))
+        def derivatives(V, i):
+            n = rows[i]
+            return proximal(V, n, *_payoff_derivatives(sys, V, X_frozen, n))
+
+        if start is not None:
+            start = proximal(x0, rows, *start)
 
     def error(message, last, residual, i):
         return BestResponseError(message, last, residual, int(rows[i]))
 
-    if start is not None:
-        start = proximal(anchors[rows], rows, *start)
-    U, _ = newton_root(derivatives, anchors[rows], error=error,
+    U, _ = newton_root(derivatives, x0, error=error,
                        jacobian_name="payoff Hessian", maximize=True, start=start)
     return U
 
@@ -298,7 +299,8 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, la
     g_frozen, g_own = (table.Bt @ G[..., None])[..., 0]
     g_util = probe_utility_gradient(lam, resp, U, g_frozen)
     F = _utility_derivative(table, resp, Y) + g_own if field else None
-    return resp, U + gamma * (g_util + g_own), g_util, F
+    with np.errstate(over="ignore"):  # an overflow is a divergence run_stage reports
+        return resp, U + gamma * (g_util + g_own), g_util, F
 
 
 class TwoStageUpdate(NamedTuple):

@@ -27,10 +27,11 @@ class BestResponseError(CoordinationError):
 class NonConvergenceError(CoordinationError):
     """An iteration loop stopped without meeting its tolerance.
 
-    reason is "oscillation" (the detector fired), "max_rounds", or "newton".
-    trace carries the per-round history: run_stage always attaches the
-    stage's partial StageTrace, vi_project_iterate its (k, residual) rows,
-    and the optimal-price Newton solve none.
+    reason is "oscillation" (the detector fired), "max_rounds", "diverged"
+    (a stage round left a non-finite joint action for the next round), or
+    "newton". trace carries the per-round history: run_stage always
+    attaches the stage's partial StageTrace, vi_project_iterate its
+    (k, residual) rows, and the optimal-price Newton solve none.
     """
 
     def __init__(self, message, reason="max_rounds", trace=None, last=None):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BestResponseError, ConfigError, NonConvergenceError
-from .model import SystemInstance, _fleet_step, batch_welfare, joint_action, joint_next_state
+from .model import SystemInstance, _fleet_step, batch_welfare, joint_action
 from .numerics import fd_jacobian
 from .equilibrium import (
     _payoff_derivatives,
@@ -203,10 +203,18 @@ _ALT_RATIO = 0.8
 
 
 def _alternates(delta: np.ndarray, prev: np.ndarray) -> bool:
-    """Whether an increment nearly reverses the previous one without shrinking much."""
-    dn, pn = float(np.linalg.norm(delta)), float(np.linalg.norm(prev))
-    return dn > 0 and pn > 0 and (float(delta.ravel() @ prev.ravel()) / (dn * pn) <= _ALT_COS
+    """Whether an increment nearly reverses the previous one without shrinking
+    much. delta and prev are C-ordered, so each norm is np.linalg.norm's
+    sqrt of the raveled dot product, bit for bit."""
+    d, p = delta.ravel(), prev.ravel()
+    dn, pn = math.sqrt(d.dot(d)), math.sqrt(p.dot(p))
+    return dn > 0 and pn > 0 and (float(d @ p) / (dn * pn) <= _ALT_COS
                                   and dn / pn >= _ALT_RATIO)
+
+
+def _inf_norm(a: np.ndarray) -> float:
+    """max |a|, np.max's reduction without its wrapper."""
+    return float(np.maximum.reduce(np.abs(a), axis=None))
 
 
 def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
@@ -215,11 +223,19 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     Returns the StageTrace on success. Raises NonConvergenceError with
     reason "oscillation" when play cycles (an exact period-2 cycle in any
     mode, or _ALT_WINDOW rounds of sustained alternation under simultaneous
-    or sequential play) and reason "max_rounds" when the budget runs out;
-    the partial trace always rides on the exception. One sequential round
-    is a full sweep of all N agents. A BestResponseError leaves with the
-    1-based round it happened in; a damped mode takes its step from
-    stage_step and raises its ConfigError when the step cannot be estimated.
+    or sequential play), reason "diverged" when a round leaves a non-finite
+    joint action (or single_stage a non-finite coordinator sequence) for the
+    next round, and reason "max_rounds" when the budget runs out; the
+    partial trace, of the rounds before a divergence, always rides on the
+    exception. One sequential round is a full sweep of all N agents. A
+    BestResponseError leaves with the 1-based round it happened in; a
+    damped mode takes its step from stage_step and raises its ConfigError
+    when the step cannot be estimated.
+
+    u0 is checked once, at entry: every later joint action is a round's
+    output, and the stage ends as "diverged" before a round reads one that
+    is not finite. The round functions keep their own checks for outside
+    callers.
 
     In simultaneous, two_stage and tikhonov play a round's Newton solve
     starts at U against opponents frozen at U's next states, where the
@@ -231,37 +247,40 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     used, and the residual is read off it. Sequential play, and every mode's
     residual at u0, take it from reward_field.
     """
-    U = joint_action(sys, u0).copy()
+    U0 = joint_action(sys, u0).copy()
     gamma = stage_step(sys, cfg)
     F = reward_field(sys)
     tol = cfg.tol
     rows = np.arange(sys.N)
+    starts_at_u = cfg.mode in _STARTS_AT_U
 
     def residual_at(U, field=None):
         """(||F(U)||_inf, the next round's Newton start or None); field is
         F(U) when the round already formed it."""
-        if cfg.mode in _STARTS_AT_U:
-            X = joint_next_state(sys, U)  # also the rows' own next states
+        if starts_at_u:
+            X = _fleet_step(sys, U)  # also the rows' own next states
             start = _payoff_derivatives(sys, U, X, rows, X)
-            return float(np.max(np.abs(start[0]))), (X, start)
-        return float(np.max(np.abs(F(U) if field is None else field))), None
+            return _inf_norm(start[0]), (X, start)
+        return _inf_norm(F(U) if field is None else field), None
 
     actions, residual, delta_log = [], [], []
 
     def trace(converged):
         acts = np.asarray(actions, dtype=float)
-        return StageTrace(u0=joint_action(sys, u0).copy(), actions=acts,
+        return StageTrace(u0=U0, actions=acts,
                           welfare=batch_welfare(sys, acts) if actions else np.empty(0),
                           residual=np.asarray(residual, dtype=float),
                           delta=np.asarray(delta_log, dtype=float),
                           converged=converged)
 
+    U = U0
     f_inf, start = residual_at(U)
     if f_inf <= tol:
         return trace(True)
 
     streak = 0          # consecutive alternating rounds
     u_two_ago = None
+    prev_step = None    # U - u_two_ago
     u_tilde = U.copy()  # single_stage coordinator sequence
 
     for k in range(1, cfg.max_rounds + 1):
@@ -284,9 +303,17 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
             exc.round = k
             raise
 
-        d_inf = float(np.max(np.abs(u_new - U)))
+        step = u_new - U
+        d_inf = _inf_norm(step)
+        # what the next round reads must be finite; U is, so a finite d_inf
+        # shows that u_new is too
+        if not (math.isfinite(d_inf) or np.isfinite(u_new).all()) \
+                or cfg.mode == "single_stage" and not np.isfinite(u_tilde).all():
+            raise NonConvergenceError(
+                f"stage diverged: round {k} produced non-finite actions",
+                reason="diverged", trace=trace(False), last=U)
         f_inf, start = residual_at(u_new, field)
-        actions.append(u_new.copy())
+        actions.append(u_new)
         residual.append(f_inf)
         delta_log.append(d_inf)
 
@@ -298,19 +325,19 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
         # rho < 1) keeps ||u^k - u^{k-2}|| at a fixed fraction (1 - rho) of
         # the delta, so the relative threshold separates the two.
         if u_two_ago is not None and d_inf > tol \
-                and float(np.max(np.abs(u_new - u_two_ago))) <= 1e-3 * d_inf:
+                and _inf_norm(u_new - u_two_ago) <= 1e-3 * d_inf:
             raise NonConvergenceError(
                 f"exact period-2 cycle detected at round {k}",
                 reason="oscillation", trace=trace(False), last=u_new)
         if cfg.mode in ("simultaneous", "sequential") and u_two_ago is not None:
-            streak = streak + 1 if _alternates(u_new - U, U - u_two_ago) else 0
+            streak = streak + 1 if _alternates(step, prev_step) else 0
         if streak >= _ALT_WINDOW:
             raise NonConvergenceError(
                 f"sustained alternation over {_ALT_WINDOW} rounds at round {k} "
                 f"(residual {f_inf:.3e})",
                 reason="oscillation", trace=trace(False), last=u_new)
 
-        u_two_ago = U
+        u_two_ago, prev_step = U, step
         U = u_new
 
     raise NonConvergenceError(

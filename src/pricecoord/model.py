@@ -223,7 +223,7 @@ def _squared_norms(D: np.ndarray) -> np.ndarray:
 
 def _ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     # in index order, as a loop over pairs adds: np.sum reassociates 8+ terms
-    return np.cumsum(terms, axis=axis).take(-1, axis=axis)
+    return terms.cumsum(axis=axis).take(-1, axis=axis)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -304,13 +304,13 @@ class CouplingFunction:
         if self.scale == 0.0 or self.N == 1:
             g = np.zeros(np.shape(Y))
             return (g, np.zeros((len(Y), self.d, self.d))) if hessian else g
-        D = Y[..., :, None, :] - X[..., others, :]
+        D = Y[..., :, None, :] - X.take(others, axis=-2)
         w, c = self.pair_terms(_squared_norms(D))
         g = _ordered_sum(w[..., None] * D, axis=-2)
         if not hessian:
             return g
         # sum over the N - 1 other pairs of w I + 2 w' D D^T
-        return g, (w.sum(axis=-1)[:, None, None] * self._eye
+        return g, (np.add.reduce(w, axis=-1)[:, None, None] * self._eye
                    + 2.0 * (D.transpose(0, 2, 1) * c[:, None, :]) @ D)
 
 

@@ -108,33 +108,33 @@ def newton_root(F, x0, *, error, jacobian_name: str = "Jacobian", maximize: bool
     lowest failed row raises error(message, last iterate, its residual,
     row), so each caller keeps its own exception type.
     """
-    X = np.array(x0, dtype=float)
-    residual = np.empty(len(X))
-    failures = []                    # (row, message, last iterate, residual)
-    solved = len(X)                  # rows 0 .. solved-1 are below every failure
-    live, x = np.arange(len(X)), X   # the rows still stepping, their iterates
+    x = np.array(x0, dtype=float)
+    k, m = x.shape
+    live = np.arange(k)              # the rows still stepping, at their iterates x
     G, J = F(x, live) if start is None else start  # and their fields and Jacobians
-    J_stop = np.empty_like(J)        # the Jacobian each row stopped with
+    gnorm = _row_norms(G)            # and ||F||_inf
+    done = []                        # (rows, iterates, residuals, Jacobians) that stopped
+    failures = []                    # (row, message, last iterate, residual)
+    solved = k                       # rows 0 .. solved-1 are below every failure
     for _ in range(100):
-        gnorm = _row_norms(G)
         stop = gnorm <= 1e-10
         stopped = np.count_nonzero(stop)
+        if stopped == len(live):
+            done.append((live, x, gnorm, J))
+            break
         if stopped:
-            X[live[stop]], residual[live[stop]] = x[stop], gnorm[stop]
-            J_stop[live[stop]] = J[stop]
-            if stopped == len(live):
-                break
+            done.append((live[stop], x[stop], gnorm[stop], J[stop]))
             go = ~stop
             live, x, G, J, gnorm = live[go], x[go], G[go], J[go], gnorm[go]
         S, singular = _newton_steps(J, G)
-        x, G, J, unmoved = _line_search(F, x, G, J, gnorm, S, live, singular)
-        if not unmoved.size:
+        x, G, J, gnorm, unmoved = _line_search(F, x, G, J, gnorm, S, live, singular)
+        if unmoved is None:
             continue
         for i in unmoved:
-            if singular[i]:
+            if singular is not None and singular[i]:
                 failures.append((live[i], f"singular {jacobian_name}", x[i].copy(), gnorm[i]))
             elif gnorm[i] <= _rounding_floor(J[i], x[i]):
-                X[live[i]], residual[live[i]], J_stop[live[i]] = x[i], gnorm[i], J[i]
+                done.append((live[i:i + 1], x[i:i + 1], gnorm[i:i + 1], J[i:i + 1]))
             else:
                 failures.append((live[i], "line search failed to reduce the gradient",
                                  x[i].copy(), gnorm[i]))
@@ -143,13 +143,19 @@ def newton_root(F, x0, *, error, jacobian_name: str = "Jacobian", maximize: bool
         if failures:
             solved = min(f[0] for f in failures)
             keep &= live < solved
-        live, x, G, J = live[keep], x[keep], G[keep], J[keep]
+        live, x, G, J, gnorm = live[keep], x[keep], G[keep], J[keep], gnorm[keep]
         if not live.size:
             break
     else:
         failures.extend((r, "no convergence after 100 Newton iterations", xr, gn)
-                        for r, xr, gn in zip(live, x, _row_norms(G)))
+                        for r, xr, gn in zip(live, x, gnorm))
         solved = min(f[0] for f in failures)
+    if len(done) == 1 and len(done[0][0]) == k:  # every row stopped at the same iteration
+        _, X, residual, J_stop = done[0]
+    else:  # rows 0 .. solved-1 have all stopped
+        X, residual, J_stop = np.empty((k, m)), np.empty(k), np.empty((k, m, m))
+        for rows, xs, gs, Js in done:
+            X[rows], residual[rows], J_stop[rows] = xs, gs, Js
     if maximize and solved:
         # eigvalsh sorts ascending: the last eigenvalue is the largest
         not_max = np.linalg.eigvalsh(J_stop[:solved])[:, -1] >= 0.0
@@ -169,38 +175,46 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
 
 def _line_search(F, x, G, J, gnorm, S, live, singular):
     """The halving line search of newton_root on the rows of live whose
-    Jacobian is not singular: alpha = 1, 1/2, ... while alpha > 1e-12, until
-    a row's ||F||_inf drops below its gnorm. Returns (x, G, J, unmoved): the
-    iterates, fields and Jacobians, with each row that found its step moved
-    to it, and the sorted positions in live that did not move (singular or
-    stalled), empty when every row moved."""
+    Jacobian is not singular (singular is their mask, or None when none
+    is): alpha = 1, 1/2, ... while alpha > 1e-12, until a row's ||F||_inf
+    drops below its gnorm. Returns (x, G, J, gnorm, unmoved): the iterates,
+    fields, Jacobians and ||F||_inf, with each row that found its step
+    moved to it, and the sorted positions in live that did not move
+    (singular or stalled), or None when every row moved."""
     alpha = 1.0
-    if np.count_nonzero(singular):
-        todo = np.flatnonzero(~singular)
-    else:  # the first trial, on every row without gathers
+    if singular is None:  # the first trial, on every row without gathers
         x_try = x + S
         G_try, J_try = F(x_try, live)
-        better = _row_norms(G_try) < gnorm
+        gn = _row_norms(G_try)
+        better = gn < gnorm
         if np.count_nonzero(better) == len(x):
-            return x_try, G_try, J_try, live[:0]  # no position left unmoved
+            return x_try, G_try, J_try, gn, None
         x[better], G[better], J[better] = x_try[better], G_try[better], J_try[better]
+        gnorm[better] = gn[better]
         todo, alpha = np.flatnonzero(~better), 0.5
+    else:
+        todo = np.flatnonzero(~singular)
     while alpha > 1e-12 and todo.size:
         x_try = x[todo] + alpha * S[todo]
         G_try, J_try = F(x_try, live[todo])
-        better = _row_norms(G_try) < gnorm[todo]
+        gn = _row_norms(G_try)
+        better = gn < gnorm[todo]
         moved = todo[better]
         x[moved], G[moved], J[moved] = x_try[better], G_try[better], J_try[better]
+        gnorm[moved] = gn[better]
         todo = todo[~better]
         alpha *= 0.5
-    return x, G, J, np.sort(np.concatenate((np.flatnonzero(singular), todo)))
+    if singular is not None:
+        todo = np.sort(np.concatenate((np.flatnonzero(singular), todo)))
+    return x, G, J, gnorm, todo if todo.size else None
 
 
 def _newton_steps(J: np.ndarray, G: np.ndarray):
-    """(steps s solving J s = -g for each row, mask of the singular rows):
-    one stacked solve, or one solve per row when some J is singular."""
+    """(steps s solving J s = -g for each row, mask of the singular rows or
+    None when no row is singular): one stacked solve, or one solve per row
+    when some J is singular."""
     try:
-        return np.linalg.solve(J, -G[..., None])[..., 0], np.zeros(len(G), dtype=bool)
+        return np.linalg.solve(J, -G[..., None])[..., 0], None
     except np.linalg.LinAlgError:
         pass
     S = np.zeros_like(G)
@@ -210,4 +224,4 @@ def _newton_steps(J: np.ndarray, G: np.ndarray):
             S[i] = np.linalg.solve(J[i], -G[i])
         except np.linalg.LinAlgError:
             singular[i] = True
-    return S, singular
+    return S, singular if np.count_nonzero(singular) else None

@@ -166,7 +166,8 @@ def _newton_polish_rows(sys: SystemInstance, starts) -> tuple[np.ndarray, np.nda
         if not live.size:
             break
         delta, singular = _newton_steps(_fd_hessian(f, U[live]), G[live])
-        live, gn, delta = live[~singular], gn[~singular], delta[~singular]
+        if singular is not None:
+            live, gn, delta = live[~singular], gn[~singular], delta[~singular]
         # the halving line search of every row at one alpha; i holds the
         # positions in live of the rows still searching
         moved = np.zeros(len(live), dtype=bool)

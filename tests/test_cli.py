@@ -320,6 +320,38 @@ def test_compare_writes_a_diverged_residual_as_null_and_names_it(tmp_path):
         assert report["modes"][mode]["residual"] is None
 
 
+_DIVERGING = {"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
+              "coupling_strength": 1e3, "utility_spec": "quadratic_random", "horizon": 1,
+              "mode": {"mode": "two_stage", "gamma": 1e306, "max_rounds": 50}}
+_DIVERGED = "stage diverged: round 1 produced non-finite actions"
+
+
+@pytest.mark.parametrize("mode", ["two_stage", "single_stage"])
+def test_a_damped_stage_that_overflows_is_reported_as_diverged(tmp_path, capsys, mode):
+    # the step 1e306 overflows the first damped update (single_stage: its
+    # coordinator sequence); simulate still writes its trace and report, and
+    # compare records the mode and runs the others
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_DIVERGING))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--mode", mode,
+                 "--quiet"]) == 1
+    assert f"simulate: {_DIVERGED}" in capsys.readouterr().err
+    assert (out / "trace.csv").read_text().splitlines() == ["t,n,x_0,x_1,u_0,u_1,p_0,p_1"]
+    report = _strict_json(out / "report.json")
+    assert report["failure"] == {"reason": "diverged", "stage": 0, "rounds": 0,
+                                 "message": _DIVERGED}
+    assert report["converged"] is False and report["iterations"] == 0
+
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    modes = _strict_json(out / "compare.json")["modes"]
+    assert modes[mode] == {"reason": "diverged", "converged": False, "iterations": 0,
+                           "final_welfare": modes[mode]["final_welfare"],
+                           "gap": modes[mode]["gap"]}
+    assert set(modes) == set(pc.PLAY_MODES)
+    assert all("final_welfare" in row for row in modes.values())
+
+
 def test_simulate_tikhonov_rescues_strong_coupling(tmp_path):
     cfg = write_config(tmp_path, "c.json", seed=11, horizon=2,
                        coupling_strength=1000.0,

@@ -323,6 +323,30 @@ def test_tikhonov_play_fixes_nash():
     np.testing.assert_allclose(u, nash, atol=1e-8)
 
 
+_ROUND_FUNCTIONS = {
+    "play_simultaneous": lambda sys, u: pc.play_simultaneous(sys, u),
+    "play_sequential": lambda sys, u: pc.play_sequential(sys, u, 0),
+    "play_tikhonov": lambda sys, u: pc.play_tikhonov(sys, u, 20.0),
+    "two_stage_update": lambda sys, u: pc.two_stage_update(sys, u, 100.0, 0.5),
+    "single_stage_update": lambda sys, u: pc.single_stage_update(sys, u, np.zeros((2, 1)),
+                                                                 100.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("u_prev, match", [
+    pytest.param([[0.5], [np.nan]], "non-finite", id="nan"),
+    pytest.param([[np.inf], [0.0]], "non-finite", id="inf"),
+    pytest.param(np.zeros(3), "reshape", id="too_long"),
+    pytest.param(np.zeros((1, 1)), "reshape", id="too_short"),
+])
+@pytest.mark.parametrize("name", list(_ROUND_FUNCTIONS))
+def test_a_round_function_checks_its_joint_action(name, u_prev, match):
+    # run_stage checks its start once, so the public rounds are where an
+    # outside caller's joint action is checked
+    with pytest.raises(ValueError, match=match):
+        _ROUND_FUNCTIONS[name](make_two_agent_scalar(0.1), u_prev)
+
+
 # ------------------------------------------------------------------- bounds
 
 # ------------------------------------------- stacked rounds vs a loop over agents

@@ -210,17 +210,41 @@ def test_stage_trace_rows_and_fields():
     assert trace.delta[-1] <= 1e-8
 
 
-@pytest.mark.parametrize("mode", ["simultaneous", "tikhonov", "two_stage"])
-def test_a_round_starts_from_the_residual_it_was_tested_with(mode, monkeypatch):
-    # README config, stage 0: the residual at U and the next round's first
-    # Newton point are one _payoff_derivatives evaluation, and reward_field
-    # is not evaluated at all
-    cfg = pc.config_from_dict({"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
-                               "safety_radius": 6.0, "noise_std": 0.01})
-    sys = pc.generate(cfg)
-    pcfg = dataclasses.replace(pc.polling_config(cfg, mode), max_rounds=30)
+_README = {"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0, "safety_radius": 6.0,
+           "noise_std": 0.01}
+
+
+def _readme_stage(stage):
+    """(instance, warm start) of the README run's stage, stepped as simulate
+    steps it: each earlier stage run to convergence in simultaneous play,
+    its action applied with the seeded noise."""
+    cfg = pc.config_from_dict(_README)
+    pcfg, inst, noise = pc.polling_config(cfg), pc.generate(cfg), pc.noise_streams(cfg)
+    u = np.zeros((cfg.N, cfg.d))
+    for _ in range(stage):
+        u = pc.run_stage(inst, u, pcfg).u_final
+        inst = pc.replace_states(inst, pc.joint_next_state(inst, u) + cfg.noise_std * np.array(
+            [g.normal(size=cfg.d) for g in noise]))
+    return inst, u
+
+
+@pytest.mark.parametrize("mode, stage, max_rounds", [
+    pytest.param("simultaneous", 0, 30, id="simultaneous"),
+    pytest.param("tikhonov", 0, 30, id="tikhonov"),
+    pytest.param("two_stage", 0, 30, id="two_stage"),
+    # 60 rounds to convergence, in which Newton rows stop at different iterations
+    pytest.param("simultaneous", 16, 500, id="readme_stage_16"),
+])
+def test_a_round_starts_from_the_residual_it_was_tested_with(mode, stage, max_rounds,
+                                                               monkeypatch):
+    # README config: the residual at U and the next round's first Newton
+    # point are one _payoff_derivatives evaluation, and reward_field is not
+    # evaluated at all
+    sys, u0 = _readme_stage(stage)
+    pcfg = dataclasses.replace(pc.polling_config(pc.config_from_dict(_README), mode),
+                               max_rounds=max_rounds)
     pc.mechanism.stage_step(sys, pcfg)  # two_stage's default step, estimated once
-    counts = {"field": 0, "derivatives": 0, "newton": 0, "started": 0}
+    counts = {"field": 0, "derivatives": 0, "newton": 0, "started": 0, "subsets": 0}
     real_field, real_derivatives = pc.mechanism.reward_field, pc.equilibrium._payoff_derivatives
     real_newton = pc.equilibrium.newton_root
 
@@ -239,6 +263,7 @@ def test_a_round_starts_from_the_residual_it_was_tested_with(mode, monkeypatch):
     def newton_root(F, x0, **kwargs):
         def counted(X, rows):
             counts["newton"] += 1
+            counts["subsets"] += len(rows) < len(x0)
             return F(X, rows)
         counts["started"] += kwargs["start"] is not None
         return real_newton(counted, x0, **kwargs)
@@ -248,11 +273,13 @@ def test_a_round_starts_from_the_residual_it_was_tested_with(mode, monkeypatch):
     monkeypatch.setattr(pc.equilibrium, "_payoff_derivatives", derivatives)
     monkeypatch.setattr(pc.equilibrium, "newton_root", newton_root)
     try:
-        trace = pc.run_stage(sys, np.zeros((3, 2)), pcfg)
+        trace = pc.run_stage(sys, u0, pcfg)
     except pc.NonConvergenceError as exc:
         trace = exc.trace
     rounds = trace.iterations
     assert rounds > 1
+    if stage:
+        assert trace.converged and rounds == 60 and counts["subsets"] > 0
     assert counts["field"] == 0 and counts["started"] == rounds
     # one evaluation per Newton point: each round's start (the residual before
     # it) and the points newton_root asks for, plus the residual after the last
@@ -265,21 +292,22 @@ def test_a_round_starts_from_the_residual_it_was_tested_with(mode, monkeypatch):
 @pytest.mark.parametrize("mode", ["simultaneous", "tikhonov", "two_stage"])
 def test_a_round_steps_the_fleet_at_its_start_once(mode, monkeypatch):
     # README config, stage 0: the residual's X(U) is the round's frozen next
-    # state, so each residual steps the fleet once and no round steps it again
-    cfg = pc.config_from_dict({"N": 3, "d": 2, "seed": 13, "coupling_strength": 50.0,
-                               "safety_radius": 6.0, "noise_std": 0.01})
+    # state, so each residual steps the fleet once and no round steps it again;
+    # run_stage steps it with _fleet_step, a round function with joint_next_state
+    cfg = pc.config_from_dict(_README)
     sys = pc.generate(cfg)
     pcfg = dataclasses.replace(pc.polling_config(cfg, mode), max_rounds=30)
     pc.mechanism.stage_step(sys, pcfg)  # two_stage's default step, estimated once
     calls = []
-    real = pc.model.joint_next_state
 
-    def joint_next_state(sys_, u):
-        calls.append(1)
-        return real(sys_, u)
+    def counted(real):
+        def fleet_step(*args):
+            calls.append(1)
+            return real(*args)
+        return fleet_step
 
-    monkeypatch.setattr(pc.mechanism, "joint_next_state", joint_next_state)
-    monkeypatch.setattr(pc.equilibrium, "joint_next_state", joint_next_state)
+    monkeypatch.setattr(pc.mechanism, "_fleet_step", counted(pc.model._fleet_step))
+    monkeypatch.setattr(pc.equilibrium, "joint_next_state", counted(pc.model.joint_next_state))
     try:
         trace = pc.run_stage(sys, np.zeros((3, 2)), pcfg)
     except pc.NonConvergenceError as exc:
