@@ -457,12 +457,16 @@ def _fleet_step(sys: SystemInstance, U: np.ndarray, table: RowTable | None = Non
     return Ax + (B @ U[..., None])[..., 0]
 
 
+# The most pair-difference floats one batched pair computation forms: 2 MB.
+PAIR_BATCH_FLOATS = 2 ** 18
+
+
 def pair_batch_rows(sys: SystemInstance) -> int:
     """How many joint actions one call of a batched pair computation takes:
-    at most 2^18 / (N^2 d), so that the (K, N(N - 1)/2, d) pair differences
-    of a batch_welfare call and the (K, k, N - 1, d) ones of a batched
-    derivative pass stay below 2 MB whatever the fleet size."""
-    return max(1, 2 ** 18 // (sys.N * sys.N * sys.d))
+    at most PAIR_BATCH_FLOATS / (N^2 d), so that the (K, N(N - 1)/2, d) pair
+    differences of a batch_welfare call and the (K, k, N - 1, d) ones of a
+    batched derivative pass stay below 2 MB whatever the fleet size."""
+    return max(1, PAIR_BATCH_FLOATS // (sys.N * sys.N * sys.d))
 
 
 def batch_welfare(sys: SystemInstance, U) -> np.ndarray:

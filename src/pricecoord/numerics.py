@@ -10,12 +10,9 @@ per iterate; a single solve is its one-row case. A caller that holds the
 fields and Jacobians at x0 passes them as start: a stage's simultaneous,
 two-stage or Tikhonov round starts from the payoff derivatives its
 convergence test computed (mechanism.run_stage), the coupling's gradient and
-Hessian from one pair pass. fd_gradients evaluates the
-stencil of fd_gradient at many points in one call of a batched function;
-the oracle uses it on the welfare for the fields of its own polish loop,
-which polishes a stack of starts in lockstep and runs closed_form's and
-grid's point as its one-row case (see oracle), so the reference stays
-independent of the code it checks.
+Hessian from one pair pass. The oracle differences the welfare itself, term
+by term (see oracle), so the reference stays independent of the code it
+checks; it shares only _newton_steps, the stacked solve of a Newton step.
 fd_jacobian keeps its loop over columns: its callers (the welfare-optimal
 price's Newton steps, the weak-coupling diagnostic, the Hessian block of a
 utility given without one) difference small fields, where a stacked stencil
@@ -31,22 +28,6 @@ def fd_gradient(f, point, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function at point. Raises
     ValueError naming the first coordinate whose difference is non-finite."""
     return _finite(fd_jacobian(f, point, h))
-
-
-def fd_gradients(f_rows, points, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradients at each row of points, (B, m) or (m,),
-    as a (B, m) array, from one call of f_rows on all 2 m B stencil points:
-    f_rows maps a (K, m) array of points to their K values. Row b is
-    (f(p_b + h e_j) - f(p_b - h e_j)) / 2h, so it equals fd_gradient of the
-    row function bit for bit. Raises ValueError naming the first coordinate
-    whose difference is non-finite."""
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    m = X.shape[1]
-    E = h * np.eye(m)
-    w = f_rows(np.concatenate([X[:, None] + E, X[:, None] - E], axis=1).reshape(-1, m))
-    w = w.reshape(len(X), 2, m)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _finite((w[:, 0] - w[:, 1]) / (2.0 * h))
 
 
 def _finite(g: np.ndarray) -> np.ndarray:

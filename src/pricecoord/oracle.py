@@ -1,30 +1,35 @@
 """Independent reference computations used by tests and acceptance checks.
 
-Everything here is deliberately assembled from utility and coupling VALUES
-only (finite differences, grid scans, probed affine systems), so it shares no
-gradient code with the solvers: numerics.fd_gradients only differences the
-welfare value. The Newton polish behind every method is one loop that
-polishes a (k, m) stack of starts in lockstep: newton_multistart sends its
-32 starts through it at once, and closed_form and grid run its one-row case.
-It takes its field from central first differences of the welfare value and
-its Hessian from central second differences of the same value. A row stops
-when its field's sup-norm drops below 1e-11 or when no backtracking step
-down to alpha = 1e-10 reduces it, which is where the finite-difference field
-reaches its noise floor; it takes exactly the steps it would take alone. The
-loop does not use numerics.newton_root, so the reference never runs the
-loop it checks; it shares only the stacked linear solve of a Newton step
-(numerics._newton_steps).
+Everything here is assembled from utility and coupling VALUES only (finite
+differences of the welfare and a probed affine system), so it shares no
+gradient code with the solvers. The welfare is partially separable: a sum
+of one-agent utilities and two-agent pair terms of the coupling, and the
+differences use that. Field component (a, i) is the central difference,
+step 1e-5, of W_a = U_a + scale sum_{m != a} pair_value(||x_a - x_m||^2),
+the only welfare terms agent a's action moves. A Hessian's block (a, a) is
+the central second difference, step 1e-4, of W_a on its 1 + 2 d^2 points,
+and block (a, b) the four-corner difference of pair (a, b)'s value alone:
+utilities add nothing across agents. Quadratic utilities are evaluated
+stacked, and a SmoothUtility's value is called for the one agent a point
+moves. Each pair_value call takes at most model.PAIR_BATCH_FLOATS / d
+squared distances, so the pair differences stay under 2 MB whatever the
+fleet size; a row's stencil spans several calls when it needs more.
 
-Every stencil is one model.batch_welfare call on its flat points, each row
-equal to the scalar welfare bit for bit: the fields of all rows still in a
-polish are one call of 2m points each (m = N d), their Hessians one call per
-piece of rows whose 1 + 2m^2 points each fit in _HESSIAN_PIECE_POINTS (at
-least one row), the closed-form probe m + 1 fields, and the grid scan one
-batch per value of the first coordinate (201^(m-1) points). batch_welfare
-splits a batch into its own pieces, so the pair differences stay under 2 MB
-whatever the fleet size; the stencil points of one Hessian piece take at
-most max(600, 1 + 2m^2) m floats. joint_welfare is the same welfare at one
-joint action.
+The Newton polish behind both methods is one loop that polishes a (k, m)
+stack of starts in lockstep: newton_multistart sends its 32 starts through
+it at once, and closed_form runs its one-row case. A row stops when its
+field's sup-norm drops below 1e-11 or when no backtracking step down to
+alpha = 2^-33 (the last halving above 1e-10) reduces it, which is where
+the finite-difference field reaches its noise floor; it takes exactly the
+steps it would take alone. Each call of the line search evaluates the next
+doubling block of alphas, (1), (1/2, 1/4), (1/8 ... 1/64), ..., for every
+row still searching, and each row takes the first better alpha in order:
+the step of a one-at-a-time halving loop, for at most about twice its
+evaluations. The loop does not use numerics.newton_root, so the reference
+never runs the loop it checks; it shares only the stacked linear solve of
+a Newton step (numerics._newton_steps). joint_welfare and the multistart's
+choice among its ends are model.batch_welfare, whose rows equal the scalar
+welfare bit for bit.
 
 Note on why oracle equivalence is a valid acceptance test at all: the test
 instances in this package are potential games by construction. The coupling G
@@ -39,12 +44,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .model import SystemInstance, batch_welfare, joint_action
-from .numerics import _newton_steps, fd_gradients
+from .model import (PAIR_BATCH_FLOATS, SystemInstance, _fleet_step, _squared_norms,
+                    batch_welfare, joint_action)
+from .numerics import _finite, _newton_steps
+
+# The line search's alphas 1, 1/2, ..., 2^-33, every halving above 1e-10, and
+# the doubling blocks of them that one field call evaluates: 1, 2, 4, 8, 16
+# and the last 3.
+_ALPHAS = 0.5 ** np.arange(34)
+_BLOCKS = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 34))
 
 
 def joint_welfare(sys: SystemInstance, u) -> float:
@@ -60,16 +71,111 @@ class OracleResult:
     method: str
 
 
+def _chunks(sys: SystemInstance, units: int, per_unit: int) -> list:
+    """Slices of range(units) short enough that per_unit squared distances
+    per unit make at most PAIR_BATCH_FLOATS / d of them in one call (at
+    least one unit per slice)."""
+    step = max(1, PAIR_BATCH_FLOATS // (sys.d * max(per_unit, 1)))
+    return [slice(k, min(k + step, units)) for k in range(0, units, step)]
+
+
+def _agent_terms(sys: SystemInstance, U: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """W_a = U_a(x_a', v) + scale sum_{m != a} pair_value(||x_a' - x_m||^2)
+    for agent a of each joint action of U, (K, N, d), moved to each action
+    v = u_a + offsets[p], (P, d), with its next state x_a' moved along and
+    the others' held: (K, N, P). The units (joint action, agent) go through
+    in the slices of _chunks."""
+    K, N, d = U.shape
+    G, (_, B, quadratic) = sys.coupling, sys._stacked
+    X = _fleet_step(sys, U).reshape(-1, d)
+    U = U.reshape(-1, d)
+    shifts = offsets @ B.swapaxes(1, 2)  # (N, P, d): agent a's next-state moves
+    pairs = G.scale != 0.0 and N > 1
+    out = np.empty((K * N, len(offsets)))
+    for s in _chunks(sys, K * N, len(offsets) * (N - 1)):
+        unit = np.arange(s.start, s.stop)
+        a = unit % N
+        Xs, Us = X[s, None] + shifts[a], U[s, None] + offsets  # (c, P, d)
+        if quadratic is None:  # a SmoothUtility's value_fn is a callable of one agent
+            vals = np.array([[sys.utilities[n].value(x, v) for x, v in zip(xs, us)]
+                             for n, xs, us in zip(a, Xs, Us)]).reshape(len(a), -1)
+        else:
+            Q, R, x0 = (q[a, None] for q in quadratic)
+            E = Xs - x0
+            vals = (-((E[..., None, :] @ Q) @ E[..., :, None])
+                    - ((Us[..., None, :] @ R) @ Us[..., :, None]))[..., 0, 0]
+        if pairs:
+            D = Xs[:, :, None] - X[(unit - a)[:, None] + G._others[a]][:, None]
+            vals = vals + G.scale * G.pair_value(_squared_norms(D)).sum(axis=-1)
+        out[s] = vals
+    return out.reshape(K, N, -1)
+
+
+def _field(sys: SystemInstance, X) -> np.ndarray:
+    """The central-difference welfare field, step 1e-5, at each row of X,
+    (K, m), as (K, m): component (a, i) differences W_a alone. Non-finite
+    where a difference is."""
+    d, h = sys.d, 1e-5
+    E = h * np.eye(d)
+    X = np.ascontiguousarray(X, dtype=float)
+    W = _agent_terms(sys, X.reshape(len(X), sys.N, d), np.vstack([E, -E]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ((W[..., :d] - W[..., d:]) / (2.0 * h)).reshape(len(X), -1)
+
+
+def _hessian(sys: SystemInstance, X) -> np.ndarray:
+    """Symmetric central second-difference welfare Hessians, step 1e-4, at
+    each row of X, (K, m), as (K, m, m). Block (a, a) differences W_a on
+    the 1 + 2 d^2 points u_a, u_a +- h e_i and the four corners u_a +- h e_i
+    +- h e_j; block (a, b) is the four-corner difference of pair (a, b)'s
+    value, 4 d^2 squared distances."""
+    N, d, h = sys.N, sys.d, 1e-4
+    X = np.ascontiguousarray(X, dtype=float)
+    K = len(X)
+    U = X.reshape(K, N, d)
+    E = h * np.eye(d)
+    I, J = np.tril_indices(d, -1)
+    W = _agent_terms(sys, U, np.vstack([np.zeros((1, d)), E, -E, E[I] + E[J], E[I] - E[J],
+                                        -E[I] + E[J], -E[I] - E[J]]))
+    blocks = np.empty((K, N, d, d))
+    i = np.arange(d)
+    blocks[..., i, i] = (W[..., 1:d + 1] - 2.0 * W[..., :1] + W[..., d + 1:2 * d + 1]) / (h * h)
+    c = W[..., 2 * d + 1:].reshape(K, N, 4, len(I))
+    blocks[..., I, J] = blocks[..., J, I] = (c[:, :, 0] - c[:, :, 1] - c[:, :, 2]
+                                             + c[:, :, 3]) / (4.0 * h * h)
+    H = np.zeros((K, N, d, N, d))
+    a = np.arange(N)
+    H[:, a, :, a, :] = blocks.swapaxes(0, 1)
+    G = sys.coupling
+    if G.scale != 0.0 and N > 1:
+        n, m = G._upper
+        Xn = _fleet_step(sys, U)
+        D0 = (Xn[:, n] - Xn[:, m]).reshape(-1, d)
+        hB = h * sys._stacked[1].swapaxes(1, 2)  # row i of agent a: h B_a e_i
+        pair = np.empty((len(D0), d, d))
+        for s in _chunks(sys, len(D0), 4 * d * d):
+            p = np.arange(s.start, s.stop) % len(n)
+            Sa, Sb = hB[n[p], :, None], hB[m[p], None]
+            # x_n - x_m moves by +-same at the corners ++ and --, by +-cross at +- and -+
+            same, cross = Sa - Sb, Sa + Sb
+            v = G.pair_value(_squared_norms(
+                D0[s, None, None, None] + np.stack([same, cross, -cross, -same], axis=1)))
+            pair[s] = G.scale * (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * h * h)
+        pair = pair.reshape(K, len(n), d, d).swapaxes(0, 1)
+        H[:, n, :, m, :] = pair
+        H[:, m, :, n, :] = pair.swapaxes(2, 3)
+    return H.reshape(K, N * d, N * d)
+
+
 def _closed_form(sys: SystemInstance) -> np.ndarray | None:
     """The Newton-polished solution of the probed stationarity system if it
     is a verified welfare maximum, else None."""
     # Probe the welfare-gradient field at zero and at the unit vectors, all
-    # m + 1 fields in one batch. For quadratic welfare central differences are
+    # m + 1 fields in one call. For quadratic welfare central differences are
     # exact up to roundoff, so the probed system is the true linear
     # stationarity system J u* = -f0; on other welfare it is only a secant.
     m = sys.N * sys.d
-    f = partial(batch_welfare, sys)
-    fields = fd_gradients(f, np.vstack([np.zeros(m), np.eye(m)]))
+    fields = _finite(_field(sys, np.vstack([np.zeros(m), np.eye(m)])))
     f0 = fields[0]
     J = (fields[1:] - f0).T  # column i is F(e_i) - f0
     sym = 0.5 * (J + J.T)
@@ -79,63 +185,28 @@ def _closed_form(sys: SystemInstance) -> np.ndarray | None:
     u, g = _newton_polish(sys, np.linalg.solve(J, -f0))
     # stationary is not enough: the secant probe can look negative definite
     # on quartic welfare whose curvature at the solve point is positive
-    if np.max(np.abs(g)) > 1e-7 * (1.0 + np.max(np.abs(u))) or not _is_maximum(f, u):
+    if np.max(np.abs(g)) > 1e-7 * (1.0 + np.max(np.abs(u))) or not _is_maximum(sys, u):
         return None
     return u
 
 
-# The most Hessian stencil points _fd_hessian puts into one batch_welfare
-# call: 8 stencils at m = 6. A piece always holds at least one stencil, so
-# stacking rows never multiplies the (1 + 2 m^2) m floats of one stencil.
-_HESSIAN_PIECE_POINTS = 600
-
-
-def _fd_hessian(f_rows, points) -> np.ndarray:
-    """Symmetric central second-difference Hessians, step h = 1e-4, at each
-    row of points, (B, m) or (m,), as a (B, m, m) array. Each row's stencil
-    is 1 + 2 m^2 points: the diagonal from f(u) and f(u +- h e_i), each
-    off-diagonal pair from the four corners u +- h e_i +- h e_j. f_rows is
-    called once per piece of rows whose stencils fit in
-    _HESSIAN_PIECE_POINTS points (at least one row per piece)."""
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    m, h = X.shape[1], 1e-4
-    E = h * np.eye(m)
-    I, J = np.tril_indices(m, -1)
-    H = np.empty((len(X), m, m))
-    piece = max(1, _HESSIAN_PIECE_POINTS // (1 + 2 * m * m))
-    for a in range(0, len(X), piece):
-        u = X[a:a + piece, None]
-        up, um = u + E, u - E
-        w = f_rows(np.concatenate([u, up, um, up[:, I] + E[J], up[:, I] - E[J],
-                                   um[:, I] + E[J], um[:, I] - E[J]], axis=1).reshape(-1, m))
-        w = w.reshape(len(u), -1)
-        f0, wp, wm = w[:, :1], w[:, 1:m + 1], w[:, m + 1:2 * m + 1]
-        corners = w[:, 2 * m + 1:].reshape(len(u), 4, -1)
-        Hp = H[a:a + piece]
-        Hp[:, np.arange(m), np.arange(m)] = (wp - 2.0 * f0 + wm) / (h * h)
-        Hp[:, I, J] = Hp[:, J, I] = (corners[:, 0] - corners[:, 1] - corners[:, 2]
-                                     + corners[:, 3]) / (4.0 * h * h)
-    return H
-
-
-def _fields(f_rows, X: np.ndarray, rows: np.ndarray, errors: dict):
-    """(fields, finite): fd_gradients at the rows of X, and the mask of the
-    rows whose field is finite. The ValueError of each other row goes into
-    errors under its label in rows. One stencil call for all rows, then one
-    per row only when that call raises."""
-    try:
-        return fd_gradients(f_rows, X), np.ones(len(X), dtype=bool)
-    except ValueError as exc:
-        if len(X) == 1:  # the error is this row's own
-            errors[rows[0]] = exc
-            return np.full_like(X, np.nan), np.zeros(1, dtype=bool)
-    G, finite = np.full_like(X, np.nan), np.ones(len(X), dtype=bool)
-    for i in range(len(X)):
-        try:
-            G[i] = fd_gradients(f_rows, X[i])[0]
-        except ValueError as exc:
-            errors[rows[i]], finite[i] = exc, False
+def _fields(sys: SystemInstance, X: np.ndarray, rows: np.ndarray, errors: dict):
+    """(fields, finite): _field at the rows of X, and the mask of the rows
+    whose field is finite. The ValueError of each other row, naming its
+    first non-finite coordinate, goes into errors under its label in rows."""
+    G = _field(sys, X)
+    finite = np.all(np.isfinite(G), axis=1)
+    for i in np.flatnonzero(~finite):
+        errors[rows[i]] = _error(G[i])
     return G, finite
+
+
+def _error(g: np.ndarray) -> ValueError:
+    """The ValueError numerics._finite raises for the non-finite field g."""
+    try:
+        _finite(g)
+    except ValueError as exc:
+        return exc
 
 
 def _newton_polish_rows(sys: SystemInstance, starts) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -146,49 +217,63 @@ def _newton_polish_rows(sys: SystemInstance, starts) -> tuple[np.ndarray, np.nda
 
     A row stops when ||F||_inf < 1e-11, after 20 steps, at a singular
     Hessian, or when backtracking finds no step that reduces ||F||_inf
-    before alpha <= 1e-10 or before u + alpha delta rounds to u (every
+    down to alpha = 2^-33 or before u + alpha delta rounds to u (every
     shorter step then does too): F has then reached its noise floor and
     further steps only cost evaluations. The field at the accepted step is
     the next residual. Every row takes exactly the steps it takes alone:
-    each iteration evaluates the Hessians of all live rows in one
-    _fd_hessian call and solves them in one stacked solve, and each halving
-    of alpha evaluates the fields of the rows still searching in one
-    stencil.
+    each iteration evaluates the Hessians of all live rows in one _hessian
+    call and solves them in one stacked solve, and _line_search evaluates
+    the rows still searching one doubling block of alphas per call.
     """
-    f = partial(batch_welfare, sys)
     U = np.array(starts, dtype=float)
     errors = {}
-    G, finite = _fields(f, U, np.arange(len(U)), errors)
+    G, finite = _fields(sys, U, np.arange(len(U)), errors)
     live = np.flatnonzero(finite)      # the rows still stepping
     for _ in range(20):
         gn = np.max(np.abs(G[live]), axis=1)
         live, gn = live[gn >= 1e-11], gn[gn >= 1e-11]
         if not live.size:
             break
-        delta, singular = _newton_steps(_fd_hessian(f, U[live]), G[live])
+        delta, singular = _newton_steps(_hessian(sys, U[live]), G[live])
         if singular is not None:
             live, gn, delta = live[~singular], gn[~singular], delta[~singular]
-        # the halving line search of every row at one alpha; i holds the
-        # positions in live of the rows still searching
-        moved = np.zeros(len(live), dtype=bool)
-        alpha, i = 1.0, np.arange(len(live))
-        while i.size:
-            u = U[live[i]]
-            trial = u + alpha * delta[i]
-            fresh = np.any(trial != u, axis=1)  # a step that rounds to u ends its row
-            i, trial = i[fresh], trial[fresh]
-            if not i.size:
-                break
-            g_trial, finite = _fields(f, trial, live[i], errors)
-            better = finite & (np.max(np.abs(g_trial), axis=1) < gn[i])
-            U[live[i[better]]], G[live[i[better]]] = trial[better], g_trial[better]
-            moved[i[better]] = True
-            i = i[finite & ~better]
-            alpha *= 0.5
-            if alpha <= 1e-10:
-                break
-        live = live[moved]
+        live = live[_line_search(sys, U, G, live, gn, delta, errors)]
     return U, G, errors
+
+
+def _line_search(sys: SystemInstance, U, G, live, gn, delta, errors) -> np.ndarray:
+    """The backtracking of the rows live, from U[live] along delta, as the
+    mask of the rows that moved; U and G take each moved row's step and
+    field. A row ends at the first alpha of 1, 1/2, ..., 2^-33 whose step
+    reduces ||F||_inf below gn (it moves), whose step rounds to U (it
+    stays) or whose field is not finite (its ValueError goes into errors
+    and it stays), or stays after the last. One _field call per block of
+    _BLOCKS evaluates the trials of every row still searching, each up to
+    its first step that rounds to U: a trial behind a row's end in its block
+    is evaluated and ignored."""
+    moved = np.zeros(len(live), dtype=bool)
+    i = np.arange(len(live))           # positions in live still searching
+    for lo, hi in _BLOCKS:
+        u = U[live[i]][:, None]
+        trial = u + _ALPHAS[lo:hi, None] * delta[i][:, None]
+        fresh = np.logical_and.accumulate(np.any(trial != u, axis=2), axis=1)
+        if not np.any(fresh):
+            break
+        g = np.full(trial.shape, np.nan)
+        g[fresh] = _field(sys, trial[fresh])
+        finite = np.all(np.isfinite(g), axis=2)
+        better = finite & (np.max(np.abs(g), axis=2) < gn[i, None])
+        k = np.argmax(better | ~finite, axis=1)  # where each row's loop would stop
+        at = np.arange(len(i))
+        stop, step = ~finite[at, k] | better[at, k], better[at, k]
+        U[live[i[step]]], G[live[i[step]]] = trial[step, k[step]], g[step, k[step]]
+        moved[i[step]] = True
+        for j in np.flatnonzero(stop & ~step & fresh[at, k]):
+            errors[live[i[j]]] = _error(g[j, k[j]])
+        i = i[~stop]
+        if not i.size:
+            break
+    return moved
 
 
 def _newton_polish(sys: SystemInstance, u_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,57 +285,35 @@ def _newton_polish(sys: SystemInstance, u_flat: np.ndarray) -> tuple[np.ndarray,
     return U[0], G[0]
 
 
-def _grid(sys: SystemInstance, box) -> np.ndarray:
-    m = sys.N * sys.d
-    if m > 3:
-        raise ValueError(f"grid oracle supports N*d <= 3, got {m}")
-    f = partial(batch_welfare, sys)
-    axes = [np.linspace(box[0], box[1], 201)] * m  # pitch width/200
-    best_w = -np.inf
-    best_u = None
-    # one batch per value of the first coordinate, 201^(m-1) points each; the
-    # first point of the scan that attains the maximum wins
-    for first in axes[0]:
-        points = np.stack(np.meshgrid(first, *axes[1:], indexing="ij"), axis=-1).reshape(-1, m)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite welfare is skipped
-            w = f(points)
-        w[np.isnan(w)] = -np.inf
-        k = np.argmax(w)
-        if w[k] > best_w:
-            best_w = w[k]
-            best_u = points[k]
-    if best_u is None:
-        raise ValueError(f"no grid point on the box {tuple(box)!r} has a finite welfare")
-    return _newton_polish(sys, best_u)[0]
-
-
-def _is_maximum(f_rows, u: np.ndarray) -> bool:
+def _is_maximum(sys: SystemInstance, u: np.ndarray) -> bool:
     """Whether the finite-difference welfare Hessian at u is negative
     definite: finite, with its largest eigenvalue below
     -1e-9 max(max |H_ij|, 1e-12)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Hessian is no maximum
-        H = _fd_hessian(f_rows, u)[0]
+        H = _hessian(sys, u[None])[0]
     if not np.all(np.isfinite(H)):
         return False
     return not np.max(np.linalg.eigvalsh(H)) >= -1e-9 * max(np.max(np.abs(H)), 1e-12)
 
 
-def _multistart(sys: SystemInstance, box) -> np.ndarray:
-    m = sys.N * sys.d
+def _starts(m: int, box) -> np.ndarray:
+    """The multistart's 32 starts in R^m: the box centre, then 31 uniform
+    starts (one (31, m) draw is the stream of 31 draws of m)."""
     lo, hi = box
-    # the box centre, then 31 uniform starts: one (31, m) draw is the stream
-    # of 31 draws of m
-    starts = np.vstack([np.full(m, 0.5 * (lo + hi)),
-                        lo + (hi - lo) * np.random.default_rng(0).random((31, m))])
-    f = partial(batch_welfare, sys)
+    return np.vstack([np.full(m, 0.5 * (lo + hi)),
+                      lo + (hi - lo) * np.random.default_rng(0).random((31, m))])
+
+
+def _multistart(sys: SystemInstance, box) -> np.ndarray:
+    starts = _starts(sys.N * sys.d, box)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite welfare is skipped
         U, _, errors = _newton_polish_rows(sys, starts)
         ends = np.array([k for k in range(len(starts)) if k not in errors], dtype=int)
-        w = f(U[ends])
+        w = batch_welfare(sys, U[ends])
     # the best finite end that is a maximum; the first start wins a tie
     ends, w = ends[np.isfinite(w)], w[np.isfinite(w)]
     for k in ends[np.argsort(-w, kind="stable")]:
-        if _is_maximum(f, U[k]):
+        if _is_maximum(sys, U[k]):
             return U[k]
     raise ValueError(f"no multistart start on the box {tuple(box)!r} ends at a finite "
                      "welfare maximum")
@@ -261,30 +324,29 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
 
     method "closed_form" probes the stationarity system (quadratic welfare
     only; falls back to multistart with a warning unless the polished solve
-    point is a verified maximum), "grid" scans the box at pitch width/200 for N*d <= 3
-    and polishes with Newton, "newton_multistart" polishes 32 starts, the
-    box centre and random box starts, as one stack and keeps the end with
-    the highest finite welfare whose finite-difference Hessian is negative
-    definite (a start whose welfare overflows is skipped; ValueError naming
-    the box when no start ends at such a maximum). Without a box, grid and
-    newton_multistart (the fallback too) raise "<method> requires a box".
+    point is a verified maximum), "newton_multistart" polishes 32 starts,
+    the box centre and random box starts, as one stack and keeps the end
+    with the highest finite welfare whose finite-difference Hessian is
+    negative definite (a start whose welfare overflows is skipped;
+    ValueError naming the box when no start ends at such a maximum).
+    Without a box, newton_multistart (the fallback too) raises
+    "newton_multistart requires a box".
 
     Every polish runs one damped Newton loop on welfare values only, the 32
-    starts in lockstep and closed_form's and grid's point as its one-row
-    case: the field is a central first difference and the Hessian a
-    symmetric central second difference of the welfare. Each iteration
-    evaluates the Hessians of all rows still stepping as batches of stencil
-    points and makes one stacked solve, and each halving of the line search
-    evaluates the fields of the rows still searching as one batch (as the
-    closed-form probe and each slice of the grid scan are one batch). A row
-    stops at ||field||_inf < 1e-11, after 20 steps, at a singular Hessian,
-    or as soon as backtracking to alpha <= 1e-10 (or to a step that rounds
-    to no move) finds no reducing step, exactly where it stops when
-    polished alone. The result's method names the one that produced
-    u_star, so a closed_form request that fell back reports
-    "newton_multistart".
+    starts in lockstep and closed_form's point as its one-row case: the
+    field is a central first difference and the Hessian a symmetric central
+    second difference of the welfare, each taken of only the utility and
+    pair terms the differenced coordinates move. Each iteration evaluates
+    the Hessians of all rows still stepping and makes one stacked solve,
+    and the line search evaluates the fields of the rows still searching
+    one doubling block of alphas at a time. A row stops at ||field||_inf <
+    1e-11, after 20 steps, at a singular Hessian, or as soon as
+    backtracking to alpha = 2^-33 (or to a step that rounds to no move)
+    finds no reducing step, exactly where it stops when polished alone.
+    The result's method names the one that produced u_star, so a
+    closed_form request that fell back reports "newton_multistart".
     """
-    if method not in ("closed_form", "grid", "newton_multistart"):
+    if method not in ("closed_form", "newton_multistart"):
         raise ValueError(f"unknown oracle method: {method}")
     u = _closed_form(sys) if method == "closed_form" else None
     if method == "closed_form" and u is None:
@@ -295,6 +357,6 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
     if u is None:
         if box is None:
             raise ValueError(f"{method} requires a box")
-        u = (_grid if method == "grid" else _multistart)(sys, box)
+        u = _multistart(sys, box)
     u_star = u.reshape(sys.N, sys.d)
     return OracleResult(u_star=u_star, welfare=joint_welfare(sys, u_star), method=method)
