@@ -51,7 +51,6 @@ from .equilibrium import (
     probe_utility_gradient,
     reward_field,
     single_stage_update,
-    stage2_probe_target,
     tracking_error_bound,
     two_stage_update,
     vi_project_iterate,
@@ -74,7 +73,6 @@ from .parametric import (
     identify,
     load_log,
     optimal_price,
-    price_to_action_map,
     save_log,
 )
 from .geometry import (
@@ -83,9 +81,6 @@ from .geometry import (
     TrajectorySample,
     fit_connection,
     fit_decomposable,
-    gaussian_kernel,
-    kernel_fit_residual,
-    median_pairwise,
     predict_field,
     sliding_connection,
     transport,
@@ -99,7 +94,6 @@ from .scenario import (
     load_config,
     noise_streams,
     polling_config,
-    save_config,
     separation_barrier_coupling,
 )
 

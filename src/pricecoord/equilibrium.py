@@ -273,13 +273,6 @@ def probe_utility_gradient(lam: float, response, anchor, coupling_grad) -> np.nd
     return lam * (response - anchor) - coupling_grad
 
 
-def stage2_probe_target(anchor, gamma: float, utility_grad, coupling_grad) -> np.ndarray:
-    """Target v of the stage-2 probe game -||u - v||^2; best-responding to it
-    reproduces the net update anchor + gamma (grad U + grad G)."""
-    return np.asarray(anchor, float) + gamma * (
-        np.asarray(utility_grad, float) + np.asarray(coupling_grad, float))
-
-
 def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, lam: float,
                     gamma: float, start=None, field: bool = False):
     """(responses, net update, extracted grad U, F at the responses or None):
@@ -316,9 +309,10 @@ def two_stage_update(sys: SystemInstance, u_prev, lam: float, gamma: float, *,
     Stage 1: each agent solves grad U_n(u_hat) + grad_n G(u_hat, u_prev_{-n})
     - lam (u_hat - u_prev_n) = 0. Stage 2 is applied as the derived net
     update u^k = u^{k-1} + gamma (grad U_n(u_hat_n) + grad_n G(u_hat)),
-    with grad U extracted via probe_utility_gradient; the equivalent posed
-    probe game is available through stage2_probe_target. _start is X(u_prev)
-    and stage 1's first Newton point, as for play_simultaneous.
+    with grad U extracted via probe_utility_gradient. That is the response
+    to the posed stage-2 probe game -||u - v_n||^2 with target
+    v_n = u_prev_n + gamma (grad U_n + grad_n G). _start is X(u_prev) and
+    stage 1's first Newton point, as for play_simultaneous.
     """
     U = joint_action(sys, u_prev)
     X, start = _frozen(sys, U, _start)

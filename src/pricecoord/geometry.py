@@ -230,6 +230,8 @@ def _check_width(sigma) -> None:
 
 
 def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
+    """The kernel k(a, b) = exp(-||a - b||^2 / (2 sigma^2)) from the squared
+    distances sq."""
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
@@ -240,31 +242,6 @@ def _finite_points(points, name: str) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{name} contain non-finite values")
     return pts
-
-
-def gaussian_kernel(A, B_pts, sigma: float) -> np.ndarray:
-    """k(a, b) = exp(-||a - b||^2 / (2 sigma^2)) for all pairs; (len A, len B).
-    Raises ValueError when the width sigma is not finite and > 0, when
-    either point set has a non-finite entry, or when the two differ in
-    dimension."""
-    _check_width(sigma)
-    A = _finite_points(A, "points A")
-    B_pts = _finite_points(B_pts, "centres B_pts")
-    if A.shape[1] != B_pts.shape[1]:
-        raise ValueError(f"points have dimension {A.shape[1]}, "
-                         f"centres have {B_pts.shape[1]}")
-    return _gaussian(_squared_distances(A, B_pts), sigma)
-
-
-def median_pairwise(points) -> float:
-    """Median distance over distinct pairs of the rows of points, ignoring
-    zero distances (duplicates); 1.0 for fewer than two points or when
-    every pair coincides. The default kernel width heuristic. Raises
-    ValueError when a point has a non-finite coordinate."""
-    pts = _finite_points(points, "points")
-    if pts.shape[0] < 2:
-        return 1.0
-    return _median_distance(_squared_distances(pts, pts))
 
 
 def _as_xup(samples):
@@ -289,12 +266,14 @@ def fit_decomposable(samples, dyn: LinearDynamics, sigma: Optional[float] = None
     B B^T = V diag(lam) V^T that system is d stacked m x m systems
     (lam_k Kx^2 + Ku^2 + ridge I) b_k = (P V)[:, k], and A = b V^T; the fit
     solves those, never forming the md x md Gram.
-    sigma defaults to the median of median_pairwise over the x centers and
-    over the u centers, read from the same squared distances as the two
-    kernels; ridge defaults to 1e-8 (tr Kx + tr Ku) = 2m 1e-8. ridge = 0
-    gives the minimum-norm interpolant while those systems are nonsingular;
-    two samples with equal x and equal u (equal kernel rows) make them
-    singular and raise np.linalg.LinAlgError, found before the solve.
+    sigma defaults to the median of two median distances, each over the
+    distinct pairs of one center set (x, then u) with zero distances
+    (duplicates) left out and 1.0 when none is left, read from the same
+    squared distances as the two kernels; ridge defaults to
+    1e-8 (tr Kx + tr Ku) = 2m 1e-8. ridge = 0 gives the minimum-norm
+    interpolant while those systems are nonsingular; two samples with equal
+    x and equal u (equal kernel rows) make them singular and raise
+    np.linalg.LinAlgError, found before the solve.
     Non-finite samples raise ValueError naming the array, and samples whose
     dimension is not the dynamics' raise ValueError naming both.
     """
@@ -351,12 +330,3 @@ def predict_field(model: KernelFieldModel, dyn: LinearDynamics, x, u) -> np.ndar
     hu = _gaussian(_squared_distances(u, model.centers_u), model.sigma) @ model.coeff_u
     out = gx @ dyn.B.T + hu
     return out[0] if out.shape[0] == 1 else out
-
-
-def kernel_fit_residual(model: KernelFieldModel, dyn: LinearDynamics, samples) -> float:
-    """RMS training error of a fitted model on an (X, U, P) tuple of (m, d)
-    arrays."""
-    X, U, P = _as_xup(samples)
-    pred = np.atleast_2d(predict_field(model, dyn, X, U))
-    return float(np.sqrt(np.mean((pred - P) ** 2)))
-

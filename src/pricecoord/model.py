@@ -469,6 +469,16 @@ def pair_batch_rows(sys: SystemInstance) -> int:
     return max(1, PAIR_BATCH_FLOATS // (sys.N * sys.N * sys.d))
 
 
+def _quadratic_values(Q, R, x0, X, U) -> np.ndarray:
+    """-(x - x0)^T Q (x - x0) - u^T R u, QuadraticUtility.value, at each
+    next state and action of X and U, (..., d), with Q, R and x0
+    broadcasting against them: every product a stacked matmul of the scalar
+    one's shapes."""
+    E = X - x0
+    return (-((E[..., None, :] @ Q) @ E[..., :, None])
+            - ((U[..., None, :] @ R) @ U[..., :, None]))[..., 0, 0]
+
+
 def batch_welfare(sys: SystemInstance, U) -> np.ndarray:
     """Social welfare sum_n U_n(x_n(t+1), u_n) + G(x(t+1)), w = 0, at each of
     K joint actions, (K, N, d) or flat (K, N*d) -> (K,), in pieces of
@@ -483,10 +493,7 @@ def batch_welfare(sys: SystemInstance, U) -> np.ndarray:
         Uk = U[k:k + rows]
         X = _fleet_step(sys, Uk)
         if quadratic is not None:
-            Q, R, x0 = quadratic
-            E = X - x0
-            vals = (-((E[..., None, :] @ Q) @ E[..., :, None])
-                    - ((Uk[..., None, :] @ R) @ Uk[..., :, None]))[..., 0, 0]
+            vals = _quadratic_values(*quadratic, X, Uk)
         else:  # a SmoothUtility's value_fn is an arbitrary callable of one row
             vals = np.array([[ut.value(x, u) for ut, x, u in zip(sys.utilities, Xk, Urow)]
                              for Xk, Urow in zip(X, Uk)])

@@ -15,7 +15,7 @@ moves. Each pair_value call takes at most model.PAIR_BATCH_FLOATS / d
 squared distances, so the pair differences stay under 2 MB whatever the
 fleet size; a row's stencil spans several calls when it needs more.
 
-The Newton polish behind both methods is one loop that polishes a (k, m)
+The Newton polish behind both paths is one loop that polishes a (k, m)
 stack of starts in lockstep: newton_multistart sends its 32 starts through
 it at once, and closed_form runs its one-row case. A row stops when its
 field's sup-norm drops below 1e-11 or when no backtracking step down to
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PAIR_BATCH_FLOATS, SystemInstance, _fleet_step, _squared_norms,
-                    batch_welfare, joint_action)
+from .model import (PAIR_BATCH_FLOATS, SystemInstance, _fleet_step, _quadratic_values,
+                    _squared_norms, batch_welfare, joint_action)
 from .numerics import _finite, _newton_steps
 
 # The line search's alphas 1, 1/2, ..., 2^-33, every halving above 1e-10, and
@@ -100,10 +100,7 @@ def _agent_terms(sys: SystemInstance, U: np.ndarray, offsets: np.ndarray) -> np.
             vals = np.array([[sys.utilities[n].value(x, v) for x, v in zip(xs, us)]
                              for n, xs, us in zip(a, Xs, Us)]).reshape(len(a), -1)
         else:
-            Q, R, x0 = (q[a, None] for q in quadratic)
-            E = Xs - x0
-            vals = (-((E[..., None, :] @ Q) @ E[..., :, None])
-                    - ((Us[..., None, :] @ R) @ Us[..., :, None]))[..., 0, 0]
+            vals = _quadratic_values(*(q[a, None] for q in quadratic), Xs, Us)
         if pairs:
             D = Xs[:, :, None] - X[(unit - a)[:, None] + G._others[a]][:, None]
             vals = vals + G.scale * G.pair_value(_squared_norms(D)).sum(axis=-1)
@@ -319,18 +316,18 @@ def _multistart(sys: SystemInstance, box) -> np.ndarray:
                      "welfare maximum")
 
 
-def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form") -> OracleResult:
+def joint_welfare_opt(sys: SystemInstance, box=None) -> OracleResult:
     """Reference joint welfare maximizer.
 
-    method "closed_form" probes the stationarity system (quadratic welfare
-    only; falls back to multistart with a warning unless the polished solve
-    point is a verified maximum), "newton_multistart" polishes 32 starts,
-    the box centre and random box starts, as one stack and keeps the end
-    with the highest finite welfare whose finite-difference Hessian is
-    negative definite (a start whose welfare overflows is skipped;
-    ValueError naming the box when no start ends at such a maximum).
-    Without a box, newton_multistart (the fallback too) raises
-    "newton_multistart requires a box".
+    First the closed form: probe the stationarity system (exact on
+    quadratic welfare only), solve it and polish the solve point, kept only
+    if it is a verified maximum. Otherwise, with a warning, the multistart
+    ("newton_multistart"): polish 32 starts, the box centre and random box
+    starts, as one stack and keep the end with the highest finite welfare
+    whose finite-difference Hessian is negative definite (a start whose
+    welfare overflows is skipped; ValueError naming the box when no start
+    ends at such a maximum, and "newton_multistart requires a box" without
+    a box).
 
     Every polish runs one damped Newton loop on welfare values only, the 32
     starts in lockstep and closed_form's point as its one-row case: the
@@ -343,20 +340,16 @@ def joint_welfare_opt(sys: SystemInstance, box=None, method: str = "closed_form"
     1e-11, after 20 steps, at a singular Hessian, or as soon as
     backtracking to alpha = 2^-33 (or to a step that rounds to no move)
     finds no reducing step, exactly where it stops when polished alone.
-    The result's method names the one that produced u_star, so a
-    closed_form request that fell back reports "newton_multistart".
+    The result's method names the path that produced u_star:
+    "closed_form" or "newton_multistart".
     """
-    if method not in ("closed_form", "newton_multistart"):
-        raise ValueError(f"unknown oracle method: {method}")
-    u = _closed_form(sys) if method == "closed_form" else None
-    if method == "closed_form" and u is None:
+    method, u = "closed_form", _closed_form(sys)
+    if u is None:
         warnings.warn("closed_form: probed stationarity system unreliable "
                       "(non-quadratic or indefinite welfare), falling back "
                       "to newton_multistart")
-        method = "newton_multistart"
-    if u is None:
         if box is None:
-            raise ValueError(f"{method} requires a box")
-        u = _multistart(sys, box)
+            raise ValueError("newton_multistart requires a box")
+        method, u = "newton_multistart", _multistart(sys, box)
     u_star = u.reshape(sys.N, sys.d)
     return OracleResult(u_star=u_star, welfare=joint_welfare(sys, u_star), method=method)

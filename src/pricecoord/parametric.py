@@ -246,23 +246,6 @@ def estimated_gradient(model: EstimatedQuadraticModel, dyn: LinearDynamics, x, u
     return -model.C @ x - model.D @ u + 2.0 * dyn.B.T @ model.Q_hat @ model.x0
 
 
-def price_to_action_map(model: EstimatedQuadraticModel, x, dyn: LinearDynamics):
-    """Affine response map of the identified agent to a posted price.
-
-    Returns (gain, offset) with u(p) = gain @ p + offset, where
-    gain = -D^{-1} and offset = D^{-1} (2 B^T Q_hat x0 - C x), x0 being the
-    rest target identify echoed into model.x0. The gain sign follows from
-    the payoff's -p^T u term: stationarity is grad U(u) = p.
-    """
-    x = as_vector(x, dyn.d, "x")
-    if np.linalg.cond(model.D) > _SINGULAR_COND:
-        raise ValueError("estimated D is numerically singular; no price-response map")
-    Dinv = np.linalg.inv(model.D)
-    gain = -Dinv
-    offset = Dinv @ (2.0 * dyn.B.T @ model.Q_hat @ model.x0 - model.C @ x)
-    return gain, offset
-
-
 def optimal_price(models: Sequence[EstimatedQuadraticModel], sys: SystemInstance):
     """Welfare-optimal prices from identified models at sys's states.
 

@@ -169,12 +169,6 @@ def load_config(path) -> ScenarioConfig:
     return config_from_dict(data)
 
 
-def save_config(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def polling_config(cfg: ScenarioConfig, mode_override: Optional[str] = None) -> PollingConfig:
     """PollingConfig implied by the config's mode object, with the config's
     (lo, hi) box."""

@@ -66,6 +66,10 @@ GOLDENS = (
     Golden("simulate", "cross_term", CROSS_TERM),
     # a finite-difference utility Hessian on the same path
     Golden("simulate", "decomposable_smooth", DECOMPOSABLE_SMOOTH),
+    # N = 30 on the barrier 1 / 0.5 circle, every pair pass on 29 others
+    Golden("simulate", "fleet_n30",
+           dict(README, N=30, horizon=10, coupling_strength=1.0, safety_radius=0.5),
+           outputs=("trace.csv",)),
     # every mode's README gap, which reads the barrier welfare through the
     # oracle's stencils
     Golden("compare", "readme", dict(README, utility_spec="quadratic_random"),

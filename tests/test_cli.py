@@ -270,6 +270,25 @@ def test_simulate_readme_report_matches_the_golden_file(golden_run):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_simulate_steps_each_stage_with_its_noise_draw(golden_run):
+    # the README run's stage t + 1 starts at the noiseless next states of stage
+    # t's states and actions plus noise_std times stage t's draws from
+    # noise_streams, one per agent in order, bit for bit
+    code, out = golden_run(README_SIMULATE)
+    assert code == 0
+    cfg = pc.config_from_dict(README_SIMULATE.config)
+    inst, noise = pc.generate(cfg), pc.noise_streams(cfg)
+    log = pc.load_log(out / "trace.csv")
+    X, U = (a.reshape(cfg.horizon, cfg.N, cfg.d) for a in (log.x, log.u))
+    np.testing.assert_array_equal(X[0], inst.states)
+    for t in range(1, cfg.horizon):
+        draws = np.array([g.normal(size=cfg.d) for g in noise])
+        np.testing.assert_array_equal(
+            X[t], pc.joint_next_state(pc.replace_states(inst, X[t - 1]), U[t - 1])
+            + cfg.noise_std * draws)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_simulate_is_byte_deterministic(tmp_path, golden_run):
     # a rerun of the README run in the same process, after the module's other
     # runs have filled every cache, writes the same bytes as its first run
@@ -294,10 +313,9 @@ def test_simulate_on_an_asymmetric_box_is_byte_deterministic(tmp_path):
 
 
 def test_every_golden_file_is_written_by_exactly_one_run():
-    # fleet_n30_trace.csv is a Python stage loop's, checked in test_mechanism.py
     files = [golden.file(output) for golden in GOLDENS for output in golden.outputs]
     assert len(files) == len(set(files))
-    assert set(files) == {path.name for path in DATA.iterdir()} - {"fleet_n30_trace.csv"}
+    assert set(files) == {path.name for path in DATA.iterdir()}
     for name in files:
         if name.endswith(".json"):
             _strict_json(DATA / name)

@@ -287,7 +287,7 @@ def test_two_stage_update_probe_identities():
         # stage-2 probe lands on anchor + gamma * estimated welfare gradient,
         # with the coupling part re-evaluated at the stage-1 responses
         g_coup = sys.dynamics[n].B.T @ sys.coupling.grad(X_hat)[n]
-        target = pc.stage2_probe_target(u_prev[n], gamma, upd.utility_grads[n], g_coup)
+        target = u_prev[n] + gamma * (upd.utility_grads[n] + g_coup)
         np.testing.assert_allclose(upd.u[n], target, atol=1e-7)
 
 

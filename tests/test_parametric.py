@@ -143,6 +143,25 @@ def test_identify_rejects_collinear_samples(rng):
         pc.identify(log, 0, dyn, util.x0)
 
 
+def test_identify_keeps_full_rank_on_a_nearly_collinear_design(rng):
+    # shifted regressors whose smaller singular value is 1e-6 of the larger,
+    # far above the 1e-10 cutoff: full rank, and the noise-free fit exact to
+    # about eps / 1e-6
+    d = 1
+    dyn, util = make_quadratic_agent(rng, d)
+    shift = np.linalg.solve(dyn.A, util.x0)
+    basis = np.linalg.qr(rng.normal(size=(6, 2 * d)))[0]
+    c, s = np.cos(0.5), np.sin(0.5)
+    Z = basis @ np.diag([1.0, 1e-6]) @ np.array([[c, -s], [s, c]])
+    sv = np.linalg.svd(Z, compute_uv=False)
+    assert 0.5e-6 < sv[1] / sv[0] < 2e-6
+    model = pc.identify(log_from_samples(dyn, util, shift + Z[:, :d], Z[:, d:]), 0, dyn,
+                        util.x0)
+    assert model.rank == 2 * d
+    np.testing.assert_allclose(model.C, 2.0 * dyn.B.T @ util.Q @ dyn.A, rtol=1e-6)
+    np.testing.assert_allclose(model.D, 2.0 * (dyn.B.T @ util.Q @ dyn.B + util.R), rtol=1e-6)
+
+
 def test_identify_noise_error_shrinks_with_samples():
     rng = np.random.default_rng(7)
     d = 2
@@ -197,7 +216,10 @@ def test_price_to_action_map_matches_best_response(rng):
     U = rng.normal(size=(2 * d, d))
     model = pc.identify(log_from_samples(dyn, util, X, U), 0, dyn, util.x0)
     x = rng.normal(size=d)
-    gain, offset = pc.price_to_action_map(model, x, dyn)
+    # u(p) = gain p + offset, from the payoff's stationarity grad U(u) = p
+    Dinv = np.linalg.inv(model.D)
+    gain = -Dinv
+    offset = Dinv @ (2.0 * dyn.B.T @ model.Q_hat @ model.x0 - model.C @ x)
     for _ in range(3):
         p = rng.normal(size=d)
         predicted = gain @ p + offset

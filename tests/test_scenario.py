@@ -73,7 +73,8 @@ def test_config_from_dict_strictness():
 def test_config_json_round_trip(tmp_path):
     cfg = base_config(mode={"mode": "sequential", "max_rounds": 50})
     path = tmp_path / "cfg.json"
-    pc.save_config(cfg, path)
+    with open(path, "w") as fh:
+        json.dump(cfg.to_dict(), fh)
     assert pc.load_config(path) == cfg
     data = json.loads(path.read_text())
     assert data["N"] == 3 and data["utility_spec"] == "quadratic_random"
