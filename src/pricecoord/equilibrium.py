@@ -5,20 +5,21 @@ The stacked operator F(u) = (grad_{u_1} R_1, ..., grad_{u_N} R_N) collects
 each agent's reward gradient (private utility plus the shared coupling,
 chain-ruled through that agent's next state). Nash stationarity is F(u*) = 0,
 equivalently the VI: (y - u*)^T F(u*) >= 0 rewritten for the ascent
-orientation used here. F and every agent's payoff gradients come from one
-stacked utility gradient (_utility_derivative) and the coupling's one
-pair pass (CouplingFunction._grad_hess_rows, whose all-rows gradient is
-grad), chain-ruled through each row's B^T, and every play mode solves
-its best responses as one row-stacked Newton iteration
+orientation used here. F and every agent's payoff gradients come from the
+model's stacked utility gradients (model._utility_gradients) and the
+coupling's one pair pass (CouplingFunction._grad_hess_rows, whose all-rows
+gradient is grad), chain-ruled through each row's B^T, and every play mode
+solves its best responses as one row-stacked Newton iteration
 (numerics.newton_root): all N agents in the simultaneous,
 two-stage, single-stage and Tikhonov plays, the one agent t mod N in
 sequential play. A Newton evaluation (_payoff_derivatives) takes its payoff
-gradients and Hessians from one fleet step and one coupling pair pass
-(CouplingFunction._grad_hess_rows), and reads everything it needs by agent
-(A x, B, B^T, -2 B^T, the quadratic (Q, R, x0) and utility Hessians, the
-pair indices) from the instance's model.RowTable for its rows, built once
-per row set and instance, so it gathers nothing; a utility that is not
-quadratic gives its Hessian through hess_u.
+gradients and Hessians from one fleet step and one coupling pair pass,
+and reads everything it needs by agent (A x, B, B^T, -2 B^T, the pair
+indices, and through model._utility_gradients and _utility_hessians the
+utilities) from the instance's model.RowTable for its rows: the fleet
+table for all rows, a gather of its rows made once per row subset and
+instance otherwise. This module never asks whether a utility is
+quadratic.
 Simultaneous, two-stage and Tikhonov rounds start at the anchors against
 opponents frozen at their next states, from the next states and
 derivatives mechanism.run_stage computed there for its convergence test,
@@ -40,8 +41,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BestResponseError, NonConvergenceError
-from .model import (RowTable, SystemInstance, _fleet_step, joint_action, joint_next_state,
-                    pair_batch_rows)
+from .model import (SystemInstance, _batches, _fleet_step, _utility_gradients, _utility_hessians,
+                    joint_action, joint_next_state)
 from .numerics import newton_root
 
 
@@ -118,23 +119,6 @@ def estimate_cocoercivity(F, box, m: int, n_pairs: int = 500) -> float:
 # ---------------------------------------------------------------------------
 # the stacked reward field of a system instance
 
-def _utility_derivative(table: RowTable, V, Y) -> np.ndarray:
-    """Row i: the private utility gradient of agent n = rows[i] of the row
-    table at the action V[..., i, :], (..., k, d). Y is the rows' next
-    states, _fleet_step(sys, V, table), read only by the quadratic
-    gradient. Stacked from the table's (Q, R, x0) and -2 B^T when every
-    utility is quadratic; through each row's grad_u otherwise."""
-    if table.quadratic is None:
-        out = [[ut.grad_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, Vb)]
-               for Vb in V.reshape(-1, len(table.agents), V.shape[-1])]
-        return np.reshape(out, np.shape(V))
-    # QuadraticUtility.grad_u bit for bit
-    Q, R, x0 = table.quadratic
-    e = Y - x0
-    return ((table.minus_2Bt @ (Q @ e[..., None]))[..., 0]
-            - 2.0 * (R @ V[..., None])[..., 0])
-
-
 def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     """(g, H): the payoff gradients and Hessians, (k, d) and (k, d, d), of
     the agents rows[i] at their actions V, (k, d), against opponents frozen
@@ -146,13 +130,10 @@ def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     proximal term."""
     table = sys._row_table(rows)
     if Y is None:
-        Y = _fleet_step(sys, V, table)
+        Y = _fleet_step(table, V)
     g, H = sys.coupling._grad_hess_rows(Y, X, table.others)
-    H_u = table.hessians  # the quadratic utilities' constant Hessians
-    if H_u is None:
-        H_u = np.array([ut.hess_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, V)])
-    return (_utility_derivative(table, V, Y) + (table.Bt @ g[..., None])[..., 0],
-            H_u + table.Bt @ H @ table.B)
+    return (_utility_gradients(table, V, Y) + (table.Bt @ g[..., None])[..., 0],
+            _utility_hessians(table, V) + table.Bt @ H @ table.B)
 
 
 def reward_field(sys: SystemInstance):
@@ -160,20 +141,18 @@ def reward_field(sys: SystemInstance):
     actions it is given: (..., N, d) -> (..., N, d), or flat (..., N*d) ->
     (..., N*d). Each row is agent n's utility gradient plus B_n^T times
     row n of the coupling gradient, from one fleet step; a batch is taken
-    in pieces of model.pair_batch_rows joint actions."""
-    table = sys._row_table(np.arange(sys.N))
-    chunk = pair_batch_rows(sys)
-
-    def field(V):
-        Y = _fleet_step(sys, V, table)
-        return (_utility_derivative(table, V, Y)
-                + (table.Bt @ sys.coupling.grad(Y)[..., None])[..., 0])
+    in the model._batches of N^2 pairs per joint action."""
+    table = sys._fleet
 
     def F(u):
         U = np.ascontiguousarray(np.reshape(u, (-1, sys.N, sys.d)), dtype=float)
         if not np.all(np.isfinite(U)):
             raise ValueError("joint action contains non-finite entries")
-        out = np.concatenate([field(U[k:k + chunk]) for k in range(0, len(U), chunk)])
+        out = np.empty(U.shape)
+        for s in _batches(sys, len(U), sys.N * sys.N):
+            Y = _fleet_step(table, U[s])
+            out[s] = (_utility_gradients(table, U[s], Y)
+                      + (table.Bt @ sys.coupling.grad(Y)[..., None])[..., 0])
         return out.reshape(np.shape(u))
 
     return F
@@ -283,15 +262,15 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, la
     reward field at the responses, reward_field's bits, from the same Y and
     B^T grad G(Y). start is _jacobi_responses' first Newton point, when
     already known."""
-    table = sys._row_table(np.arange(sys.N))
+    table = sys._fleet
     resp = _jacobi_responses(sys, X_frozen, U, lam, start=start)
-    Y = _fleet_step(sys, resp, table)
+    Y = _fleet_step(table, resp)
     # one pass: the coupling gradient against the frozen opponents, and at Y itself
     G = sys.coupling._grad_hess_rows(np.stack((Y, Y)), np.stack((X_frozen, Y)), table.others,
                                      hessian=False)
     g_frozen, g_own = (table.Bt @ G[..., None])[..., 0]
     g_util = probe_utility_gradient(lam, resp, U, g_frozen)
-    F = _utility_derivative(table, resp, Y) + g_own if field else None
+    F = _utility_gradients(table, resp, Y) + g_own if field else None
     with np.errstate(over="ignore"):  # an overflow is a divergence run_stage reports
         return resp, U + gamma * (g_util + g_own), g_util, F
 
@@ -360,7 +339,7 @@ def grid_gradient_bound(sys: SystemInstance, box) -> float:
     """Dense-grid estimate of D = max_n sup ||grad_{u_n}(U_n + G)|| over the
     joint action box (lo, hi)^{N d} (pitch = width / 50 per dimension). This
     is the constant in the proximal-gap bound ||u_hat - u_prev|| <= N D / lam.
-    Practical for N * d <= 3, like the grid oracle."""
+    Practical for N * d <= 3: the grid has 51^(N d) points."""
     m = sys.N * sys.d
     if m > 3:
         raise ValueError(f"grid bound supports N*d <= 3, got {m}")

@@ -19,11 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BestResponseError, ConfigError, NonConvergenceError
-from .model import SystemInstance, _fleet_step, batch_welfare, joint_action
+from .model import SystemInstance, _fleet_step, _utility_gradients, batch_welfare, joint_action
 from .numerics import fd_jacobian
 from .equilibrium import (
     _payoff_derivatives,
-    _utility_derivative,
     default_schedule,
     play_sequential,
     play_simultaneous,
@@ -56,7 +55,7 @@ def price_from_target(sys: SystemInstance, u_target) -> np.ndarray:
     game's unique best response.
     """
     U = np.ascontiguousarray(joint_action(sys, u_target))
-    return _utility_derivative(sys._row_table(np.arange(sys.N)), U, _fleet_step(sys, U))
+    return _utility_gradients(sys._fleet, U, _fleet_step(sys._fleet, U))
 
 
 def message_space_dimension(N: int, d: int) -> int:
@@ -258,7 +257,7 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
         """(||F(U)||_inf, the next round's Newton start or None); field is
         F(U) when the round already formed it."""
         if starts_at_u:
-            X = _fleet_step(sys, U)  # also the rows' own next states
+            X = _fleet_step(sys._fleet, U)  # also the rows' own next states
             start = _payoff_derivatives(sys, U, X, rows, X)
             return _inf_norm(start[0]), (X, start)
         return _inf_norm(F(U) if field is None else field), None

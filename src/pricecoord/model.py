@@ -7,9 +7,10 @@ joint_action, GameSpec, the best_response start and price length,
 utility_gradient_error and the CSV and JSON loaders. step, the utility
 methods and agents.payoff_* trust 1-D length-d float arrays. Everything
 here is immutable after construction and pure, so instances can be shared
-freely across solver threads (a SystemInstance caches its stacked model
-arrays on first use, and one read-only RowTable per set of agent rows a
-derivative pass asks for).
+freely across solver threads (a SystemInstance builds its fleet table,
+the read-only RowTable of every agent's stacked model arrays, on first
+use, and gathers one from it per set of agent rows a derivative pass asks
+for).
 
 batch_welfare evaluates the social welfare at K joint actions in one call,
 each row bit for bit the scalar formula. as_vector and as_matrix return
@@ -363,18 +364,22 @@ class SystemInstance:
         return len(self.dynamics)
 
     @cached_property
-    def _stacked(self):
-        """What the fleet step and batch_welfare need, built once: A_n x_n
-        and B_n stacked over the agents, and (Q, R, x0) stacked when every
-        utility is quadratic."""
-        A = np.array([dy.A for dy in self.dynamics])
-        Ax = (A @ np.array(self.states)[..., None])[..., 0]
-        B = np.array([dy.B for dy in self.dynamics])
-        quadratic = None
+    def _fleet(self) -> RowTable:
+        """The RowTable of all agents in order, built once: what the fleet
+        step, batch_welfare, the derivative passes and the oracle read, and
+        what every row subset's table is gathered from."""
+        A, B = (np.array([getattr(dy, k) for dy in self.dynamics]) for k in "AB")
+        Bt = B.swapaxes(1, 2)
         if all(isinstance(ut, QuadraticUtility) for ut in self.utilities):
-            quadratic = tuple(np.array([getattr(ut, k) for ut in self.utilities])
+            quadratic = tuple(_read_only(np.array([getattr(ut, k) for ut in self.utilities]))
                               for k in ("Q", "R", "x0"))
-        return Ax, B, quadratic
+            hessians, agents = _read_only(-2.0 * (Bt @ quadratic[0] @ B + quadratic[1])), None
+        else:
+            quadratic = hessians = None
+            agents = tuple(zip(self.utilities, self.dynamics, self.states))
+        Ax = (A @ np.array(self.states)[..., None])[..., 0]
+        return RowTable(*map(_read_only, (Ax, B, Bt, -2.0 * Bt)), quadratic, hessians, agents,
+                        self.coupling._others)
 
     @cached_property
     def _row_tables(self) -> dict:
@@ -402,13 +407,14 @@ class SystemInstance:
 
 
 class RowTable(NamedTuple):
-    """Everything a derivative pass reads by agent for the agents rows[i] of
-    one instance, (k, ...) arrays gathered once from its stacked model
-    arrays, each the gather or product a pass would make: A x and B, B^T
-    and -2 B^T; when every utility is quadratic (Q, R, x0) and the utility
-    Hessians -2 (B^T Q B + R), else None and each row's (utility,
+    """Everything a pass reads by agent for the agents rows[i] of one
+    instance, (k, ...) arrays, each the product a pass would make: A x and
+    B, B^T and -2 B^T; when every utility is quadratic (Q, R, x0) and the
+    utility Hessians -2 (B^T Q B + R), else None and each row's (utility,
     dynamics, state); and the indices of each row's N - 1 other agents in
-    order, the coupling's _others[rows]. Read-only."""
+    order, the coupling's _others[rows]. A row subset's table holds its
+    rows of the instance's fleet table. Read-only. No module but this one
+    reads quadratic, hessians or agents."""
 
     Ax: np.ndarray
     B: np.ndarray
@@ -421,19 +427,21 @@ class RowTable(NamedTuple):
 
 
 def _build_row_table(sys: SystemInstance, rows: np.ndarray) -> RowTable:
+    """The fleet table itself for all rows in order, else its rows of each
+    array."""
     if rows.dtype != np.intp:
         raise TypeError(f"rows must be an intp array, got {rows.dtype}")
-    Ax, B, quadratic = sys._stacked
-    B = B[rows]
-    Bt = B.swapaxes(1, 2)
-    if quadratic is None:
-        hessians = None
-        agents = tuple((sys.utilities[n], sys.dynamics[n], sys.states[n]) for n in rows)
-    else:
-        Q, R, _ = quadratic = tuple(_read_only(a[rows]) for a in quadratic)
-        hessians, agents = _read_only(-2.0 * (Bt @ Q @ B + R)), None
-    return RowTable(*map(_read_only, (Ax[rows], B, Bt, -2.0 * Bt)),
-                    quadratic, hessians, agents, _read_only(sys.coupling._others[rows]))
+    fleet = sys._fleet
+    if np.array_equal(rows, np.arange(sys.N)):
+        return fleet
+
+    def take(a):
+        return None if a is None else _read_only(a[rows])
+
+    quadratic = fleet.quadratic and tuple(map(take, fleet.quadratic))
+    agents = fleet.agents and tuple(fleet.agents[n] for n in rows)
+    return RowTable(*map(take, fleet[:4]), quadratic, take(fleet.hessians), agents,
+                    take(fleet.others))
 
 
 def joint_action(sys: SystemInstance, u) -> np.ndarray:
@@ -446,59 +454,89 @@ def joint_action(sys: SystemInstance, u) -> np.ndarray:
 
 def joint_next_state(sys: SystemInstance, u) -> np.ndarray:
     """Noise-free next states for all subsystems as an (N, d) array."""
-    return _fleet_step(sys, np.ascontiguousarray(joint_action(sys, u)))
+    return _fleet_step(sys._fleet, np.ascontiguousarray(joint_action(sys, u)))
 
 
-def _fleet_step(sys: SystemInstance, U: np.ndarray, table: RowTable | None = None) -> np.ndarray:
-    """A_n x_n + B_n u_n for every agent at each joint action of a C-ordered
-    (..., N, d) array, or with a row table for agent rows[i] at U[..., i, :],
-    as one stacked matmul: each row is step(dyn_n, x_n, u_n) bit for bit."""
-    Ax, B = sys._stacked[:2] if table is None else (table.Ax, table.B)
-    return Ax + (B @ U[..., None])[..., 0]
+def _fleet_step(table: RowTable, U: np.ndarray) -> np.ndarray:
+    """A_n x_n + B_n u_n for the table's agent n = rows[i] at U[..., i, :],
+    (..., k, d) C-ordered, as one stacked matmul: each row is
+    step(dyn_n, x_n, u_n) bit for bit."""
+    return table.Ax + (table.B @ U[..., None])[..., 0]
 
 
 # The most pair-difference floats one batched pair computation forms: 2 MB.
 PAIR_BATCH_FLOATS = 2 ** 18
 
 
-def pair_batch_rows(sys: SystemInstance) -> int:
-    """How many joint actions one call of a batched pair computation takes:
-    at most PAIR_BATCH_FLOATS / (N^2 d), so that the (K, N(N - 1)/2, d) pair
-    differences of a batch_welfare call and the (K, k, N - 1, d) ones of a
-    batched derivative pass stay below 2 MB whatever the fleet size."""
-    return max(1, PAIR_BATCH_FLOATS // (sys.N * sys.N * sys.d))
+def _batches(sys: SystemInstance, units: int, pairs: int) -> list:
+    """Slices of range(units) in order, each of at most
+    max(1, PAIR_BATCH_FLOATS // (d pairs)) units, so that a batched
+    computation forming pairs length-d pair differences per unit stays
+    under 2 MB whatever the fleet size."""
+    step = max(1, PAIR_BATCH_FLOATS // (sys.d * max(pairs, 1)))
+    return [slice(k, min(k + step, units)) for k in range(0, units, step)]
 
 
-def _quadratic_values(Q, R, x0, X, U) -> np.ndarray:
-    """-(x - x0)^T Q (x - x0) - u^T R u, QuadraticUtility.value, at each
-    next state and action of X and U, (..., d), with Q, R and x0
-    broadcasting against them: every product a stacked matmul of the scalar
-    one's shapes."""
+def _utility_values(sys: SystemInstance, agents: np.ndarray, X, U) -> np.ndarray:
+    """U_n(x, u) of agent n = agents[...] at each next state and action of X
+    and U, (..., d), the intp array agents broadcasting against their
+    leading axes. Quadratic utilities are QuadraticUtility.value bit for
+    bit, every product a stacked matmul of the scalar one's shapes; any
+    other utility is called once per point in row-major order (a
+    SmoothUtility's value_fn is an arbitrary callable of one point)."""
+    quadratic = sys._fleet.quadratic
+    if quadratic is None:
+        agents = np.broadcast_to(agents, X.shape[:-1])
+        d = X.shape[-1]
+        return np.reshape([sys.utilities[n].value(x, u) for n, x, u in
+                           zip(agents.ravel(), X.reshape(-1, d), U.reshape(-1, d))],
+                          agents.shape)
+    Q, R, x0 = (q[agents] for q in quadratic)
     E = X - x0
     return (-((E[..., None, :] @ Q) @ E[..., :, None])
             - ((U[..., None, :] @ R) @ U[..., :, None]))[..., 0, 0]
 
 
+def _utility_gradients(table: RowTable, V, Y) -> np.ndarray:
+    """Row i: the private utility gradient of the table's agent rows[i] at
+    the action V[..., i, :], (..., k, d). Y is the rows' next states,
+    _fleet_step(table, V), read only by the quadratic body, which is
+    QuadraticUtility.grad_u bit for bit; any other utility answers
+    through each row's grad_u."""
+    if table.quadratic is None:
+        out = [[ut.grad_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, Vb)]
+               for Vb in V.reshape(-1, len(table.agents), V.shape[-1])]
+        return np.reshape(out, np.shape(V))
+    Q, R, x0 = table.quadratic
+    e = Y - x0
+    return ((table.minus_2Bt @ (Q @ e[..., None]))[..., 0]
+            - 2.0 * (R @ V[..., None])[..., 0])
+
+
+def _utility_hessians(table: RowTable, V) -> np.ndarray:
+    """The u-Hessians, (k, d, d), of the table's agents at their actions V,
+    (k, d): the quadratic utilities' constant ones, else each row's
+    hess_u."""
+    if table.hessians is not None:
+        return table.hessians
+    return np.array([ut.hess_u(dyn, x, v) for (ut, dyn, x), v in zip(table.agents, V)])
+
+
 def batch_welfare(sys: SystemInstance, U) -> np.ndarray:
     """Social welfare sum_n U_n(x_n(t+1), u_n) + G(x(t+1)), w = 0, at each of
-    K joint actions, (K, N, d) or flat (K, N*d) -> (K,), in pieces of
-    pair_batch_rows rows. Row k is the scalar formula sum(U_n.value(step(dyn_n,
-    x_n, u_n), u_n)) + G.value(X) bit for bit: every product is a stacked
-    matmul of C-ordered arrays with the shapes of the scalar one and every sum
-    runs in the scalar order. Trusts finite input (see joint_action)."""
+    K joint actions, (K, N, d) or flat (K, N*d) -> (K,), in the _batches of
+    N^2 pairs per row. Row k is the scalar formula
+    sum(U_n.value(step(dyn_n, x_n, u_n), u_n)) + G.value(X) bit for bit:
+    every product is a stacked matmul of C-ordered arrays with the shapes
+    of the scalar one and every sum runs in the scalar order. Trusts finite
+    input (see joint_action)."""
     U = np.ascontiguousarray(U, dtype=float).reshape(-1, sys.N, sys.d)
-    rows, quadratic = pair_batch_rows(sys), sys._stacked[2]
     out = np.empty(len(U))
-    for k in range(0, len(U), rows):
-        Uk = U[k:k + rows]
-        X = _fleet_step(sys, Uk)
-        if quadratic is not None:
-            vals = _quadratic_values(*quadratic, X, Uk)
-        else:  # a SmoothUtility's value_fn is an arbitrary callable of one row
-            vals = np.array([[ut.value(x, u) for ut, x, u in zip(sys.utilities, Xk, Urow)]
-                             for Xk, Urow in zip(X, Uk)])
+    for s in _batches(sys, len(U), sys.N * sys.N):
+        X = _fleet_step(sys._fleet, U[s])
+        vals = _utility_values(sys, np.arange(sys.N), X, U[s])
         # the scalar sum starts from 0, so a row of zero utilities adds up to +0.0
-        out[k:k + rows] = (_ordered_sum(vals, axis=1) + 0.0) + sys.coupling.values(X)
+        out[s] = (_ordered_sum(vals, axis=1) + 0.0) + sys.coupling.values(X)
     return out
 
 

@@ -9,11 +9,13 @@ step 1e-5, of W_a = U_a + scale sum_{m != a} pair_value(||x_a - x_m||^2),
 the only welfare terms agent a's action moves. A Hessian's block (a, a) is
 the central second difference, step 1e-4, of W_a on its 1 + 2 d^2 points,
 and block (a, b) the four-corner difference of pair (a, b)'s value alone:
-utilities add nothing across agents. Quadratic utilities are evaluated
-stacked, and a SmoothUtility's value is called for the one agent a point
-moves. Each pair_value call takes at most model.PAIR_BATCH_FLOATS / d
-squared distances, so the pair differences stay under 2 MB whatever the
-fleet size; a row's stencil spans several calls when it needs more.
+utilities add nothing across agents. The utility terms come from
+model._utility_values, stacked for quadratic utilities and one value call
+per point for the one agent a point moves otherwise. The stencils run in
+model._batches, so each pair_value call takes at most
+model.PAIR_BATCH_FLOATS / d squared distances and the pair differences
+stay under 2 MB whatever the fleet size; a row's stencil spans several
+calls when it needs more.
 
 The Newton polish behind both paths is one loop that polishes a (k, m)
 stack of starts in lockstep: newton_multistart sends its 32 starts through
@@ -47,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PAIR_BATCH_FLOATS, SystemInstance, _fleet_step, _quadratic_values,
-                    _squared_norms, batch_welfare, joint_action)
+from .model import (SystemInstance, _batches, _fleet_step, _squared_norms, _utility_values,
+                    batch_welfare, joint_action)
 from .numerics import _finite, _newton_steps
 
 # The line search's alphas 1, 1/2, ..., 2^-33, every halving above 1e-10, and
@@ -71,36 +73,24 @@ class OracleResult:
     method: str
 
 
-def _chunks(sys: SystemInstance, units: int, per_unit: int) -> list:
-    """Slices of range(units) short enough that per_unit squared distances
-    per unit make at most PAIR_BATCH_FLOATS / d of them in one call (at
-    least one unit per slice)."""
-    step = max(1, PAIR_BATCH_FLOATS // (sys.d * max(per_unit, 1)))
-    return [slice(k, min(k + step, units)) for k in range(0, units, step)]
-
-
 def _agent_terms(sys: SystemInstance, U: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """W_a = U_a(x_a', v) + scale sum_{m != a} pair_value(||x_a' - x_m||^2)
     for agent a of each joint action of U, (K, N, d), moved to each action
     v = u_a + offsets[p], (P, d), with its next state x_a' moved along and
     the others' held: (K, N, P). The units (joint action, agent) go through
-    in the slices of _chunks."""
+    in the model._batches of their pair differences."""
     K, N, d = U.shape
-    G, (_, B, quadratic) = sys.coupling, sys._stacked
-    X = _fleet_step(sys, U).reshape(-1, d)
+    G = sys.coupling
+    X = _fleet_step(sys._fleet, U).reshape(-1, d)
     U = U.reshape(-1, d)
-    shifts = offsets @ B.swapaxes(1, 2)  # (N, P, d): agent a's next-state moves
+    shifts = offsets @ sys._fleet.Bt  # (N, P, d): agent a's next-state moves
     pairs = G.scale != 0.0 and N > 1
     out = np.empty((K * N, len(offsets)))
-    for s in _chunks(sys, K * N, len(offsets) * (N - 1)):
+    for s in _batches(sys, K * N, len(offsets) * (N - 1)):
         unit = np.arange(s.start, s.stop)
         a = unit % N
         Xs, Us = X[s, None] + shifts[a], U[s, None] + offsets  # (c, P, d)
-        if quadratic is None:  # a SmoothUtility's value_fn is a callable of one agent
-            vals = np.array([[sys.utilities[n].value(x, v) for x, v in zip(xs, us)]
-                             for n, xs, us in zip(a, Xs, Us)]).reshape(len(a), -1)
-        else:
-            vals = _quadratic_values(*(q[a, None] for q in quadratic), Xs, Us)
+        vals = _utility_values(sys, a[:, None], Xs, Us)
         if pairs:
             D = Xs[:, :, None] - X[(unit - a)[:, None] + G._others[a]][:, None]
             vals = vals + G.scale * G.pair_value(_squared_norms(D)).sum(axis=-1)
@@ -146,11 +136,11 @@ def _hessian(sys: SystemInstance, X) -> np.ndarray:
     G = sys.coupling
     if G.scale != 0.0 and N > 1:
         n, m = G._upper
-        Xn = _fleet_step(sys, U)
+        Xn = _fleet_step(sys._fleet, U)
         D0 = (Xn[:, n] - Xn[:, m]).reshape(-1, d)
-        hB = h * sys._stacked[1].swapaxes(1, 2)  # row i of agent a: h B_a e_i
+        hB = h * sys._fleet.Bt  # row i of agent a: h B_a e_i
         pair = np.empty((len(D0), d, d))
-        for s in _chunks(sys, len(D0), 4 * d * d):
+        for s in _batches(sys, len(D0), 4 * d * d):
             p = np.arange(s.start, s.stop) % len(n)
             Sa, Sb = hB[n[p], :, None], hB[m[p], None]
             # x_n - x_m moves by +-same at the corners ++ and --, by +-cross at +- and -+

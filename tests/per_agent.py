@@ -13,7 +13,8 @@ def coupling_slice(sys, X, n):
     """(value, grad, hess) of the shared coupling as a function of agent n's
     action u, opponents frozen at the next states X, chain-ruled through
     agent n's next state A x + B u."""
-    G, Ax, B, row = sys.coupling, sys._stacked[0][n], sys.dynamics[n].B, np.array([n])
+    dyn, row = sys.dynamics[n], np.array([n])
+    G, Ax, B = sys.coupling, dyn.A @ sys.states[n], dyn.B
 
     def value(u):
         Xu = X.copy()

@@ -163,6 +163,8 @@ def test_reward_field_answers_in_the_input_shape(rng, utility_spec):
     U = rng.normal(size=(3, 2))
     assert F(U).shape == (3, 2)
     assert np.array_equal(F(U.ravel()), F(U).ravel())
+    for empty in ((0, 3, 2), (0, 6)):  # as batch_welfare answers shape (0,)
+        assert F(np.empty(empty)).shape == empty
 
 
 def test_one_reward_field_evaluation_steps_the_fleet_once(rng, monkeypatch):

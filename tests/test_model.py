@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pricecoord as pc
-from pricecoord.model import batch_welfare
+from pricecoord.model import _batches, batch_welfare
 from conftest import make_two_agent_scalar, make_utility, random_quadratic_instance, random_spd
 from test_row_tables import reference_grad_hess_rows
 
@@ -227,6 +227,22 @@ def test_batch_welfare_caps_the_pair_rows_per_piece(rng):
     w = batch_welfare(sys, P)
     assert sizes == [cap, cap, 7]
     np.testing.assert_array_equal(w, [batch_welfare(base, p[None])[0] for p in P])
+
+
+@pytest.mark.parametrize("N", [1, 2, 30, 300])
+@pytest.mark.parametrize("d", [1, 3])
+def test_batches_cover_the_units_in_order_each_once(N, d):
+    # batch_welfare's N^2 pairs per joint action and the oracle's N - 1 per
+    # agent unit, which is none at N = 1
+    sys = pc.SystemInstance([pc.LinearDynamics(np.eye(d), np.eye(d))] * N,
+                            [pc.QuadraticUtility(np.eye(d), np.eye(d), np.zeros(d))] * N,
+                            pc.zero_coupling(N, d), np.zeros((N, d)))
+    for pairs in (N * N, N - 1):
+        step = max(1, 2 ** 18 // (d * max(pairs, 1)))
+        for units in (0, 1, step, step + 1):
+            slices = _batches(sys, units, pairs)
+            assert [k for s in slices for k in range(units)[s]] == list(range(units))
+            assert all(0 < s.stop - s.start <= step for s in slices)
 
 
 def test_zero_scale_coupling_never_evaluates_its_pair_terms(rng):

@@ -9,7 +9,7 @@ import pytest
 
 import pricecoord as pc
 from pricecoord.equilibrium import _payoff_derivatives
-from pricecoord.model import _ordered_sum, _squared_norms, pair_batch_rows
+from pricecoord.model import _batches, _ordered_sum, _squared_norms
 from test_geometry import bit_equal
 
 
@@ -46,9 +46,14 @@ def reference_values(G, Xs):
 
 def reference_payoff_derivatives(sys, V, X, rows, Y=None):
     """equilibrium._payoff_derivatives as it was before row tables: every
-    model array the rows read gathered again on each call."""
-    Ax, B, quadratic = sys._stacked
-    B = B[rows]
+    model array the rows read stacked and gathered again on each call."""
+    Ax = (np.array([dy.A for dy in sys.dynamics]) @ np.array(sys.states)[..., None])[..., 0]
+    B_all = np.array([dy.B for dy in sys.dynamics])
+    quadratic = None
+    if all(isinstance(ut, pc.QuadraticUtility) for ut in sys.utilities):
+        quadratic = tuple(np.array([getattr(ut, k) for ut in sys.utilities])
+                          for k in ("Q", "R", "x0"))
+    B = B_all[rows]
     if Y is None:
         Y = Ax[rows] + (B @ V[..., None])[..., 0]
     Bt = B.swapaxes(1, 2)
@@ -59,8 +64,8 @@ def reference_payoff_derivatives(sys, V, X, rows, Y=None):
         H_u = np.array([ut.hess_u(dyn, x, v) for (ut, dyn, x), v in zip(agents, V)])
     else:
         # the Hessians were built for all agents once and gathered
-        Bt_all = sys._stacked[1].swapaxes(1, 2)
-        H_u = (-2.0 * (Bt_all @ quadratic[0] @ Bt_all.swapaxes(1, 2) + quadratic[1]))[rows]
+        Bt_all = B_all.swapaxes(1, 2)
+        H_u = (-2.0 * (Bt_all @ quadratic[0] @ B_all + quadratic[1]))[rows]
         Q, R, x0 = (a[rows] for a in quadratic)
         g_u = (((-2.0 * Bt) @ (Q @ (Y - x0)[..., None]))[..., 0]
                - 2.0 * (R @ V[..., None])[..., 0])
@@ -144,7 +149,8 @@ def test_values_sum_only_their_pairs_with_the_masked_sums_bits(coupling):
             assert bit_equal(G.values(Xs), reference_values(G, Xs)), (N, d)
             assert bit_equal(G.value(Xs[0]), reference_values(G, Xs[0])[0]), (N, d)
     sys = _instance(coupling, "quadratic_random", 30, 2)
-    Xs = 3.0 * np.random.default_rng(7).normal(size=(pair_batch_rows(sys) + 3, 30, 2))
+    K = _batches(sys, 10 ** 6, 30 * 30)[0].stop + 3  # more than one batch_welfare batch
+    Xs = 3.0 * np.random.default_rng(7).normal(size=(K, 30, 2))
     assert bit_equal(sys.coupling.values(Xs), reference_values(sys.coupling, Xs))
 
 
@@ -156,7 +162,7 @@ def test_a_pass_on_replaced_states_reads_the_new_instance():
     moved = pc.replace_states(sys, np.array(sys.states) + 1.0)
     new = _payoff_derivatives(moved, V, X, rows)
     assert moved._row_tables is not sys._row_tables
-    assert np.array_equal(moved._row_table(rows).Ax, moved._stacked[0])
+    assert moved._row_table(rows) is moved._fleet
     assert not np.array_equal(moved._row_table(rows).Ax, sys._row_table(rows).Ax)
     for a, b in zip(new, reference_payoff_derivatives(moved, V, X, rows)):
         assert np.array_equal(a, b)
