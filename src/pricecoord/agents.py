@@ -2,8 +2,8 @@
 coordinator poses to it, by damped Newton on the payoff gradient with the
 payoff Hessian in closed form.
 
-A posed game (GameSpec) is the agent's private utility, a linear price
-charge -p^T u, or both. Agents are truthful automata: they always
+A posed game (GameSpec) is the agent's private utility, optionally less a
+linear price charge p^T u. Agents are truthful automata: they always
 best-respond to the posed game. The play modes of equilibrium pose the
 shared coupling and proximal terms to all agents at once, in one stacked
 Newton iteration whose rows are each the one-row solve made here, on that
@@ -23,36 +23,31 @@ from .numerics import newton_root
 
 @dataclass(frozen=True)
 class GameSpec:
-    """One agent's posed payoff: sum of the enabled terms.
+    """One agent's posed payoff: its utility, optionally less a price charge.
 
-    utility: private utility (QuadraticUtility or SmoothUtility);
-    price: vector p, contributes -p^T u.
+    utility: private utility (QuadraticUtility or SmoothUtility), required;
+    price: None or a vector p, contributing -p^T u.
     """
 
-    utility: object | None = None
+    utility: object
     price: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.utility is None and self.price is None:
-            raise ValueError("GameSpec needs at least one payoff term")
+        if self.utility is None:
+            raise ValueError("GameSpec needs a utility")
         if self.price is not None:
             object.__setattr__(self, "price", as_vector(self.price, name="price"))
 
 
 def payoff_value(game: GameSpec, x, dyn: LinearDynamics, u) -> float:
-    total = 0.0
-    if game.utility is not None:
-        x_next = step(dyn, x, u)
-        total += game.utility.value(x_next, u)
+    total = game.utility.value(step(dyn, x, u), u)
     if game.price is not None:
         total -= float(game.price @ u)
     return float(total)
 
 
 def payoff_gradient(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
-    g = np.zeros(dyn.d)
-    if game.utility is not None:
-        g += game.utility.grad_u(dyn, x, u)
+    g = np.array(game.utility.grad_u(dyn, x, u), dtype=float)
     if game.price is not None:
         g -= game.price
     return g
@@ -61,10 +56,7 @@ def payoff_gradient(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
 def payoff_hessian(game: GameSpec, x, dyn: LinearDynamics, u) -> np.ndarray:
     """The Hessian of the posed payoff in u: the utility's hess_u, as the
     price term is linear."""
-    H = np.zeros((dyn.d, dyn.d))
-    if game.utility is not None:
-        H += game.utility.hess_u(dyn, x, u)
-    return H
+    return np.array(game.utility.hess_u(dyn, x, u), dtype=float)
 
 
 def best_response(game: GameSpec, x, dyn: LinearDynamics, u_start) -> np.ndarray:

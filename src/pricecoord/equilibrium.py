@@ -12,26 +12,12 @@ gradient is grad), chain-ruled through each row's B^T, and every play mode
 solves its best responses as one row-stacked Newton iteration
 (numerics.newton_root): all N agents in the simultaneous,
 two-stage, single-stage and Tikhonov plays, the one agent t mod N in
-sequential play. A Newton evaluation (_payoff_derivatives) takes its payoff
-gradients and Hessians from one fleet step and one coupling pair pass,
-and reads everything it needs by agent (A x, B, B^T, -2 B^T, the pair
-indices, and through model._utility_gradients and _utility_hessians the
-utilities) from the instance's model.RowTable for its rows: the fleet
-table for all rows, a gather of its rows made once per row subset and
-instance otherwise. This module never asks whether a utility is
-quadratic.
-Simultaneous, two-stage and Tikhonov rounds start at the anchors against
-opponents frozen at their next states, from the next states and
-derivatives mechanism.run_stage computed there for its convergence test,
-so a round steps no fleet at its anchors. A two-stage or single-stage
-round takes both coupling gradients at its responses (against the frozen
-opponents, and at the responses' own next states) from one stacked pair
-pass, and a single-stage round hands run_stage the reward field at its
-responses from that pass, so its convergence test evaluates nothing.
-Each row is bit for bit a one-row newton_root solve of that agent's game
-alone, as agents.best_response solves a priced game: its utility, the
-shared coupling with everyone else frozen, and in the proximal plays the
-term whose gradient is -lam (u - anchor).
+sequential play. Each row is bit for bit a one-row newton_root solve of
+that agent's game alone, as agents.best_response solves a priced game: its
+utility, the shared coupling with everyone else frozen, and in the proximal
+plays the term whose gradient is -lam (u - anchor). This module never asks
+whether a utility is quadratic. What a round's _start holds, and why it
+saves the round a fleet step, is stated once, at mechanism.run_stage.
 """
 
 from __future__ import annotations
@@ -123,11 +109,12 @@ def _payoff_derivatives(sys: SystemInstance, V, X, rows, Y=None):
     """(g, H): the payoff gradients and Hessians, (k, d) and (k, d, d), of
     the agents rows[i] at their actions V, (k, d), against opponents frozen
     at the next states X; Y is the rows' own next states when the caller has
-    them, else one fleet step makes them. Everything read by agent comes
-    from the instance's RowTable for rows, which gathers it once per stage,
-    and the coupling's B^T g and B^T H B, g and H its gradient and Hessian
-    rows, come from one pair pass (CouplingFunction._grad_hess_rows); no
-    proximal term."""
+    them, else one fleet step makes them. Everything read by agent (A x, B,
+    B^T, -2 B^T, the pair indices, the utilities) comes from the instance's
+    RowTable for rows: the fleet table for all rows, else a gather of them
+    made once per row subset and instance. The coupling's B^T g and
+    B^T H B, g and H its gradient and Hessian rows, come from one pair pass
+    (CouplingFunction._grad_hess_rows); no proximal term."""
     table = sys._row_table(rows)
     if Y is None:
         Y = _fleet_step(table, V)
@@ -180,11 +167,9 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
     against opponents frozen at the next states X_frozen, solved as one
     row-stacked Newton iteration: row i is bit for bit the one-row solve
     of agent n = rows[i]'s game alone, and starts at anchors[n]. With lam the
-    game adds the proximal term anchored there. Each evaluation gives
-    newton_root the rows' payoff gradients and Hessians from one fleet step
-    and one pair pass (_payoff_derivatives). start, when given, is
-    _payoff_derivatives at that start, so the first Newton point is not
-    evaluated again; the proximal term is added to it as to every point.
+    game adds the proximal term anchored there. Each evaluation is one
+    _payoff_derivatives pass; start, when given, is that pass at the first
+    Newton point, to which the proximal term is added as to every point.
     Returns (len(rows), d). A failure raises the lowest failing row's
     BestResponseError, naming its agent rows[i]."""
     rows = np.arange(sys.N) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -213,21 +198,11 @@ def _jacobi_responses(sys: SystemInstance, X_frozen: np.ndarray, anchors: np.nda
     return U
 
 
-def _frozen(sys: SystemInstance, U: np.ndarray, start):
-    """(X, first Newton point): the round's _start (X(U) and the payoff
-    derivatives of all agents at U against it), or X(U) from one fleet step
-    and no start."""
-    return (joint_next_state(sys, U), None) if start is None else start
-
-
 def play_simultaneous(sys: SystemInstance, u_prev, *, _start=None) -> np.ndarray:
-    """All agents best-respond in parallel against u_prev. _start, when
-    given, is (X, derivatives): the joint next state X at u_prev and
-    _payoff_derivatives of all agents at u_prev against it, the round's
-    first Newton point (mechanism.run_stage hands over the pair its
-    convergence test computed), so the round steps no fleet at u_prev."""
+    """All agents best-respond in parallel against u_prev. _start is the
+    round start mechanism.run_stage hands over (see there)."""
     U = joint_action(sys, u_prev)
-    X, start = _frozen(sys, U, _start)
+    X, start = _start or (joint_next_state(sys, U), None)
     return _jacobi_responses(sys, X, U, start=start)
 
 
@@ -276,6 +251,8 @@ def _proximal_round(sys: SystemInstance, U: np.ndarray, X_frozen: np.ndarray, la
 
 
 class TwoStageUpdate(NamedTuple):
+    """One two-stage round: the net update, the probe responses and the extracted gradients."""
+
     u: np.ndarray              # net update u^k
     u_hat: np.ndarray          # stage-1 probe responses
     utility_grads: np.ndarray  # extracted grad U_n(u_hat_n), coordinator-side
@@ -290,16 +267,18 @@ def two_stage_update(sys: SystemInstance, u_prev, lam: float, gamma: float, *,
     update u^k = u^{k-1} + gamma (grad U_n(u_hat_n) + grad_n G(u_hat)),
     with grad U extracted via probe_utility_gradient. That is the response
     to the posed stage-2 probe game -||u - v_n||^2 with target
-    v_n = u_prev_n + gamma (grad U_n + grad_n G). _start is X(u_prev) and
-    stage 1's first Newton point, as for play_simultaneous.
+    v_n = u_prev_n + gamma (grad U_n + grad_n G). _start is stage 1's round
+    start (see mechanism.run_stage).
     """
     U = joint_action(sys, u_prev)
-    X, start = _frozen(sys, U, _start)
+    X, start = _start or (joint_next_state(sys, U), None)
     u_hat, u_next, g_util, _ = _proximal_round(sys, U, X, lam, gamma, start)
     return TwoStageUpdate(u=u_next, u_hat=u_hat, utility_grads=g_util)
 
 
 class SingleStageUpdate(NamedTuple):
+    """One single-stage round: responses, coordinator sequence, extracted gradients, field."""
+
     u: np.ndarray              # agent responses u^k
     u_tilde: np.ndarray        # coordinator sequence u_tilde^k
     utility_grads: np.ndarray  # extracted grad U_n(u_n^k)
@@ -328,10 +307,10 @@ def single_stage_update(sys: SystemInstance, u_prev, u_tilde_prev, lam: float,
 def play_tikhonov(sys: SystemInstance, u_prev, lam: float, *, _start=None) -> np.ndarray:
     """Proximally regularized full step: each agent maximizes its reward plus
     the Tikhonov anchor term; the responses are the next iterate directly
-    (a perturbed projection step with effective step 1/lam). _start is X(u_prev)
-    and the round's first Newton point, as for play_simultaneous."""
+    (a perturbed projection step with effective step 1/lam). _start is the
+    round start (see mechanism.run_stage)."""
     U = joint_action(sys, u_prev)
-    X, start = _frozen(sys, U, _start)
+    X, start = _start or (joint_next_state(sys, U), None)
     return _jacobi_responses(sys, X, U, lam, start=start)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BestResponseError, ConfigError, NonConvergenceError
 from .model import SystemInstance, _fleet_step, _utility_gradients, batch_welfare, joint_action
-from .numerics import fd_jacobian
+from .numerics import _inf_norm, fd_jacobian
 from .equilibrium import (
     _payoff_derivatives,
     default_schedule,
@@ -34,9 +34,6 @@ from .equilibrium import (
 
 PLAY_MODES = ("simultaneous", "sequential", "two_stage", "single_stage", "tikhonov")
 DAMPED_MODES = ("two_stage", "single_stage")  # the modes that take a step gamma
-# the modes whose round starts every agent's Newton solve at the current joint
-# action U against opponents frozen at its next states
-_STARTS_AT_U = ("simultaneous", "two_stage", "tikhonov")
 
 
 def social_welfare(sys: SystemInstance, u) -> float:
@@ -73,6 +70,8 @@ def message_space_dimension(N: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class WeakCouplingReport:
+    """The result of weak_coupling_diagnostic: passes is ratio <= 0.1 with margin > 0."""
+
     cross_norm: float    # max spectral norm of off-diagonal Jacobian blocks
     diag_margin: float   # min over agents of lambda_min(-sym(J_nn))
     ratio: float         # cross_norm / diag_margin (inf if margin <= 0)
@@ -211,11 +210,6 @@ def _alternates(delta: np.ndarray, prev: np.ndarray) -> bool:
                                   and dn / pn >= _ALT_RATIO)
 
 
-def _inf_norm(a: np.ndarray) -> float:
-    """max |a|, np.max's reduction without its wrapper."""
-    return float(np.maximum.reduce(np.abs(a), axis=None))
-
-
 def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     """Iterates the configured play mode at frozen states until convergence.
 
@@ -236,31 +230,26 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
     is not finite. The round functions keep their own checks for outside
     callers.
 
-    In simultaneous, two_stage and tikhonov play a round's Newton solve
-    starts at U against opponents frozen at U's next states, where the
-    reward field is the agents' payoff gradient: the residual is read off
-    _payoff_derivatives there, with one fleet step for U's next states, and
-    the next round starts from the same next states, gradients and
-    Hessians. A single_stage round returns the reward field at its
-    responses, formed from the next states and coupling gradient its update
-    used, and the residual is read off it. Sequential play, and every mode's
-    residual at u0, take it from reward_field.
+    Every residual run_stage computes is read off one derivative pass at U:
+    the reward field at U is the agents' payoff gradient against opponents
+    frozen at U's next states X(U), so one fleet step for X(U) (also the
+    rows' own next states) and one _payoff_derivatives pass there give it.
+    That pair, X(U) and the derivatives, is handed to the next round as
+    its frozen states and first Newton point when the round starts at U
+    against X(U), as simultaneous, two_stage and tikhonov rounds do; such a
+    round steps no fleet at U. A single_stage round returns the reward
+    field at its responses, and the residual is read off that.
     """
     U0 = joint_action(sys, u0).copy()
     gamma = stage_step(sys, cfg)
-    F = reward_field(sys)
     tol = cfg.tol
     rows = np.arange(sys.N)
-    starts_at_u = cfg.mode in _STARTS_AT_U
 
-    def residual_at(U, field=None):
-        """(||F(U)||_inf, the next round's Newton start or None); field is
-        F(U) when the round already formed it."""
-        if starts_at_u:
-            X = _fleet_step(sys._fleet, U)  # also the rows' own next states
-            start = _payoff_derivatives(sys, U, X, rows, X)
-            return _inf_norm(start[0]), (X, start)
-        return _inf_norm(F(U) if field is None else field), None
+    def residual_at(U):
+        """(||F(U)||_inf, (X(U), the payoff derivatives at U against it))."""
+        X = _fleet_step(sys._fleet, U)
+        start = _payoff_derivatives(sys, U, X, rows, X)
+        return _inf_norm(start[0]), (X, start)
 
     actions, residual, delta_log = [], [], []
 
@@ -311,7 +300,7 @@ def run_stage(sys: SystemInstance, u0, cfg: PollingConfig) -> StageTrace:
             raise NonConvergenceError(
                 f"stage diverged: round {k} produced non-finite actions",
                 reason="diverged", trace=trace(False), last=U)
-        f_inf, start = residual_at(u_new, field)
+        f_inf, start = residual_at(u_new) if field is None else (_inf_norm(field), None)
         actions.append(u_new)
         residual.append(f_inf)
         delta_log.append(d_inf)

@@ -316,6 +316,7 @@ class CouplingFunction:
 
 
 def zero_coupling(N: int, d: int) -> CouplingFunction:
+    """The coupling G = 0 on N agents in R^d: scale 0, so no pair is evaluated."""
     return CouplingFunction(N, d, 0.0, np.zeros_like, lambda sq: (np.zeros_like(sq),) * 2)
 
 
@@ -541,6 +542,7 @@ def batch_welfare(sys: SystemInstance, U) -> np.ndarray:
 
 
 def replace_states(sys: SystemInstance, states) -> SystemInstance:
+    """A new instance with the same agents and coupling at the given states."""
     return SystemInstance(sys.dynamics, sys.utilities, sys.coupling, tuple(states))
 
 

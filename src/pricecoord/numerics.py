@@ -6,17 +6,14 @@ difference from this module, and every Newton solve on a gradient field
 coordinator's welfare-optimal price) runs the one row-stacked loop below:
 newton_root solves k independent problems at once, each row with its own
 stopping test, line search and failure, from one field-and-Jacobian call
-per iterate; a single solve is its one-row case. A caller that holds the
-fields and Jacobians at x0 passes them as start: a stage's simultaneous,
-two-stage or Tikhonov round starts from the payoff derivatives its
-convergence test computed (mechanism.run_stage), the coupling's gradient and
-Hessian from one pair pass. The oracle differences the welfare itself, term
-by term (see oracle), so the reference stays independent of the code it
-checks; it shares only _newton_steps, the stacked solve of a Newton step.
-fd_jacobian keeps its loop over columns: its callers (the welfare-optimal
-price's Newton steps, the weak-coupling diagnostic, the Hessian block of a
-utility given without one) difference small fields, where a stacked stencil
-costs more per call than the loop.
+per iterate; a single solve is its one-row case. The oracle differences
+the welfare itself, term by term (see oracle), so the reference stays
+independent of the code it checks; it shares only _newton_steps, the
+stacked solve of a Newton step, and _nonfinite, the one error of an
+evaluation that is not finite. fd_jacobian keeps its loop over columns:
+its callers (the welfare-optimal price's Newton steps, the weak-coupling
+diagnostic, the Hessian block of a utility given without one) difference
+small fields, where a stacked stencil costs more per call than the loop.
 """
 
 from __future__ import annotations
@@ -31,10 +28,23 @@ def fd_gradient(f, point, h: float = 1e-5) -> np.ndarray:
 
 
 def _finite(g: np.ndarray) -> np.ndarray:
-    bad = np.argwhere(~np.isfinite(g))
-    if bad.size:
-        raise ValueError(f"non-finite evaluation near coordinate {bad[0, -1]}")
+    """g, or the _nonfinite error of g when it is not finite."""
+    if not np.all(np.isfinite(g)):
+        raise _nonfinite(g)
     return g
+
+
+def _nonfinite(g: np.ndarray) -> ValueError:
+    """The ValueError of an evaluation g that is not finite, naming the
+    last-axis index of its first non-finite entry."""
+    i = np.argwhere(~np.isfinite(g))[0, -1]
+    return ValueError(f"non-finite evaluation near coordinate {i}")
+
+
+def _inf_norm(a: np.ndarray, axis=None):
+    """max |a| over axis (default all of a): np.max's reduction without its
+    wrapper, so ||g||_inf of each row with axis=1."""
+    return np.maximum.reduce(np.abs(a), axis=axis)
 
 
 def fd_jacobian(F, x, h: float | None = None) -> np.ndarray:
@@ -93,7 +103,7 @@ def newton_root(F, x0, *, error, jacobian_name: str = "Jacobian", maximize: bool
     k, m = x.shape
     live = np.arange(k)              # the rows still stepping, at their iterates x
     G, J = F(x, live) if start is None else start  # and their fields and Jacobians
-    gnorm = _row_norms(G)            # and ||F||_inf
+    gnorm = _inf_norm(G, 1)          # and ||F||_inf
     done = []                        # (rows, iterates, residuals, Jacobians) that stopped
     failures = []                    # (row, message, last iterate, residual)
     solved = k                       # rows 0 .. solved-1 are below every failure
@@ -149,11 +159,6 @@ def newton_root(F, x0, *, error, jacobian_name: str = "Jacobian", maximize: bool
     return X, residual
 
 
-def _row_norms(G: np.ndarray) -> np.ndarray:
-    """||g||_inf of each row."""
-    return np.maximum.reduce(np.abs(G), axis=1)
-
-
 def _line_search(F, x, G, J, gnorm, S, live, singular):
     """The halving line search of newton_root on the rows of live whose
     Jacobian is not singular (singular is their mask, or None when none
@@ -166,7 +171,7 @@ def _line_search(F, x, G, J, gnorm, S, live, singular):
     if singular is None:  # the first trial, on every row without gathers
         x_try = x + S
         G_try, J_try = F(x_try, live)
-        gn = _row_norms(G_try)
+        gn = _inf_norm(G_try, 1)
         better = gn < gnorm
         if np.count_nonzero(better) == len(x):
             return x_try, G_try, J_try, gn, None
@@ -178,7 +183,7 @@ def _line_search(F, x, G, J, gnorm, S, live, singular):
     while alpha > 1e-12 and todo.size:
         x_try = x[todo] + alpha * S[todo]
         G_try, J_try = F(x_try, live[todo])
-        gn = _row_norms(G_try)
+        gn = _inf_norm(G_try, 1)
         better = gn < gnorm[todo]
         moved = todo[better]
         x[moved], G[moved], J[moved] = x_try[better], G_try[better], J_try[better]

@@ -17,21 +17,15 @@ model.PAIR_BATCH_FLOATS / d squared distances and the pair differences
 stay under 2 MB whatever the fleet size; a row's stencil spans several
 calls when it needs more.
 
-The Newton polish behind both paths is one loop that polishes a (k, m)
-stack of starts in lockstep: newton_multistart sends its 32 starts through
-it at once, and closed_form runs its one-row case. A row stops when its
-field's sup-norm drops below 1e-11 or when no backtracking step down to
-alpha = 2^-33 (the last halving above 1e-10) reduces it, which is where
-the finite-difference field reaches its noise floor; it takes exactly the
-steps it would take alone. Each call of the line search evaluates the next
-doubling block of alphas, (1), (1/2, 1/4), (1/8 ... 1/64), ..., for every
-row still searching, and each row takes the first better alpha in order:
-the step of a one-at-a-time halving loop, for at most about twice its
-evaluations. The loop does not use numerics.newton_root, so the reference
-never runs the loop it checks; it shares only the stacked linear solve of
-a Newton step (numerics._newton_steps). joint_welfare and the multistart's
-choice among its ends are model.batch_welfare, whose rows equal the scalar
-welfare bit for bit.
+The Newton polish behind both paths is one loop, _newton_polish_rows, that
+polishes a (k, m) stack of starts in lockstep: newton_multistart sends its
+32 starts through it at once, and closed_form runs its one-row case. Its
+stopping rule is stated there and its backtracking at _line_search. The
+loop does not use numerics.newton_root, so the reference never runs the
+loop it checks; it shares only the stacked linear solve of a Newton step
+(numerics._newton_steps) and the non-finite error. joint_welfare and the
+multistart's choice among its ends are model.batch_welfare, whose rows
+equal the scalar welfare bit for bit.
 
 Note on why oracle equivalence is a valid acceptance test at all: the test
 instances in this package are potential games by construction. The coupling G
@@ -51,11 +45,9 @@ import numpy as np
 
 from .model import (SystemInstance, _batches, _fleet_step, _squared_norms, _utility_values,
                     batch_welfare, joint_action)
-from .numerics import _finite, _newton_steps
+from .numerics import _finite, _newton_steps, _nonfinite
 
-# The line search's alphas 1, 1/2, ..., 2^-33, every halving above 1e-10, and
-# the doubling blocks of them that one field call evaluates: 1, 2, 4, 8, 16
-# and the last 3.
+# _line_search's alphas and the blocks of them one field call evaluates (see there)
 _ALPHAS = 0.5 ** np.arange(34)
 _BLOCKS = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 34))
 
@@ -68,6 +60,8 @@ def joint_welfare(sys: SystemInstance, u) -> float:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """joint_welfare_opt's maximizer (N, d), its welfare and the method that found it."""
+
     u_star: np.ndarray
     welfare: float
     method: str
@@ -184,16 +178,8 @@ def _fields(sys: SystemInstance, X: np.ndarray, rows: np.ndarray, errors: dict):
     G = _field(sys, X)
     finite = np.all(np.isfinite(G), axis=1)
     for i in np.flatnonzero(~finite):
-        errors[rows[i]] = _error(G[i])
+        errors[rows[i]] = _nonfinite(G[i])
     return G, finite
-
-
-def _error(g: np.ndarray) -> ValueError:
-    """The ValueError numerics._finite raises for the non-finite field g."""
-    try:
-        _finite(g)
-    except ValueError as exc:
-        return exc
 
 
 def _newton_polish_rows(sys: SystemInstance, starts) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -209,8 +195,8 @@ def _newton_polish_rows(sys: SystemInstance, starts) -> tuple[np.ndarray, np.nda
     further steps only cost evaluations. The field at the accepted step is
     the next residual. Every row takes exactly the steps it takes alone:
     each iteration evaluates the Hessians of all live rows in one _hessian
-    call and solves them in one stacked solve, and _line_search evaluates
-    the rows still searching one doubling block of alphas per call.
+    call and solves them in one stacked solve, then backtracks them in
+    _line_search.
     """
     U = np.array(starts, dtype=float)
     errors = {}
@@ -231,13 +217,16 @@ def _newton_polish_rows(sys: SystemInstance, starts) -> tuple[np.ndarray, np.nda
 def _line_search(sys: SystemInstance, U, G, live, gn, delta, errors) -> np.ndarray:
     """The backtracking of the rows live, from U[live] along delta, as the
     mask of the rows that moved; U and G take each moved row's step and
-    field. A row ends at the first alpha of 1, 1/2, ..., 2^-33 whose step
-    reduces ||F||_inf below gn (it moves), whose step rounds to U (it
-    stays) or whose field is not finite (its ValueError goes into errors
-    and it stays), or stays after the last. One _field call per block of
-    _BLOCKS evaluates the trials of every row still searching, each up to
-    its first step that rounds to U: a trial behind a row's end in its block
-    is evaluated and ignored."""
+    field. A row ends at the first alpha of 1, 1/2, ..., 2^-33 (every
+    halving above 1e-10) whose step reduces ||F||_inf below gn (it moves),
+    whose step rounds to U (it stays) or whose field is not finite (its
+    ValueError goes into errors and it stays), or stays after the last:
+    the step of a one-at-a-time halving loop. One _field call per doubling
+    block of _BLOCKS, (1), (1/2, 1/4), (1/8 ... 1/64), ..., evaluates the
+    trials of every row still searching, each up to its first step that
+    rounds to U, so a row costs at most about twice the halving loop's
+    evaluations: a trial behind a row's end in its block is evaluated and
+    ignored."""
     moved = np.zeros(len(live), dtype=bool)
     i = np.arange(len(live))           # positions in live still searching
     for lo, hi in _BLOCKS:
@@ -256,7 +245,7 @@ def _line_search(sys: SystemInstance, U, G, live, gn, delta, errors) -> np.ndarr
         U[live[i[step]]], G[live[i[step]]] = trial[step, k[step]], g[step, k[step]]
         moved[i[step]] = True
         for j in np.flatnonzero(stop & ~step & fresh[at, k]):
-            errors[live[i[j]]] = _error(g[j, k[j]])
+            errors[live[i[j]]] = _nonfinite(g[j, k[j]])
         i = i[~stop]
         if not i.size:
             break
@@ -319,18 +308,9 @@ def joint_welfare_opt(sys: SystemInstance, box=None) -> OracleResult:
     ends at such a maximum, and "newton_multistart requires a box" without
     a box).
 
-    Every polish runs one damped Newton loop on welfare values only, the 32
-    starts in lockstep and closed_form's point as its one-row case: the
-    field is a central first difference and the Hessian a symmetric central
-    second difference of the welfare, each taken of only the utility and
-    pair terms the differenced coordinates move. Each iteration evaluates
-    the Hessians of all rows still stepping and makes one stacked solve,
-    and the line search evaluates the fields of the rows still searching
-    one doubling block of alphas at a time. A row stops at ||field||_inf <
-    1e-11, after 20 steps, at a singular Hessian, or as soon as
-    backtracking to alpha = 2^-33 (or to a step that rounds to no move)
-    finds no reducing step, exactly where it stops when polished alone.
-    The result's method names the path that produced u_star:
+    Every polish is the damped Newton loop _newton_polish_rows on welfare
+    values only, each start stopping exactly where it stops when polished
+    alone. The result's method names the path that produced u_star:
     "closed_form" or "newton_multistart".
     """
     method, u = "closed_form", _closed_form(sys)

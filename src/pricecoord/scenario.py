@@ -145,6 +145,8 @@ _REQUIRED = ("N", "d", "seed")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
+    """The ScenarioConfig of a parsed JSON object; ConfigError on a missing
+    required or an unknown field, or on any value ScenarioConfig refuses."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     for key in _REQUIRED:

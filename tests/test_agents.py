@@ -15,8 +15,14 @@ def _scalar_setup():
 
 
 def test_game_spec_requires_a_term():
-    with pytest.raises(ValueError):
-        pc.GameSpec()
+    # a utility is required: a price-only payoff has a zero Hessian, which no
+    # best response can solve
+    _, util = _scalar_setup()
+    with pytest.raises(TypeError):
+        pc.GameSpec(price=np.array([0.3]))
+    with pytest.raises(ValueError, match="needs a utility"):
+        pc.GameSpec(utility=None, price=np.array([0.3]))
+    assert pc.GameSpec(utility=util).price is None
 
 
 def test_payoff_value_sums_terms():
@@ -105,7 +111,7 @@ def _assert_symmetrized_fd(H, fd):
     np.testing.assert_allclose(H, fd, rtol=1e-6, atol=1e-6 * max(1.0, float(np.max(np.abs(fd)))))
 
 
-@pytest.mark.parametrize("terms", [(t,) for t in _TERMS] + [_TERMS])
+@pytest.mark.parametrize("terms", [_TERMS[:1], _TERMS], ids=["terms0", "terms2"])
 @pytest.mark.parametrize("family", ["quadratic", "cross_term", "decomposable", "smooth"])
 def test_payoff_hessian_matches_fd_of_payoff_gradient(family, terms):
     rng, sys = _fd_instance(family)

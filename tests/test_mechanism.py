@@ -325,6 +325,34 @@ def test_a_round_steps_the_fleet_at_its_start_once(mode, monkeypatch):
     assert len(calls) == trace.iterations + 1
 
 
+@pytest.mark.parametrize("mode", pc.mechanism.PLAY_MODES)
+def test_every_residual_is_one_derivative_pass_and_never_reward_field(mode, monkeypatch):
+    # README config, stage 0: whatever the mode, the stage reads each residual
+    # off the payoff derivatives at X(U) (or single_stage's handed-over field)
+    # and never evaluates reward_field, yet each equals its bits
+    sys, u0 = _readme_stage(0)
+    pcfg = dataclasses.replace(pc.polling_config(pc.config_from_dict(_README), mode),
+                               max_rounds=30)
+    pc.mechanism.stage_step(sys, pcfg)  # a damped mode's default step, estimated once
+    evaluated = []
+    real_field = pc.equilibrium.reward_field
+
+    def reward_field(sys_):
+        F = real_field(sys_)
+
+        def counted(u):
+            evaluated.append(1)
+            return F(u)
+        return counted
+
+    for module in (pc.mechanism, pc.equilibrium):
+        monkeypatch.setattr(module, "reward_field", reward_field)
+    trace = _stage_trace(sys, pcfg)
+    assert trace.iterations > 1 and not evaluated
+    F = real_field(sys)
+    assert trace.residual.tolist() == [float(np.max(np.abs(F(u)))) for u in trace.actions]
+
+
 _SINGLE_STAGE_CONFIGS = {
     "consensus": {"N": 3, "d": 2, "seed": 13, "coupling_spec": "consensus_quadratic",
                   "coupling_strength": 0.5},

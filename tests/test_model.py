@@ -1,6 +1,7 @@
 """Dynamics, utilities, coupling terms, and their gradient consistency."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_system_instance_shape_validation():
     lambda sys: pc.best_response(
         pc.GameSpec(utility=pc.QuadraticUtility(np.eye(2), np.eye(2), np.ones(2)), price=[0.3]),
         np.zeros(2), pc.LinearDynamics(A=np.eye(2), B=np.eye(2)), np.zeros(2)),
-    lambda sys: pc.GameSpec(price=[np.nan]),
+    lambda sys: pc.GameSpec(utility=sys.utilities[0], price=[np.nan]),
 ], ids=["replace_states", "social_welfare", "reward_field", "best_response_nan_start",
         "best_response_short_start", "best_response_short_price", "game_price"])
 def test_entry_points_reject_bad_input(call):
@@ -158,6 +159,18 @@ def test_the_public_names_are_pinned():
     exec("from pricecoord import *", namespace)
     assert "agents" not in namespace and "model" not in namespace
     assert pc.agents.best_response is pc.best_response
+
+
+def test_every_public_function_and_class_states_its_contract():
+    # each has its own docstring: a dataclass's or NamedTuple's generated
+    # signature ("Name(field, ...)") and an inherited one do not count
+    def documented(obj):
+        doc = vars(obj).get("__doc__") if inspect.isclass(obj) else obj.__doc__
+        return bool(doc and doc.strip()) and not doc.startswith(f"{obj.__name__}(")
+
+    public = [getattr(pc, name) for name in pc.__all__]
+    assert [obj.__name__ for obj in public if (inspect.isclass(obj) or inspect.isfunction(obj))
+            and not documented(obj)] == []
 
 
 def test_replace_states_is_nonmutating():
