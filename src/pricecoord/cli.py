@@ -31,6 +31,8 @@ from .scenario import (
     load_config,
     noise_streams,
     polling_config,
+    _json_object,
+    _read_json,
     _waypoint,
 )
 
@@ -210,32 +212,19 @@ def _agent_array(path: str, i: int, entry: dict, key: str, shape: tuple) -> np.n
 
 
 def _load_dynamics(path: str):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: root must be a JSON object")
-    for key in ("N", "d", "agents"):
-        if key not in data:
-            raise ConfigError(f"{path}: missing field {key!r}")
+    """The (LinearDynamics, x0) of every agent in a dynamics file, as simulate
+    writes it; ConfigError naming the file, and the agent and field where
+    there is one."""
+    data = _json_object(_read_json(path), path, ("N", "d", "agents"))
     for key in ("N", "d"):
         if isinstance(data[key], bool) or not isinstance(data[key], int) or data[key] < 1:
-            raise ConfigError(f"{path}: field {key!r} must be a positive integer, "
-                              f"got {data[key]!r}")
-    if not isinstance(data["agents"], list):
-        raise ConfigError(f"{path}: field 'agents' must be a list of agent objects")
-    if len(data["agents"]) != data["N"]:
-        raise ConfigError(f"{path}: expected {data['N']} agent entries")
+            raise ConfigError(f"{path}: field {key!r} must be an integer >= 1, got {data[key]!r}")
+    if not isinstance(data["agents"], list) or len(data["agents"]) != data["N"]:
+        raise ConfigError(f"{path}: field 'agents' must be a list of {data['N']} agent objects")
     d = data["d"]
     out = []
     for i, entry in enumerate(data["agents"]):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: agent {i}: entry in 'agents' must be an object")
-        for key in ("A", "B", "x0"):
-            if key not in entry:
-                raise ConfigError(f"{path}: agent {i}: missing field {key!r}")
+        entry = _json_object(entry, f"{path}: agent {i} in 'agents'", ("A", "B", "x0"))
         A, B, x0 = (_agent_array(path, i, entry, key, shape)
                     for key, shape in (("A", (d, d)), ("B", (d, d)), ("x0", (d,))))
         out.append((LinearDynamics(A=A, B=B), x0))
@@ -246,7 +235,6 @@ def cmd_identify(log_path: str, dynamics_path: str, out_dir: str,
                  quiet: bool = False) -> int:
     log = load_log(log_path)
     agents = _load_dynamics(dynamics_path)
-    os.makedirs(out_dir, exist_ok=True)
     entries = []
     deficient = []
     for n, (dyn, x0) in enumerate(agents):
@@ -257,9 +245,12 @@ def cmd_identify(log_path: str, dynamics_path: str, out_dir: str,
             entries.append({"agent": n, "error": str(exc), "rank": exc.rank,
                             "required": exc.required})
             continue
+        except ValueError as exc:  # the log or the dynamics refused: nothing is written
+            raise ConfigError(f"{dynamics_path}: agent {n}: {exc}") from None
         entries.append({"agent": n, "C": m.C, "D": m.D, "Q_hat": m.Q_hat,
                         "R_hat": m.R_hat, "residual": m.residual, "rank": m.rank,
                         "x0_check": m.x0_check, "b_condition": m.b_condition})
+    os.makedirs(out_dir, exist_ok=True)
     _finish("identify", {"agents": entries}, os.path.join(out_dir, "models.json"), quiet, None)
     for n, exc in deficient:
         print(f"identify: agent {n}: rank {exc.rank} < required {exc.required}", file=sys.stderr)

@@ -115,6 +115,10 @@ class PollingConfig:
     bounds every action coordinate, kept as a tuple of floats; run_stage
     uses it only for that estimate and never clamps a response to it.
     The stopping and oscillation rules are fixed (see run_stage).
+
+    This class is the one judge of the play mode, the mode values and the
+    box: ScenarioConfig builds one to check a config's mode object and box,
+    and scenario.polling_config builds the one a run uses.
     """
 
     mode: str = "simultaneous"
@@ -138,14 +142,14 @@ class PollingConfig:
                                   f"got {value!r}")
         if self.box is not None:
             try:
-                lo, hi = self.box
-            except (TypeError, ValueError):
-                lo = hi = None
-            if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (lo, hi)) \
-                    or not -math.inf < lo < hi < math.inf:
+                lo, hi = (float(v) if isinstance(v, Real) and not isinstance(v, bool) else math.nan
+                          for v in self.box)
+            except (TypeError, ValueError, OverflowError):  # not a pair, or past the float range
+                lo = hi = math.nan
+            if not -math.inf < lo < hi < math.inf:
                 raise ConfigError("polling field 'box' must be (lo, hi) with finite lo < hi, "
                                   f"got {self.box!r}")
-            object.__setattr__(self, "box", (float(lo), float(hi)))
+            object.__setattr__(self, "box", (lo, hi))
 
 
 @dataclass(frozen=True)

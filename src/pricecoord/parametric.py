@@ -123,7 +123,8 @@ def load_log(path) -> ObservationLog:
     naming the file and the offending 1-based line (blank lines counted) on
     a header off the schema, a wrong field count, a non-integer t or n, an
     unparseable or non-finite float, and on no data rows."""
-    with open(path) as fh:
+    # a byte that is not UTF-8 reads as U+FFFD: an unparseable field, not a codec error
+    with open(path, encoding="utf-8", errors="replace") as fh:
         lines = [(idx, ln) for idx, ln in enumerate((raw.strip() for raw in fh), start=1) if ln]
     if not lines:
         raise ConfigError(f"{path}: empty CSV (header row is mandatory)")

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .mechanism import PLAY_MODES, PollingConfig
+from .mechanism import PollingConfig
 from .model import (
     CouplingFunction,
     LinearDynamics,
@@ -38,16 +38,16 @@ from .model import (
 UTILITY_SPECS = ("quadratic_random", "quadratic_fixed", "cross_term", "decomposable_smooth")
 COUPLING_SPECS = ("separation_barrier", "consensus_quadratic")
 
-# Type of every config field, top level and in the mode object ("mode.<key>"),
-# checked first so a wrong type is a ConfigError naming the field. JSON true
-# and false are bools, which Python counts as integers: no field takes them.
+# Type of every config field but box, top level and in the mode object
+# ("mode.<key>"), checked first so a wrong type is a ConfigError naming the
+# field; PollingConfig judges box and the mode values. JSON true and false
+# are bools, which Python counts as integers: no field takes them.
 _FIELD_TYPES = {
     "N": Integral, "d": Integral, "seed": Integral, "horizon": Integral,
-    "coupling_strength": Real, "safety_radius": Real, "box": (list, tuple), "noise_std": Real,
+    "coupling_strength": Real, "safety_radius": Real, "noise_std": Real,
     "utility_spec": str, "coupling_spec": str, "mode": dict, "mode.mode": str,
     "mode.tol": Real, "mode.max_rounds": Integral, "mode.lam": Real, "mode.gamma": Real}
-_TYPE_NAMES = {Integral: "an integer", Real: "a finite number",
-               (list, tuple): "a [lo, hi] list of finite numbers", str: "a string",
+_TYPE_NAMES = {Integral: "an integer", Real: "a finite number", str: "a string",
                dict: "an object"}
 _TOP_KEYS = tuple(key for key in _FIELD_TYPES if "." not in key)
 _MODE_KEYS = tuple(key[5:] for key in _FIELD_TYPES if key.startswith("mode."))
@@ -63,9 +63,35 @@ def _is_a(value, expected) -> bool:
 
 def _check_type(field: str, value) -> None:
     expected = _FIELD_TYPES[field]
-    if not (_is_a(value, expected) and (field != "box" or all(_is_a(v, Real) for v in value))):
-        raise ConfigError(f"config field {field!r} must be {_TYPE_NAMES[expected]}, "
-                          f"got {value!r}")
+    if not _is_a(value, expected):
+        raise ConfigError(f"config field {field!r} must be {_TYPE_NAMES[expected]}, got {value!r}")
+
+
+def _read_json(path):
+    """The parsed JSON file at path; ConfigError naming the file, line and
+    column when it is malformed."""
+    # a byte that is not UTF-8 reads as U+FFFD, so it ends in a refused value
+    # or a malformed-JSON error naming the file, not in a bare codec error
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}, "
+                              f"column {exc.colno}: {exc.msg}") from None
+
+
+def _json_object(data, where: str, required, allowed=None) -> dict:
+    """data, checked to be a JSON object that has every required field and,
+    when allowed is given, no field outside it; ConfigError naming where."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+    for key in data:
+        if allowed is not None and key not in allowed:
+            raise ConfigError(f"{where}: unknown field {key!r}; expected one of {tuple(allowed)}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -74,10 +100,16 @@ class ScenarioConfig:
 
     mode holds PollingConfig fields by name (mode, tol, max_rounds, the
     proximal weight lam, default 100, and the step gamma, estimated from the
-    box when absent); box is a global (lo, hi) pair applied per action coordinate. d is free
-    to be 1 for scalar diagnostics even though the vehicle story suggests 2
-    or 3. A separation_barrier whose pair value at zero separation is not
-    finite is refused.
+    box when absent); box is a global (lo, hi) pair applied per action
+    coordinate. d is free to be 1 for scalar diagnostics even though the
+    vehicle story suggests 2 or 3. A separation_barrier whose pair value at
+    zero separation is not finite is refused.
+
+    Rules and their owners: this class checks each field's type, the keys
+    of the mode object and the instance fields' ranges; PollingConfig,
+    built once here, judges box and the mode values and gives box its
+    (lo, hi) float form; config_from_dict owns which fields a config file
+    has.
     """
 
     N: int
@@ -95,9 +127,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for key in _TOP_KEYS:
             _check_type(key, getattr(self, key))
-        for key in self.mode:
-            if key not in _MODE_KEYS:
-                raise ConfigError(f"unknown mode field {key!r}; expected keys among {_MODE_KEYS}")
+        for key in _json_object(self.mode, "config field 'mode'", (), allowed=_MODE_KEYS):
             _check_type(f"mode.{key}", self.mode[key])
         if self.N < 1 or self.d < 1:
             raise ConfigError(f"N and d must be >= 1 (got N={self.N}, d={self.d})")
@@ -127,48 +157,31 @@ class ScenarioConfig:
                     "softplus(safety_radius^2)^2 at zero separation is not finite "
                     f"(coupling_strength={self.coupling_strength!r}, "
                     f"safety_radius={self.safety_radius!r})")
-        box = tuple(float(v) for v in self.box)
-        if len(box) != 2 or not box[0] < box[1]:
-            raise ConfigError("box must be (lo, hi) with lo < hi")
-        object.__setattr__(self, "box", box)
-        if "mode" in self.mode and self.mode["mode"] not in PLAY_MODES:
-            raise ConfigError(f"unknown play mode {self.mode['mode']!r}; "
-                              f"expected one of {PLAY_MODES}")
+        if self.box is None:  # PollingConfig reads None as no box; a scenario has one
+            raise ConfigError("config field 'box' must be a [lo, hi] pair, got None")
+        object.__setattr__(self, "box", PollingConfig(box=self.box, **self.mode).box)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["box"] = list(self.box)
-        return out
-
-
-_REQUIRED = ("N", "d", "seed")
+        return {**asdict(self), "box": list(self.box)}
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """The ScenarioConfig of a parsed JSON object; ConfigError on a missing
     required or an unknown field, or on any value ScenarioConfig refuses."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    for key in _REQUIRED:
-        if key not in data:
-            raise ConfigError(f"missing required config field {key!r}")
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown config field {key!r}")
-    return ScenarioConfig(**data)
+    return ScenarioConfig(**_json_object(data, "config", ("N", "d", "seed"),
+                                         allowed=[f.name for f in fields(ScenarioConfig)]))
 
 
 def load_config(path) -> ScenarioConfig:
-    """Strict JSON config loader: malformed JSON errors with the line,
-    unknown or missing fields error by name."""
-    with open(path) as fh:
-        text = fh.read()
+    """Strict JSON config loader: every refusal names the file, malformed
+    JSON its line and column, a missing or unknown field its name. The JSON
+    reading is scenario's _read_json, shared with the CLI's dynamics file;
+    the field rules are config_from_dict's and ScenarioConfig's."""
+    data = _read_json(path)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}") from None
-    return config_from_dict(data)
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def polling_config(cfg: ScenarioConfig, mode_override: Optional[str] = None) -> PollingConfig:

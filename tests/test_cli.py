@@ -107,6 +107,58 @@ def test_identify_rejects_corrupt_log(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+_LOG_1D = "t,n,x_0,u_0,p_0\n0,0,0.0,0.0,0.0\n"
+_DYNAMICS_1D = {"N": 1, "d": 1, "agents": [{"A": [[1.0]], "B": [[1.0]], "x0": [0.0]}]}
+
+
+@pytest.mark.parametrize("log, dynamics, culprit, message", [
+    ("t,n,x_0,x_1,u_0,u_1,p_0,p_1\n0,0,0,0,0,0,0,0\n", _DYNAMICS_1D, "dynamics.json",
+     "agent 0: log dimension 2 does not match dynamics dimension 1"),
+    (_LOG_1D, {**_DYNAMICS_1D, "agents": [{"A": [[0.0]], "B": [[1.0]], "x0": [0.0]}]},
+     "dynamics.json", "agent 0: dynamics matrix A is numerically singular"),
+    (_LOG_1D, '{"N": 1,\n "d" 1}', "dynamics.json", "malformed JSON at line 2, column 6"),
+    (_LOG_1D, [1], "dynamics.json", "must be a JSON object, got [1]"),
+    (_LOG_1D, {"N": 1, "agents": []}, "dynamics.json", "missing required field 'd'"),
+    ("", _DYNAMICS_1D, "trace.csv", "empty CSV"),
+    ("t,n,x_0,u_0,p_0\n", _DYNAMICS_1D, "trace.csv", "no data rows"),
+    (b"t,n,x_0,u_0,p_0\n0,0,0.0\xff,0.0,0.0\n", _DYNAMICS_1D, "trace.csv",
+     "line 2: unparseable field"),
+    (_LOG_1D, json.dumps(_DYNAMICS_1D).replace('"x0"', '"x0\xff"').encode("latin-1"),
+     "dynamics.json", "agent 0 in 'agents': missing required field 'x0'"),
+], ids=["log_dimension", "singular_A", "dynamics_malformed", "dynamics_root_list",
+        "dynamics_d_missing", "log_empty", "log_header_only", "log_not_utf8",
+        "dynamics_not_utf8"])
+def test_identify_refusal_names_its_file_and_writes_nothing(tmp_path, capsys, log, dynamics,
+                                                            culprit, message):
+    # each input as text, bytes, or an object written as JSON
+    for name, content in (("trace.csv", log), ("dynamics.json", dynamics)):
+        content = content if isinstance(content, (str, bytes)) else json.dumps(content)
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    out = tmp_path / "out"
+    rc = main(["identify", "--log", str(tmp_path / "trace.csv"),
+               "--dynamics", str(tmp_path / "dynamics.json"), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1 and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith(f"pricecoord: {tmp_path / culprit}")
+    assert message in err
+
+
+def test_identify_of_an_agent_without_rows_exits_three(tmp_path, capsys):
+    # the log holds agent 0 only: agent 1 is reported with rank 0, agent 0 is fitted
+    rows = ["t,n,x_0,u_0,p_0"] + [f"{t},0,{0.1 * t},{0.2 * t + 0.1},{0.3 - t}" for t in range(3)]
+    (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
+    dyn = tmp_path / "dynamics.json"
+    dyn.write_text(json.dumps({**_DYNAMICS_1D, "N": 2, "agents": _DYNAMICS_1D["agents"] * 2}))
+    out = tmp_path / "out"
+    assert main(["identify", "--log", str(tmp_path / "trace.csv"), "--dynamics", str(dyn),
+                 "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == "identify: agent 1: rank 0 < required 2\n"
+    agents = json.loads((out / "models.json").read_text())["agents"]
+    assert agents[0]["rank"] == 2 and "error" not in agents[0]
+    assert agents[1] == {"agent": 1, "error": "no observations for agent 1", "rank": 0,
+                         "required": 2}
+
+
 def test_simulate_flags_oscillation_with_exit_two(tmp_path):
     cfg = write_config(tmp_path, "c.json", seed=11, horizon=2,
                        coupling_strength=1000.0,
@@ -523,11 +575,18 @@ _AGENT = {"A": [[1.0]], "B": [[1.0]], "x0": [0.0]}
     ("identify", {"agents": [dict(_AGENT, B=[[float("nan")]])]}, "agent 0: field 'B'"),
     ("identify", {"N": "1"}, "'N'"),
     ("identify", {"d": 2}, "agent 0: field 'A'"),
+    ("simulate", {"box": None}, "'box'"),
+    ("simulate", {"box": [0, 10 ** 400]}, "'box'"),
+    ("identify", {"agents": [dict(_AGENT, A=[[1.0], [1.0, 2.0]])]}, "agent 0: field 'A'"),
+    ("identify", {"N": 2}, "'agents' must be a list of 2 agent objects"),
+    ("identify", {"agents": [{"A": [[1.0]], "B": [[1.0]]}]},
+     "agent 0 in 'agents': missing required field 'x0'"),
 ], ids=["N_text", "N_fraction", "box_number", "safety_radius_text", "max_rounds_text",
         "compare_max_rounds_text", "agents_number", "agents_entry_number",
         "noise_std_infinite", "coupling_strength_nan", "box_text_entry", "box_infinite_entry",
         "compare_gamma_nan", "dynamics_A_object", "dynamics_x0_object", "dynamics_B_nan",
-        "dynamics_N_text", "dynamics_d_mismatch"])
+        "dynamics_N_text", "dynamics_d_mismatch", "box_null", "box_past_the_float_range",
+        "dynamics_A_ragged", "dynamics_agent_count", "dynamics_x0_missing"])
 def test_wrong_typed_input_field_is_named(tmp_path, capsys, command, over, field):
     if command == "identify":
         log = tmp_path / "trace.csv"

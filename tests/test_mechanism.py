@@ -83,8 +83,10 @@ def test_polling_config_validation():
     assert pc.PollingConfig(box=[-1, 2]).box == (-1.0, 2.0)
 
 
-@pytest.mark.parametrize("box", [(2.0, -2.0), ("a", "b"), (float("nan"), 1.0), (0.0,)],
-                         ids=["reversed", "text", "nan", "one_value"])
+@pytest.mark.parametrize("box", [(2.0, -2.0), ("a", "b"), (float("nan"), 1.0), (0.0,),
+                                 (0, 10 ** 400), (2 ** 60, 2 ** 60 + 1), 5],
+                         ids=["reversed", "text", "nan", "one_value", "past_the_float_range",
+                              "equal_as_floats", "not_a_pair"])
 def test_polling_config_rejects_a_bad_box(box):
     with pytest.raises(pc.ConfigError, match="'box'"):
         pc.PollingConfig(mode="two_stage", box=box)

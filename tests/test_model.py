@@ -132,6 +132,65 @@ def test_entry_points_reject_bad_input(call):
         call(make_two_agent_scalar(0.1))
 
 
+def _scalar_parts(N=2):
+    dyn = pc.LinearDynamics(A=np.eye(1), B=np.eye(1))
+    util = pc.QuadraticUtility(Q=np.eye(1), R=np.eye(1), x0=np.zeros(1))
+    return (dyn,) * N, (util,) * N, pc.zero_coupling(N, 1)
+
+
+def _kernel_model(n_coeff_x=2, ridge=0.0):
+    return pc.KernelFieldModel(centers_x=np.zeros((2, 1)), coeff_x=np.zeros((n_coeff_x, 1)),
+                               centers_u=np.zeros((2, 1)), coeff_u=np.zeros((2, 1)),
+                               sigma=1.0, ridge=ridge)
+
+
+def _estimated(D):
+    return pc.EstimatedQuadraticModel(C=np.eye(1), D=np.array(D), Q_hat=np.eye(1),
+                                      R_hat=np.eye(1), residual=0.0, rank=2, x0=np.zeros(1),
+                                      b_condition=1.0)
+
+
+def _log(t=(0,), x=((0.0,),), u=((0.0,),)):
+    return pc.ObservationLog(t=np.array(t), n=np.zeros(1, dtype=int), x=x, u=u, p=[[0.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pc.SystemInstance(*_scalar_parts(), states=(np.zeros((1, 1)), np.zeros(1))),
+     r"states\[0\] must be 1-D"),
+    (lambda: pc.SystemInstance(
+        (pc.LinearDynamics(A=np.eye(1), B=np.eye(1)), pc.LinearDynamics(A=np.eye(2), B=np.eye(2))),
+        *_scalar_parts()[1:], states=np.zeros((2, 1))), "share the same d"),
+    (lambda: pc.SystemInstance(*_scalar_parts(), states=np.zeros((1, 1))),
+     "one entry per subsystem"),
+    (lambda: pc.TrajectorySample(z=np.zeros(3), xi=np.zeros(1)), "z has length 3"),
+    (lambda: pc.TrajectorySample(z=[np.nan, 0.0], xi=[0.0]), "non-finite"),
+    (lambda: pc.fit_connection([pc.TrajectorySample(z=np.zeros(2), xi=np.zeros(1)),
+                                pc.TrajectorySample(z=np.zeros(4), xi=np.zeros(2))]),
+     "disagree on dimension"),
+    (lambda: _kernel_model(n_coeff_x=1), "disagree in length"),
+    (lambda: _kernel_model(ridge=-1.0), "ridge must be finite and >= 0"),
+    (lambda: pc.fit_decomposable([np.zeros((4, 1))] * 3, _scalar_parts()[0][0]),
+     r"\(X, U, P\) tuple"),
+    (lambda: _log(t=(0, 1)), "disagree on the number of rows"),
+    (lambda: _log(u=((0.0, 0.0),)), "share the dimension d"),
+    (lambda: _log(x=((np.nan,),)), "log column x contains non-finite"),
+    (lambda: pc.optimal_price([], pc.SystemInstance(*_scalar_parts(), states=np.zeros((2, 1)))),
+     r"one model per agent \(2\), got 0"),
+    (lambda: pc.optimal_price([_estimated([[0.0]])] * 2,
+                              pc.SystemInstance(*_scalar_parts(), states=np.zeros((2, 1)))),
+     "estimated D is numerically singular"),
+    (lambda: pc.estimate_cocoercivity(lambda P: -P, (-1.0, 1.0), 1, n_pairs=1),
+     "n_pairs must be >= 2"),
+], ids=["state_not_1d", "mixed_d", "state_count", "sample_lengths", "sample_nan",
+        "samples_mixed_d", "kernel_lengths", "kernel_ridge", "kernel_samples_list",
+        "log_rows", "log_widths", "log_nan", "price_model_count", "price_singular_d",
+        "cocoercivity_one_pair"])
+def test_input_checks_name_what_they_refuse(call, message):
+    # the checks in front of each module's arithmetic that no workflow reaches
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_the_public_names_are_pinned():
     # a name added to or removed from the package shows up here; the
     # submodules stay importable as attributes but are not exported

@@ -237,6 +237,12 @@ def test_multistart_rejects_the_double_well_minimum_on_a_huge_box():
         oracle._multistart(double_well_instance(), (-1e300, 1e300))
 
 
+def test_a_point_whose_welfare_hessian_is_not_finite_is_no_maximum():
+    # the double well's welfare overflows at u = 1e200, so its differences are nan
+    assert not oracle._is_maximum(double_well_instance(), np.array([1e200]))
+    assert oracle._is_maximum(double_well_instance(), np.array([1.0]))
+
+
 def test_the_fallback_without_a_box_names_the_multistart():
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="^newton_multistart requires a box$"):

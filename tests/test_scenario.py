@@ -68,6 +68,8 @@ def test_config_from_dict_strictness():
         pc.config_from_dict({"d": 2, "seed": 1})
     with pytest.raises(pc.ConfigError, match="wind"):
         pc.config_from_dict({"N": 2, "d": 2, "seed": 1, "wind": 3.0})
+    with pytest.raises(pc.ConfigError, match=r"^config must be a JSON object, got \[2, 2, 1\]$"):
+        pc.config_from_dict([2, 2, 1])
 
 
 def test_config_json_round_trip(tmp_path):
@@ -84,6 +86,13 @@ def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"N": 2, "d": 2\n "seed": 1}')
     with pytest.raises(pc.ConfigError, match="line"):
+        pc.load_config(path)
+
+
+def test_a_config_byte_that_is_not_utf8_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"N": 2, "d": 1, "seed": 1, "utility_spec": "quadratic\xff"}')
+    with pytest.raises(pc.ConfigError, match="c.json: unknown utility_spec 'quadratic\ufffd'"):
         pc.load_config(path)
 
 
